@@ -30,7 +30,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -47,6 +47,7 @@ from .pipeline import (
     predicted_labels,
     train_on_documents,
 )
+from .spans import decode_bilou
 from .tokenizer import tokenize
 
 logger = logging.getLogger(__name__)
@@ -396,7 +397,6 @@ def _cmd_train(resolved: dict[str, Any]) -> int:
         max_iterations=resolved["max_iterations"],
         lbfgs_memory=resolved["lbfgs_memory"],
         convergence_tol=resolved["tol"],
-        seed=resolved["seed"],
     )
     model = train_on_documents(
         train_docs,
@@ -419,23 +419,24 @@ def _cmd_train(resolved: dict[str, Any]) -> int:
 def _cmd_predict(resolved: dict[str, Any]) -> int:
     model = load_model(resolved["model"])
     docs, _ = _read_documents(resolved["in_path"], resolved["format"])
-    predicted = predict_documents(model, docs, threads=_threads(resolved))
-    lines = [corpus_mod.document_to_json(doc) for doc in predicted]
-    _write(resolved["out"], "\n".join(lines) + ("\n" if lines else ""))
-    if resolved["dump_labels"] is not None:
-        rows = []
+    if resolved["dump_labels"] is None:
+        predicted = predict_documents(model, docs, threads=_threads(resolved))
+    else:
+        # one Viterbi pass per document yields both the spans and the dump
+        predicted, rows = [], []
         for doc in docs:
-            tokens, labels = predicted_labels(model, doc)
-            for tok, label in zip(tokens, labels):
-                rows.append(
-                    "\t".join(
-                        [doc.id, str(tok.start), str(tok.end), tok.kind,
-                         escape_token_text(tok.text), label]
-                    )
-                )
+            seq, labels = predicted_labels(model, doc.text)
+            predicted.append(replace(doc, spans=tuple(decode_bilou(seq, labels))))
+            rows.extend(
+                "\t".join([doc.id, str(tok.start), str(tok.end), tok.kind,
+                           escape_token_text(tok.text), label])
+                for tok, label in zip(seq, labels)
+            )
         Path(resolved["dump_labels"]).write_text(
             "\n".join(rows) + ("\n" if rows else ""), encoding="utf-8"
         )
+    lines = [corpus_mod.document_to_json(doc) for doc in predicted]
+    _write(resolved["out"], "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 

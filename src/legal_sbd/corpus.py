@@ -184,10 +184,11 @@ def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
 
 
 def corpus_fingerprint(docs: Iterable[Document]) -> str:
-    """Cheap content hash identifying a corpus in model metadata."""
+    """Content hash identifying a corpus in model metadata: every
+    document's JSON line (id, text and spans included), in id order."""
     h = hashlib.sha256()
     for doc in sorted(docs, key=lambda d: d.id):
-        h.update(f"{doc.id}\t{len(doc.text)}\t{len(doc.spans)}\n".encode())
+        h.update(document_to_json(doc).encode("utf-8", "surrogatepass") + b"\n")
     return h.hexdigest()[:16]
 
 

@@ -41,7 +41,6 @@ class TrainingConfig:
     max_iterations: int = 100
     lbfgs_memory: int = 10
     convergence_tol: float = 1e-6
-    seed: int = 0
 
     def validate(self) -> None:
         if self.c1 < 0 or self.c2 < 0:
@@ -89,17 +88,30 @@ def indicators(features: dict) -> list[tuple[str, float]]:
     return out
 
 
-def _unary_matrix(model: CrfModel, feature_maps: Sequence[dict]) -> np.ndarray:
-    T = len(feature_maps)
-    U = np.zeros((T, len(model.labels)))
-    get = model.state_weights.get
-    for t, fv in enumerate(feature_maps):
-        row = U[t]
+def _encode_rows(feature_maps: Sequence[dict], index: dict[str, int]) -> csr_matrix:
+    """One sparse row per position holding the values of its indicators
+    known to *index*, in feature-map order; unknown indicators are dropped."""
+    indptr = [0]
+    idx: list[int] = []
+    vals: list[float] = []
+    get = index.get
+    for fv in feature_maps:
         for ind, val in indicators(fv):
-            w = get(ind)
-            if w is not None:
-                row += val * w
-    return U
+            k = get(ind)
+            if k is not None:
+                idx.append(k)
+                vals.append(val)
+        indptr.append(len(idx))
+    return csr_matrix(
+        (np.array(vals), np.array(idx, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+        shape=(len(feature_maps), len(index)),
+    )
+
+
+def _unary_matrix(model: CrfModel, feature_maps: Sequence[dict]) -> np.ndarray:
+    index = {ind: k for k, ind in enumerate(model.state_weights)}
+    weights = np.array(list(model.state_weights.values()), dtype=np.float64)
+    return _encode_rows(feature_maps, index) @ weights.reshape(len(index), len(model.labels))
 
 
 def _forward(U: np.ndarray, trans: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -214,7 +226,6 @@ def _encode_sequences(
 ):
     label_index = {label: k for k, label in enumerate(labels)}
     encoded = []
-    n_features = len(vocab)
     for s, seq in enumerate(batch):
         if not seq.features:
             raise DataError(f"sequence {s} is empty")
@@ -222,20 +233,7 @@ def _encode_sequences(
             raise DataError(
                 f"sequence {s}: {len(seq.features)} positions vs {len(seq.labels)} labels"
             )
-        indptr = [0]
-        idx: list[int] = []
-        vals: list[float] = []
-        for fv in seq.features:
-            for ind, val in indicators(fv):
-                k = vocab.get(ind)
-                if k is not None:
-                    idx.append(k)
-                    vals.append(val)
-            indptr.append(len(idx))
-        x = csr_matrix(
-            (np.array(vals), np.array(idx, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-            shape=(len(seq.features), n_features),
-        )
+        x = _encode_rows(seq.features, vocab)
         try:
             y = np.array([label_index[l] for l in seq.labels], dtype=np.intp)
         except KeyError as exc:
@@ -390,7 +388,6 @@ def train(
         "max_iterations": config.max_iterations,
         "lbfgs_memory": config.lbfgs_memory,
         "convergence_tol": config.convergence_tol,
-        "seed": config.seed,
         "iterations_run": result.iterations,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
@@ -472,6 +469,8 @@ def load_model(path) -> CrfModel:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: corrupt model file: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: corrupt model file: not a JSON object")
     version = obj.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(
@@ -496,6 +495,13 @@ def load_model(path) -> CrfModel:
         raise DataError(f"{path}: corrupt model file: {exc}") from exc
     if transitions.shape != (n_labels, n_labels) or start.shape != (n_labels,) or end.shape != (n_labels,):
         raise DataError(f"{path}: model weight shapes do not match its label set")
+    if "O" not in labels:
+        raise DataError(f"{path}: label set {list(labels)} lacks 'O'")
+    if len(label_index) != n_labels:
+        raise DataError(f"{path}: label set {list(labels)} repeats a label")
+    weights = [transitions, start, end, *state_weights.values()]
+    if not all(np.all(np.isfinite(w)) for w in weights):
+        raise DataError(f"{path}: model has non-finite weights")
     return CrfModel(
         labels=labels,
         state_weights=state_weights,

@@ -3,7 +3,8 @@
 Every token position yields a flat map from feature-key strings to
 values.  Keys are prefixed with the signed window offset they describe
 ("-3:", "+1:", "0:" for the center token) and each feature has its own
-window radius:
+window radius, declared once in the ``TEMPLATES`` table that both
+:func:`token_features` and :func:`sequence_features` build from:
 
 ===========  ======  =======================================================
 feature      window  value
@@ -38,10 +39,21 @@ CATEGORY_ABBR = "Abbr"
 CATEGORY_NONE = "No"
 CATEGORY_SPECIAL = "S"
 
-WINDOW_SPECIAL = 10  # also BOS/EOS
-WINDOW_LOWERCASE = 7  # also length
-WINDOW_SIGN = 5
-WINDOW_FLAGS = 3  # lower/upper/number/space
+# (attribute, window radius) in the order of ``_token_attrs``, which is
+# also the order a neighbour emits its keys after BOS/EOS.  Radii never
+# grow down the table, so the attributes a neighbour at offset d carries
+# are the prefix whose radius is at least |d|.
+TEMPLATES = (
+    ("special", 10),
+    ("lowercase", 7),
+    ("length", 7),
+    ("sign", 5),
+    ("lower", 3),
+    ("upper", 3),
+    ("number", 3),
+    ("space", 3),
+)
+MAX_RADIUS = TEMPLATES[0][1]  # also the BOS/EOS window
 
 
 @dataclass(frozen=True)
@@ -111,17 +123,22 @@ def _token_attrs(token: Token, config: FeatureConfig):
     )
 
 
-def token_features(
-    seq: TokenSequence, i: int, config: FeatureConfig = DEFAULT_CONFIG
-) -> dict:
-    """Feature map for position *i* of *seq*; see the module table."""
-    tokens = seq.tokens
-    if not 0 <= i < len(tokens):
-        raise IndexError(f"position {i} out of range for sequence of {len(tokens)} tokens")
-    last = len(tokens) - 1
-    special, lowercase, length, sign, lower, upper, number, _ = _token_attrs(
-        tokens[i], config
-    )
+def _neighbour_keys(d: int) -> tuple[int, str, tuple[str, ...]]:
+    p = f"{d:+d}"
+    edge = f"{p}:BOS" if d < 0 else f"{p}:EOS"
+    return d, edge, tuple(f"{p}:{name}" for name, radius in TEMPLATES if radius >= abs(d))
+
+
+# offsets -MAX_RADIUS..-1, then 1..MAX_RADIUS, each with its key strings
+_NEIGHBOURS = tuple(
+    _neighbour_keys(d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1) if d != 0
+)
+
+
+def _position_features(attrs, i: int, last: int) -> dict:
+    """Feature map for position *i*; ``attrs[j]`` holds the attributes of
+    token *j* for every *j* in the window, and *last* is the final index."""
+    special, lowercase, length, sign, lower, upper, number, _ = attrs[i]
     feats = {
         "bias": 1.0,
         "0:lowercase": lowercase,
@@ -134,84 +151,34 @@ def token_features(
         "0:BOS": i == 0,
         "0:EOS": i == last,
     }
-    lo = max(-WINDOW_SPECIAL, -i)
-    hi = min(WINDOW_SPECIAL, last - i)
-    for d in range(lo, hi + 1):
-        if d == 0:
-            continue
+    # the offsets max(-MAX_RADIUS, -i) .. min(MAX_RADIUS, last - i), without 0
+    in_range = _NEIGHBOURS[max(0, MAX_RADIUS - i) : MAX_RADIUS + min(MAX_RADIUS, last - i)]
+    for d, edge, keys in in_range:
         j = i + d
-        special, lowercase, length, sign, lower, upper, number, space = _token_attrs(
-            tokens[j], config
-        )
-        p = f"{d:+d}"
-        if d < 0:
-            feats[f"{p}:BOS"] = j == 0
-        else:
-            feats[f"{p}:EOS"] = j == last
-        feats[f"{p}:special"] = special
-        if -WINDOW_LOWERCASE <= d <= WINDOW_LOWERCASE:
-            feats[f"{p}:lowercase"] = lowercase
-            feats[f"{p}:length"] = length
-        if -WINDOW_SIGN <= d <= WINDOW_SIGN:
-            feats[f"{p}:sign"] = sign
-        if -WINDOW_FLAGS <= d <= WINDOW_FLAGS:
-            feats[f"{p}:lower"] = lower
-            feats[f"{p}:upper"] = upper
-            feats[f"{p}:number"] = number
-            feats[f"{p}:space"] = space
+        feats[edge] = j == 0 if d < 0 else j == last
+        feats.update(zip(keys, attrs[j]))
     return feats
+
+
+def token_features(
+    seq: TokenSequence, i: int, config: FeatureConfig = DEFAULT_CONFIG
+) -> dict:
+    """Feature map for position *i* of *seq*; see the module table."""
+    tokens = seq.tokens
+    if not 0 <= i < len(tokens):
+        raise IndexError(f"position {i} out of range for sequence of {len(tokens)} tokens")
+    window = range(max(0, i - MAX_RADIUS), min(len(tokens), i + MAX_RADIUS + 1))
+    attrs = {j: _token_attrs(tokens[j], config) for j in window}
+    return _position_features(attrs, i, len(tokens) - 1)
 
 
 def sequence_features(
     seq: TokenSequence, config: FeatureConfig = DEFAULT_CONFIG
 ) -> list[dict]:
     """Feature maps for every position, sharing per-token attribute work."""
-    tokens = seq.tokens
-    n = len(tokens)
-    if n == 0:
-        return []
-    attrs = [_token_attrs(tok, config) for tok in tokens]
-    last = n - 1
-    out = []
-    for i in range(n):
-        special, lowercase, length, sign, lower, upper, number, _ = attrs[i]
-        feats = {
-            "bias": 1.0,
-            "0:lowercase": lowercase,
-            "0:lower": lower,
-            "0:upper": upper,
-            "0:numeric": number,
-            "0:special": special,
-            "0:sign": sign,
-            "0:length": length,
-            "0:BOS": i == 0,
-            "0:EOS": i == last,
-        }
-        lo = max(-WINDOW_SPECIAL, -i)
-        hi = min(WINDOW_SPECIAL, last - i)
-        for d in range(lo, hi + 1):
-            if d == 0:
-                continue
-            j = i + d
-            special, lowercase, length, sign, lower, upper, number, space = attrs[j]
-            p = f"{d:+d}"
-            if d < 0:
-                feats[f"{p}:BOS"] = j == 0
-            else:
-                feats[f"{p}:EOS"] = j == last
-            feats[f"{p}:special"] = special
-            if -WINDOW_LOWERCASE <= d <= WINDOW_LOWERCASE:
-                feats[f"{p}:lowercase"] = lowercase
-                feats[f"{p}:length"] = length
-            if -WINDOW_SIGN <= d <= WINDOW_SIGN:
-                feats[f"{p}:sign"] = sign
-            if -WINDOW_FLAGS <= d <= WINDOW_FLAGS:
-                feats[f"{p}:lower"] = lower
-                feats[f"{p}:upper"] = upper
-                feats[f"{p}:number"] = number
-                feats[f"{p}:space"] = space
-        out.append(feats)
-    return out
+    attrs = [_token_attrs(tok, config) for tok in seq.tokens]
+    last = len(attrs) - 1
+    return [_position_features(attrs, i, last) for i in range(len(attrs))]
 
 
 def format_features(feats: dict) -> str:

@@ -7,6 +7,7 @@ out across threads, with results reassembled in document order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from .corpus import Document, SentenceSpan, corpus_fingerprint
 from .crf import CrfModel, LabeledSequence, TrainingConfig, train, viterbi
@@ -119,23 +120,29 @@ def train_on_documents(
     return train(sequences, config, extra_metadata=metadata)
 
 
+def predicted_labels(
+    model: CrfModel, text: str, feature_config: FeatureConfig = DEFAULT_CONFIG
+) -> tuple[TokenSequence, list[str]]:
+    """Tokens of *text* and their Viterbi labels; every prediction
+    function decodes its spans from these."""
+    seq = tokenize(text)
+    if not len(seq):
+        return seq, []
+    return seq, viterbi(model, sequence_features(seq, feature_config))
+
+
 def predict_text(
     model: CrfModel, text: str, feature_config: FeatureConfig = DEFAULT_CONFIG
 ) -> list[SentenceSpan]:
     """Predict sentence spans for raw text."""
-    seq = tokenize(text)
-    if not len(seq):
-        return []
-    labels = viterbi(model, sequence_features(seq, feature_config))
-    return decode_bilou(seq, labels)
+    return decode_bilou(*predicted_labels(model, text, feature_config))
 
 
 def predict_document(
     model: CrfModel, doc: Document, feature_config: FeatureConfig = DEFAULT_CONFIG
 ) -> Document:
     """Copy of *doc* whose spans are the model's predictions."""
-    spans = tuple(predict_text(model, doc.text, feature_config))
-    return Document(doc.id, doc.language, doc.doc_type, doc.text, spans)
+    return replace(doc, spans=tuple(predict_text(model, doc.text, feature_config)))
 
 
 def predict_documents(
@@ -149,14 +156,3 @@ def predict_documents(
         return [predict_document(model, doc, feature_config) for doc in docs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda d: predict_document(model, d, feature_config), docs))
-
-
-def predicted_labels(
-    model: CrfModel, doc: Document, feature_config: FeatureConfig = DEFAULT_CONFIG
-) -> tuple[list, list[str]]:
-    """Tokens and their predicted labels, for debug dumps."""
-    seq = tokenize(doc.text, doc.id)
-    if not len(seq):
-        return [], []
-    labels = viterbi(model, sequence_features(seq, feature_config))
-    return seq.tokens, labels

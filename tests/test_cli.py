@@ -49,6 +49,13 @@ class TestExitCodes:
         )
         assert run("predict", "--model", hacked, "--in", model_path) == 2
 
+    def test_non_finite_model_is_data_error(self, tmp_path, model_path, capsys):
+        hacked = tmp_path / "hacked.json"
+        obj = json.loads(model_path.read_text())
+        obj["end"][0] = float("inf")
+        hacked.write_text(json.dumps(obj))
+        assert run("predict", "--model", hacked, "--in", model_path) == 2
+
     def test_success_is_zero(self, corpus_path, tmp_path):
         assert run("split", "--corpus", corpus_path, "--seed", "3",
                    "--out", tmp_path / "split.json") == 0
@@ -133,16 +140,34 @@ class TestTrainPredictEval:
         assert run("predict", "--model", model_path, "--in", src) == 0
         assert capsys.readouterr().out == ""
 
-    def test_dump_labels(self, model_path, corpus_path, tmp_path):
+    def test_dump_labels(self, model_path, corpus_path, tmp_path, monkeypatch):
+        from legal_sbd import pipeline
+        from legal_sbd.spans import decode_bilou
+        from legal_sbd.tokenizer import tokenize
+
+        calls = []
+        real_viterbi = pipeline.viterbi
+
+        def counting_viterbi(*args):
+            calls.append(1)
+            return real_viterbi(*args)
+
+        monkeypatch.setattr(pipeline, "viterbi", counting_viterbi)
         pred = tmp_path / "pred.jsonl"
         dump = tmp_path / "labels.tsv"
         assert run(
             "predict", "--model", model_path, "--in", corpus_path,
             "--out", pred, "--dump-labels", dump,
         ) == 0
+        docs = load_corpus(corpus_path)
+        assert len(calls) == len(docs)
         rows = [l.split("\t") for l in dump.read_text().splitlines()]
         assert all(len(r) == 6 for r in rows)
         assert {r[5] for r in rows} <= {"B", "I", "L", "O", "U"}
+        predicted = {doc.id: doc.spans for doc in load_corpus(pred)}
+        for doc in docs:
+            labels = [r[5] for r in rows if r[0] == doc.id]
+            assert decode_bilou(tokenize(doc.text), labels) == list(predicted[doc.id])
 
     def test_train_empty_filter_is_data_error(self, corpus_path, tmp_path, capsys):
         split = tmp_path / "split.json"

@@ -5,6 +5,7 @@ import pytest
 from legal_sbd.corpus import (
     Document,
     SentenceSpan,
+    corpus_fingerprint,
     corpus_stats,
     histograms_to_csv,
     length_histogram,
@@ -216,3 +217,12 @@ def test_histogram_frequencies_normalized():
         assert abs(sum(b[3] for b in hist.bins) - 1.0) < 1e-9
     csv_text = histograms_to_csv(hists)
     assert csv_text.startswith("type,bin_start,bin_end,count,frequency")
+
+
+def test_fingerprint_covers_text_and_spans():
+    # same id, text length and span count: only the content differs
+    a = Document("d", "fr", "judgment", "Un. Deux.", (SentenceSpan(0, 3), SentenceSpan(4, 9)))
+    b = Document("d", "fr", "judgment", "Le. Vent.", (SentenceSpan(0, 3), SentenceSpan(4, 9)))
+    c = Document("d", "fr", "judgment", "Un. Deux.", (SentenceSpan(0, 2), SentenceSpan(4, 9)))
+    assert len({corpus_fingerprint([a]), corpus_fingerprint([b]), corpus_fingerprint([c])}) == 3
+    assert corpus_fingerprint([a]) == corpus_fingerprint([a])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -332,11 +333,45 @@ class TestSerialization:
         with pytest.raises(DataError, match="version"):
             load_model(path)
 
+    @staticmethod
+    def _rewritten(model, path, edit):
+        obj = json.loads(model_to_json(model))
+        edit(obj)
+        path.write_text(json.dumps(obj))  # json writes NaN and Infinity as such
+        return path
+
+    def test_non_finite_state_weight_rejected(self, small_model, tmp_path):
+        def edit(obj):
+            obj["state_weights"][0][2] = float("nan")
+
+        path = self._rewritten(small_model, tmp_path / "model.json", edit)
+        with pytest.raises(DataError, match="non-finite"):
+            load_model(path)
+
+    def test_label_set_without_o_rejected(self, small_model, tmp_path):
+        def edit(obj):
+            obj["labels"] = ["B", "I", "L", "X", "U"]
+            obj["state_weights"] = [t for t in obj["state_weights"] if t[1] != "O"]
+
+        path = self._rewritten(small_model, tmp_path / "model.json", edit)
+        with pytest.raises(DataError, match="lacks 'O'"):
+            load_model(path)
+
+    def test_repeated_label_rejected(self, small_model, tmp_path):
+        def edit(obj):
+            obj["labels"] = ["B", "I", "L", "O", "O"]
+            obj["state_weights"] = [t for t in obj["state_weights"] if t[1] != "U"]
+
+        path = self._rewritten(small_model, tmp_path / "model.json", edit)
+        with pytest.raises(DataError, match="repeats a label"):
+            load_model(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text("{not json")
-        with pytest.raises(DataError, match="corrupt"):
-            load_model(path)
+        for text in ("{not json", "[1, 2]"):
+            path.write_text(text)
+            with pytest.raises(DataError, match="corrupt"):
+                load_model(path)
 
 
 class TestForwardBackwardAgreement:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from legal_sbd.features import (
+    TEMPLATES,
     FeatureConfig,
     format_features,
     sequence_features,
@@ -170,3 +171,9 @@ def test_out_of_range_position_rejected():
     seq = tokenize("a b")
     with pytest.raises(IndexError):
         token_features(seq, 3)
+
+
+def test_template_radii_never_grow():
+    # a neighbour's keys are the prefix of TEMPLATES whose radius covers it
+    radii = [radius for _, radius in TEMPLATES]
+    assert radii == sorted(radii, reverse=True)
