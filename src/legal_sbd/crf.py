@@ -6,6 +6,15 @@ decoding, and maximum-likelihood training with elastic-net regularization
 objective).  All recursions run in log space, so sequences thousands of
 tokens long neither underflow nor need scaling.
 
+Training evaluates the objective over the whole batch with one forward
+and one backward pass.  The sequences are stably sorted longest first and
+laid out time-major, like a packed sequence: step t holds one row for
+each sequence longer than t, and row i of step t continues row i of step
+t - 1, so each step of the recursion is one array operation over
+contiguous rows.  Nothing is padded, so memory grows with the number of
+tokens, not with the batch size times the longest sequence.  A single
+sequence is the packed case with one row per step.
+
 Feature maps (see :mod:`legal_sbd.features`) are binarized into string
 indicators before they meet the model: booleans become ``key=true`` /
 ``key=false`` indicators, categorical values become ``key=value``
@@ -20,7 +29,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -88,22 +97,37 @@ def indicators(features: dict) -> list[tuple[str, float]]:
     return out
 
 
+_ENCODE_CHUNK = 512  # rows whose hits are gathered in Python lists at a time
+
+
 def _encode_rows(feature_maps: Sequence[dict], index: dict[str, int]) -> csr_matrix:
     """One sparse row per position holding the values of its indicators
-    known to *index*, in feature-map order; unknown indicators are dropped."""
+    known to *index*, in feature-map order; unknown indicators are dropped.
+
+    Hits are gathered in Python lists one chunk of rows at a time and then
+    copied into arrays sized for every indicator, so a long input never
+    holds a Python list entry per hit."""
+    capacity = sum(len(fv) for fv in feature_maps)  # one indicator per key
+    data = np.empty(capacity)
+    cols = np.empty(capacity, dtype=np.int32)
     indptr = [0]
-    idx: list[int] = []
-    vals: list[float] = []
+    filled = 0
     get = index.get
-    for fv in feature_maps:
-        for ind, val in indicators(fv):
-            k = get(ind)
-            if k is not None:
-                idx.append(k)
-                vals.append(val)
-        indptr.append(len(idx))
+    for lo in range(0, len(feature_maps), _ENCODE_CHUNK):
+        idx: list[int] = []
+        vals: list[float] = []
+        for fv in feature_maps[lo : lo + _ENCODE_CHUNK]:
+            for ind, val in indicators(fv):
+                k = get(ind)
+                if k is not None:
+                    idx.append(k)
+                    vals.append(val)
+            indptr.append(filled + len(idx))
+        data[filled : filled + len(idx)] = vals
+        cols[filled : filled + len(idx)] = idx
+        filled += len(idx)
     return csr_matrix(
-        (np.array(vals), np.array(idx, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+        (data[:filled], cols[:filled], np.array(indptr, dtype=np.int32)),
         shape=(len(feature_maps), len(index)),
     )
 
@@ -114,33 +138,46 @@ def _unary_matrix(model: CrfModel, feature_maps: Sequence[dict]) -> np.ndarray:
     return _encode_rows(feature_maps, index) @ weights.reshape(len(index), len(model.labels))
 
 
-def _forward(U: np.ndarray, trans: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Log-space forward recursion; alpha[t, k] includes U[t, k]."""
-    T = U.shape[0]
+def _forward(
+    U: np.ndarray, trans: np.ndarray, start: np.ndarray, batch_sizes: Sequence[int]
+) -> np.ndarray:
+    """Log-space forward recursion over packed rows (see :func:`_pack`);
+    alpha[r, k] includes U[r, k]."""
     alpha = np.empty_like(U)
-    alpha[0] = start + U[0]
-    for t in range(1, T):
-        b = alpha[t - 1][:, None] + trans
-        m = b.max(axis=0)
-        alpha[t] = U[t] + m + np.log(np.exp(b - m).sum(axis=0))
+    lo = batch_sizes[0]
+    alpha[:lo] = start + U[:lo]
+    prev = 0
+    for n in batch_sizes[1:]:
+        b = alpha[prev : prev + n, :, None] + trans
+        m = b.max(axis=1)
+        alpha[lo : lo + n] = U[lo : lo + n] + m + np.log(np.exp(b - m[:, None, :]).sum(axis=1))
+        prev, lo = lo, lo + n
     return alpha
 
 
-def _backward(U: np.ndarray, trans: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Log-space backward recursion; beta[t, k] excludes U[t, k]."""
-    T = U.shape[0]
+def _backward(
+    U: np.ndarray, trans: np.ndarray, end: np.ndarray, batch_sizes: Sequence[int]
+) -> np.ndarray:
+    """Log-space backward recursion over packed rows (see :func:`_pack`);
+    beta[r, k] excludes U[r, k], and is ``end`` at a sequence's last row."""
     beta = np.empty_like(U)
-    beta[T - 1] = end
-    for t in range(T - 2, -1, -1):
-        b = trans + (U[t + 1] + beta[t + 1])[None, :]
-        m = b.max(axis=1)
-        beta[t] = m + np.log(np.exp(b - m[:, None]).sum(axis=1))
+    hi = len(U)
+    n_next = 0
+    for n in reversed(batch_sizes):
+        lo = hi - n
+        beta[lo + n_next : hi] = end
+        if n_next:
+            b = trans + (U[hi : hi + n_next] + beta[hi : hi + n_next])[:, None, :]
+            m = b.max(axis=2)
+            beta[lo : lo + n_next] = m + np.log(np.exp(b - m[:, :, None]).sum(axis=2))
+        hi, n_next = lo, n
     return beta
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
+def _logsumexp(v: np.ndarray) -> np.ndarray:
+    """log(sum(exp(v))) over the last axis."""
+    m = v.max(axis=-1, keepdims=True)
+    return (m + np.log(np.exp(v - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 def _path_score(
@@ -170,8 +207,8 @@ def log_partition(model: CrfModel, features: Sequence[dict]) -> float:
     if not features:
         raise ValueError("empty sequence")
     U = _unary_matrix(model, features)
-    alpha = _forward(U, model.transitions, model.start)
-    return _logsumexp(alpha[-1] + model.end)
+    alpha = _forward(U, model.transitions, model.start, [1] * len(U))
+    return float(_logsumexp(alpha[-1] + model.end))
 
 
 def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
@@ -179,8 +216,9 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
     if not features:
         raise ValueError("empty sequence")
     U = _unary_matrix(model, features)
-    alpha = _forward(U, model.transitions, model.start)
-    beta = _backward(U, model.transitions, model.end)
+    single = [1] * len(U)  # one sequence is a packed batch of one
+    alpha = _forward(U, model.transitions, model.start, single)
+    beta = _backward(U, model.transitions, model.end, single)
     log_z = _logsumexp(alpha[-1] + model.end)
     return np.exp(alpha + beta - log_z)
 
@@ -221,11 +259,42 @@ def _collect_vocabulary(batch: Iterable[LabeledSequence]) -> list[str]:
     return sorted(vocab)
 
 
+class _Packing(NamedTuple):
+    batch_sizes: list[int]  # rows per time step
+    seq: np.ndarray  # packed row -> caller's sequence index
+    step: np.ndarray  # packed row -> position in its sequence
+    prev: np.ndarray  # row batch_sizes[0] + j -> the row one step earlier
+    last: np.ndarray  # caller's sequence index -> row of its last position
+
+
+def _pack(lengths: np.ndarray) -> _Packing:
+    """Time-major packed layout of sequences of the given lengths.
+
+    Sequences are stably sorted longest first; step t then holds one row
+    for each of the first batch_sizes[t] of them, the ones longer than t,
+    so row i of step t continues row i of step t - 1.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    batch_sizes = np.bincount(lengths - 1)[::-1].cumsum()[::-1]
+    offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
+    step = np.repeat(np.arange(len(batch_sizes)), batch_sizes)
+    seq = order[np.arange(offsets[-1]) - offsets[step]]
+    n0 = batch_sizes[0]
+    prev = np.arange(n0, offsets[-1]) - batch_sizes[step[n0:] - 1]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    last = offsets[lengths - 1] + rank
+    return _Packing(batch_sizes.tolist(), seq, step, prev, last)
+
+
 def _encode_sequences(
     batch: Sequence[LabeledSequence], vocab: dict[str, int], labels: Sequence[str]
 ):
+    """The batch as (X, y, lengths): one sparse indicator row per position
+    and its gold label index, both in the packed order of :func:`_pack`,
+    and the sequence lengths in the caller's order."""
     label_index = {label: k for k, label in enumerate(labels)}
-    encoded = []
+    label_ids = []
     for s, seq in enumerate(batch):
         if not seq.features:
             raise DataError(f"sequence {s} is empty")
@@ -233,13 +302,16 @@ def _encode_sequences(
             raise DataError(
                 f"sequence {s}: {len(seq.features)} positions vs {len(seq.labels)} labels"
             )
-        x = _encode_rows(seq.features, vocab)
         try:
-            y = np.array([label_index[l] for l in seq.labels], dtype=np.intp)
+            label_ids.append([label_index[l] for l in seq.labels])
         except KeyError as exc:
             raise DataError(f"sequence {s}: unknown label {exc}") from exc
-        encoded.append((x, y))
-    return encoded
+    lengths = np.array([len(seq.labels) for seq in batch])
+    packing = _pack(lengths)
+    rows = list(zip(packing.seq.tolist(), packing.step.tolist()))
+    X = _encode_rows([batch[s].features[t] for s, t in rows], vocab)
+    y = np.array([label_ids[s][t] for s, t in rows], dtype=np.intp)
+    return X, y, lengths
 
 
 def _unpack(wvec: np.ndarray, n_features: int, n_labels: int):
@@ -252,44 +324,47 @@ def _unpack(wvec: np.ndarray, n_features: int, n_labels: int):
     return state, trans, start, end
 
 
-def _sequence_posteriors(U, trans, start, end):
-    """Returns (log_partition, position marginals, expected transition counts)."""
-    alpha = _forward(U, trans, start)
-    beta = _backward(U, trans, end)
-    log_z = _logsumexp(alpha[-1] + end)
-    m = np.exp(alpha + beta - log_z)
-    e_trans = np.zeros_like(trans)
-    for t in range(1, U.shape[0]):
-        p = alpha[t - 1][:, None] + trans + (U[t] + beta[t])[None, :] - log_z
-        e_trans += np.exp(p)
-    return log_z, m, e_trans
-
-
 def _batch_objective(wvec, encoded, n_features, n_labels, c2):
-    """Regularized NLL and its gradient over a batch of encoded sequences."""
+    """Regularized NLL and its gradient over a batch encoded by
+    :func:`_encode_sequences`; one forward and one backward pass cover
+    every sequence at once."""
+    X, y, lengths = encoded
+    batch_sizes, seq, _, prev, last = _pack(lengths)
+    n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec, n_features, n_labels)
-    grad = np.zeros_like(wvec)
+    U = X @ state
+    alpha = _forward(U, trans, start, batch_sizes)
+    beta = _backward(U, trans, end, batch_sizes)
+    log_z = _logsumexp(alpha[last] + end)
+    y_prev, y_cur = y[prev], y[n0:]
+    rows = np.arange(len(y))
+    gold = U[rows, y]
+    gold[:n0] += start[y[:n0]]
+    gold[n0:] += trans[y_prev, y_cur]
+    gold[last] += end[y[last]]
+    contributions = log_z - np.bincount(seq, weights=gold, minlength=n0)
+    bad = np.flatnonzero(~np.isfinite(contributions))
+    if bad.size:
+        raise TrainingError(
+            f"non-finite objective at sequence {bad[0]} "
+            f"(weight norm {float(np.linalg.norm(wvec)):.3e})"
+        )
+    m = np.exp(alpha + beta - log_z[seq, None])
+    # expected transition counts: p[j, a, b] is the posterior of label a at
+    # row prev[j] followed by b at row n0 + j, built in place to hold one
+    # (tokens, L, L) array at a time
+    p = alpha[prev, :, None] + trans
+    p += (U + beta)[n0:, None, :] - log_z[seq[n0:], None, None]
+    e_trans = np.exp(p, out=p).sum(axis=0)
+    m[rows, y] -= 1.0  # now expected minus observed counts
+    observed_trans = np.bincount(y_prev * n_labels + y_cur, minlength=n_labels * n_labels)
+    grad = 2.0 * c2 * wvec
     g_state, g_trans, g_start, g_end = _unpack(grad, n_features, n_labels)
-    nll = 0.0
-    for s, (x, y) in enumerate(encoded):
-        U = x @ state
-        log_z, m, e_trans = _sequence_posteriors(U, trans, start, end)
-        contribution = log_z - _path_score(U, trans, start, end, y)
-        if not np.isfinite(contribution):
-            raise TrainingError(
-                f"non-finite objective at sequence {s} "
-                f"(weight norm {float(np.linalg.norm(wvec)):.3e})"
-            )
-        nll += contribution
-        m[np.arange(len(y)), y] -= 1.0  # now expected minus observed counts
-        g_state += x.T @ m
-        g_trans += e_trans
-        if len(y) > 1:
-            np.subtract.at(g_trans, (y[:-1], y[1:]), 1.0)
-        g_start += m[0]
-        g_end += m[-1]
-    nll += c2 * float(wvec @ wvec)
-    grad += 2.0 * c2 * wvec
+    g_state += X.T @ m
+    g_trans += e_trans - observed_trans.reshape(n_labels, n_labels)
+    g_start += m[:n0].sum(axis=0)
+    g_end += m[last].sum(axis=0)
+    nll = float(contributions.sum()) + c2 * float(wvec @ wvec)
     return nll, grad
 
 
@@ -391,6 +466,7 @@ def train(
         "iterations_run": result.iterations,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
+        "objective_evaluations": result.evaluations,
         "final_objective": result.fun,
         "n_sequences": len(sequences),
         "format_version": MODEL_FORMAT_VERSION,

@@ -32,6 +32,7 @@ class MinimizeResult:
     iterations: int
     converged: bool
     stop_reason: str
+    evaluations: int  # calls of the objective, the line searches' included
 
 
 def _pseudo_gradient(x: np.ndarray, grad: np.ndarray, l1: float) -> np.ndarray:
@@ -89,6 +90,7 @@ def minimize_lbfgs(
         raise ValueError(f"l1 must be >= 0, got {l1}")
     x = np.array(x0, dtype=np.float64, copy=True)
     f, g = fun(x)
+    evaluations = 1
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise TrainingError(f"objective is non-finite at the initial point (f={f})")
     big_f = f + l1 * np.abs(x).sum() if l1 > 0 else f
@@ -125,6 +127,7 @@ def minimize_lbfgs(
                 step *= 0.5
                 continue
             f_new, g_new = fun(x_new)
+            evaluations += 1
             big_f_new = f_new + l1 * np.abs(x_new).sum() if l1 > 0 else f_new
             if (
                 np.isfinite(big_f_new)
@@ -156,5 +159,10 @@ def minimize_lbfgs(
             break
 
     return MinimizeResult(
-        x=x, fun=big_f, iterations=iterations, converged=converged, stop_reason=stop_reason
+        x=x,
+        fun=big_f,
+        iterations=iterations,
+        converged=converged,
+        stop_reason=stop_reason,
+        evaluations=evaluations,
     )

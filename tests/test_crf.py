@@ -208,6 +208,38 @@ class TestNllAndGradient:
         with pytest.raises(DataError):
             nll_and_gradient(zero_model(), [], TrainingConfig())
 
+    def test_batched_objective_matches_per_sequence_api(self, rng):
+        # one packed forward-backward over a ragged batch, given out of
+        # length order and with repeated lengths, against the public
+        # one-sequence-at-a-time functions
+        config = TrainingConfig(c1=0.0, c2=0.01)
+        model = random_model(rng, scale=0.8)
+        lengths = [23, 1, 60, 23, 7, 60, 1, 41, 7, 15]
+        batch = []
+        for n in lengths:
+            labels = [LABELS[int(rng.integers(len(LABELS)))] for _ in range(n)]
+            batch.append(LabeledSequence(random_features(rng, n), labels))
+        value, grad = nll_and_gradient(model, batch, config)
+
+        weights = [*model.state_weights.values(), model.transitions, model.start, model.end]
+        l2 = config.c2 * sum(float(np.sum(w * w)) for w in weights)
+        want = l2 + sum(
+            log_partition(model, seq.features) - score(model, seq.features, seq.labels)
+            for seq in batch
+        )
+        assert abs(value - want) <= 1e-10 * abs(want)
+
+        want_start = 2.0 * config.c2 * model.start
+        want_end = 2.0 * config.c2 * model.end
+        for seq in batch:
+            m = marginals(model, seq.features)
+            want_start = want_start + m[0]
+            want_end = want_end + m[-1]
+            want_start[LABELS.index(seq.labels[0])] -= 1.0
+            want_end[LABELS.index(seq.labels[-1])] -= 1.0
+        np.testing.assert_allclose(grad.start, want_start, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(grad.end, want_end, rtol=1e-10, atol=1e-10)
+
 
 def tiny_training_batch():
     # two-token "sentences": f_up fires on sentence-initial tokens,
@@ -259,6 +291,11 @@ class TestTrain:
         for row in model.state_weights.values():
             assert np.max(np.abs(row)) < 1e-3
         assert np.max(np.abs(model.transitions)) < 1e-3
+
+    def test_objective_evaluations_recorded(self):
+        model = train(tiny_training_batch(), TrainingConfig(max_iterations=25))
+        meta = model.metadata
+        assert meta["objective_evaluations"] >= meta["iterations_run"] + 1
 
     def test_paper_default_config_recorded(self):
         model = train(tiny_training_batch(), TrainingConfig(max_iterations=5))
@@ -384,12 +421,41 @@ class TestForwardBackwardAgreement:
             model = random_model(rng, scale=float(rng.uniform(0.5, 2.5)))
             feats = random_features(rng, int(rng.integers(1, 60)))
             unary = _unary_matrix(model, feats)
-            alpha = _forward(unary, model.transitions, model.start)
-            beta = _backward(unary, model.transitions, model.end)
+            single = [1] * len(feats)
+            alpha = _forward(unary, model.transitions, model.start, single)
+            beta = _backward(unary, model.transitions, model.end, single)
             log_z = log_partition(model, feats)
             for t in range(len(feats)):
                 drift = abs(_logsumexp(alpha[t] + beta[t]) - log_z)
                 assert drift <= 1e-9
+
+    def test_packed_rows_match_single_sequences(self, rng):
+        # sorted longest first (stably), step t holds the sequences longer
+        # than t, and each sequence's rows see only its own predecessors
+        from legal_sbd.crf import _backward, _forward, _pack, _unary_matrix
+
+        model = random_model(rng, scale=1.5)
+        lengths = np.array([4, 9, 1, 9, 6])
+        unaries = [_unary_matrix(model, random_features(rng, n)) for n in lengths]
+        packing = _pack(lengths)
+        assert packing.batch_sizes == [5, 4, 4, 4, 3, 3, 2, 2, 2]
+        assert packing.seq[:5].tolist() == [1, 3, 4, 0, 2]
+        U = np.array([unaries[s][t] for s, t in zip(packing.seq, packing.step)])
+        alpha = _forward(U, model.transitions, model.start, packing.batch_sizes)
+        beta = _backward(U, model.transitions, model.end, packing.batch_sizes)
+        for s, unary in enumerate(unaries):
+            rows = np.flatnonzero(packing.seq == s)
+            assert packing.step[rows].tolist() == list(range(len(unary)))
+            assert packing.last[s] == rows[-1]
+            single = [1] * len(unary)
+            np.testing.assert_allclose(
+                alpha[rows], _forward(unary, model.transitions, model.start, single),
+                rtol=1e-12,
+            )
+            np.testing.assert_allclose(
+                beta[rows], _backward(unary, model.transitions, model.end, single),
+                rtol=1e-12,
+            )
 
 
 class TestNonFiniteAbort:
@@ -401,6 +467,24 @@ class TestNonFiniteAbort:
 
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingError, match="sequence 0"):
+                nll_and_gradient(model, batch, TrainingConfig(c1=0.0, c2=0.0))
+
+    def test_names_the_callers_index_in_a_permuted_batch(self):
+        # sequence 2 is the longest, so it is packed first; the error must
+        # still name it by its position in the caller's batch
+        model = zero_model()
+        model.state_weights["bias"] = np.zeros(5)
+        model.state_weights["boom"] = np.full(5, np.inf)
+        plain = {"bias": 1.0}
+        batch = [
+            LabeledSequence([plain, plain], ["B", "L"]),
+            LabeledSequence([plain, plain, plain], ["B", "I", "L"]),
+            LabeledSequence([plain, {"boom": 1.0}, plain, plain], ["B", "I", "I", "L"]),
+        ]
+        from legal_sbd.errors import TrainingError
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingError, match=r"sequence 2\b"):
                 nll_and_gradient(model, batch, TrainingConfig(c1=0.0, c2=0.0))
 
 

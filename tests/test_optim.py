@@ -54,15 +54,16 @@ def test_l1_produces_exact_zeros_on_random_problems(rng):
         np.testing.assert_allclose(res.x, x, atol=1e-6)
 
 
-def test_rosenbrock():
-    def rosen(x):
-        f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-        g = np.array(
-            [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
-             200.0 * (x[1] - x[0] ** 2)]
-        )
-        return f, g
+def rosen(x):
+    f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
+    g = np.array(
+        [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
+         200.0 * (x[1] - x[0] ** 2)]
+    )
+    return f, g
 
+
+def test_rosenbrock():
     res = minimize_lbfgs(rosen, np.array([-1.2, 1.0]), tol=1e-16, max_iterations=500)
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
 
@@ -81,6 +82,19 @@ def test_max_iterations_respected():
     center = np.full(40, 13.7)
     res = minimize_lbfgs(quadratic(center), np.zeros(40), max_iterations=3, tol=0.0)
     assert res.iterations <= 3
+
+
+def test_evaluations_count_every_objective_call():
+    # the Rosenbrock line searches backtrack, so calls exceed iterations + 1
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return rosen(x)
+
+    res = minimize_lbfgs(counted, np.array([-1.2, 1.0]), tol=1e-16, max_iterations=500)
+    assert res.evaluations == len(calls)
+    assert res.evaluations > res.iterations + 1
 
 
 def test_deterministic():
