@@ -32,7 +32,7 @@ from .crf import (
 )
 from .errors import DataError, LegalSbdError, TrainingError, UsageError
 from .evaluation import EvalReport, boundary_vector, evaluate, import_foreign_predictions, prf
-from .features import FeatureConfig, signature, special_category, token_features
+from .features import signature, special_category, token_features
 from .pipeline import (
     label_document,
     predict_document,
@@ -51,7 +51,6 @@ __all__ = [
     "DataError",
     "Document",
     "EvalReport",
-    "FeatureConfig",
     "LABELS",
     "LabeledSequence",
     "LegalSbdError",

@@ -13,12 +13,13 @@ One executable with subcommands covering the whole pipeline::
     legal-sbd eval       --gold corpus.jsonl --pred pred.jsonl [--report out.json]
     legal-sbd bench      --model model.json --corpus corpus.jsonl [--repeat 3]
 
-Global flags (``--seed``, ``--config``, ``--threads``, ``--log-level``)
-may also come from a flat ``key=value`` config file ("#" starts a
-comment); explicit flags win over config values, and unrecognized config
-keys are rejected.  ``LEGAL_SBD_CONFIG`` names a default config file.
+Global flags (``--seed``, ``--config``, ``--log-level``) may also come
+from a flat ``key=value`` config file ("#" starts a comment); explicit
+flags win over config values, and unrecognized config keys are rejected.
+``LEGAL_SBD_CONFIG`` names a default config file.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (including a file that
+cannot be read or written, or is not UTF-8), 3 internal error.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ class Opt:
 GLOBAL_OPTS = (
     Opt("seed", int, 0, "random seed for anything stochastic"),
     Opt("config", str, None, "flat key=value config file (default: $" + CONFIG_ENV_VAR + ")"),
-    Opt("threads", int, 0, "worker threads for prediction; 0 = available cores"),
     Opt("log_level", str, "info", "logging level", ("debug", "info", "warning", "error")),
 )
 
@@ -301,11 +301,6 @@ def _parse_languages(value: str) -> set[str] | None:
     return languages
 
 
-def _threads(resolved: dict[str, Any]) -> int:
-    threads = resolved["threads"]
-    return threads if threads > 0 else (os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -419,19 +414,17 @@ def _cmd_train(resolved: dict[str, Any]) -> int:
 def _cmd_predict(resolved: dict[str, Any]) -> int:
     model = load_model(resolved["model"])
     docs, _ = _read_documents(resolved["in_path"], resolved["format"])
-    if resolved["dump_labels"] is None:
-        predicted = predict_documents(model, docs, threads=_threads(resolved))
-    else:
-        # one Viterbi pass per document yields both the spans and the dump
-        predicted, rows = [], []
-        for doc in docs:
-            seq, labels = predicted_labels(model, doc.text)
-            predicted.append(replace(doc, spans=tuple(decode_bilou(seq, labels))))
-            rows.extend(
-                "\t".join([doc.id, str(tok.start), str(tok.end), tok.kind,
-                           escape_token_text(tok.text), label])
-                for tok, label in zip(seq, labels)
-            )
+    # one Viterbi pass per document yields both the spans and the dump
+    predicted, rows = [], []
+    for doc in docs:
+        seq, labels = predicted_labels(model, doc.text)
+        predicted.append(replace(doc, spans=tuple(decode_bilou(seq, labels))))
+        rows.extend(
+            "\t".join([doc.id, str(tok.start), str(tok.end), tok.kind,
+                       escape_token_text(tok.text), label])
+            for tok, label in zip(seq, labels)
+        )
+    if resolved["dump_labels"] is not None:
         Path(resolved["dump_labels"]).write_text(
             "\n".join(rows) + ("\n" if rows else ""), encoding="utf-8"
         )
@@ -490,28 +483,23 @@ def _cmd_eval(resolved: dict[str, Any]) -> int:
 def _cmd_bench(resolved: dict[str, Any]) -> int:
     model = load_model(resolved["model"])
     docs = load_corpus(resolved["corpus"])
-    repeat = max(1, resolved["repeat"])
-    results = {}
-    n_sentences = 0
-    for label, threads in (("single-thread", 1), (f"threads={_threads(resolved)}", _threads(resolved))):
-        timings = []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            predicted = predict_documents(model, docs, threads=threads)
-            timings.append(time.perf_counter() - t0)
-        n_sentences = sum(len(d.spans) for d in predicted)
-        results[label] = statistics.median(timings)
+    timings = []
+    for _ in range(max(1, resolved["repeat"])):
+        t0 = time.perf_counter()
+        predicted = predict_documents(model, docs)
+        timings.append(time.perf_counter() - t0)
+    n_sentences = sum(len(d.spans) for d in predicted)
+    seconds = statistics.median(timings)
     sys.stdout.write(f"documents: {len(docs)}  predicted sentences: {n_sentences}\n")
-    for label, seconds in results.items():
-        if n_sentences and seconds > 0:
-            rate = n_sentences / seconds
-            per_sentence = 1000.0 * seconds / n_sentences
-            sys.stdout.write(
-                f"{label}: median {seconds:.3f}s  "
-                f"{rate:.1f} sentences/s  {per_sentence:.2f} ms/sentence\n"
-            )
-        else:
-            sys.stdout.write(f"{label}: median {seconds:.3f}s  0 sentences\n")
+    if n_sentences and seconds > 0:
+        rate = n_sentences / seconds
+        per_sentence = 1000.0 * seconds / n_sentences
+        sys.stdout.write(
+            f"single-thread: median {seconds:.3f}s  "
+            f"{rate:.1f} sentences/s  {per_sentence:.2f} ms/sentence\n"
+        )
+    else:
+        sys.stdout.write(f"single-thread: median {seconds:.3f}s  0 sentences\n")
     return 0
 
 
@@ -554,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError, UnicodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except LegalSbdError as exc:

@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -97,14 +98,7 @@ def _normalize_newlines(text: str, spans: list[tuple[int, int, str]]):
         pos = text.find("\r\n", pos + 2)
 
     def shift(offset: int) -> int:
-        lo, hi = 0, len(removed)
-        while lo < hi:  # count removed positions below offset
-            mid = (lo + hi) // 2
-            if removed[mid] < offset:
-                lo = mid + 1
-            else:
-                hi = mid
-        return offset - lo
+        return offset - bisect_left(removed, offset)  # removed positions below offset
 
     new_text = text.replace("\r\n", "\n")
     new_spans = [(shift(s), shift(e), label) for s, e, label in spans]
@@ -122,7 +116,7 @@ def _parse_document(obj: dict, lineno: int) -> Document:
     for s in raw_spans:
         try:
             spans.append((int(s["start"]), int(s["end"]), s.get("label", "Sentence")))
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise DataError(
                 f"line {lineno}: malformed span in document {obj.get('id')!r}: {exc}"
             ) from exc

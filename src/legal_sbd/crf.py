@@ -553,10 +553,12 @@ def load_model(path) -> CrfModel:
             f"{path}: unsupported model file version {version!r} "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
+    if obj.get("labels") != list(LABELS):
+        # the one label set training writes and decode_bilou reads
+        raise DataError(f"{path}: label set {obj.get('labels')!r} is not {list(LABELS)}")
+    n_labels = len(LABELS)
+    label_index = {label: k for k, label in enumerate(LABELS)}
     try:
-        labels = tuple(obj["labels"])
-        n_labels = len(labels)
-        label_index = {label: k for k, label in enumerate(labels)}
         state_weights: dict[str, np.ndarray] = {}
         for ind, label, w in obj["state_weights"]:
             row = state_weights.get(ind)
@@ -567,19 +569,15 @@ def load_model(path) -> CrfModel:
         start = np.array(obj["start"], dtype=np.float64)
         end = np.array(obj["end"], dtype=np.float64)
         metadata = dict(obj.get("metadata", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt model file: {exc}") from exc
     if transitions.shape != (n_labels, n_labels) or start.shape != (n_labels,) or end.shape != (n_labels,):
         raise DataError(f"{path}: model weight shapes do not match its label set")
-    if "O" not in labels:
-        raise DataError(f"{path}: label set {list(labels)} lacks 'O'")
-    if len(label_index) != n_labels:
-        raise DataError(f"{path}: label set {list(labels)} repeats a label")
     weights = [transitions, start, end, *state_weights.values()]
     if not all(np.all(np.isfinite(w)) for w in weights):
         raise DataError(f"{path}: model has non-finite weights")
     return CrfModel(
-        labels=labels,
+        labels=LABELS,
         state_weights=state_weights,
         transitions=transitions,
         start=start,

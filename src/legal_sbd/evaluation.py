@@ -70,11 +70,21 @@ def prf(gold: np.ndarray, pred: np.ndarray) -> tuple[float, float, float]:
     """
     if len(gold) != len(pred):
         raise DataError(f"length mismatch: {len(gold)} gold vs {len(pred)} predicted")
+    return _prf_from_counts(*_counts(gold, pred))
+
+
+def _counts(gold: np.ndarray, pred: np.ndarray) -> tuple[int, int, int]:
+    """True positives, false positives and false negatives."""
     gold = np.asarray(gold, dtype=bool)
     pred = np.asarray(pred, dtype=bool)
-    tp = int(np.count_nonzero(gold & pred))
-    fp = int(np.count_nonzero(~gold & pred))
-    fn = int(np.count_nonzero(gold & ~pred))
+    return (
+        int(np.count_nonzero(gold & pred)),
+        int(np.count_nonzero(~gold & pred)),
+        int(np.count_nonzero(gold & ~pred)),
+    )
+
+
+def _prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -148,7 +158,7 @@ def evaluate(
     if unknown:
         raise DataError(f"predictions for unknown document ids: {sorted(unknown)[:5]}")
     report = EvalReport(boundary_mode=mode)
-    pooled: dict[tuple[str, str], np.ndarray] = {}
+    pooled: dict[tuple[str, str], tuple[int, int, int]] = {}
     grouped: dict[tuple[str, str], list[DocScore]] = {}
     for doc in gold_docs:
         if doc.id not in predictions and not allow_missing:
@@ -157,24 +167,14 @@ def evaluate(
         reference = tokenize(doc.text, doc.id)
         gold_bits = boundary_vector(reference, doc.spans, mode)
         pred_bits = boundary_vector(reference, pred_spans, mode)
-        p, r, f1 = prf(gold_bits, pred_bits)
-        doc_score = DocScore(doc.id, p, r, f1, int(gold_bits.sum()))
+        counts = _counts(gold_bits, pred_bits)
+        doc_score = DocScore(doc.id, *_prf_from_counts(*counts), int(gold_bits.sum()))
         report.per_document.append(doc_score)
         key = (doc.language, doc.doc_type)
         grouped.setdefault(key, []).append(doc_score)
-        counts = pooled.setdefault(key, np.zeros(3, dtype=np.int64))
-        counts += (
-            int(np.count_nonzero(gold_bits & pred_bits)),
-            int(np.count_nonzero(~gold_bits & pred_bits)),
-            int(np.count_nonzero(gold_bits & ~pred_bits)),
-        )
+        pooled[key] = tuple(a + b for a, b in zip(pooled.get(key, (0, 0, 0)), counts))
     for key, scores in grouped.items():
-        tp, fp, fn = (int(v) for v in pooled[key])
-        micro_p = tp / (tp + fp) if tp + fp else 0.0
-        micro_r = tp / (tp + fn) if tp + fn else 0.0
-        micro_f1 = (
-            2 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r else 0.0
-        )
+        micro_f1 = _prf_from_counts(*pooled[key])[2]
         report.per_subset[key] = SubsetScore(
             language=key[0],
             doc_type=key[1],
@@ -223,7 +223,7 @@ def import_foreign_predictions(path: str | Path) -> dict[str, list[SentenceSpan]
                     SentenceSpan(int(s["start"]), int(s["end"]), s.get("label", "Sentence"))
                     for s in obj.get("spans", [])
                 ]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: malformed prediction line {lineno}: {exc}") from exc
             if any(s.start >= s.end for s in spans):
                 raise DataError(

@@ -22,12 +22,12 @@ space        3       token is whitespace (bool); neighbors only
 
 The center position additionally carries ``bias`` (1.0) and uses the key
 ``0:numeric`` for the number flag; neighbors use ``<d>:number``.  Offsets
-that fall outside the sequence emit nothing.
+that fall outside the sequence emit nothing.  The feature set is fixed,
+the character sets behind ``special`` included, so prediction always
+computes the features a model was trained on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .tokenizer import NEWLINE, NUMBER, Token, TokenSequence, WORD
 
@@ -56,21 +56,14 @@ TEMPLATES = (
 MAX_RADIUS = TEMPLATES[0][1]  # also the BOS/EOS window
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Character sets behind the ``special`` category, overridable per
-    deployment (e.g. to count the ellipsis as sentence-terminating)."""
-
-    end_chars: frozenset[str] = frozenset({".", "!", "?"})
-    open_chars: frozenset[str] = frozenset({"(", "[", "{"})
-    close_chars: frozenset[str] = frozenset({")", "]", "}"})
-    abbr_chars: frozenset[str] = frozenset({"'", "’"})
+# the character sets behind the ``special`` category
+END_CHARS = frozenset({".", "!", "?"})
+OPEN_CHARS = frozenset({"(", "[", "{"})
+CLOSE_CHARS = frozenset({")", "]", "}"})
+ABBR_CHARS = frozenset({"'", "’"})
 
 
-DEFAULT_CONFIG = FeatureConfig()
-
-
-def special_category(token: Token, config: FeatureConfig = DEFAULT_CONFIG) -> str:
+def special_category(token: Token) -> str:
     """Classify a token into its ``special`` feature category.
 
     Sentence terminators map to End, brackets to Open/Close, line breaks
@@ -80,13 +73,13 @@ def special_category(token: Token, config: FeatureConfig = DEFAULT_CONFIG) -> st
     if token.kind == NEWLINE:
         return CATEGORY_NEWLINE
     text = token.text
-    if text in config.end_chars:
+    if text in END_CHARS:
         return CATEGORY_END
-    if text in config.open_chars:
+    if text in OPEN_CHARS:
         return CATEGORY_OPEN
-    if text in config.close_chars:
+    if text in CLOSE_CHARS:
         return CATEGORY_CLOSE
-    if text in config.abbr_chars:
+    if text in ABBR_CHARS:
         return CATEGORY_ABBR
     if token.kind in (WORD, NUMBER):
         return CATEGORY_NONE
@@ -109,10 +102,10 @@ def signature(text: str) -> str:
     return "".join(out)
 
 
-def _token_attrs(token: Token, config: FeatureConfig):
+def _token_attrs(token: Token):
     text = token.text
     return (
-        special_category(token, config),
+        special_category(token),
         text.lower(),
         len(text),
         signature(text),
@@ -160,23 +153,19 @@ def _position_features(attrs, i: int, last: int) -> dict:
     return feats
 
 
-def token_features(
-    seq: TokenSequence, i: int, config: FeatureConfig = DEFAULT_CONFIG
-) -> dict:
+def token_features(seq: TokenSequence, i: int) -> dict:
     """Feature map for position *i* of *seq*; see the module table."""
     tokens = seq.tokens
     if not 0 <= i < len(tokens):
         raise IndexError(f"position {i} out of range for sequence of {len(tokens)} tokens")
     window = range(max(0, i - MAX_RADIUS), min(len(tokens), i + MAX_RADIUS + 1))
-    attrs = {j: _token_attrs(tokens[j], config) for j in window}
+    attrs = {j: _token_attrs(tokens[j]) for j in window}
     return _position_features(attrs, i, len(tokens) - 1)
 
 
-def sequence_features(
-    seq: TokenSequence, config: FeatureConfig = DEFAULT_CONFIG
-) -> list[dict]:
+def sequence_features(seq: TokenSequence) -> list[dict]:
     """Feature maps for every position, sharing per-token attribute work."""
-    attrs = [_token_attrs(tok, config) for tok in seq.tokens]
+    attrs = [_token_attrs(tok) for tok in seq.tokens]
     last = len(attrs) - 1
     return [_position_features(attrs, i, last) for i in range(len(attrs))]
 

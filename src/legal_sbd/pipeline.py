@@ -1,29 +1,25 @@
 """Document-level glue: corpus in, labeled sequences or predicted spans out.
 
-Everything here is deterministic; prediction over many documents may fan
-out across threads, with results reassembled in document order.
+Everything here is deterministic and runs in the calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .corpus import Document, SentenceSpan, corpus_fingerprint
 from .crf import CrfModel, LabeledSequence, TrainingConfig, train, viterbi
 from .errors import DataError
-from .features import DEFAULT_CONFIG, FeatureConfig, sequence_features
+from .features import sequence_features
 from .spans import decode_bilou, encode_bilou
 from .tokenizer import NEWLINE, WHITESPACE, TokenSequence, tokenize
 
 
-def label_document(
-    doc: Document, config: FeatureConfig = DEFAULT_CONFIG
-) -> LabeledSequence:
+def label_document(doc: Document) -> LabeledSequence:
     """Tokenize one gold document into features plus BILOU labels."""
     seq = tokenize(doc.text, doc.id)
     return LabeledSequence(
-        features=sequence_features(seq, config),
+        features=sequence_features(seq),
         labels=encode_bilou(seq, doc.spans),
     )
 
@@ -50,11 +46,7 @@ def chunk_token_indices(seq, labels: list[str], max_length: int) -> list[tuple[i
     return ranges
 
 
-def label_document_chunked(
-    doc: Document,
-    max_sequence_length: int,
-    config: FeatureConfig = DEFAULT_CONFIG,
-) -> list[LabeledSequence]:
+def label_document_chunked(doc: Document, max_sequence_length: int) -> list[LabeledSequence]:
     """Like :func:`label_document`, but long documents become several
     training sequences split at sentence-external whitespace."""
     seq = tokenize(doc.text, doc.id)
@@ -62,9 +54,7 @@ def label_document_chunked(
     out = []
     for a, b in chunk_token_indices(seq, labels, max_sequence_length):
         chunk = TokenSequence(seq.tokens[a:b], doc.id)
-        out.append(
-            LabeledSequence(features=sequence_features(chunk, config), labels=labels[a:b])
-        )
+        out.append(LabeledSequence(features=sequence_features(chunk), labels=labels[a:b]))
     return out
 
 
@@ -94,7 +84,6 @@ def filter_documents(
 def train_on_documents(
     docs: list[Document],
     config: TrainingConfig | None = None,
-    feature_config: FeatureConfig = DEFAULT_CONFIG,
     extra_metadata: dict | None = None,
     max_sequence_length: int | None = None,
 ) -> CrfModel:
@@ -109,50 +98,41 @@ def train_on_documents(
     sequences: list[LabeledSequence] = []
     for doc in docs:
         if max_sequence_length is None:
-            sequences.append(label_document(doc, feature_config))
+            sequences.append(label_document(doc))
         else:
-            sequences.extend(
-                label_document_chunked(doc, max_sequence_length, feature_config)
-            )
+            sequences.extend(label_document_chunked(doc, max_sequence_length))
     metadata = {"corpus_fingerprint": corpus_fingerprint(docs)}
     if extra_metadata:
         metadata.update(extra_metadata)
     return train(sequences, config, extra_metadata=metadata)
 
 
-def predicted_labels(
-    model: CrfModel, text: str, feature_config: FeatureConfig = DEFAULT_CONFIG
-) -> tuple[TokenSequence, list[str]]:
+def predicted_labels(model: CrfModel, text: str) -> tuple[TokenSequence, list[str]]:
     """Tokens of *text* and their Viterbi labels; every prediction
     function decodes its spans from these."""
     seq = tokenize(text)
     if not len(seq):
         return seq, []
-    return seq, viterbi(model, sequence_features(seq, feature_config))
+    return seq, viterbi(model, sequence_features(seq))
 
 
-def predict_text(
-    model: CrfModel, text: str, feature_config: FeatureConfig = DEFAULT_CONFIG
-) -> list[SentenceSpan]:
+def predict_text(model: CrfModel, text: str) -> list[SentenceSpan]:
     """Predict sentence spans for raw text."""
-    return decode_bilou(*predicted_labels(model, text, feature_config))
+    return decode_bilou(*predicted_labels(model, text))
 
 
-def predict_document(
-    model: CrfModel, doc: Document, feature_config: FeatureConfig = DEFAULT_CONFIG
-) -> Document:
+def predict_document(model: CrfModel, doc: Document) -> Document:
     """Copy of *doc* whose spans are the model's predictions."""
-    return replace(doc, spans=tuple(predict_text(model, doc.text, feature_config)))
+    return replace(doc, spans=tuple(predict_text(model, doc.text)))
 
 
-def predict_documents(
-    model: CrfModel,
-    docs: list[Document],
-    threads: int = 1,
-    feature_config: FeatureConfig = DEFAULT_CONFIG,
-) -> list[Document]:
-    """Predict spans for every document, in order, optionally in parallel."""
-    if threads <= 1 or len(docs) <= 1:
-        return [predict_document(model, doc, feature_config) for doc in docs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda d: predict_document(model, d, feature_config), docs))
+def predict_documents(model: CrfModel, docs: list[Document], threads: int = 1) -> list[Document]:
+    """Predict spans for every document, in order, one after another.
+
+    *threads* is ignored.  It is accepted only because the benchmark in
+    ``perfbench/`` still passes it; a thread pool behind it was removed
+    after it lost to one thread on every one of 10 alternating pairs on
+    the 60-document benchmark input (2 cores: 0.556 s median serial,
+    0.772 s with two threads).
+    """
+    return [predict_document(model, doc) for doc in docs]

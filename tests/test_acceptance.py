@@ -253,7 +253,7 @@ def test_criterion_full_data_reproduction():
             eval_docs = filter_documents(docs, ids=ids, languages=languages)
             predictions = {
                 d.id: list(d.spans)
-                for d in predict_documents(model, eval_docs, threads=os.cpu_count() or 1)
+                for d in predict_documents(model, eval_docs)
             }
             report = evaluate(eval_docs, predictions)
             for key, want in targets.items():
@@ -274,7 +274,7 @@ def test_criterion_throughput():
         timings = []
         for _ in range(3):
             t0 = time.perf_counter()
-            predict_documents(model, docs, threads=1)
+            predict_documents(model, docs)
             timings.append(time.perf_counter() - t0)
         seconds = sorted(timings)[1]
         rate = n_sentences / seconds

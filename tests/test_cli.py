@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legal_sbd.cli import CONFIG_ENV_VAR, escape_token_text, main
 from legal_sbd.corpus import load_corpus, save_corpus
@@ -59,6 +61,84 @@ class TestExitCodes:
     def test_success_is_zero(self, corpus_path, tmp_path):
         assert run("split", "--corpus", corpus_path, "--seed", "3",
                    "--out", tmp_path / "split.json") == 0
+
+    def test_threads_flag_is_usage_error(self, model_path, corpus_path, capsys):
+        assert run("predict", "--model", model_path, "--in", corpus_path,
+                   "--threads", "2") == 1
+
+
+def _write(path, content):
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    return path
+
+
+def _overflowing_span(corpus_path):
+    # JSON reads 1e400 as float infinity, which int() cannot convert
+    obj = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
+    obj["spans"][0]["start"] = "START"
+    return json.dumps(obj).replace('"START"', "1e400") + "\n"
+
+
+# (what is wrong, argv builder taking tmp_path, corpus path and model path)
+UNREADABLE_INPUTS = [
+    ("missing model", lambda t, c, m: (
+        "predict", "--model", t / "none.json", "--in", c)),
+    ("missing corpus", lambda t, c, m: ("stats", "--corpus", t / "none.jsonl")),
+    ("missing split", lambda t, c, m: (
+        "train", "--corpus", c, "--split", t / "none.json", "--out", t / "m.json")),
+    ("non-UTF-8 model", lambda t, c, m: (
+        "predict", "--model", _write(t / "bad.json", b'{"version": 1\xff}'), "--in", c)),
+    ("non-UTF-8 corpus", lambda t, c, m: (
+        "stats", "--corpus", _write(t / "bad.jsonl", b'{"id": "\xff"}\n'))),
+    ("non-UTF-8 eval --pred", lambda t, c, m: (
+        "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", b'{"id": "\xff"}\n'))),
+    ("overflowing corpus span", lambda t, c, m: (
+        "stats", "--corpus", _write(t / "bad.jsonl", _overflowing_span(c)))),
+    ("overflowing predicted span", lambda t, c, m: (
+        "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", _overflowing_span(c)))),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [case for _, case in UNREADABLE_INPUTS], ids=[name for name, _ in UNREADABLE_INPUTS]
+)
+def test_unreadable_input_is_data_error(argv, tmp_path, corpus_path, model_path, capsys):
+    assert run(*argv(tmp_path, corpus_path, model_path)) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.fixture(scope="module")
+def intact_inputs(tmp_path_factory, small_model):
+    folder = tmp_path_factory.mktemp("intact")
+    model, corpus = folder / "model.json", folder / "corpus.jsonl"
+    save_model(small_model, model)
+    save_corpus(make_corpus(2, seed=71, newline_rate=0.2), corpus)
+    return folder, model, corpus
+
+
+# which intact file gets damaged, and the command that reads the damaged copy
+DAMAGE_TARGETS = {
+    "model": lambda bad, model, corpus, out: (
+        "predict", "--model", bad, "--in", corpus, "--out", out),
+    "corpus": lambda bad, model, corpus, out: ("stats", "--corpus", bad, "--out", out),
+    "eval --pred": lambda bad, model, corpus, out: ("eval", "--gold", corpus, "--pred", bad),
+}
+
+
+@given(target=st.sampled_from(sorted(DAMAGE_TARGETS)), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_damaged_input_file_is_never_internal_error(intact_inputs, target, data):
+    folder, model, corpus = intact_inputs
+    raw = (model if target == "model" else corpus).read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:at]
+    else:
+        damaged = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1:]
+    bad = _write(folder / "damaged", damaged)
+    code = run(*DAMAGE_TARGETS[target](bad, model, corpus, folder / "out"))
+    # a cut at a line end, or a changed letter of text, can leave a valid file
+    assert code in (0, 2)
 
 
 class TestTokenizeCommand:

@@ -391,7 +391,7 @@ class TestSerialization:
             obj["state_weights"] = [t for t in obj["state_weights"] if t[1] != "O"]
 
         path = self._rewritten(small_model, tmp_path / "model.json", edit)
-        with pytest.raises(DataError, match="lacks 'O'"):
+        with pytest.raises(DataError, match="label set .* is not"):
             load_model(path)
 
     def test_repeated_label_rejected(self, small_model, tmp_path):
@@ -400,7 +400,18 @@ class TestSerialization:
             obj["state_weights"] = [t for t in obj["state_weights"] if t[1] != "U"]
 
         path = self._rewritten(small_model, tmp_path / "model.json", edit)
-        with pytest.raises(DataError, match="repeats a label"):
+        with pytest.raises(DataError, match="label set .* is not"):
+            load_model(path)
+
+    @pytest.mark.parametrize("labels", [["O", "X", "Y", "Z", "W"], ["O", 1, 2, 3, 4]])
+    def test_label_set_other_than_bilou_rejected(self, small_model, tmp_path, labels):
+        # a set the decoder cannot read, even with 'O' and five distinct labels
+        def edit(obj):
+            obj["labels"] = labels
+            obj["state_weights"] = [t for t in obj["state_weights"] if t[1] in labels]
+
+        path = self._rewritten(small_model, tmp_path / "model.json", edit)
+        with pytest.raises(DataError, match="label set .* is not"):
             load_model(path)
 
     def test_corrupt_file_rejected(self, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from legal_sbd.features import (
     TEMPLATES,
-    FeatureConfig,
     format_features,
     sequence_features,
     signature,
@@ -68,11 +67,6 @@ def test_special_categories():
     assert special_category(tok(" ")) == "S"
     assert special_category(tok(",")) == "S"
     assert special_category(tok("…")) == "S"  # ellipsis is not End by default
-
-
-def test_special_category_configurable():
-    config = FeatureConfig(end_chars=frozenset({".", "!", "?", "…"}))
-    assert special_category(tok("…"), config) == "End"
 
 
 def test_signature():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legal_sbd.crf import TrainingConfig
 from legal_sbd.errors import DataError
@@ -8,7 +10,6 @@ from legal_sbd.pipeline import (
     label_document,
     label_document_chunked,
     predict_document,
-    predict_documents,
     predict_text,
     train_on_documents,
 )
@@ -91,7 +92,13 @@ def test_predict_text_empty():
     assert predict_text(model, "") == []
 
 
-def test_threaded_prediction_matches_serial(small_model, small_corpus):
-    serial = predict_documents(small_model, small_corpus, threads=1)
-    threaded = predict_documents(small_model, small_corpus, threads=4)
-    assert serial == threaded
+@given(st.text())
+@settings(max_examples=150, deadline=None)
+def test_predict_text_invariants_on_arbitrary_text(small_model, text):
+    prev_end = 0
+    for span in predict_text(small_model, text):
+        assert 0 <= span.start < span.end <= len(text)
+        assert span.start >= prev_end
+        assert not text[span.start].isspace()
+        assert not text[span.end - 1].isspace()
+        prev_end = span.end
