@@ -8,7 +8,7 @@ sentence boundary) is lost.
 """
 
 from legal_sbd import detokenize, tokenize
-from legal_sbd.tokenizer import NEWLINE, WHITESPACE
+from legal_sbd.tokenizer import SPACE_KINDS
 
 TEXT = "D._ est entré à l'école le 16 juillet 1979.\nNuméro d'appel: 1231/2015"
 
@@ -20,7 +20,7 @@ for tok in seq:
     shown = tok.text.replace("\n", "\\n")
     print(f"  {tok.start:3d} {tok.end:3d}  {tok.kind:<10} {shown!r}")
 
-nonws = [t.text for t in seq if t.kind not in (WHITESPACE, NEWLINE)]
+nonws = [t.text for t in seq if t.kind not in SPACE_KINDS]
 print("\nnon-whitespace stream:", " | ".join(nonws))
 
 assert detokenize(seq) == TEXT

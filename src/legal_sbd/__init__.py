@@ -41,7 +41,7 @@ from .pipeline import (
     train_on_documents,
 )
 from .spans import LABELS, decode_bilou, encode_bilou
-from .tokenizer import Token, TokenSequence, detokenize, tokenize
+from .tokenizer import Token, detokenize, tokenize
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "RuleConfig",
     "SentenceSpan",
     "Token",
-    "TokenSequence",
     "TrainingConfig",
     "TrainingError",
     "UsageError",

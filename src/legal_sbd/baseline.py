@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .corpus import SentenceSpan
 from .errors import DataError
-from .tokenizer import NEWLINE, NUMBER, OTHER, WHITESPACE, WORD, tokenize
+from .spans import trimmed_span
+from .tokenizer import NEWLINE, NUMBER, OTHER, SPACE_KINDS, WORD, tokenize
 
 OPENING_QUOTES = frozenset({'"', "'", "«", "“", "‘", "„"})
 
@@ -48,14 +49,13 @@ def rule_split(text: str, config: RuleConfig = DEFAULT_RULES) -> list[SentenceSp
     """Split *text* into sorted, disjoint, whitespace-trimmed sentence spans."""
     if not config.terminators:
         raise DataError("rule config needs at least one terminator")
-    seq = tokenize(text)
-    tokens = seq.tokens
+    tokens = tokenize(text)
     n = len(tokens)
     cuts = []  # sentence ends after tokens[i]
     for i, tok in enumerate(tokens):
         if tok.kind == OTHER and tok.text in config.terminators:
             j = i + 1
-            while j < n and tokens[j].kind in (WHITESPACE, NEWLINE):
+            while j < n and tokens[j].kind in SPACE_KINDS:
                 j += 1
             if j >= n:
                 cuts.append(i)
@@ -82,12 +82,6 @@ def rule_split(text: str, config: RuleConfig = DEFAULT_RULES) -> list[SentenceSp
 
 
 def _emit(tokens, a: int, b: int, config: RuleConfig, out: list[SentenceSpan]) -> None:
-    while a <= b and tokens[a].kind in (WHITESPACE, NEWLINE):
-        a += 1
-    while b >= a and tokens[b].kind in (WHITESPACE, NEWLINE):
-        b -= 1
-    if a > b:
-        return
-    span = SentenceSpan(tokens[a].start, tokens[b].end)
-    if span.end - span.start >= config.min_sentence_chars:
+    span = trimmed_span(tokens, a, b)
+    if span is not None and span.end - span.start >= config.min_sentence_chars:
         out.append(span)

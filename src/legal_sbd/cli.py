@@ -13,9 +13,10 @@ One executable with subcommands covering the whole pipeline::
     legal-sbd eval       --gold corpus.jsonl --pred pred.jsonl [--report out.json]
     legal-sbd bench      --model model.json --corpus corpus.jsonl [--repeat 3]
 
-Global flags (``--seed``, ``--config``, ``--log-level``) may also come
-from a flat ``key=value`` config file ("#" starts a comment); explicit
-flags win over config values, and unrecognized config keys are rejected.
+Every command takes the global flags ``--config`` and ``--log-level``.
+Any option may also come from a flat ``key=value`` config file ("#"
+starts a comment); explicit flags win over config values, and a key that
+no command knows is rejected.
 ``LEGAL_SBD_CONFIG`` names a default config file.
 
 Exit codes: 0 success, 1 usage error, 2 data error (including a file that
@@ -96,7 +97,6 @@ class Opt:
 
 
 GLOBAL_OPTS = (
-    Opt("seed", int, 0, "random seed for anything stochastic"),
     Opt("config", str, None, "flat key=value config file (default: $" + CONFIG_ENV_VAR + ")"),
     Opt("log_level", str, "info", "logging level", ("debug", "info", "warning", "error")),
 )
@@ -116,6 +116,7 @@ COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
     ),
     "split": (
         Opt("corpus", str, required=True, help="corpus JSONL"),
+        Opt("seed", int, 0, "random seed of the partition"),
         Opt("out", str, required=True, help="where to write the split JSON"),
     ),
     "stats": (
@@ -311,7 +312,7 @@ def _cmd_tokenize(resolved: dict[str, Any]) -> int:
     with_ids = fmt == "jsonl"  # corpus rows carry a leading doc_id column
     lines = []
     for doc in docs:
-        for tok in tokenize(doc.text, doc.id):
+        for tok in tokenize(doc.text):
             row = [str(tok.start), str(tok.end), tok.kind, escape_token_text(tok.text)]
             if with_ids:
                 row.insert(0, doc.id)
@@ -322,19 +323,18 @@ def _cmd_tokenize(resolved: dict[str, Any]) -> int:
 
 def _cmd_features(resolved: dict[str, Any]) -> int:
     if resolved["text"] is not None:
-        seq = tokenize(resolved["text"])
+        tokens = tokenize(resolved["text"])
     elif resolved["in_path"] and resolved["doc"]:
         docs = {d.id: d for d in load_corpus(resolved["in_path"])}
         if resolved["doc"] not in docs:
             raise DataError(f"document {resolved['doc']!r} not in {resolved['in_path']}")
-        doc = docs[resolved["doc"]]
-        seq = tokenize(doc.text, doc.id)
+        tokens = tokenize(docs[resolved["doc"]].text)
     else:
         raise UsageError("features: need --text, or --in together with --doc")
     position = resolved["position"]
-    if not 0 <= position < len(seq):
-        raise DataError(f"position {position} out of range (sequence has {len(seq)} tokens)")
-    _write(resolved["out"], format_features(token_features(seq, position)) + "\n")
+    if not 0 <= position < len(tokens):
+        raise DataError(f"position {position} out of range (sequence has {len(tokens)} tokens)")
+    _write(resolved["out"], format_features(token_features(tokens, position)) + "\n")
     return 0
 
 
@@ -417,12 +417,12 @@ def _cmd_predict(resolved: dict[str, Any]) -> int:
     # one Viterbi pass per document yields both the spans and the dump
     predicted, rows = [], []
     for doc in docs:
-        seq, labels = predicted_labels(model, doc.text)
-        predicted.append(replace(doc, spans=tuple(decode_bilou(seq, labels))))
+        tokens, labels = predicted_labels(model, doc.text)
+        predicted.append(replace(doc, spans=tuple(decode_bilou(tokens, labels))))
         rows.extend(
             "\t".join([doc.id, str(tok.start), str(tok.end), tok.kind,
                        escape_token_text(tok.text), label])
-            for tok, label in zip(seq, labels)
+            for tok, label in zip(tokens, labels)
         )
     if resolved["dump_labels"] is not None:
         Path(resolved["dump_labels"]).write_text(

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError
-from .tokenizer import NEWLINE, WHITESPACE, tokenize
+from .tokenizer import SPACE_KINDS, token_ranges, tokenize
 
 DOC_TYPES = ("judgment", "law")
 
@@ -244,15 +244,18 @@ def load_split(path: str | Path) -> CorpusSplit:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: malformed split file: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: split file is not a JSON object")
     try:
-        return CorpusSplit(
-            seed=int(obj.get("seed", 0)),
-            train=tuple(obj["train"]),
-            validation=tuple(obj["validation"]),
-            test=tuple(obj["test"]),
-        )
+        seed = int(obj.get("seed", 0))
+        ids = [obj["train"], obj["validation"], obj["test"]]
     except KeyError as exc:
         raise DataError(f"{path}: split file missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: split seed {obj['seed']!r} is not an integer") from exc
+    if not all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids):
+        raise DataError(f"{path}: train, validation and test must be lists of id strings")
+    return CorpusSplit(seed, *(tuple(x) for x in ids))
 
 
 @dataclass
@@ -280,29 +283,18 @@ def corpus_stats(docs: Iterable[Document]) -> list[StatsRow]:
         )
         row.documents += 1
         row.sentences += len(doc.spans)
-        seq = tokenize(doc.text, doc.id)
-        for nonws, total in _sentence_token_counts(seq, doc.spans):
+        for nonws, total in _sentence_token_counts(tokenize(doc.text), doc.spans):
             row.tokens += nonws
             row.tokens_with_whitespace += total
     return [rows[key] for key in sorted(rows)]
 
 
-def _sentence_token_counts(seq, spans) -> list[tuple[int, int]]:
+def _sentence_token_counts(tokens, spans) -> list[tuple[int, int]]:
     """(non-whitespace, total) token counts per sentence span."""
     counts = []
-    t = 0
-    tokens = seq.tokens
-    for span in spans:
-        while t < len(tokens) and tokens[t].end <= span.start:
-            t += 1
-        nonws = total = 0
-        u = t
-        while u < len(tokens) and tokens[u].start < span.end:
-            total += 1
-            if tokens[u].kind not in (WHITESPACE, NEWLINE):
-                nonws += 1
-            u += 1
-        counts.append((nonws, total))
+    for first, last in token_ranges(tokens, spans):
+        run = tokens[first : last + 1]
+        counts.append((sum(tok.kind not in SPACE_KINDS for tok in run), len(run)))
     return counts
 
 
@@ -354,9 +346,8 @@ def length_histogram(
     counts: dict[str, dict[int, int]] = {}
     excluded: dict[str, int] = {}
     for doc in docs:
-        seq = tokenize(doc.text, doc.id)
         per_type = counts.setdefault(doc.doc_type, {})
-        for nonws, _ in _sentence_token_counts(seq, doc.spans):
+        for nonws, _ in _sentence_token_counts(tokenize(doc.text), doc.spans):
             if nonws > cutoff:
                 excluded[doc.doc_type] = excluded.get(doc.doc_type, 0) + 1
                 continue

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,10 +53,14 @@ class TrainingConfig:
     convergence_tol: float = 1e-6
 
     def validate(self) -> None:
+        for name in ("c1", "c2", "convergence_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c1 < 0 or self.c2 < 0:
             raise DataError(f"regularizers must be >= 0 (c1={self.c1}, c2={self.c2})")
-        if self.max_iterations < 1:
-            raise DataError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name in ("max_iterations", "lbfgs_memory"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -290,9 +295,9 @@ def _pack(lengths: np.ndarray) -> _Packing:
 def _encode_sequences(
     batch: Sequence[LabeledSequence], vocab: dict[str, int], labels: Sequence[str]
 ):
-    """The batch as (X, y, lengths): one sparse indicator row per position
+    """The batch as (X, y, packing): one sparse indicator row per position
     and its gold label index, both in the packed order of :func:`_pack`,
-    and the sequence lengths in the caller's order."""
+    and that packing."""
     label_index = {label: k for k, label in enumerate(labels)}
     label_ids = []
     for s, seq in enumerate(batch):
@@ -311,7 +316,7 @@ def _encode_sequences(
     rows = list(zip(packing.seq.tolist(), packing.step.tolist()))
     X = _encode_rows([batch[s].features[t] for s, t in rows], vocab)
     y = np.array([label_ids[s][t] for s, t in rows], dtype=np.intp)
-    return X, y, lengths
+    return X, y, packing
 
 
 def _unpack(wvec: np.ndarray, n_features: int, n_labels: int):
@@ -328,8 +333,7 @@ def _batch_objective(wvec, encoded, n_features, n_labels, c2):
     """Regularized NLL and its gradient over a batch encoded by
     :func:`_encode_sequences`; one forward and one backward pass cover
     every sequence at once."""
-    X, y, lengths = encoded
-    batch_sizes, seq, _, prev, last = _pack(lengths)
+    X, y, (batch_sizes, seq, _, prev, last) = encoded
     n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec, n_features, n_labels)
     U = X @ state
@@ -458,11 +462,7 @@ def train(
         ind: state[k].copy() for ind, k in vocab.items() if state[k].any()
     }
     metadata = {
-        "c1": config.c1,
-        "c2": config.c2,
-        "max_iterations": config.max_iterations,
-        "lbfgs_memory": config.lbfgs_memory,
-        "convergence_tol": config.convergence_tol,
+        **asdict(config),
         "iterations_run": result.iterations,
         "converged": result.converged,
         "stop_reason": result.stop_reason,

@@ -16,7 +16,6 @@ either averaging convention may be wanted downstream.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,14 +23,12 @@ import numpy as np
 
 from .corpus import Document, SentenceSpan
 from .errors import DataError
-from .tokenizer import TokenSequence, tokenize
+from .tokenizer import Token, token_ranges, tokenize
 
 BOUNDARY_MODES = ("both", "start", "end")
 
 
-def boundary_vector(
-    reference: TokenSequence, spans, mode: str = "both"
-) -> np.ndarray:
+def boundary_vector(reference: list[Token], spans, mode: str = "both") -> np.ndarray:
     """Mark boundary tokens of *reference* for the given spans.
 
     ``mode`` selects which span edges count: sentence starts, sentence
@@ -41,20 +38,16 @@ def boundary_vector(
     if mode not in BOUNDARY_MODES:
         raise DataError(f"unknown boundary mode {mode!r} (expected one of {BOUNDARY_MODES})")
     bits = np.zeros(len(reference), dtype=bool)
-    if not len(reference):
+    if not reference:
         if spans:
             raise DataError("spans supplied for empty reference text")
         return bits
-    starts = [tok.start for tok in reference.tokens]
-    ends = [tok.end for tok in reference.tokens]
-    text_len = ends[-1]
-    for span in spans:
+    text_len = reference[-1].end
+    for span, (first, last) in zip(spans, token_ranges(reference, spans)):
         if not (0 <= span.start < span.end <= text_len):
             raise DataError(
                 f"span ({span.start}, {span.end}) outside text of length {text_len}"
             )
-        first = bisect_right(ends, span.start)
-        last = bisect_left(starts, span.end) - 1
         if mode in ("both", "start"):
             bits[first] = True
         if mode in ("both", "end"):
@@ -164,7 +157,7 @@ def evaluate(
         if doc.id not in predictions and not allow_missing:
             raise DataError(f"missing prediction for document {doc.id!r}")
         pred_spans = predictions.get(doc.id, [])
-        reference = tokenize(doc.text, doc.id)
+        reference = tokenize(doc.text)
         gold_bits = boundary_vector(reference, doc.spans, mode)
         pred_bits = boundary_vector(reference, pred_spans, mode)
         counts = _counts(gold_bits, pred_bits)

@@ -29,7 +29,7 @@ computes the features a model was trained on.
 
 from __future__ import annotations
 
-from .tokenizer import NEWLINE, NUMBER, Token, TokenSequence, WORD
+from .tokenizer import NEWLINE, NUMBER, Token, WORD
 
 CATEGORY_END = "End"
 CATEGORY_OPEN = "Open"
@@ -153,9 +153,8 @@ def _position_features(attrs, i: int, last: int) -> dict:
     return feats
 
 
-def token_features(seq: TokenSequence, i: int) -> dict:
-    """Feature map for position *i* of *seq*; see the module table."""
-    tokens = seq.tokens
+def token_features(tokens: list[Token], i: int) -> dict:
+    """Feature map for position *i* of *tokens*; see the module table."""
     if not 0 <= i < len(tokens):
         raise IndexError(f"position {i} out of range for sequence of {len(tokens)} tokens")
     window = range(max(0, i - MAX_RADIUS), min(len(tokens), i + MAX_RADIUS + 1))
@@ -163,9 +162,9 @@ def token_features(seq: TokenSequence, i: int) -> dict:
     return _position_features(attrs, i, len(tokens) - 1)
 
 
-def sequence_features(seq: TokenSequence) -> list[dict]:
+def sequence_features(tokens: list[Token]) -> list[dict]:
     """Feature maps for every position, sharing per-token attribute work."""
-    attrs = [_token_attrs(tok) for tok in seq.tokens]
+    attrs = [_token_attrs(tok) for tok in tokens]
     last = len(attrs) - 1
     return [_position_features(attrs, i, last) for i in range(len(attrs))]
 

@@ -12,19 +12,19 @@ from .crf import CrfModel, LabeledSequence, TrainingConfig, train, viterbi
 from .errors import DataError
 from .features import sequence_features
 from .spans import decode_bilou, encode_bilou
-from .tokenizer import NEWLINE, WHITESPACE, TokenSequence, tokenize
+from .tokenizer import SPACE_KINDS, Token, tokenize
 
 
 def label_document(doc: Document) -> LabeledSequence:
     """Tokenize one gold document into features plus BILOU labels."""
-    seq = tokenize(doc.text, doc.id)
+    tokens = tokenize(doc.text)
     return LabeledSequence(
-        features=sequence_features(seq),
-        labels=encode_bilou(seq, doc.spans),
+        features=sequence_features(tokens),
+        labels=encode_bilou(tokens, doc.spans),
     )
 
 
-def chunk_token_indices(seq, labels: list[str], max_length: int) -> list[tuple[int, int]]:
+def chunk_token_indices(tokens, labels: list[str], max_length: int) -> list[tuple[int, int]]:
     """Half-open token ranges of at most ~*max_length* tokens.
 
     Cuts happen only after O-labeled whitespace tokens, so no sentence is
@@ -35,27 +35,26 @@ def chunk_token_indices(seq, labels: list[str], max_length: int) -> list[tuple[i
     ranges = []
     begin = 0
     last_cut = -1  # token index after which a cut is safe
-    for i, (tok, label) in enumerate(zip(seq.tokens, labels)):
+    for i, (tok, label) in enumerate(zip(tokens, labels)):
         if i - begin + 1 > max_length and last_cut >= begin:
             ranges.append((begin, last_cut + 1))
             begin = last_cut + 1
-        if label == "O" and tok.kind in (WHITESPACE, NEWLINE):
+        if label == "O" and tok.kind in SPACE_KINDS:
             last_cut = i
-    if begin < len(seq):
-        ranges.append((begin, len(seq)))
+    if begin < len(tokens):
+        ranges.append((begin, len(tokens)))
     return ranges
 
 
 def label_document_chunked(doc: Document, max_sequence_length: int) -> list[LabeledSequence]:
     """Like :func:`label_document`, but long documents become several
     training sequences split at sentence-external whitespace."""
-    seq = tokenize(doc.text, doc.id)
-    labels = encode_bilou(seq, doc.spans)
-    out = []
-    for a, b in chunk_token_indices(seq, labels, max_sequence_length):
-        chunk = TokenSequence(seq.tokens[a:b], doc.id)
-        out.append(LabeledSequence(features=sequence_features(chunk), labels=labels[a:b]))
-    return out
+    tokens = tokenize(doc.text)
+    labels = encode_bilou(tokens, doc.spans)
+    return [
+        LabeledSequence(features=sequence_features(tokens[a:b]), labels=labels[a:b])
+        for a, b in chunk_token_indices(tokens, labels, max_sequence_length)
+    ]
 
 
 def filter_documents(
@@ -107,13 +106,13 @@ def train_on_documents(
     return train(sequences, config, extra_metadata=metadata)
 
 
-def predicted_labels(model: CrfModel, text: str) -> tuple[TokenSequence, list[str]]:
+def predicted_labels(model: CrfModel, text: str) -> tuple[list[Token], list[str]]:
     """Tokens of *text* and their Viterbi labels; every prediction
     function decodes its spans from these."""
-    seq = tokenize(text)
-    if not len(seq):
-        return seq, []
-    return seq, viterbi(model, sequence_features(seq))
+    tokens = tokenize(text)
+    if not tokens:
+        return tokens, []
+    return tokens, viterbi(model, sequence_features(tokens))
 
 
 def predict_text(model: CrfModel, text: str) -> list[SentenceSpan]:

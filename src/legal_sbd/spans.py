@@ -5,12 +5,13 @@ single-token sentence).  Only one span class exists, so labels carry no
 type suffix.
 
 Encoding: a token belongs to a span iff its character range intersects
-it, so interior whitespace tokens are labeled I while whitespace between
-sentences stays O.
+it (:func:`legal_sbd.tokenizer.token_ranges`), so interior whitespace
+tokens are labeled I while whitespace between sentences stays O.
 
 Decoding is lenient so that ill-formed model output still yields spans:
 every maximal run of non-O labels becomes one span, trimmed to start and
-end on non-whitespace tokens.  Because runs are maximal, two sentences
+end on non-whitespace tokens by :func:`trimmed_span`, which the rule
+baseline uses for its spans too.  Because runs are maximal, two sentences
 that touch with no O-labeled token between them decode as one span; gold
 corpora separate sentences with whitespace, so well-formed encoder output
 round-trips exactly.
@@ -18,34 +19,24 @@ round-trips exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from .corpus import SentenceSpan
 from .errors import DataError
-from .tokenizer import NEWLINE, WHITESPACE, TokenSequence
+from .tokenizer import SPACE_KINDS, Token, token_ranges
 
 LABELS = ("B", "I", "L", "O", "U")
 
-_SKIP_KINDS = (WHITESPACE, NEWLINE)
 
-
-def encode_bilou(seq: TokenSequence, spans) -> list[str]:
-    """Label every token of *seq* against character-offset *spans*.
+def encode_bilou(tokens: list[Token], spans) -> list[str]:
+    """Label every one of *tokens* against character-offset *spans*.
 
     Spans must be sorted and non-overlapping (document invariants); a span
     that covers no token raises :class:`DataError`.
     """
-    labels = ["O"] * len(seq)
-    if not spans:
-        return labels
-    starts = [tok.start for tok in seq.tokens]
-    ends = [tok.end for tok in seq.tokens]
+    labels = ["O"] * len(tokens)
     next_free = 0  # first token index not claimed by an earlier span
-    for span in spans:
-        first = bisect_right(ends, span.start)  # first token with end > start
-        last = bisect_left(starts, span.end) - 1  # last token with start < end
+    for span, (first, last) in zip(spans, token_ranges(tokens, spans)):
         first = max(first, next_free)
-        if first > last or last >= len(seq):
+        if first > last:
             raise DataError(
                 f"span ({span.start}, {span.end}) intersects no unclaimed token"
             )
@@ -60,19 +51,29 @@ def encode_bilou(seq: TokenSequence, spans) -> list[str]:
     return labels
 
 
-def decode_bilou(seq: TokenSequence, labels: list[str]) -> list[SentenceSpan]:
+def trimmed_span(tokens: list[Token], a: int, b: int) -> SentenceSpan | None:
+    """The span of tokens *a* through *b*, trimmed to start and end on
+    non-whitespace tokens; None if all of them are whitespace."""
+    while a <= b and tokens[a].kind in SPACE_KINDS:
+        a += 1
+    while b >= a and tokens[b].kind in SPACE_KINDS:
+        b -= 1
+    return SentenceSpan(tokens[a].start, tokens[b].end) if a <= b else None
+
+
+def decode_bilou(tokens: list[Token], labels: list[str]) -> list[SentenceSpan]:
     """Turn a label sequence back into sorted, disjoint sentence spans.
 
     Accepts ill-formed input: any maximal run of non-O labels is one span.
     Runs are trimmed so spans start and end on non-whitespace tokens; a
     run consisting only of whitespace tokens yields nothing.
     """
-    if len(labels) != len(seq):
+    n = len(tokens)
+    if len(labels) != n:
         raise DataError(
-            f"label/token length mismatch: {len(labels)} labels, {len(seq)} tokens"
+            f"label/token length mismatch: {len(labels)} labels, {n} tokens"
         )
     spans: list[SentenceSpan] = []
-    n = len(seq)
     i = 0
     while i < n:
         if labels[i] == "O":
@@ -81,12 +82,8 @@ def decode_bilou(seq: TokenSequence, labels: list[str]) -> list[SentenceSpan]:
         j = i
         while j + 1 < n and labels[j + 1] != "O":
             j += 1
-        a, b = i, j
-        while a <= b and seq[a].kind in _SKIP_KINDS:
-            a += 1
-        while b >= a and seq[b].kind in _SKIP_KINDS:
-            b -= 1
-        if a <= b:
-            spans.append(SentenceSpan(seq[a].start, seq[b].end))
+        span = trimmed_span(tokens, i, j)
+        if span is not None:
+            spans.append(span)
         i = j + 1
     return spans

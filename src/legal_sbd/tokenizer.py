@@ -18,12 +18,17 @@ Rules:
 
 A lone carriage return is treated as a newline token; the corpus loader
 normalizes ``\\r\\n`` to ``\\n`` before text reaches the tokenizer.
+
+A document's tokens are a plain ``list[Token]``.  :func:`token_ranges` is
+the one place that maps character spans onto token indices; BILOU
+encoding, boundary evaluation and corpus statistics all go through it.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 WORD = "word"
 NUMBER = "number"
@@ -32,6 +37,7 @@ NEWLINE = "newline"
 OTHER = "other"
 
 KINDS = (WORD, NUMBER, WHITESPACE, NEWLINE, OTHER)
+SPACE_KINDS = (WHITESPACE, NEWLINE)  # the kinds predicted spans are trimmed of
 
 _NEWLINE_CHARS = ("\n", "\r")
 
@@ -63,24 +69,7 @@ class Token:
     kind: str
 
 
-@dataclass
-class TokenSequence:
-    """Contiguous, gap-free token cover of one document's text."""
-
-    tokens: list[Token] = field(default_factory=list)
-    doc_id: str = ""
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, i: int) -> Token:
-        return self.tokens[i]
-
-
-def tokenize(text: str, doc_id: str = "") -> TokenSequence:
+def tokenize(text: str) -> list[Token]:
     """Split *text* into tokens covering every character exactly once.
 
     Total function: any string (including ``""``) tokenizes without error,
@@ -124,9 +113,17 @@ def tokenize(text: str, doc_id: str = "") -> TokenSequence:
             kind = OTHER
         append(Token(text[i:j], i, j, kind))
         i = j
-    return TokenSequence(tokens, doc_id)
+    return tokens
 
 
-def detokenize(seq: TokenSequence) -> str:
-    """Reassemble the exact original text from a token sequence."""
-    return "".join(tok.text for tok in seq.tokens)
+def detokenize(tokens: list[Token]) -> str:
+    """Reassemble the exact original text from its tokens."""
+    return "".join(tok.text for tok in tokens)
+
+
+def token_ranges(tokens: list[Token], spans) -> list[tuple[int, int]]:
+    """(first, last) indices of the tokens whose character range intersects
+    each of *spans*; first > last for a span that intersects none."""
+    starts = [tok.start for tok in tokens]
+    ends = [tok.end for tok in tokens]
+    return [(bisect_right(ends, s.start), bisect_left(starts, s.end) - 1) for s in spans]

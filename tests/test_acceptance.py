@@ -190,7 +190,7 @@ def test_criterion_boundary_decoupling():
             jittered = []
             for span in spans:
                 first = next(t for t in seq if t.end > span.start)
-                last = next(t for t in reversed(seq.tokens) if t.start < span.end)
+                last = next(t for t in reversed(seq) if t.start < span.end)
                 # move each edge anywhere inside its token's interior
                 start = rng.randint(first.start, first.end - 1)
                 end = rng.randint(max(last.start, start) + 1, last.end)

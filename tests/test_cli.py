@@ -66,6 +66,24 @@ class TestExitCodes:
         assert run("predict", "--model", model_path, "--in", corpus_path,
                    "--threads", "2") == 1
 
+    def test_seed_outside_split_is_usage_error(self, corpus_path, tmp_path, capsys):
+        split = tmp_path / "split.json"
+        assert run("split", "--corpus", corpus_path, "--out", split) == 0
+        assert run("train", "--corpus", corpus_path, "--split", split,
+                   "--out", tmp_path / "m.json", "--seed", "3") == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--c1", "nan"), ("--c1", "inf"), ("--c2", "nan"), ("--c2", "inf"),
+        ("--tol", "nan"), ("--lbfgs-memory", "0"),
+    ])
+    def test_bad_training_knob_is_data_error(self, flag, value, corpus_path, tmp_path, capsys):
+        split, out = tmp_path / "split.json", tmp_path / "m.json"
+        assert run("split", "--corpus", corpus_path, "--out", split) == 0
+        assert run("train", "--corpus", corpus_path, "--split", split,
+                   "--out", out, flag, value) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
+
 
 def _write(path, content):
     path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
@@ -77,6 +95,11 @@ def _overflowing_span(corpus_path):
     obj = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
     obj["spans"][0]["start"] = "START"
     return json.dumps(obj).replace('"START"', "1e400") + "\n"
+
+
+def _train_with_split(tmp_path, corpus_path, split_json):
+    split = _write(tmp_path / "split.json", split_json)
+    return "train", "--corpus", corpus_path, "--split", split, "--out", tmp_path / "m.json"
 
 
 # (what is wrong, argv builder taking tmp_path, corpus path and model path)
@@ -96,6 +119,14 @@ UNREADABLE_INPUTS = [
         "stats", "--corpus", _write(t / "bad.jsonl", _overflowing_span(c)))),
     ("overflowing predicted span", lambda t, c, m: (
         "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", _overflowing_span(c)))),
+    ("split that is a list", lambda t, c, m: _train_with_split(t, c, "[]")),
+    ("split that is a string", lambda t, c, m: _train_with_split(t, c, '"x"')),
+    ("split id list that is a number", lambda t, c, m: _train_with_split(
+        t, c, '{"seed": 1, "train": 5, "validation": [], "test": []}')),
+    ("split seed that is not a number", lambda t, c, m: _train_with_split(
+        t, c, '{"seed": "x", "train": [], "validation": [], "test": []}')),
+    ("split ids that are not strings", lambda t, c, m: _train_with_split(
+        t, c, '{"seed": 1, "train": [1], "validation": [], "test": []}')),
 ]
 
 

@@ -322,6 +322,15 @@ class TestTrain:
         with pytest.raises(DataError):
             train(tiny_training_batch(), TrainingConfig(max_iterations=0))
 
+    @pytest.mark.parametrize("name, value", [
+        ("c1", math.nan), ("c1", math.inf), ("c2", math.nan), ("c2", math.inf),
+        ("convergence_tol", math.nan), ("lbfgs_memory", 0),
+    ])
+    def test_non_finite_knob_or_empty_memory_rejected(self, name, value):
+        # such a knob must reach neither the optimizer nor the model metadata
+        with pytest.raises(DataError, match=name):
+            train(tiny_training_batch(), TrainingConfig(**{name: value}))
+
 
 class TestSerialization:
     def test_weights_written_with_17_significant_digits(self, small_model):

@@ -1,0 +1,25 @@
+"""The quick demos run to completion against the package in ``src/``.
+
+Demos 03 and 04 train models and take several seconds each, so they are
+left out here."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_tokenization.py", "02_labels_and_features.py", "05_corpus_statistics.py"]
+)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -62,7 +62,7 @@ class TestBoundaryVector:
         gold = bits(seq, [SentenceSpan(4, 9)])
         with_newline = bits(seq, [SentenceSpan(3, 9)])
         assert gold != with_newline
-        assert with_newline[seq.tokens.index(next(t for t in seq if t.text == "\n"))] == 1
+        assert with_newline[seq.index(next(t for t in seq if t.text == "\n"))] == 1
 
     def test_span_outside_text_rejected(self):
         seq = tokenize("abc")
@@ -77,7 +77,7 @@ class TestBoundaryVector:
             base = boundary_vector(seq, doc.spans)
             for span in doc.spans:
                 first = next(t for t in seq if t.end > span.start)
-                last = next(t for t in reversed(seq.tokens) if t.start < span.end)
+                last = next(t for t in reversed(seq) if t.start < span.end)
                 for _ in range(3):
                     s = rng.randint(first.start, first.end - 1)
                     e = rng.randint(last.start + 1, last.end)

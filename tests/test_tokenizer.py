@@ -28,7 +28,7 @@ def test_published_example_tokens():
 
 
 def test_empty_text():
-    assert tokenize("").tokens == []
+    assert tokenize("") == []
     assert detokenize(tokenize("")) == ""
 
 
@@ -75,7 +75,7 @@ def test_offsets_are_contiguous():
     seq = tokenize(text)
     assert seq[0].start == 0
     assert seq[-1].end == len(text)
-    for a, b in zip(seq, seq.tokens[1:]):
+    for a, b in zip(seq, seq[1:]):
         assert a.end == b.start
     for tok in seq:
         assert text[tok.start : tok.end] == tok.text
