@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 from legal_sbd import (
+    LABELS,
     TrainingConfig,
     evaluate,
     load_model,
@@ -56,6 +57,6 @@ by_weight = sorted(
 )
 print("\nstrongest indicators:")
 for ind, row in by_weight[:8]:
-    label = model.labels[int(np.argmax(np.abs(row)))]
+    label = LABELS[int(np.argmax(np.abs(row)))]
     weight = row[int(np.argmax(np.abs(row)))]
     print(f"  {ind!r:<28} {label} {weight:+.2f}")

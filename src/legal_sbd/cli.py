@@ -26,6 +26,7 @@ cannot be read or written, or is not UTF-8), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import corpus as corpus_mod
-from .baseline import RuleConfig, rule_split
+from .baseline import DEFAULT_RULES, RuleConfig, rule_split
 from .corpus import Document, load_corpus, load_split, save_split, split_corpus
 from .crf import TrainingConfig, load_model, save_model
 from .errors import DataError, LegalSbdError, UsageError
@@ -96,6 +97,10 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
 
+# option defaults come from the library, so the two cannot drift apart
+_TRAINING = TrainingConfig()
+_HISTOGRAM = inspect.signature(corpus_mod.length_histogram).parameters
+
 GLOBAL_OPTS = (
     Opt("config", str, None, "flat key=value config file (default: $" + CONFIG_ENV_VAR + ")"),
     Opt("log_level", str, "info", "logging level", ("debug", "info", "warning", "error")),
@@ -125,8 +130,9 @@ COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
     ),
     "histogram": (
         Opt("corpus", str, required=True, help="corpus JSONL"),
-        Opt("bin_size", int, 5, "histogram bin width in tokens"),
-        Opt("cutoff", int, 101, "exclude sentences longer than this many tokens"),
+        Opt("bin_size", int, _HISTOGRAM["bin_size"].default, "histogram bin width in tokens"),
+        Opt("cutoff", int, _HISTOGRAM["cutoff"].default,
+            "exclude sentences longer than this many tokens"),
         Opt("out", str, None, "output CSV path (default: stdout)"),
     ),
     "train": (
@@ -135,11 +141,12 @@ COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
         Opt("subset", str, "both", "document types to train on", ("judgments", "laws", "both")),
         Opt("languages", str, "all", "comma-separated language codes, or 'all'"),
         Opt("out", str, required=True, help="where to write the model JSON"),
-        Opt("c1", float, 1.0, "L1 regularization coefficient"),
-        Opt("c2", float, 0.001, "L2 regularization coefficient"),
-        Opt("max_iterations", int, 100, "optimizer iteration cap"),
-        Opt("lbfgs_memory", int, 10, "L-BFGS history size"),
-        Opt("tol", float, 1e-6, "relative objective-change stopping threshold"),
+        Opt("c1", float, _TRAINING.c1, "L1 regularization coefficient"),
+        Opt("c2", float, _TRAINING.c2, "L2 regularization coefficient"),
+        Opt("max_iterations", int, _TRAINING.max_iterations, "optimizer iteration cap"),
+        Opt("lbfgs_memory", int, _TRAINING.lbfgs_memory, "L-BFGS history size"),
+        Opt("tol", float, _TRAINING.convergence_tol,
+            "relative objective-change stopping threshold"),
         Opt("max_sequence_length", int, 0,
             "split documents longer than this many tokens at sentence-external "
             "whitespace before training; 0 keeps one sequence per document"),
@@ -154,9 +161,12 @@ COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
     "baseline": (
         Opt("in_path", str, required=True, help="corpus JSONL to split"),
         Opt("out", str, None, "output JSONL path (default: stdout)"),
-        Opt("terminators", str, ".!?", "sentence-terminating characters"),
-        Opt("no_colon_newline", bool, False, "disable the colon-before-newline rule", is_flag=True),
-        Opt("min_sentence_chars", int, 1, "drop spans shorter than this"),
+        Opt("terminators", str, "".join(sorted(DEFAULT_RULES.terminators)),
+            "sentence-terminating characters"),
+        Opt("no_colon_newline", bool, not DEFAULT_RULES.colon_newline_rule,
+            "disable the colon-before-newline rule", is_flag=True),
+        Opt("min_sentence_chars", int, DEFAULT_RULES.min_sentence_chars,
+            "drop spans shorter than this"),
     ),
     "eval": (
         Opt("gold", str, required=True, help="gold corpus JSONL"),
@@ -271,7 +281,7 @@ def _read_documents(path: str, fmt: str) -> tuple[list[Document], str]:
                     break
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long to convert
             fmt = "text"
     if fmt == "jsonl":
         return load_corpus(path), fmt

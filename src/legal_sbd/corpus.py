@@ -87,6 +87,16 @@ def validate_document(doc: Document) -> None:
         prev_end = span.end
 
 
+def json_int(value) -> int:
+    """*value* if JSON read it as an integer; ``TypeError`` otherwise.
+
+    ``int()`` would turn ``1.7``, ``"2"`` and ``true`` into 1, 2 and 1, and
+    the readers of span offsets and split seeds take none of them."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _normalize_newlines(text: str, spans: list[tuple[int, int, str]]):
     """Replace CRLF with LF and shift span offsets accordingly."""
     if "\r\n" not in text:
@@ -115,8 +125,8 @@ def _parse_document(obj: dict, lineno: int) -> Document:
     spans: list[tuple[int, int, str]] = []
     for s in raw_spans:
         try:
-            spans.append((int(s["start"]), int(s["end"]), s.get("label", "Sentence")))
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            spans.append((json_int(s["start"]), json_int(s["end"]), s.get("label", "Sentence")))
+        except (TypeError, KeyError) as exc:
             raise DataError(
                 f"line {lineno}: malformed span in document {obj.get('id')!r}: {exc}"
             ) from exc
@@ -144,7 +154,7 @@ def load_corpus(path: str | Path) -> list[Document]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"{path}: line {lineno} is not a JSON object")
@@ -242,16 +252,16 @@ def load_split(path: str | Path) -> CorpusSplit:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise DataError(f"{path}: malformed split file: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: split file is not a JSON object")
     try:
-        seed = int(obj.get("seed", 0))
+        seed = json_int(obj.get("seed", 0))
         ids = [obj["train"], obj["validation"], obj["test"]]
     except KeyError as exc:
         raise DataError(f"{path}: split file missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except TypeError as exc:
         raise DataError(f"{path}: split seed {obj['seed']!r} is not an integer") from exc
     if not all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids):
         raise DataError(f"{path}: train, validation and test must be lists of id strings")

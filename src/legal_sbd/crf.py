@@ -21,6 +21,13 @@ indicators before they meet the model: booleans become ``key=true`` /
 indicators, and numeric features keep their key and contribute their
 value as the feature weight multiplier.  Indicators unknown to a model
 score zero.
+
+The label set is ``spans.LABELS``, and every weight row, matrix and
+vector of a :class:`CrfModel` is indexed in its order; a model file
+records the list, and loading rejects any other.  Training flattens a
+model into one vector for the optimizer (see :func:`_unpack`), and
+:func:`nll_and_gradient` returns its gradient as a ``CrfModel`` of the
+same shape.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ from .spans import LABELS
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
+
+# the one label set: weight rows and matrices are indexed in this order
+_LABEL_INDEX = {label: k for k, label in enumerate(LABELS)}
+N_LABELS = len(LABELS)
 
 
 @dataclass
@@ -73,18 +84,13 @@ class LabeledSequence:
 
 @dataclass
 class CrfModel:
-    labels: tuple[str, ...]
+    """Weights over the labels of ``spans.LABELS``, in that order."""
+
     state_weights: dict[str, np.ndarray]  # indicator -> per-label weight row
     transitions: np.ndarray  # dense (L, L), row = from, column = to
     start: np.ndarray  # (L,)
     end: np.ndarray  # (L,)
     metadata: dict = field(default_factory=dict)
-
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DataError(f"unknown label {label!r}") from None
 
 
 def indicators(features: dict) -> list[tuple[str, float]]:
@@ -138,9 +144,11 @@ def _encode_rows(feature_maps: Sequence[dict], index: dict[str, int]) -> csr_mat
 
 
 def _unary_matrix(model: CrfModel, feature_maps: Sequence[dict]) -> np.ndarray:
+    if not feature_maps:
+        raise ValueError("empty sequence")
     index = {ind: k for k, ind in enumerate(model.state_weights)}
     weights = np.array(list(model.state_weights.values()), dtype=np.float64)
-    return _encode_rows(feature_maps, index) @ weights.reshape(len(index), len(model.labels))
+    return _encode_rows(feature_maps, index) @ weights.reshape(len(index), N_LABELS)
 
 
 def _forward(
@@ -185,32 +193,23 @@ def _logsumexp(v: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(v - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def _path_score(
-    U: np.ndarray, trans: np.ndarray, start: np.ndarray, end: np.ndarray, y: np.ndarray
-) -> float:
-    s = float(start[y[0]] + end[y[-1]] + U[np.arange(len(y)), y].sum())
-    if len(y) > 1:
-        s += float(trans[y[:-1], y[1:]].sum())
-    return s
-
-
 def score(model: CrfModel, features: Sequence[dict], labels: Sequence[str]) -> float:
     """Unnormalized log score of one label sequence."""
     if len(features) != len(labels):
         raise ValueError(
             f"length mismatch: {len(features)} positions, {len(labels)} labels"
         )
-    if not features:
-        raise ValueError("empty sequence")
-    y = np.array([model.label_index(l) for l in labels])
+    try:
+        y = np.array([_LABEL_INDEX[l] for l in labels], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"unknown label {exc}") from None
     U = _unary_matrix(model, features)
-    return _path_score(U, model.transitions, model.start, model.end, y)
+    s = float(model.start[y[0]] + model.end[y[-1]] + U[np.arange(len(y)), y].sum())
+    return s + float(model.transitions[y[:-1], y[1:]].sum())
 
 
 def log_partition(model: CrfModel, features: Sequence[dict]) -> float:
     """Log of the summed exp-scores of all label sequences."""
-    if not features:
-        raise ValueError("empty sequence")
     U = _unary_matrix(model, features)
     alpha = _forward(U, model.transitions, model.start, [1] * len(U))
     return float(_logsumexp(alpha[-1] + model.end))
@@ -218,8 +217,6 @@ def log_partition(model: CrfModel, features: Sequence[dict]) -> float:
 
 def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
     """Posterior label probabilities per position, shape (T, L)."""
-    if not features:
-        raise ValueError("empty sequence")
     U = _unary_matrix(model, features)
     single = [1] * len(U)  # one sequence is a packed batch of one
     alpha = _forward(U, model.transitions, model.start, single)
@@ -231,8 +228,6 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
 def viterbi(model: CrfModel, features: Sequence[dict]) -> list[str]:
     """Highest-scoring label sequence; ties resolve to the lowest label
     index at the final position and at every backtrack step."""
-    if not features:
-        raise ValueError("empty sequence")
     U = _unary_matrix(model, features)
     trans = model.transitions
     T, L = U.shape
@@ -247,7 +242,7 @@ def viterbi(model: CrfModel, features: Sequence[dict]) -> list[str]:
     path[-1] = int(delta.argmax())
     for t in range(T - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
-    return [model.labels[k] for k in path]
+    return [LABELS[k] for k in path]
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +250,17 @@ def viterbi(model: CrfModel, features: Sequence[dict]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _collect_vocabulary(batch: Iterable[LabeledSequence]) -> list[str]:
-    vocab: set[str] = set()
+def _collect_vocabulary(
+    batch: Iterable[LabeledSequence], known: Iterable[str] = ()
+) -> dict[str, int]:
+    """Weight-row index of every indicator in *batch* or *known*, in
+    sorted indicator order."""
+    vocab = set(known)
     for seq in batch:
         for fv in seq.features:
             for ind, _ in indicators(fv):
                 vocab.add(ind)
-    return sorted(vocab)
+    return {ind: k for k, ind in enumerate(sorted(vocab))}
 
 
 class _Packing(NamedTuple):
@@ -292,13 +291,10 @@ def _pack(lengths: np.ndarray) -> _Packing:
     return _Packing(batch_sizes.tolist(), seq, step, prev, last)
 
 
-def _encode_sequences(
-    batch: Sequence[LabeledSequence], vocab: dict[str, int], labels: Sequence[str]
-):
+def _encode_sequences(batch: Sequence[LabeledSequence], vocab: dict[str, int]):
     """The batch as (X, y, packing): one sparse indicator row per position
     and its gold label index, both in the packed order of :func:`_pack`,
     and that packing."""
-    label_index = {label: k for k, label in enumerate(labels)}
     label_ids = []
     for s, seq in enumerate(batch):
         if not seq.features:
@@ -308,7 +304,7 @@ def _encode_sequences(
                 f"sequence {s}: {len(seq.features)} positions vs {len(seq.labels)} labels"
             )
         try:
-            label_ids.append([label_index[l] for l in seq.labels])
+            label_ids.append([_LABEL_INDEX[l] for l in seq.labels])
         except KeyError as exc:
             raise DataError(f"sequence {s}: unknown label {exc}") from exc
     lengths = np.array([len(seq.labels) for seq in batch])
@@ -319,23 +315,39 @@ def _encode_sequences(
     return X, y, packing
 
 
-def _unpack(wvec: np.ndarray, n_features: int, n_labels: int):
-    fl = n_features * n_labels
-    ll = n_labels * n_labels
-    state = wvec[:fl].reshape(n_features, n_labels)
-    trans = wvec[fl : fl + ll].reshape(n_labels, n_labels)
-    start = wvec[fl + ll : fl + ll + n_labels]
-    end = wvec[fl + ll + n_labels :]
+def _n_params(n_features: int) -> int:
+    return (n_features + N_LABELS + 2) * N_LABELS
+
+
+def _unpack(wvec: np.ndarray):
+    """(state, transitions, start, end) as views into the optimizer's
+    weight vector: a row of N_LABELS weights per indicator in vocabulary
+    order, then the transitions row by row, then start and end."""
+    fl = len(wvec) - (N_LABELS + 2) * N_LABELS
+    state = wvec[:fl].reshape(-1, N_LABELS)
+    trans = wvec[fl : fl + N_LABELS * N_LABELS].reshape(N_LABELS, N_LABELS)
+    start, end = wvec[fl + N_LABELS * N_LABELS :].reshape(2, N_LABELS)
     return state, trans, start, end
 
 
-def _batch_objective(wvec, encoded, n_features, n_labels, c2):
+def _to_model(wvec: np.ndarray, vocab: dict[str, int]) -> CrfModel:
+    """A copy of *wvec* as a model, one state row per *vocab* entry."""
+    state, trans, start, end = _unpack(wvec)
+    return CrfModel(
+        state_weights={ind: state[k].copy() for ind, k in vocab.items()},
+        transitions=trans.copy(),
+        start=start.copy(),
+        end=end.copy(),
+    )
+
+
+def _batch_objective(wvec, encoded, c2):
     """Regularized NLL and its gradient over a batch encoded by
     :func:`_encode_sequences`; one forward and one backward pass cover
     every sequence at once."""
     X, y, (batch_sizes, seq, _, prev, last) = encoded
     n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
-    state, trans, start, end = _unpack(wvec, n_features, n_labels)
+    state, trans, start, end = _unpack(wvec)
     U = X @ state
     alpha = _forward(U, trans, start, batch_sizes)
     beta = _backward(U, trans, end, batch_sizes)
@@ -361,56 +373,40 @@ def _batch_objective(wvec, encoded, n_features, n_labels, c2):
     p += (U + beta)[n0:, None, :] - log_z[seq[n0:], None, None]
     e_trans = np.exp(p, out=p).sum(axis=0)
     m[rows, y] -= 1.0  # now expected minus observed counts
-    observed_trans = np.bincount(y_prev * n_labels + y_cur, minlength=n_labels * n_labels)
+    observed_trans = np.bincount(y_prev * N_LABELS + y_cur, minlength=N_LABELS * N_LABELS)
     grad = 2.0 * c2 * wvec
-    g_state, g_trans, g_start, g_end = _unpack(grad, n_features, n_labels)
+    g_state, g_trans, g_start, g_end = _unpack(grad)
     g_state += X.T @ m
-    g_trans += e_trans - observed_trans.reshape(n_labels, n_labels)
+    g_trans += e_trans - observed_trans.reshape(N_LABELS, N_LABELS)
     g_start += m[:n0].sum(axis=0)
     g_end += m[last].sum(axis=0)
     nll = float(contributions.sum()) + c2 * float(wvec @ wvec)
     return nll, grad
 
 
-@dataclass
-class CrfGradient:
-    """Gradient shaped like the model weights."""
-
-    state: dict[str, np.ndarray]
-    transitions: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-
-
 def nll_and_gradient(
     model: CrfModel, batch: Sequence[LabeledSequence], config: TrainingConfig
-) -> tuple[float, CrfGradient]:
-    """Smooth training objective (NLL plus the L2 term) and its gradient.
+) -> tuple[float, CrfModel]:
+    """Smooth training objective (NLL plus the L2 term) and its gradient,
+    shaped like a model.
 
-    The gradient covers every indicator present in the model or the batch;
-    the L1 term is the optimizer's business and is not included here.
+    The gradient has a state row for every indicator present in the model
+    or the batch; the L1 term is the optimizer's business and is not
+    included here.
     """
     if not batch:
         raise DataError("empty batch")
-    vocab_list = sorted(set(model.state_weights) | set(_collect_vocabulary(batch)))
-    vocab = {ind: k for k, ind in enumerate(vocab_list)}
-    n_features, n_labels = len(vocab_list), len(model.labels)
-    encoded = _encode_sequences(batch, vocab, model.labels)
-    wvec = np.zeros(n_features * n_labels + n_labels * n_labels + 2 * n_labels)
-    state, trans, start, end = _unpack(wvec, n_features, n_labels)
+    vocab = _collect_vocabulary(batch, known=model.state_weights)
+    encoded = _encode_sequences(batch, vocab)
+    wvec = np.zeros(_n_params(len(vocab)))
+    state, trans, start, end = _unpack(wvec)
     for ind, row in model.state_weights.items():
         state[vocab[ind]] = row
     trans[:] = model.transitions
     start[:] = model.start
     end[:] = model.end
-    value, grad = _batch_objective(wvec, encoded, n_features, n_labels, config.c2)
-    g_state, g_trans, g_start, g_end = _unpack(grad, n_features, n_labels)
-    return value, CrfGradient(
-        state={ind: g_state[k].copy() for ind, k in vocab.items()},
-        transitions=g_trans.copy(),
-        start=g_start.copy(),
-        end=g_end.copy(),
-    )
+    value, grad = _batch_objective(wvec, encoded, config.c2)
+    return value, _to_model(grad, vocab)
 
 
 def train(
@@ -430,20 +426,18 @@ def train(
     config.validate()
     if not sequences:
         raise DataError("no training sequences")
-    vocab_list = _collect_vocabulary(sequences)
-    if not vocab_list:
+    vocab = _collect_vocabulary(sequences)
+    if not vocab:
         raise DataError("empty feature space: no indicators in the training data")
-    vocab = {ind: k for k, ind in enumerate(vocab_list)}
-    n_features, n_labels = len(vocab_list), len(LABELS)
-    encoded = _encode_sequences(sequences, vocab, LABELS)
-    n_params = n_features * n_labels + n_labels * n_labels + 2 * n_labels
+    encoded = _encode_sequences(sequences, vocab)
+    n_params = _n_params(len(vocab))
     logger.info(
         "training CRF: %d sequences, %d indicators, %d parameters",
-        len(sequences), n_features, n_params,
+        len(sequences), len(vocab), n_params,
     )
 
     def objective(wvec):
-        return _batch_objective(wvec, encoded, n_features, n_labels, config.c2)
+        return _batch_objective(wvec, encoded, config.c2)
 
     def log_progress(iteration, value):
         logger.info("iteration %d: objective %.6f", iteration, value)
@@ -457,11 +451,9 @@ def train(
         tol=config.convergence_tol,
         callback=log_progress,
     )
-    state, trans, start, end = _unpack(result.x, n_features, n_labels)
-    state_weights = {
-        ind: state[k].copy() for ind, k in vocab.items() if state[k].any()
-    }
-    metadata = {
+    model = _to_model(result.x, vocab)
+    model.state_weights = {ind: row for ind, row in model.state_weights.items() if row.any()}
+    model.metadata = {
         **asdict(config),
         "iterations_run": result.iterations,
         "converged": result.converged,
@@ -472,15 +464,8 @@ def train(
         "format_version": MODEL_FORMAT_VERSION,
     }
     if extra_metadata:
-        metadata.update(extra_metadata)
-    return CrfModel(
-        labels=tuple(LABELS),
-        state_weights=state_weights,
-        transitions=trans.copy(),
-        start=start.copy(),
-        end=end.copy(),
-        metadata=metadata,
-    )
+        model.metadata.update(extra_metadata)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +491,7 @@ def model_to_json(model: CrfModel) -> str:
             raise DataError(f"model has non-finite {name} weights")
     out = ["{\n"]
     out.append(f'  "version": {MODEL_FORMAT_VERSION},\n')
-    out.append(f'  "labels": {json.dumps(list(model.labels))},\n')
+    out.append(f'  "labels": {json.dumps(list(LABELS))},\n')
     triples = []
     for ind in sorted(model.state_weights):
         row = model.state_weights[ind]
@@ -516,7 +501,7 @@ def model_to_json(model: CrfModel) -> str:
             if w != 0.0:
                 triples.append(
                     f"    [{json.dumps(ind, ensure_ascii=False)}, "
-                    f"{json.dumps(model.labels[k])}, {_fmt_weight(w)}]"
+                    f"{json.dumps(LABELS[k])}, {_fmt_weight(w)}]"
                 )
     out.append('  "state_weights": [\n' + ",\n".join(triples) + "\n  ],\n")
     rows = ",\n".join(
@@ -543,7 +528,7 @@ def load_model(path) -> CrfModel:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise DataError(f"{path}: corrupt model file: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: corrupt model file: not a JSON object")
@@ -556,28 +541,25 @@ def load_model(path) -> CrfModel:
     if obj.get("labels") != list(LABELS):
         # the one label set training writes and decode_bilou reads
         raise DataError(f"{path}: label set {obj.get('labels')!r} is not {list(LABELS)}")
-    n_labels = len(LABELS)
-    label_index = {label: k for k, label in enumerate(LABELS)}
     try:
         state_weights: dict[str, np.ndarray] = {}
         for ind, label, w in obj["state_weights"]:
             row = state_weights.get(ind)
             if row is None:
-                row = state_weights[ind] = np.zeros(n_labels)
-            row[label_index[label]] = float(w)
+                row = state_weights[ind] = np.zeros(N_LABELS)
+            row[_LABEL_INDEX[label]] = float(w)
         transitions = np.array(obj["transitions"], dtype=np.float64)
         start = np.array(obj["start"], dtype=np.float64)
         end = np.array(obj["end"], dtype=np.float64)
         metadata = dict(obj.get("metadata", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt model file: {exc}") from exc
-    if transitions.shape != (n_labels, n_labels) or start.shape != (n_labels,) or end.shape != (n_labels,):
+    if transitions.shape != (N_LABELS, N_LABELS) or start.shape != (N_LABELS,) or end.shape != (N_LABELS,):
         raise DataError(f"{path}: model weight shapes do not match its label set")
     weights = [transitions, start, end, *state_weights.values()]
     if not all(np.all(np.isfinite(w)) for w in weights):
         raise DataError(f"{path}: model has non-finite weights")
     return CrfModel(
-        labels=LABELS,
         state_weights=state_weights,
         transitions=transitions,
         start=start,

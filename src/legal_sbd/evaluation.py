@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, SentenceSpan
+from .corpus import Document, SentenceSpan, json_int
 from .errors import DataError
 from .tokenizer import Token, token_ranges, tokenize
 
@@ -213,10 +213,10 @@ def import_foreign_predictions(path: str | Path) -> dict[str, list[SentenceSpan]
                 obj = json.loads(line)
                 doc_id = str(obj["id"])
                 spans = [
-                    SentenceSpan(int(s["start"]), int(s["end"]), s.get("label", "Sentence"))
+                    SentenceSpan(json_int(s["start"]), json_int(s["end"]), s.get("label", "Sentence"))
                     for s in obj.get("spans", [])
                 ]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
                 raise DataError(f"{path}: malformed prediction line {lineno}: {exc}") from exc
             if any(s.start >= s.end for s in spans):
                 raise DataError(

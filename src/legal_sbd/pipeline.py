@@ -94,6 +94,8 @@ def train_on_documents(
     """
     if not docs:
         raise DataError("empty training set")
+    config = config or TrainingConfig()
+    config.validate()  # before any document is tokenized
     sequences: list[LabeledSequence] = []
     for doc in docs:
         if max_sequence_length is None:

@@ -16,7 +16,7 @@ from legal_sbd.spans import LABELS
 
 def term_by_term_score(model: CrfModel, features, labels) -> float:
     """Plain-Python sum of every potential term for one label sequence."""
-    y = [model.labels.index(l) for l in labels]
+    y = [LABELS.index(l) for l in labels]
     total = float(model.start[y[0]]) + float(model.end[y[-1]])
     for t, fv in enumerate(features):
         for ind, val in indicators(fv):
@@ -30,7 +30,7 @@ def term_by_term_score(model: CrfModel, features, labels) -> float:
 
 def enumerate_scores(model: CrfModel, features):
     """Scores of all |L|^T label sequences, by enumeration (no recursion)."""
-    n_labels = len(model.labels)
+    n_labels = len(LABELS)
     length = len(features)
     unary = np.zeros((length, n_labels))
     for t, fv in enumerate(features):
@@ -64,14 +64,14 @@ def brute_viterbi(model: CrfModel, features) -> list[str]:
     best = scores.max()
     ties = [tuple(int(k) for k in combos[i]) for i in np.flatnonzero(scores == best)]
     pick = min(ties, key=lambda c: tuple(reversed(c)))
-    return [model.labels[k] for k in pick]
+    return [LABELS[k] for k in pick]
 
 
 def brute_marginals(model: CrfModel, features) -> np.ndarray:
     combos, scores = enumerate_scores(model, features)
     log_z = float(np.logaddexp.reduce(np.sort(scores)))
     probs = np.exp(scores - log_z)
-    out = np.zeros((len(features), len(model.labels)))
+    out = np.zeros((len(features), len(LABELS)))
     for combo, p in zip(combos, probs):
         for t, k in enumerate(combo):
             out[t, k] += p
@@ -87,7 +87,6 @@ def random_model(rng, n_indicators=5, scale=1.0, integer=False) -> CrfModel:
         return rng.normal(size=shape) * scale
 
     return CrfModel(
-        labels=tuple(LABELS),
         state_weights={f"f{i}": draw(len(LABELS)) for i in range(n_indicators)},
         transitions=draw((len(LABELS), len(LABELS))),
         start=draw(len(LABELS)),
@@ -121,7 +120,7 @@ def random_batch(rng, max_sequences=3, max_length=5) -> list[LabeledSequence]:
 
 def finite_difference_gradient(model: CrfModel, batch, config: TrainingConfig, h=1e-5):
     """Central finite differences of the smooth objective over every
-    weight entry of *model*, mirroring the CrfGradient layout."""
+    weight entry of *model*, in the layout of nll_and_gradient's gradient."""
     import copy
 
     from legal_sbd.crf import nll_and_gradient
@@ -131,8 +130,8 @@ def finite_difference_gradient(model: CrfModel, batch, config: TrainingConfig, h
 
     state = {}
     for ind in model.state_weights:
-        row = np.zeros(len(model.labels))
-        for k in range(len(model.labels)):
+        row = np.zeros(len(LABELS))
+        for k in range(len(LABELS)):
             up = copy.deepcopy(model)
             up.state_weights[ind][k] += h
             down = copy.deepcopy(model)

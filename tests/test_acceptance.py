@@ -115,7 +115,7 @@ def test_criterion_crf_oracle_suite():
             fd_state, fd_arrays = finite_difference_gradient(model, batch, config)
             worst = 0.0
             for ind, row in fd_state.items():
-                err = np.abs(grad.state[ind] - row) / np.maximum(1.0, np.abs(row))
+                err = np.abs(grad.state_weights[ind] - row) / np.maximum(1.0, np.abs(row))
                 worst = max(worst, float(err.max()))
             for name in ("transitions", "start", "end"):
                 err = np.abs(getattr(grad, name) - fd_arrays[name]) / np.maximum(

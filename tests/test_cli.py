@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from legal_sbd.cli import CONFIG_ENV_VAR, escape_token_text, main
 from legal_sbd.corpus import load_corpus, save_corpus
-from legal_sbd.crf import load_model, save_model
+from legal_sbd.crf import TrainingConfig, load_model, save_model
 from legal_sbd.synthetic import make_corpus
 
 
@@ -90,11 +91,26 @@ def _write(path, content):
     return path
 
 
-def _overflowing_span(corpus_path):
-    # JSON reads 1e400 as float infinity, which int() cannot convert
+def _span_start(corpus_path, literal):
+    """The corpus's first line with its first span's start written as the
+    JSON *literal*."""
     obj = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
     obj["spans"][0]["start"] = "START"
-    return json.dumps(obj).replace('"START"', "1e400") + "\n"
+    return json.dumps(obj).replace('"START"', literal) + "\n"
+
+
+OVERFLOWING = "1e400"  # JSON reads it as float infinity, which int() cannot convert
+
+
+# JSON values that int() would silently turn into an offset or a seed
+NON_INTEGERS = ("1.7", '"2"', "true", "1.0")
+
+
+def _train_with_seed(tmp_path, corpus_path, literal):
+    # every corpus document in train, so only the seed is wrong
+    ids = [json.loads(line)["id"] for line in corpus_path.read_text(encoding="utf-8").splitlines()]
+    split = {"seed": "SEED", "train": ids, "validation": [], "test": []}
+    return _train_with_split(tmp_path, corpus_path, json.dumps(split).replace('"SEED"', literal))
 
 
 def _train_with_split(tmp_path, corpus_path, split_json):
@@ -116,9 +132,9 @@ UNREADABLE_INPUTS = [
     ("non-UTF-8 eval --pred", lambda t, c, m: (
         "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", b'{"id": "\xff"}\n'))),
     ("overflowing corpus span", lambda t, c, m: (
-        "stats", "--corpus", _write(t / "bad.jsonl", _overflowing_span(c)))),
+        "stats", "--corpus", _write(t / "bad.jsonl", _span_start(c, OVERFLOWING)))),
     ("overflowing predicted span", lambda t, c, m: (
-        "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", _overflowing_span(c)))),
+        "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", _span_start(c, OVERFLOWING)))),
     ("split that is a list", lambda t, c, m: _train_with_split(t, c, "[]")),
     ("split that is a string", lambda t, c, m: _train_with_split(t, c, '"x"')),
     ("split id list that is a number", lambda t, c, m: _train_with_split(
@@ -127,6 +143,14 @@ UNREADABLE_INPUTS = [
         t, c, '{"seed": "x", "train": [], "validation": [], "test": []}')),
     ("split ids that are not strings", lambda t, c, m: _train_with_split(
         t, c, '{"seed": 1, "train": [1], "validation": [], "test": []}')),
+    ("corpus integer too long to convert", lambda t, c, m: (
+        "stats", "--corpus", _write(t / "bad.jsonl", _span_start(c, "9" * 5000)))),
+    *[(f"corpus span offset {v}", lambda t, c, m, v=v: (
+        "stats", "--corpus", _write(t / "bad.jsonl", _span_start(c, v)))) for v in NON_INTEGERS],
+    *[(f"predicted span offset {v}", lambda t, c, m, v=v: (
+        "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", _span_start(c, v)),
+        "--allow-missing")) for v in NON_INTEGERS],
+    *[(f"split seed {v}", lambda t, c, m, v=v: _train_with_seed(t, c, v)) for v in NON_INTEGERS],
 ]
 
 
@@ -385,6 +409,16 @@ class TestContractDetails:
 
         assert run("features", "--text", "C'est en outre", "--position", "4") == 0
         assert capsys.readouterr().out == format_features(GOLDEN) + "\n"
+
+    def test_train_without_knobs_records_library_defaults(self, corpus_path, tmp_path, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        split, model = tmp_path / "split.json", tmp_path / "model.json"
+        assert run("split", "--corpus", corpus_path, "--out", split) == 0
+        assert run("train", "--corpus", corpus_path, "--split", split, "--out", model,
+                   "--log-level", "warning") == 0
+        meta = json.loads(model.read_text())["metadata"]
+        defaults = asdict(TrainingConfig())
+        assert {key: meta[key] for key in defaults} == defaults
 
     def test_train_with_max_sequence_length(self, corpus_path, tmp_path):
         split = tmp_path / "split.json"

@@ -35,7 +35,6 @@ from oracles import (
 
 def zero_model(n_indicators=0):
     return CrfModel(
-        labels=tuple(LABELS),
         state_weights={f"f{i}": np.zeros(len(LABELS)) for i in range(n_indicators)},
         transitions=np.zeros((5, 5)),
         start=np.zeros(5),
@@ -177,7 +176,7 @@ class TestNllAndGradient:
         assert value == pytest.approx(math.log(5))
         want = np.full(5, 0.2)
         want[LABELS.index("U")] -= 1.0
-        np.testing.assert_allclose(grad.state["bias"], want, atol=1e-12)
+        np.testing.assert_allclose(grad.state_weights["bias"], want, atol=1e-12)
         np.testing.assert_allclose(grad.start, want, atol=1e-12)
         np.testing.assert_allclose(grad.end, want, atol=1e-12)
 
@@ -196,7 +195,7 @@ class TestNllAndGradient:
             _, grad = nll_and_gradient(model, batch, config)
             fd_state, fd_arrays = finite_difference_gradient(model, batch, config)
             for ind, row in fd_state.items():
-                err = np.abs(grad.state[ind] - row) / np.maximum(1.0, np.abs(row))
+                err = np.abs(grad.state_weights[ind] - row) / np.maximum(1.0, np.abs(row))
                 assert err.max() <= 1e-6
             for name in ("transitions", "start", "end"):
                 got = getattr(grad, name)
@@ -332,6 +331,20 @@ class TestTrain:
             train(tiny_training_batch(), TrainingConfig(**{name: value}))
 
 
+class TestUnknownLabel:
+    # the one label table is spans.LABELS; every entry point that reads
+    # gold labels names a label outside it
+    @pytest.mark.parametrize("call", [
+        lambda seq: score(zero_model(), seq.features, seq.labels),
+        lambda seq: train([seq]),
+        lambda seq: nll_and_gradient(zero_model(), [seq], TrainingConfig()),
+    ], ids=["score", "train", "nll_and_gradient"])
+    def test_label_outside_labels_is_named(self, call):
+        seq = LabeledSequence([{"bias": 1.0}, {"bias": 1.0}], ["B", "Q"])
+        with pytest.raises(DataError, match="unknown label 'Q'"):
+            call(seq)
+
+
 class TestSerialization:
     def test_weights_written_with_17_significant_digits(self, small_model):
         text = model_to_json(small_model)
@@ -343,7 +356,6 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(small_model, path)
         loaded = load_model(path)
-        assert loaded.labels == small_model.labels
         assert sorted(loaded.state_weights) == sorted(small_model.state_weights)
         for key, row in small_model.state_weights.items():
             assert np.array_equal(loaded.state_weights[key], row)
@@ -527,7 +539,7 @@ class TestTrainedOptimality:
                 else:
                     assert abs(g) <= config.c1 + 1e-5
 
-        for ind, g in grad.state.items():
+        for ind, g in grad.state_weights.items():
             check(model.state_weights.get(ind, np.zeros(5)), g)
         check(model.transitions, grad.transitions)
         check(model.start, grad.start)

@@ -74,6 +74,17 @@ def test_training_with_chunking_still_learns():
         assert predict_document(model, doc).spans == doc.spans
 
 
+def test_bad_config_fails_before_any_document_is_labeled(monkeypatch):
+    import legal_sbd.pipeline as pipeline
+
+    calls = []
+    original = pipeline.label_document
+    monkeypatch.setattr(pipeline, "label_document", lambda doc: calls.append(doc) or original(doc))
+    with pytest.raises(DataError, match="c1"):
+        train_on_documents(make_corpus(5, seed=70), TrainingConfig(c1=float("nan")))
+    assert calls == []
+
+
 def test_filter_documents():
     docs = make_corpus(4, seed=67) + make_corpus(
         3, seed=68, doc_type="law", language="de", id_prefix="de"
