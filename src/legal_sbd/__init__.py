@@ -35,7 +35,6 @@ from .evaluation import EvalReport, boundary_vector, evaluate, import_foreign_pr
 from .features import signature, special_category, token_features
 from .pipeline import (
     label_document,
-    predict_document,
     predict_documents,
     predict_text,
     train_on_documents,
@@ -74,7 +73,6 @@ __all__ = [
     "log_partition",
     "marginals",
     "nll_and_gradient",
-    "predict_document",
     "predict_documents",
     "predict_text",
     "prf",

@@ -9,9 +9,13 @@ One executable with subcommands covering the whole pipeline::
     legal-sbd histogram  --corpus corpus.jsonl [--bin-size 5] [--cutoff 101]
     legal-sbd train      --corpus corpus.jsonl --split split.json --out model.json
     legal-sbd predict    --model model.json --in text-or-corpus [--out pred.jsonl]
-    legal-sbd baseline   --in corpus.jsonl [--out pred.jsonl]
+    legal-sbd baseline   --in text-or-corpus [--out pred.jsonl]
     legal-sbd eval       --gold corpus.jsonl --pred pred.jsonl [--report out.json]
     legal-sbd bench      --model model.json --corpus corpus.jsonl [--repeat 3]
+
+``--in`` (``tokenize``, ``predict``, ``baseline``) is read by its content: a
+file whose first non-blank character is ``{`` is a corpus, read as strictly
+as ``--corpus``; any other file is raw text, one document named after it.
 
 Every command takes the global flags ``--config`` and ``--log-level``.
 Any option may also come from a flat ``key=value`` config file ("#"
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import logging
 import os
 import statistics
@@ -109,7 +112,6 @@ GLOBAL_OPTS = (
 COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
     "tokenize": (
         Opt("in_path", str, required=True, help="input file (raw text or corpus JSONL)"),
-        Opt("format", str, "auto", "input format", ("auto", "text", "jsonl")),
         Opt("out", str, None, "output TSV path (default: stdout)"),
     ),
     "features": (
@@ -154,12 +156,11 @@ COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
     "predict": (
         Opt("model", str, required=True, help="model JSON"),
         Opt("in_path", str, required=True, help="input file (raw text or corpus JSONL)"),
-        Opt("format", str, "auto", "input format", ("auto", "text", "jsonl")),
         Opt("out", str, None, "output JSONL path (default: stdout)"),
         Opt("dump_labels", str, None, "also write a per-token label TSV here"),
     ),
     "baseline": (
-        Opt("in_path", str, required=True, help="corpus JSONL to split"),
+        Opt("in_path", str, required=True, help="input file (raw text or corpus JSONL)"),
         Opt("out", str, None, "output JSONL path (default: stdout)"),
         Opt("terminators", str, "".join(sorted(DEFAULT_RULES.terminators)),
             "sentence-terminating characters"),
@@ -263,37 +264,18 @@ def _resolve(args: argparse.Namespace, command: str) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _read_documents(path: str, fmt: str) -> tuple[list[Document], str]:
-    """Read a corpus JSONL or wrap raw text as one synthetic document.
-
-    Returns the documents and the format actually used.
-    """
-    if fmt == "auto":
-        fmt = "text"
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-                    if isinstance(obj, dict) and "text" in obj and "id" in obj:
-                        fmt = "jsonl"
-                    break
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        except ValueError:  # not JSON, or an integer too long to convert
-            fmt = "text"
-    if fmt == "jsonl":
-        return load_corpus(path), fmt
+def _read_documents(path: str) -> tuple[list[Document], bool]:
+    """The documents of ``--in`` (see the module docstring), and whether
+    the file is a corpus."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")  # also turns \r\n and \r into \n
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if text.lstrip().startswith("{"):
+        return load_corpus(path), True
     if not text:
-        return [], fmt
-    text = text.replace("\r\n", "\n")
-    doc = Document(id=Path(path).stem, language="xx", doc_type="judgment", text=text)
-    return [doc], fmt
+        return [], False
+    return [Document(id=Path(path).stem, language="xx", doc_type="judgment", text=text)], False
 
 
 def _write(out: str | None, content: str) -> None:
@@ -318,13 +300,12 @@ def _parse_languages(value: str) -> set[str] | None:
 
 
 def _cmd_tokenize(resolved: dict[str, Any]) -> int:
-    docs, fmt = _read_documents(resolved["in_path"], resolved["format"])
-    with_ids = fmt == "jsonl"  # corpus rows carry a leading doc_id column
+    docs, is_corpus = _read_documents(resolved["in_path"])
     lines = []
     for doc in docs:
         for tok in tokenize(doc.text):
             row = [str(tok.start), str(tok.end), tok.kind, escape_token_text(tok.text)]
-            if with_ids:
+            if is_corpus:  # corpus rows carry a leading doc_id column
                 row.insert(0, doc.id)
             lines.append("\t".join(row))
     _write(resolved["out"], "\n".join(lines) + ("\n" if lines else ""))
@@ -423,11 +404,10 @@ def _cmd_train(resolved: dict[str, Any]) -> int:
 
 def _cmd_predict(resolved: dict[str, Any]) -> int:
     model = load_model(resolved["model"])
-    docs, _ = _read_documents(resolved["in_path"], resolved["format"])
-    # one Viterbi pass per document yields both the spans and the dump
+    docs, _ = _read_documents(resolved["in_path"])
+    # one prediction run yields both the spans and the dump
     predicted, rows = [], []
-    for doc in docs:
-        tokens, labels = predicted_labels(model, doc.text)
+    for doc, (tokens, labels) in zip(docs, predicted_labels(model, [d.text for d in docs])):
         predicted.append(replace(doc, spans=tuple(decode_bilou(tokens, labels))))
         rows.extend(
             "\t".join([doc.id, str(tok.start), str(tok.end), tok.kind,
@@ -449,7 +429,7 @@ def _cmd_baseline(resolved: dict[str, Any]) -> int:
         colon_newline_rule=not resolved["no_colon_newline"],
         min_sentence_chars=resolved["min_sentence_chars"],
     )
-    docs, _ = _read_documents(resolved["in_path"], "auto")
+    docs, _ = _read_documents(resolved["in_path"])
     lines = []
     for doc in docs:
         spans = tuple(rule_split(doc.text, config))

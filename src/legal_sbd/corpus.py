@@ -8,6 +8,10 @@ The on-disk corpus format is UTF-8 JSONL, one document per line::
 Span offsets count Unicode code points of ``text``, start inclusive, end
 exclusive.  Spans must be sorted, non-overlapping, in bounds, and contain
 at least one non-whitespace character.
+
+The package parses JSON only here: :func:`read_json_object` reads split
+and model files, :func:`read_json_lines` corpora and predictions, and
+both raise :class:`DataError` naming the file.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DataError
 from .tokenizer import SPACE_KINDS, token_ranges, tokenize
@@ -97,7 +101,51 @@ def json_int(value) -> int:
     return value
 
 
-def _normalize_newlines(text: str, spans: list[tuple[int, int, str]]):
+def json_number(value) -> float:
+    """*value* as a float if JSON read it as a number; ``TypeError`` for
+    ``"0.5"`` or ``true``, which ``float()`` would read as 0.5 and 1.0."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object that file *path* holds; :class:`DataError`
+    ``"{path}: {what}: ..."`` if it holds anything else."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise DataError(f"{path}: {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: {what}: not a JSON object")
+    return obj
+
+
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for every non-blank line of the JSONL file
+    *path*; :class:`DataError` naming the line if one is not a JSON object."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+                raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}: line {lineno} is not a JSON object")
+            yield lineno, obj
+
+
+def parse_span(record) -> SentenceSpan:
+    """A span record ``{"start": int, "end": int, "label": str}``, label
+    ``"Sentence"`` if absent; ``TypeError`` or ``KeyError`` if malformed."""
+    return SentenceSpan(json_int(record["start"]), json_int(record["end"]),
+                        record.get("label", "Sentence"))
+
+
+def _normalize_newlines(text: str, spans: list[SentenceSpan]):
     """Replace CRLF with LF and shift span offsets accordingly."""
     if "\r\n" not in text:
         return text, spans
@@ -111,7 +159,7 @@ def _normalize_newlines(text: str, spans: list[tuple[int, int, str]]):
         return offset - bisect_left(removed, offset)  # removed positions below offset
 
     new_text = text.replace("\r\n", "\n")
-    new_spans = [(shift(s), shift(e), label) for s, e, label in spans]
+    new_spans = [SentenceSpan(shift(s.start), shift(s.end), s.label) for s in spans]
     return new_text, new_spans
 
 
@@ -122,21 +170,18 @@ def _parse_document(obj: dict, lineno: int) -> Document:
     raw_spans = obj.get("spans", [])
     if not isinstance(raw_spans, list):
         raise DataError(f"line {lineno}: 'spans' must be a list")
-    spans: list[tuple[int, int, str]] = []
-    for s in raw_spans:
-        try:
-            spans.append((json_int(s["start"]), json_int(s["end"]), s.get("label", "Sentence")))
-        except (TypeError, KeyError) as exc:
-            raise DataError(
-                f"line {lineno}: malformed span in document {obj.get('id')!r}: {exc}"
-            ) from exc
+    try:
+        spans = [parse_span(s) for s in raw_spans]
+    except (TypeError, KeyError) as exc:
+        raise DataError(f"line {lineno}: malformed span in document "
+                        f"{obj.get('id')!r}: {exc}") from exc
     text, spans = _normalize_newlines(str(obj["text"]), spans)
     return Document(
         id=str(obj["id"]),
         language=str(obj["language"]),
         doc_type=str(obj["type"]),
         text=text,
-        spans=tuple(SentenceSpan(*s) for s in spans),
+        spans=tuple(spans),
     )
 
 
@@ -148,22 +193,13 @@ def load_corpus(path: str | Path) -> list[Document]:
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {lineno} is not a JSON object")
-            doc = _parse_document(obj, lineno)
-            validate_document(doc)
-            if doc.id in seen:
-                raise DataError(f"{path}: duplicate document id {doc.id!r} on line {lineno}")
-            seen.add(doc.id)
-            docs.append(doc)
+    for lineno, obj in read_json_lines(path):
+        doc = _parse_document(obj, lineno)
+        validate_document(doc)
+        if doc.id in seen:
+            raise DataError(f"{path}: duplicate document id {doc.id!r} on line {lineno}")
+        seen.add(doc.id)
+        docs.append(doc)
     return docs
 
 
@@ -249,13 +285,7 @@ def save_split(split: CorpusSplit, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> CorpusSplit:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise DataError(f"{path}: malformed split file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: split file is not a JSON object")
+    obj = read_json_object(path, "malformed split file")
     try:
         seed = json_int(obj.get("seed", 0))
         ids = [obj["train"], obj["validation"], obj["test"]]

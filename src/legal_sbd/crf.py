@@ -42,6 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
 from .optim import minimize_lbfgs
 from .spans import LABELS
@@ -525,13 +526,7 @@ def save_model(model: CrfModel, path) -> None:
 
 
 def load_model(path) -> CrfModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise DataError(f"{path}: corrupt model file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: corrupt model file: not a JSON object")
+    obj = read_json_object(path, "corrupt model file")
     version = obj.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(
@@ -547,10 +542,9 @@ def load_model(path) -> CrfModel:
             row = state_weights.get(ind)
             if row is None:
                 row = state_weights[ind] = np.zeros(N_LABELS)
-            row[_LABEL_INDEX[label]] = float(w)
-        transitions = np.array(obj["transitions"], dtype=np.float64)
-        start = np.array(obj["start"], dtype=np.float64)
-        end = np.array(obj["end"], dtype=np.float64)
+            row[_LABEL_INDEX[label]] = json_number(w)
+        transitions = np.array([[json_number(w) for w in row] for row in obj["transitions"]])
+        start, end = (np.array([json_number(w) for w in obj[k]]) for k in ("start", "end"))
         metadata = dict(obj.get("metadata", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt model file: {exc}") from exc

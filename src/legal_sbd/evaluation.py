@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, SentenceSpan, json_int
+from .corpus import Document, SentenceSpan, parse_span, read_json_lines
 from .errors import DataError
 from .tokenizer import Token, token_ranges, tokenize
 
@@ -205,24 +205,17 @@ def import_foreign_predictions(path: str | Path) -> dict[str, list[SentenceSpan]
     else is normalized.  Only ``id`` and ``spans`` are consulted.
     """
     predictions: dict[str, list[SentenceSpan]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                doc_id = str(obj["id"])
-                spans = [
-                    SentenceSpan(json_int(s["start"]), json_int(s["end"]), s.get("label", "Sentence"))
-                    for s in obj.get("spans", [])
-                ]
-            except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
-                raise DataError(f"{path}: malformed prediction line {lineno}: {exc}") from exc
-            if any(s.start >= s.end for s in spans):
-                raise DataError(
-                    f"{path}: line {lineno}: empty or inverted span in document {doc_id!r}"
-                )
-            if doc_id in predictions:
-                raise DataError(f"{path}: duplicate prediction for document {doc_id!r}")
-            predictions[doc_id] = clip_overlaps(spans)
+    for lineno, obj in read_json_lines(path):
+        try:
+            doc_id = str(obj["id"])
+            spans = [parse_span(s) for s in obj.get("spans", [])]
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed prediction line {lineno}: {exc}") from exc
+        if any(s.start >= s.end for s in spans):
+            raise DataError(
+                f"{path}: line {lineno}: empty or inverted span in document {doc_id!r}"
+            )
+        if doc_id in predictions:
+            raise DataError(f"{path}: duplicate prediction for document {doc_id!r}")
+        predictions[doc_id] = clip_overlaps(spans)
     return predictions

@@ -108,27 +108,23 @@ def train_on_documents(
     return train(sequences, config, extra_metadata=metadata)
 
 
-def predicted_labels(model: CrfModel, text: str) -> tuple[list[Token], list[str]]:
-    """Tokens of *text* and their Viterbi labels; every prediction
-    function decodes its spans from these."""
-    tokens = tokenize(text)
-    if not tokens:
-        return tokens, []
-    return tokens, viterbi(model, sequence_features(tokens))
+def predicted_labels(model: CrfModel, texts: list[str]) -> list[tuple[list[Token], list[str]]]:
+    """Tokens of each of *texts* and their Viterbi labels: the one
+    prediction run, which every prediction function calls once."""
+    labeled = []
+    for text in texts:
+        tokens = tokenize(text)
+        labeled.append((tokens, viterbi(model, sequence_features(tokens)) if tokens else []))
+    return labeled
 
 
 def predict_text(model: CrfModel, text: str) -> list[SentenceSpan]:
     """Predict sentence spans for raw text."""
-    return decode_bilou(*predicted_labels(model, text))
-
-
-def predict_document(model: CrfModel, doc: Document) -> Document:
-    """Copy of *doc* whose spans are the model's predictions."""
-    return replace(doc, spans=tuple(predict_text(model, doc.text)))
+    return decode_bilou(*predicted_labels(model, [text])[0])
 
 
 def predict_documents(model: CrfModel, docs: list[Document], threads: int = 1) -> list[Document]:
-    """Predict spans for every document, in order, one after another.
+    """Copies of *docs*, in order, whose spans are the model's predictions.
 
     *threads* is ignored.  It is accepted only because the benchmark in
     ``perfbench/`` still passes it; a thread pool behind it was removed
@@ -136,4 +132,5 @@ def predict_documents(model: CrfModel, docs: list[Document], threads: int = 1) -
     the 60-document benchmark input (2 cores: 0.556 s median serial,
     0.772 s with two threads).
     """
-    return [predict_document(model, doc) for doc in docs]
+    labeled = predicted_labels(model, [doc.text for doc in docs])
+    return [replace(doc, spans=tuple(decode_bilou(*pair))) for doc, pair in zip(docs, labeled)]

@@ -1,12 +1,14 @@
 import json
 import os
+import shlex
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legal_sbd.cli import CONFIG_ENV_VAR, escape_token_text, main
+from legal_sbd.cli import CONFIG_ENV_VAR, _build_parser, escape_token_text, main
 from legal_sbd.corpus import load_corpus, save_corpus
 from legal_sbd.crf import TrainingConfig, load_model, save_model
 from legal_sbd.synthetic import make_corpus
@@ -134,7 +136,8 @@ UNREADABLE_INPUTS = [
     ("overflowing corpus span", lambda t, c, m: (
         "stats", "--corpus", _write(t / "bad.jsonl", _span_start(c, OVERFLOWING)))),
     ("overflowing predicted span", lambda t, c, m: (
-        "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", _span_start(c, OVERFLOWING)))),
+        "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", _span_start(c, OVERFLOWING)),
+        "--allow-missing")),
     ("split that is a list", lambda t, c, m: _train_with_split(t, c, "[]")),
     ("split that is a string", lambda t, c, m: _train_with_split(t, c, '"x"')),
     ("split id list that is a number", lambda t, c, m: _train_with_split(
@@ -331,6 +334,44 @@ class TestBaselineCommand:
         assert all(doc.spans for doc in docs)
 
 
+class TestInputReadByContent:
+    """``--in`` is a corpus when its first non-blank character is ``{``,
+    and raw text otherwise; there is no option to say which."""
+
+    @pytest.mark.parametrize("command", ["tokenize", "predict", "baseline"])
+    def test_corpus_with_broken_first_line_is_data_error(
+        self, command, corpus_path, model_path, tmp_path, capsys
+    ):
+        first, *rest = corpus_path.read_text(encoding="utf-8").splitlines()
+        assert first.endswith("}")
+        bad = _write(tmp_path / "broken_first.jsonl", "\n".join([first[:-1], *rest]) + "\n")
+        model = ("--model", model_path) if command == "predict" else ()
+        assert run(command, *model, "--in", bad) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("data error:")
+        assert out == ""
+
+    def test_corpus_after_blank_lines(self, corpus_path, tmp_path, capsys):
+        padded = _write(tmp_path / "padded.jsonl", "\n \n" + corpus_path.read_text(encoding="utf-8"))
+        assert run("tokenize", "--in", padded) == 0
+        assert capsys.readouterr().out.split("\t", 1)[0].startswith("doc-fr-")
+
+    def test_raw_text_newlines_read_as_lf(self, tmp_path, capsys):
+        src = _write(tmp_path / "crlf.txt", b"Un.\r\nDeux.\rTrois.\n")
+        assert run("tokenize", "--in", src) == 0
+        out = capsys.readouterr().out
+        assert [line.split("\t")[2] for line in out.splitlines()].count("newline") == 3
+        assert "\\r" not in out
+
+    def test_format_option_is_gone(self, corpus_path, capsys):
+        assert run("tokenize", "--in", corpus_path, "--format", "text") == 1
+
+    def test_format_config_key_is_unknown(self, corpus_path, tmp_path, capsys):
+        cfg = _write(tmp_path / "run.cfg", "format=text\n")
+        assert run("tokenize", "--in", corpus_path, "--config", cfg) == 1
+        assert "unknown config key 'format'" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def test_reports_throughput(self, model_path, corpus_path, capsys):
         assert run("bench", "--model", model_path, "--corpus", corpus_path,
@@ -474,3 +515,26 @@ class TestContractDetails:
             "train", "--corpus", mixed, "--split", split, "--out", model,
             "--languages", "de", "--subset", "judgments",
         ) == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_commands():
+    """Arguments of every ``legal-sbd`` line in the README's CLI block,
+    with ``\\`` continuations joined and ``#`` comments dropped."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("legal-sbd ")]
+
+
+def test_readme_cli_lines_parse(capsys):
+    commands = readme_cli_commands()
+    assert len(commands) >= 10
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README shows a command the CLI rejects: legal-sbd {shlex.join(argv)}")

@@ -374,21 +374,21 @@ class TestSerialization:
         assert a.read_bytes() == b.read_bytes()
 
     def test_identical_viterbi_after_round_trip(self, small_model, tmp_path, rng):
-        from legal_sbd.pipeline import predict_document
+        from legal_sbd.pipeline import predict_documents
         from legal_sbd.synthetic import make_corpus
 
         path = tmp_path / "model.json"
         save_model(small_model, path)
         loaded = load_model(path)
         for doc in make_corpus(5, seed=400, id_prefix="heldout"):
-            assert predict_document(loaded, doc) == predict_document(small_model, doc)
+            assert predict_documents(loaded, [doc])[0] == predict_documents(small_model, [doc])[0]
 
     def test_unknown_version_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(small_model, path)
         hacked = path.read_text().replace('"version": 1', '"version": 99', 1)
         path.write_text(hacked)
-        with pytest.raises(DataError, match="version"):
+        with pytest.raises(DataError, match=r"model\.json: unsupported model file version 99"):
             load_model(path)
 
     @staticmethod
@@ -435,11 +435,41 @@ class TestSerialization:
         with pytest.raises(DataError, match="label set .* is not"):
             load_model(path)
 
+    WEIGHT_SLOTS = {  # one weight of each kind, by where it sits in the file
+        "state_weights": lambda obj: (obj["state_weights"][0], 2),
+        "transitions": lambda obj: (obj["transitions"][1], 2),
+        "start": lambda obj: (obj["start"], 3),
+        "end": lambda obj: (obj["end"], 0),
+    }
+
+    @pytest.mark.parametrize("field", sorted(WEIGHT_SLOTS))
+    def test_weight_that_is_not_a_json_number_rejected(self, small_model, tmp_path, field):
+        for value in ("0.5", True, False):
+            def edit(obj):
+                container, at = self.WEIGHT_SLOTS[field](obj)
+                container[at] = value
+
+            path = self._rewritten(small_model, tmp_path / "model.json", edit)
+            with pytest.raises(DataError, match=r"model\.json: corrupt model file: .* is not a number"):
+                load_model(path)
+
+    def test_integer_weights_load(self, small_model, tmp_path):
+        def edit(obj):
+            for slot in self.WEIGHT_SLOTS.values():
+                container, at = slot(obj)
+                container[at] = 2
+
+        loaded = load_model(self._rewritten(small_model, tmp_path / "model.json", edit))
+        rewritten = json.loads(model_to_json(loaded))
+        for slot in self.WEIGHT_SLOTS.values():
+            container, at = slot(rewritten)
+            assert container[at] == 2
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         for text in ("{not json", "[1, 2]"):
             path.write_text(text)
-            with pytest.raises(DataError, match="corrupt"):
+            with pytest.raises(DataError, match=r"model\.json: corrupt model file: "):
                 load_model(path)
 
 

@@ -217,5 +217,5 @@ class TestForeignImport:
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "pred.jsonl"
         path.write_text('{"id": "a", "spans": [{"start": "x"}]}\n', encoding="utf-8")
-        with pytest.raises(DataError, match="malformed"):
+        with pytest.raises(DataError, match=r"pred\.jsonl: malformed prediction line 1: "):
             import_foreign_predictions(path)

@@ -9,7 +9,7 @@ from legal_sbd.pipeline import (
     filter_documents,
     label_document,
     label_document_chunked,
-    predict_document,
+    predict_documents,
     predict_text,
     train_on_documents,
 )
@@ -71,7 +71,7 @@ def test_training_with_chunking_still_learns():
     )
     held = make_corpus(5, seed=66, id_prefix="h")
     for doc in held:
-        assert predict_document(model, doc).spans == doc.spans
+        assert predict_documents(model, [doc])[0].spans == doc.spans
 
 
 def test_bad_config_fails_before_any_document_is_labeled(monkeypatch):
