@@ -163,17 +163,17 @@ def _normalize_newlines(text: str, spans: list[SentenceSpan]):
     return new_text, new_spans
 
 
-def _parse_document(obj: dict, lineno: int) -> Document:
+def _parse_document(obj: dict, path: str | Path, lineno: int) -> Document:
     for key in ("id", "language", "type", "text"):
         if key not in obj:
-            raise DataError(f"line {lineno}: missing field {key!r}")
+            raise DataError(f"{path}: line {lineno}: missing field {key!r}")
     raw_spans = obj.get("spans", [])
     if not isinstance(raw_spans, list):
-        raise DataError(f"line {lineno}: 'spans' must be a list")
+        raise DataError(f"{path}: line {lineno}: 'spans' must be a list")
     try:
         spans = [parse_span(s) for s in raw_spans]
     except (TypeError, KeyError) as exc:
-        raise DataError(f"line {lineno}: malformed span in document "
+        raise DataError(f"{path}: line {lineno}: malformed span in document "
                         f"{obj.get('id')!r}: {exc}") from exc
     text, spans = _normalize_newlines(str(obj["text"]), spans)
     return Document(
@@ -194,7 +194,7 @@ def load_corpus(path: str | Path) -> list[Document]:
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, obj in read_json_lines(path):
-        doc = _parse_document(obj, lineno)
+        doc = _parse_document(obj, path, lineno)
         validate_document(doc)
         if doc.id in seen:
             raise DataError(f"{path}: duplicate document id {doc.id!r} on line {lineno}")

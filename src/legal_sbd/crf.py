@@ -20,7 +20,23 @@ indicators before they meet the model: booleans become ``key=true`` /
 ``key=false`` indicators, categorical values become ``key=value``
 indicators, and numeric features keep their key and contribute their
 value as the feature weight multiplier.  Indicators unknown to a model
-score zero.
+score zero.  A key is ``bias`` or ``<offset>:<name>`` and never holds
+``=``, so an indicator splits into key and value at its first ``=``; the
+value may hold ``=`` or ``:`` itself (the token ``=`` gives
+``0:lowercase==``).  The kinds are thus categorical ``d:attr=value``,
+boolean ``d:attr=true`` / ``=false``, numeric ``d:length``, the edge
+flags ``d:BOS=...`` / ``d:EOS=...``, and ``bias``.
+
+Scoring a list of feature maps against a :class:`CrfModel` -- their
+indicators encoded by :func:`_encode_rows`, times the weight rows -- is
+the reference path; training, :func:`score`, :func:`log_partition`,
+:func:`marginals` and the oracle tests use it.  Prediction compiles the
+model once per run instead (:func:`compile_model`): each live indicator
+is parsed against ``features.KEY_SOURCES`` into a per-template weight
+table, and each document's tokens are interned by (text, kind), their
+attributes mapped to integer ids, and every template added to the unary
+scores with one shifted gather.  No feature map or indicator string is
+built, and the scores equal the reference path's up to summation order.
 
 The label set is ``spans.LABELS``, and every weight row, matrix and
 vector of a :class:`CrfModel` is indexed in its order; a model file
@@ -44,8 +60,10 @@ from scipy.sparse import csr_matrix
 
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
+from .features import ATTRIBUTE_COLUMNS, KEY_SOURCES, NUMERIC_ATTRIBUTES, _token_attrs
 from .optim import minimize_lbfgs
 from .spans import LABELS
+from .tokenizer import Token
 
 logger = logging.getLogger(__name__)
 
@@ -144,12 +162,133 @@ def _encode_rows(feature_maps: Sequence[dict], index: dict[str, int]) -> csr_mat
     )
 
 
-def _unary_matrix(model: CrfModel, feature_maps: Sequence[dict]) -> np.ndarray:
-    if not feature_maps:
+class CompiledModel(NamedTuple):
+    """The live state weights of a :class:`CrfModel` parsed once against
+    ``features.KEY_SOURCES``, so that tokens are scored without feature
+    maps; built by :func:`compile_model`."""
+
+    transitions: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    bias: np.ndarray  # the row added at every position
+    # per attribute column, its categories' ids; 0 is every other value
+    categories: dict[int, dict[str, int]]
+    categorical: list[tuple[int, int, np.ndarray]]  # (offset, column, id -> row)
+    numeric: list[tuple[int, int, np.ndarray]]  # (offset, column, row per unit)
+    edges: list[tuple[int, str, np.ndarray, np.ndarray]]  # (offset, BOS|EOS, false row, true row)
+
+
+def compile_model(model: CrfModel) -> CompiledModel:
+    """Parse every nonzero state weight of *model* into its template.
+
+    The result shares *model*'s weight arrays and is never stored on it:
+    build one per prediction run, after the last change to the model.
+    Indicators the feature set cannot emit, such as ``0:space=true``,
+    ``0:length=5`` or ``-3:EOS=true``, score zero on the reference path
+    and are dropped."""
+    zero = np.zeros(N_LABELS)
+    bias = zero
+    categories: dict[int, dict[str, int]] = {}
+    rows_by_template: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
+    numeric = []
+    edges: dict[tuple[int, str], list[np.ndarray]] = {}
+    for ind, row in model.state_weights.items():
+        if not row.any():
+            continue
+        key, eq, value = ind.partition("=")  # a key never holds "="
+        d, source = KEY_SOURCES.get(key, (0, None))
+        if source in ("BOS", "EOS"):
+            if value in ("true", "false"):
+                edges.setdefault((d, source), [zero, zero])[value == "true"] = row
+        elif source == "bias":
+            if not eq:
+                bias = row
+        elif source in NUMERIC_ATTRIBUTES:
+            if not eq:
+                numeric.append((d, ATTRIBUTE_COLUMNS[source], row))
+        elif source is not None and eq:
+            c = ATTRIBUTE_COLUMNS[source]
+            ids = categories.setdefault(c, {})
+            ids.setdefault(value, len(ids) + 1)
+            rows_by_template.setdefault((d, c), []).append((value, row))
+    categorical = []
+    for (d, c), rows in rows_by_template.items():
+        table = np.zeros((len(categories[c]) + 1, N_LABELS))
+        for value, row in rows:
+            table[categories[c][value]] = row
+        categorical.append((d, c, table))
+    return CompiledModel(
+        model.transitions, model.start, model.end, bias, categories, categorical, numeric,
+        [(d, flag, false_row, true_row) for (d, flag), (false_row, true_row) in edges.items()],
+    )
+
+
+def _window(T: int, d: int) -> tuple[int, int]:
+    """The positions [lo, hi) of a length-*T* sequence whose offset *d* is
+    inside it."""
+    return max(0, -d), min(T, T - d)
+
+
+def _token_unary(compiled: CompiledModel, tokens: Sequence[Token]) -> np.ndarray:
+    """Unary scores of *tokens*: the reference path's scores of their
+    feature maps, summed in another order."""
+    # every attribute depends on (text, kind) alone, so compute them once
+    # per distinct token and gather them by token
+    index: dict[tuple[str, str], int] = {}
+    distinct: list[Token] = []
+    which = []
+    for tok in tokens:
+        key = (tok.text, tok.kind)
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(distinct)
+            distinct.append(tok)
+        which.append(k)
+    which = np.array(which)
+    columns = list(zip(*map(_token_attrs, distinct)))
+    ids = {}
+    for c, lookup in compiled.categories.items():
+        get = lookup.get
+        # a flag is the category "true" or "false", as in indicators()
+        ids[c] = np.array(
+            [get("true" if v is True else "false" if v is False else v, 0) for v in columns[c]],
+            dtype=np.intp,
+        )[which]
+    numbers = {
+        c: np.array(columns[c], dtype=np.float64)[which] for c in {c for _, c, _ in compiled.numeric}
+    }
+    T = len(tokens)
+    U = np.empty((T, N_LABELS))
+    U[:] = compiled.bias
+    for d, c, table in compiled.categorical:
+        lo, hi = _window(T, d)
+        if lo < hi:
+            U[lo:hi] += table[ids[c][lo + d : hi + d]]
+    for d, c, row in compiled.numeric:
+        lo, hi = _window(T, d)
+        if lo < hi:
+            U[lo:hi] += numbers[c][lo + d : hi + d, None] * row
+    for d, flag, false_row, true_row in compiled.edges:
+        lo, hi = _window(T, d)
+        if lo < hi:
+            at = (0 if flag == "BOS" else T - 1) - d  # the one position where it is true
+            U[lo:at] += false_row
+            U[at + 1 : hi] += false_row
+            U[at] += true_row
+    return U
+
+
+def _unary_matrix(model: CrfModel | CompiledModel, features: Sequence) -> np.ndarray:
+    """Unary scores, shape (T, L): of a list of feature maps under a
+    :class:`CrfModel` (the reference path), or of a list of tokens under
+    the :class:`CompiledModel` of one."""
+    if not features:
         raise ValueError("empty sequence")
+    if isinstance(model, CompiledModel):
+        return _token_unary(model, features)
     index = {ind: k for k, ind in enumerate(model.state_weights)}
     weights = np.array(list(model.state_weights.values()), dtype=np.float64)
-    return _encode_rows(feature_maps, index) @ weights.reshape(len(index), N_LABELS)
+    return _encode_rows(features, index) @ weights.reshape(len(index), N_LABELS)
 
 
 def _forward(
@@ -226,9 +365,11 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
     return np.exp(alpha + beta - log_z)
 
 
-def viterbi(model: CrfModel, features: Sequence[dict]) -> list[str]:
-    """Highest-scoring label sequence; ties resolve to the lowest label
-    index at the final position and at every backtrack step."""
+def viterbi(model: CrfModel | CompiledModel, features: Sequence) -> list[str]:
+    """Highest-scoring label sequence of a list of feature maps under a
+    model, or of a list of tokens under a compiled model; ties resolve to
+    the lowest label index at the final position and at every backtrack
+    step."""
     U = _unary_matrix(model, features)
     trans = model.transitions
     T, L = U.shape
@@ -539,6 +680,8 @@ def load_model(path) -> CrfModel:
     try:
         state_weights: dict[str, np.ndarray] = {}
         for ind, label, w in obj["state_weights"]:
+            if not isinstance(ind, str):  # no feature map could ever emit it
+                raise TypeError(f"indicator {ind!r} is not a string")
             row = state_weights.get(ind)
             if row is None:
                 row = state_weights[ind] = np.zeros(N_LABELS)

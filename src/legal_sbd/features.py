@@ -25,9 +25,17 @@ The center position additionally carries ``bias`` (1.0) and uses the key
 that fall outside the sequence emit nothing.  The feature set is fixed,
 the character sets behind ``special`` included, so prediction always
 computes the features a model was trained on.
+
+The dict maps are the reference and training form: training, the
+``features`` CLI and the oracle tests build them.  Prediction does not;
+:func:`legal_sbd.crf.compile_model` reads ``KEY_SOURCES`` and
+``NUMERIC_ATTRIBUTES`` to score tokens straight from their
+``_token_attrs`` columns, to the same scores.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .tokenizer import NEWLINE, NUMBER, Token, WORD
 
@@ -54,6 +62,11 @@ TEMPLATES = (
     ("space", 3),
 )
 MAX_RADIUS = TEMPLATES[0][1]  # also the BOS/EOS window
+# the column of ``_token_attrs`` that holds each attribute
+ATTRIBUTE_COLUMNS = {name: c for c, (name, _) in enumerate(TEMPLATES)}
+# attributes whose value is a number, kept as the feature value; every
+# other attribute is a category string or a flag
+NUMERIC_ATTRIBUTES = frozenset({"length"})
 
 
 # the character sets behind the ``special`` category
@@ -127,23 +140,44 @@ _NEIGHBOURS = tuple(
     _neighbour_keys(d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1) if d != 0
 )
 
+# the centre's attribute keys in the order it emits them after ``bias``;
+# its number flag is ``0:numeric``, and it has no ``space`` key
+_CENTRE_KEYS = (
+    ("0:lowercase", "lowercase"),
+    ("0:lower", "lower"),
+    ("0:upper", "upper"),
+    ("0:numeric", "number"),
+    ("0:special", "special"),
+    ("0:sign", "sign"),
+    ("0:length", "length"),
+)
+_centre_keys = tuple(key for key, _ in _CENTRE_KEYS)
+_centre_values = itemgetter(*(ATTRIBUTE_COLUMNS[name] for _, name in _CENTRE_KEYS))
+
+
+def _key_sources() -> dict[str, tuple[int, str]]:
+    sources = {"bias": (0, "bias"), "0:BOS": (0, "BOS"), "0:EOS": (0, "EOS")}
+    sources.update((key, (0, name)) for key, name in _CENTRE_KEYS)
+    for d, edge, keys in _NEIGHBOURS:
+        sources[edge] = (d, "BOS" if d < 0 else "EOS")
+        sources.update((key, (d, name)) for key, (name, _) in zip(keys, TEMPLATES))
+    return sources
+
+
+# every key a feature map can hold -> (offset, source): the key describes
+# the token at that offset from the position, through the ``TEMPLATES``
+# attribute named by source, or it is that token's "BOS" / "EOS" flag, or
+# the constant "bias"
+KEY_SOURCES = _key_sources()
+
 
 def _position_features(attrs, i: int, last: int) -> dict:
     """Feature map for position *i*; ``attrs[j]`` holds the attributes of
     token *j* for every *j* in the window, and *last* is the final index."""
-    special, lowercase, length, sign, lower, upper, number, _ = attrs[i]
-    feats = {
-        "bias": 1.0,
-        "0:lowercase": lowercase,
-        "0:lower": lower,
-        "0:upper": upper,
-        "0:numeric": number,
-        "0:special": special,
-        "0:sign": sign,
-        "0:length": length,
-        "0:BOS": i == 0,
-        "0:EOS": i == last,
-    }
+    feats = {"bias": 1.0}
+    feats.update(zip(_centre_keys, _centre_values(attrs[i])))
+    feats["0:BOS"] = i == 0
+    feats["0:EOS"] = i == last
     # the offsets max(-MAX_RADIUS, -i) .. min(MAX_RADIUS, last - i), without 0
     in_range = _NEIGHBOURS[max(0, MAX_RADIUS - i) : MAX_RADIUS + min(MAX_RADIUS, last - i)]
     for d, edge, keys in in_range:

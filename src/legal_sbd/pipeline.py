@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .corpus import Document, SentenceSpan, corpus_fingerprint
-from .crf import CrfModel, LabeledSequence, TrainingConfig, train, viterbi
+from .crf import CrfModel, LabeledSequence, TrainingConfig, compile_model, train, viterbi
 from .errors import DataError
 from .features import sequence_features
 from .spans import decode_bilou, encode_bilou
@@ -110,11 +110,14 @@ def train_on_documents(
 
 def predicted_labels(model: CrfModel, texts: list[str]) -> list[tuple[list[Token], list[str]]]:
     """Tokens of each of *texts* and their Viterbi labels: the one
-    prediction run, which every prediction function calls once."""
+    prediction run, which every prediction function calls once.  The model
+    is compiled once per call and scores tokens directly; no feature maps
+    are built."""
+    compiled = compile_model(model)
     labeled = []
     for text in texts:
         tokens = tokenize(text)
-        labeled.append((tokens, viterbi(model, sequence_features(tokens)) if tokens else []))
+        labeled.append((tokens, viterbi(compiled, tokens) if tokens else []))
     return labeled
 
 

@@ -154,7 +154,17 @@ UNREADABLE_INPUTS = [
         "eval", "--gold", c, "--pred", _write(t / "bad.jsonl", _span_start(c, v)),
         "--allow-missing")) for v in NON_INTEGERS],
     *[(f"split seed {v}", lambda t, c, m, v=v: _train_with_seed(t, c, v)) for v in NON_INTEGERS],
+    ("model indicator that is not a string", lambda t, c, m: (
+        "predict", "--model", _write(t / "bad.json", _extra_state_weight(m, [5, "B", 0.25])),
+        "--in", c)),
 ]
+
+
+def _extra_state_weight(model_path, triple):
+    """The model file's text with *triple* appended to its state weights."""
+    obj = json.loads(model_path.read_text(encoding="utf-8"))
+    obj["state_weights"].append(triple)
+    return json.dumps(obj)
 
 
 @pytest.mark.parametrize(
@@ -163,6 +173,19 @@ UNREADABLE_INPUTS = [
 def test_unreadable_input_is_data_error(argv, tmp_path, corpus_path, model_path, capsys):
     assert run(*argv(tmp_path, corpus_path, model_path)) == 2
     assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("id"), "line 1: missing field 'id'"),
+    (lambda obj: obj.update(spans={}), "line 1: 'spans' must be a list"),
+    (lambda obj: obj["spans"][0].pop("end"), "line 1: malformed span in document"),
+], ids=["missing id", "spans not a list", "malformed span"])
+def test_corpus_document_error_names_the_file(edit, message, corpus_path, tmp_path, capsys):
+    obj = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
+    edit(obj)
+    bad = _write(tmp_path / "broken-doc.jsonl", json.dumps(obj) + "\n")
+    assert run("stats", "--corpus", bad) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: {message}")
 
 
 @pytest.fixture(scope="module")

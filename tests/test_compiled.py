@@ -1,0 +1,118 @@
+"""Compiled prediction against the reference path.
+
+``pipeline.predicted_labels`` scores tokens through
+``crf.compile_model`` and never builds feature maps; the maps of
+``features.sequence_features`` scored by ``crf._unary_matrix`` remain the
+reference it must equal."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legal_sbd import features, pipeline
+from legal_sbd.crf import (
+    CrfModel, _unary_matrix, compile_model, indicators, model_to_json, viterbi,
+)
+from legal_sbd.features import MAX_RADIUS, sequence_features
+from legal_sbd.spans import LABELS
+from legal_sbd.synthetic import make_corpus
+from legal_sbd.tokenizer import tokenize
+
+# Indicators the fixed feature set never emits, and near misses of live
+# ones; a compiled model must drop them, as the reference path scores
+# them zero.
+DEAD = (
+    "0:space=true", "0:space=false", "+11:special=End", "-11:BOS=false",
+    "0:length=5", "+3:length=1", "-3:EOS=true", "+3:BOS=false", "+2:numeric=false",
+    "0:number=true", "+4:lower=true", "-8:sign=c", "0:special", "0:lower",
+    "bias=true", "0:BOS", "+03:special=No", "-0:lowercase=a", "+0:sign=c", "length",
+)
+# categories holding "=" or ":", which the compiled model must split off
+# their key at the first "=" only; "+1:lowercase==" is live after a "="
+ODD_VALUES = (
+    "0:lowercase=a=b", "+1:lowercase=a:b", "-2:sign=S:S", "0:special=End=",
+    "+1:lowercase==", "0:lowercase=:", "-1:lowercase=:", "0:lowercase=", "0:lower=maybe",
+)
+
+# text drawn from all of Unicode, from short runs of the characters legal
+# text splits on, and from whitespace alone
+LEGAL_CHARS = "aZé1.;:=()[]'’ \n\t"
+TEXTS = st.one_of(
+    st.text(min_size=1, max_size=1),  # often a single token
+    st.text(min_size=1, max_size=2 * MAX_RADIUS),
+    st.text(alphabet=LEGAL_CHARS, min_size=1, max_size=2 * MAX_RADIUS),
+    st.text(alphabet=LEGAL_CHARS, min_size=1, max_size=120),
+    st.text(alphabet=" \t\n\r  ", min_size=1, max_size=12),
+    st.text(max_size=300),
+)
+
+
+def random_model(data, tokens) -> CrfModel:
+    """A sparse model over some of the tokens' own indicators and some
+    dead or odd ones, with random weights."""
+    own = sorted({ind for fv in sequence_features(tokens) for ind, _ in indicators(fv)})
+    picked = data.draw(st.lists(st.sampled_from(own), max_size=60, unique=True), label="own")
+    foreign = st.sampled_from(DEAD + ODD_VALUES)
+    picked += data.draw(st.lists(foreign, max_size=12, unique=True), label="foreign")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    L = len(LABELS)
+    weights = {}
+    for ind in picked:
+        row = rng.normal(size=L)
+        row[rng.random(L) < 0.3] = 0.0  # some labels unweighted, some rows all zero
+        weights[ind] = row
+    return CrfModel(weights, rng.normal(size=(L, L)), rng.normal(size=L), rng.normal(size=L))
+
+
+@given(text=TEXTS, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_compiled_unary_matches_reference(text, data):
+    tokens = tokenize(text)
+    if not tokens:
+        return
+    model = random_model(data, tokens)
+    compiled = _unary_matrix(compile_model(model), tokens)
+    reference = _unary_matrix(model, sequence_features(tokens))
+    np.testing.assert_allclose(compiled, reference, rtol=1e-12, atol=1e-12)
+
+
+def test_dead_indicators_compile_to_nothing():
+    rng = np.random.default_rng(3)
+    model = CrfModel({ind: rng.normal(size=len(LABELS)) for ind in DEAD},
+                     np.zeros((5, 5)), np.zeros(5), np.zeros(5))
+    compiled = compile_model(model)
+    assert not compiled.bias.any()
+    assert compiled.categorical == compiled.numeric == compiled.edges == []
+    tokens = tokenize("a=b a:b (1) Art. 5.\n")
+    assert not _unary_matrix(compiled, tokens).any()
+
+
+def test_prediction_builds_no_feature_maps_and_compiles_once(small_model, monkeypatch):
+    calls = {"sequence_features": 0, "feature maps": 0, "compile_model": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(pipeline, "sequence_features",
+                        counting("sequence_features", pipeline.sequence_features))
+    monkeypatch.setattr(features, "_position_features",
+                        counting("feature maps", features._position_features))
+    monkeypatch.setattr(pipeline, "compile_model",
+                        counting("compile_model", pipeline.compile_model))
+    docs = make_corpus(6, seed=808, abbreviation_rate=0.5)
+    before = model_to_json(small_model), set(vars(small_model))
+    predicted = pipeline.predict_documents(small_model, docs)
+    assert len(predicted) == len(docs)
+    assert calls == {"sequence_features": 0, "feature maps": 0, "compile_model": 1}
+    # nothing was stored on the model
+    assert (model_to_json(small_model), set(vars(small_model))) == before
+
+
+def test_compiled_labels_match_reference_on_a_trained_model(small_model):
+    compiled = compile_model(small_model)
+    for doc in make_corpus(4, seed=809, abbreviation_rate=0.5, newline_rate=0.3):
+        tokens = tokenize(doc.text)
+        assert viterbi(compiled, tokens) == viterbi(small_model, sequence_features(tokens))

@@ -453,6 +453,17 @@ class TestSerialization:
             with pytest.raises(DataError, match=r"model\.json: corrupt model file: .* is not a number"):
                 load_model(path)
 
+    @pytest.mark.parametrize("indicator", [5, None, ["bias"], True])
+    def test_indicator_that_is_not_a_string_rejected(self, small_model, tmp_path, indicator):
+        # no feature map emits it, so its weight would be dead, and saving
+        # the model could not sort it among the string indicators
+        def edit(obj):
+            obj["state_weights"].append([indicator, "B", 0.25])
+
+        path = self._rewritten(small_model, tmp_path / "model.json", edit)
+        with pytest.raises(DataError, match=r"model\.json: corrupt model file: .* is not a string"):
+            load_model(path)
+
     def test_integer_weights_load(self, small_model, tmp_path):
         def edit(obj):
             for slot in self.WEIGHT_SLOTS.values():
