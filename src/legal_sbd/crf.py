@@ -33,10 +33,23 @@ the reference path; training, :func:`score`, :func:`log_partition`,
 :func:`marginals` and the oracle tests use it.  Prediction compiles the
 model once per run instead (:func:`compile_model`): each live indicator
 is parsed against ``features.KEY_SOURCES`` into a per-template weight
-table, and each document's tokens are interned by (text, kind), their
-attributes mapped to integer ids, and every template added to the unary
-scores with one shifted gather.  No feature map or indicator string is
-built, and the scores equal the reference path's up to summation order.
+table.  No feature map or indicator string is built, and the scores
+equal the reference path's up to summation order.
+
+A prediction run scores and decodes all of its texts as one batch.  The
+tokens of all texts are laid end to end with ``features.MAX_RADIUS``
+padding rows before, between and after them; a padding row has
+attribute id 0 and numeric value 0, and row 0 of every table is zero, so
+each template is one slice gather over the whole batch and never reaches
+from one text into the next.  Tokens are interned by (text, kind) once
+per run, and their attributes mapped to integer ids.  ``BOS`` and
+``EOS`` are two more id columns of that layout: 0 on padding, 1 inside a
+text, 2 at its first (``BOS``) or last (``EOS``) token.  :func:`viterbi`
+then decodes every text at once on the packed layout, with max-plus
+steps only; the back pointers are taken after the loop from the stored
+scores, by the same sums, so they are the same floating-point values
+and ties still go to the lowest label index.  One text is the batch of
+one, so its labels do not depend on the other texts of the run.
 
 The label set is ``spans.LABELS``, and every weight row, matrix and
 vector of a :class:`CrfModel` is indexed in its order; a model file
@@ -60,8 +73,8 @@ from scipy.sparse import csr_matrix
 
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
-from .features import ATTRIBUTE_COLUMNS, KEY_SOURCES, NUMERIC_ATTRIBUTES, _token_attrs
-from .optim import minimize_lbfgs
+from .features import ATTRIBUTE_COLUMNS, KEY_SOURCES, MAX_RADIUS, NUMERIC_ATTRIBUTES, _token_attrs
+from .optim import dot, minimize_lbfgs
 from .spans import LABELS
 from .tokenizer import Token
 
@@ -175,7 +188,13 @@ class CompiledModel(NamedTuple):
     categories: dict[int, dict[str, int]]
     categorical: list[tuple[int, int, np.ndarray]]  # (offset, column, id -> row)
     numeric: list[tuple[int, int, np.ndarray]]  # (offset, column, row per unit)
-    edges: list[tuple[int, str, np.ndarray, np.ndarray]]  # (offset, BOS|EOS, false row, true row)
+
+
+# the flag columns that follow the attribute columns in the layout of
+# _token_unary, and their ids: a flag is 0 on padding, 1 ("false") inside
+# a sequence and 2 ("true") at its first (BOS) or last (EOS) token
+_FLAG_COLUMNS = {"BOS": len(ATTRIBUTE_COLUMNS), "EOS": len(ATTRIBUTE_COLUMNS) + 1}
+_FLAG_IDS = {"false": 1, "true": 2}
 
 
 def compile_model(model: CrfModel) -> CompiledModel:
@@ -185,21 +204,20 @@ def compile_model(model: CrfModel) -> CompiledModel:
     build one per prediction run, after the last change to the model.
     Indicators the feature set cannot emit, such as ``0:space=true``,
     ``0:length=5`` or ``-3:EOS=true``, score zero on the reference path
-    and are dropped."""
-    zero = np.zeros(N_LABELS)
-    bias = zero
+    and are dropped.  A ``BOS`` / ``EOS`` template is a categorical one
+    over its flag column."""
+    bias = np.zeros(N_LABELS)
     categories: dict[int, dict[str, int]] = {}
     rows_by_template: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
     numeric = []
-    edges: dict[tuple[int, str], list[np.ndarray]] = {}
     for ind, row in model.state_weights.items():
         if not row.any():
             continue
         key, eq, value = ind.partition("=")  # a key never holds "="
         d, source = KEY_SOURCES.get(key, (0, None))
-        if source in ("BOS", "EOS"):
-            if value in ("true", "false"):
-                edges.setdefault((d, source), [zero, zero])[value == "true"] = row
+        if source in _FLAG_COLUMNS:
+            if value in _FLAG_IDS:
+                rows_by_template.setdefault((d, _FLAG_COLUMNS[source]), []).append((value, row))
         elif source == "bias":
             if not eq:
                 bias = row
@@ -213,79 +231,84 @@ def compile_model(model: CrfModel) -> CompiledModel:
             rows_by_template.setdefault((d, c), []).append((value, row))
     categorical = []
     for (d, c), rows in rows_by_template.items():
-        table = np.zeros((len(categories[c]) + 1, N_LABELS))
+        ids = categories.get(c, _FLAG_IDS)
+        table = np.zeros((len(ids) + 1, N_LABELS))
         for value, row in rows:
-            table[categories[c][value]] = row
+            table[ids[value]] = row
         categorical.append((d, c, table))
     return CompiledModel(
-        model.transitions, model.start, model.end, bias, categories, categorical, numeric,
-        [(d, flag, false_row, true_row) for (d, flag), (false_row, true_row) in edges.items()],
+        model.transitions, model.start, model.end, bias, categories, categorical, numeric
     )
 
 
-def _window(T: int, d: int) -> tuple[int, int]:
-    """The positions [lo, hi) of a length-*T* sequence whose offset *d* is
-    inside it."""
-    return max(0, -d), min(T, T - d)
-
-
-def _token_unary(compiled: CompiledModel, tokens: Sequence[Token]) -> np.ndarray:
-    """Unary scores of *tokens*: the reference path's scores of their
-    feature maps, summed in another order."""
+def _token_unary(
+    compiled: CompiledModel, tokens: Sequence[Token], lengths: Sequence[int]
+) -> np.ndarray:
+    """Unary scores of consecutive sequences of *tokens* of the given
+    *lengths*: the reference path's scores of their feature maps, summed in
+    another order."""
+    # the padded layout: MAX_RADIUS rows before, between and after the
+    # sequences, each with attribute id 0 and numeric value 0, so that
+    # every template is one slice over it; token i is at row live[i]
+    n, pad = len(lengths), MAX_RADIUS
+    live = np.arange(len(tokens)) + pad * np.repeat(np.arange(1, n + 1), lengths)
+    size = len(tokens) + pad * (n + 1)
     # every attribute depends on (text, kind) alone, so compute them once
-    # per distinct token and gather them by token
+    # per distinct token of the call; distinct token k is entry k + 1 of
+    # each column, entry 0 being padding
     index: dict[tuple[str, str], int] = {}
     distinct: list[Token] = []
-    which = []
+    which = np.zeros(size, dtype=np.intp)
+    at = []
     for tok in tokens:
         key = (tok.text, tok.kind)
         k = index.get(key)
         if k is None:
-            k = index[key] = len(distinct)
+            k = index[key] = len(distinct) + 1
             distinct.append(tok)
-        which.append(k)
-    which = np.array(which)
+        at.append(k)
+    which[live] = at
     columns = list(zip(*map(_token_attrs, distinct)))
     ids = {}
     for c, lookup in compiled.categories.items():
         get = lookup.get
         # a flag is the category "true" or "false", as in indicators()
-        ids[c] = np.array(
-            [get("true" if v is True else "false" if v is False else v, 0) for v in columns[c]],
-            dtype=np.intp,
-        )[which]
+        values = ("true" if v is True else "false" if v is False else v for v in columns[c])
+        ids[c] = np.array([0, *(get(v, 0) for v in values)], dtype=np.intp)[which]
     numbers = {
-        c: np.array(columns[c], dtype=np.float64)[which] for c in {c for _, c, _ in compiled.numeric}
+        c: np.array([0, *columns[c]], dtype=np.float64)[which]
+        for c in {c for _, c, _ in compiled.numeric}
     }
-    T = len(tokens)
-    U = np.empty((T, N_LABELS))
+    ends = np.cumsum(lengths)
+    for flag, edge in (("BOS", ends - lengths), ("EOS", ends - 1)):
+        ids[_FLAG_COLUMNS[flag]] = column = np.minimum(which, _FLAG_IDS["false"])
+        column[live[edge]] = _FLAG_IDS["true"]
+    # U row j is padded row pad + j, from the first token to the last
+    rows = size - 2 * pad
+    U = np.empty((rows, N_LABELS))
     U[:] = compiled.bias
+    term = np.empty_like(U)
     for d, c, table in compiled.categorical:
-        lo, hi = _window(T, d)
-        if lo < hi:
-            U[lo:hi] += table[ids[c][lo + d : hi + d]]
+        # every id is in range, so "clip" changes none; it spares take()
+        # the copy of *out* that the default mode makes
+        U += np.take(table, ids[c][pad + d : pad + d + rows], axis=0, out=term, mode="clip")
     for d, c, row in compiled.numeric:
-        lo, hi = _window(T, d)
-        if lo < hi:
-            U[lo:hi] += numbers[c][lo + d : hi + d, None] * row
-    for d, flag, false_row, true_row in compiled.edges:
-        lo, hi = _window(T, d)
-        if lo < hi:
-            at = (0 if flag == "BOS" else T - 1) - d  # the one position where it is true
-            U[lo:at] += false_row
-            U[at + 1 : hi] += false_row
-            U[at] += true_row
-    return U
+        U += np.multiply(numbers[c][pad + d : pad + d + rows, None], row, out=term)
+    # the token rows, gathered into the scratch rows that U is done with
+    return np.take(U, live - pad, axis=0, out=term[: len(tokens)], mode="clip")
 
 
-def _unary_matrix(model: CrfModel | CompiledModel, features: Sequence) -> np.ndarray:
+def _unary_matrix(
+    model: CrfModel | CompiledModel, features: Sequence, lengths: Sequence[int] | None = None
+) -> np.ndarray:
     """Unary scores, shape (T, L): of a list of feature maps under a
     :class:`CrfModel` (the reference path), or of a list of tokens under
-    the :class:`CompiledModel` of one."""
+    the :class:`CompiledModel` of one, read as consecutive sequences of the
+    given *lengths* (default: one sequence)."""
     if not features:
         raise ValueError("empty sequence")
     if isinstance(model, CompiledModel):
-        return _token_unary(model, features)
+        return _token_unary(model, features, [len(features)] if lengths is None else lengths)
     index = {ind: k for k, ind in enumerate(model.state_weights)}
     weights = np.array(list(model.state_weights.values()), dtype=np.float64)
     return _encode_rows(features, index) @ weights.reshape(len(index), N_LABELS)
@@ -365,26 +388,59 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
     return np.exp(alpha + beta - log_z)
 
 
-def viterbi(model: CrfModel | CompiledModel, features: Sequence) -> list[str]:
-    """Highest-scoring label sequence of a list of feature maps under a
-    model, or of a list of tokens under a compiled model; ties resolve to
-    the lowest label index at the final position and at every backtrack
-    step."""
-    U = _unary_matrix(model, features)
+_BACK_CHUNK = 4096  # packed rows whose back pointers are taken at a time
+
+
+def viterbi(
+    model: CrfModel | CompiledModel, features: Sequence, lengths: Sequence[int] | None = None
+) -> list[str]:
+    """Highest-scoring label sequences of consecutive sequences of the
+    given *lengths* (default: one sequence), as one flat list: of a list of
+    feature maps under a model, or of a list of tokens under a compiled
+    model.  Ties resolve to the lowest label index at each sequence's final
+    position and at every backtrack step.
+
+    All sequences are decoded together on the packed layout of
+    :func:`_pack`, one max-plus step per position of the longest."""
+    lengths = np.array([len(features)] if lengths is None else lengths, dtype=np.intp)
+    if not lengths.size or lengths.min() < 1 or lengths.sum() != len(features):
+        raise ValueError(
+            f"sequence lengths {lengths.tolist()} do not split {len(features)} positions"
+        )
+    # D[r, k]: the best score of a path ending in label k at row r, built in
+    # place over the unary scores in packed order
+    D = _unary_matrix(model, features, lengths)
     trans = model.transitions
-    T, L = U.shape
-    back = np.empty((T, L), dtype=np.intp)
-    delta = model.start + U[0]
-    for t in range(1, T):
-        b = delta[:, None] + trans
-        back[t] = b.argmax(axis=0)
-        delta = U[t] + b.max(axis=0)
-    delta = delta + model.end
-    path = np.empty(T, dtype=np.intp)
-    path[-1] = int(delta.argmax())
-    for t in range(T - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return [LABELS[k] for k in path]
+    batch_sizes, seq, step, prev, last = _pack(lengths)
+    ends = np.cumsum(lengths)
+    D = D[ends[seq] - lengths[seq] + step]
+    n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
+    D[:n0] += model.start
+    before, lo = 0, n0
+    for n in batch_sizes[1:]:
+        D[lo : lo + n] += (D[before : before + n, :, None] + trans).max(axis=1)
+        before, lo = lo, lo + n
+    # back pointers from the stored D: the same sums as in the loop, so the
+    # same maxima, and argmax takes the lowest index among them
+    back = np.empty((len(D) - n0, N_LABELS), dtype=np.uint8)
+    for lo in range(0, len(back), _BACK_CHUNK):
+        rows = prev[lo : lo + _BACK_CHUNK]
+        back[lo : lo + len(rows)] = (D[rows, :, None] + trans).argmax(axis=1)
+    best = (D[last] + model.end).argmax(axis=1)
+    # walk each sequence back from its last row; row r >= n0 came from row
+    # prev[r - n0] with label back[r - n0, k]
+    back_flat, prev_of = memoryview(back.reshape(-1)), memoryview(prev)
+    labels = [""] * len(D)
+    for r, k, pos in zip(last.tolist(), best.tolist(), ends.tolist()):
+        pos -= 1
+        labels[pos] = LABELS[k]
+        while r >= n0:
+            r -= n0
+            k = back_flat[r * N_LABELS + k]
+            r = prev_of[r]
+            pos -= 1
+            labels[pos] = LABELS[k]
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +561,7 @@ def _batch_objective(wvec, encoded, c2):
     if bad.size:
         raise TrainingError(
             f"non-finite objective at sequence {bad[0]} "
-            f"(weight norm {float(np.linalg.norm(wvec)):.3e})"
+            f"(weight norm {math.sqrt(dot(wvec, wvec)):.3e})"
         )
     m = np.exp(alpha + beta - log_z[seq, None])
     # expected transition counts: p[j, a, b] is the posterior of label a at
@@ -522,7 +578,7 @@ def _batch_objective(wvec, encoded, c2):
     g_trans += e_trans - observed_trans.reshape(N_LABELS, N_LABELS)
     g_start += m[:n0].sum(axis=0)
     g_end += m[last].sum(axis=0)
-    nll = float(contributions.sum()) + c2 * float(wvec @ wvec)
+    nll = float(contributions.sum()) + c2 * dot(wvec, wvec)
     return nll, grad
 
 

@@ -11,6 +11,7 @@ onto that orthant, which is what produces exactly-zero coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,14 @@ class MinimizeResult:
     evaluations: int  # calls of the objective, the line searches' included
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two vectors, summed by numpy rather than BLAS.
+
+    A threaded BLAS splits the sum by thread, so its last bits depend on
+    the thread count; numpy's pairwise sum is the same on every machine."""
+    return float(np.multiply(a, b).sum())
+
+
 def _pseudo_gradient(x: np.ndarray, grad: np.ndarray, l1: float) -> np.ndarray:
     """Steepest-descent surrogate for the non-smooth objective.
 
@@ -57,14 +66,14 @@ def _two_loop(grad: np.ndarray, history: list) -> np.ndarray:
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(history):
-        a = rho * (s @ q)
+        a = rho * dot(s, q)
         alphas.append(a)
         q -= a * y
     if history:
         s, y, _ = history[-1]
-        q *= (s @ y) / (y @ y)
+        q *= dot(s, y) / dot(y, y)
     for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * (y @ q)
+        b = rho * dot(y, q)
         q += (a - b) * s
     return q
 
@@ -84,7 +93,8 @@ def minimize_lbfgs(
     Stops when the relative objective change drops below *tol*, the
     (pseudo-)gradient vanishes, *max_iterations* outer iterations ran, or
     the line search cannot make progress.  Deterministic: identical inputs
-    produce identical iterates.
+    produce identical iterates, at any BLAS thread count, since every
+    vector product goes through :func:`dot` and none through BLAS.
     """
     if l1 < 0:
         raise ValueError(f"l1 must be >= 0, got {l1}")
@@ -107,22 +117,22 @@ def minimize_lbfgs(
         d = -_two_loop(pg, history)
         if l1 > 0:
             d[d * pg >= 0] = 0.0  # keep only components aligned with -pg
-        deriv = float(pg @ d)
+        deriv = dot(pg, d)
         if deriv >= 0 or not np.isfinite(deriv):
             # fall back to steepest descent when the metric degenerates
             history.clear()
             d = -pg
-            deriv = -float(pg @ pg)
+            deriv = -dot(pg, pg)
         if l1 > 0:
             orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
-        step = 1.0 if it > 1 else min(1.0, 1.0 / float(np.linalg.norm(d)))
+        step = 1.0 if it > 1 else min(1.0, 1.0 / math.sqrt(dot(d, d)))
 
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + step * d
             if l1 > 0:
                 x_new[x_new * orthant < 0] = 0.0
-            dg = float(pg @ (x_new - x))
+            dg = dot(pg, x_new - x)
             if dg >= 0:
                 step *= 0.5
                 continue
@@ -143,8 +153,8 @@ def minimize_lbfgs(
 
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        if sy > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        sy = dot(s, y)
+        if sy > _CURVATURE_EPS * math.sqrt(dot(s, s)) * math.sqrt(dot(y, y)):
             history.append((s, y, 1.0 / sy))
             if len(history) > memory:
                 history.pop(0)

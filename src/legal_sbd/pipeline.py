@@ -110,14 +110,23 @@ def train_on_documents(
 
 def predicted_labels(model: CrfModel, texts: list[str]) -> list[tuple[list[Token], list[str]]]:
     """Tokens of each of *texts* and their Viterbi labels: the one
-    prediction run, which every prediction function calls once.  The model
-    is compiled once per call and scores tokens directly; no feature maps
-    are built."""
+    prediction run, which every prediction function calls once.
+
+    The model is compiled once per call and scores tokens directly; no
+    feature maps are built.  The tokens of all non-empty texts are scored
+    and decoded as one batch, by one :func:`~legal_sbd.crf.viterbi` call,
+    and each text's labels are the ones it would get alone; an empty text
+    gets ``([], [])``."""
     compiled = compile_model(model)
+    tokenized = [tokenize(text) for text in texts]
+    lengths = [len(tokens) for tokens in tokenized if tokens]
+    flat = [tok for tokens in tokenized for tok in tokens]
+    labels = viterbi(compiled, flat, lengths) if flat else []
     labeled = []
-    for text in texts:
-        tokens = tokenize(text)
-        labeled.append((tokens, viterbi(compiled, tokens) if tokens else []))
+    pos = 0
+    for tokens in tokenized:
+        labeled.append((tokens, labels[pos : pos + len(tokens)]))
+        pos += len(tokens)
     return labeled
 
 

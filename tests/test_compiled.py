@@ -82,7 +82,7 @@ def test_dead_indicators_compile_to_nothing():
                      np.zeros((5, 5)), np.zeros(5), np.zeros(5))
     compiled = compile_model(model)
     assert not compiled.bias.any()
-    assert compiled.categorical == compiled.numeric == compiled.edges == []
+    assert compiled.categorical == compiled.numeric == []
     tokens = tokenize("a=b a:b (1) Art. 5.\n")
     assert not _unary_matrix(compiled, tokens).any()
 

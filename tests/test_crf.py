@@ -1,9 +1,15 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import legal_sbd
 from legal_sbd.crf import (
     CrfModel,
     LabeledSequence,
@@ -281,6 +287,29 @@ class TestTrain:
         assert np.array_equal(a.transitions, b.transitions)
         assert np.array_equal(a.start, b.start)
         assert np.array_equal(a.end, b.end)
+
+    def test_same_model_at_every_blas_thread_count(self):
+        # a threaded BLAS dot product sums in an order set by its thread
+        # count; 50 documents make the vectors long enough to split
+        child = (
+            "import sys\n"
+            "from legal_sbd.crf import TrainingConfig, model_to_json\n"
+            "from legal_sbd.pipeline import train_on_documents\n"
+            "from legal_sbd.synthetic import make_corpus\n"
+            "docs = make_corpus(50, seed=2301)\n"
+            "model = train_on_documents(docs, TrainingConfig(max_iterations=5))\n"
+            "sys.stdout.write(model_to_json(model))\n"
+        )
+        src = str(Path(legal_sbd.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                timeout=300, check=True,
+            )
+            outputs.append(hashlib.sha256(done.stdout.encode()).hexdigest())
+        assert outputs[0] == outputs[1]
 
     def test_huge_l2_crushes_weights(self):
         model = train(
