@@ -54,7 +54,7 @@ from .pipeline import (
     train_on_documents,
 )
 from .spans import decode_bilou
-from .tokenizer import tokenize
+from .tokenizer import Token, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +93,6 @@ class Opt:
     help: str = ""
     choices: tuple | None = None
     required: bool = False
-    is_flag: bool = False
 
     @property
     def flag(self) -> str:
@@ -165,7 +164,7 @@ COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
         Opt("terminators", str, "".join(sorted(DEFAULT_RULES.terminators)),
             "sentence-terminating characters"),
         Opt("no_colon_newline", bool, not DEFAULT_RULES.colon_newline_rule,
-            "disable the colon-before-newline rule", is_flag=True),
+            "disable the colon-before-newline rule"),
         Opt("min_sentence_chars", int, DEFAULT_RULES.min_sentence_chars,
             "drop spans shorter than this"),
     ),
@@ -174,7 +173,7 @@ COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
         Opt("pred", str, required=True, help="predicted corpus JSONL"),
         Opt("boundary", str, "both", "which span edges count as boundaries", ("both", "start", "end")),
         Opt("report", str, None, "write the full report here (.json or .csv)"),
-        Opt("allow_missing", bool, False, "score documents without predictions against empty spans", is_flag=True),
+        Opt("allow_missing", bool, False, "score documents without predictions against empty spans"),
     ),
     "bench": (
         Opt("model", str, required=True, help="model JSON"),
@@ -199,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for opt in list(GLOBAL_OPTS) + list(opts):
             flag = opt.flag if opt.name != "in_path" else "--in"
             kwargs: dict[str, Any] = {"dest": opt.name, "default": None, "help": opt.help}
-            if opt.is_flag:
+            if opt.type is bool:  # the bool options are exactly the flags
                 kwargs.update(action="store_const", const=True)
             else:
                 kwargs["type"] = str
@@ -230,7 +229,7 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _convert(opt: Opt, raw: str) -> Any:
-    if opt.is_flag or opt.type is bool:
+    if opt.type is bool:
         return _str2bool(raw)
     try:
         value = opt.type(raw)
@@ -247,7 +246,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict[str, Any]:
     resolved: dict[str, Any] = {}
     for opt in list(GLOBAL_OPTS) + list(COMMAND_OPTS[command]):
         value = getattr(args, opt.name)
-        if value is not None and not opt.is_flag:
+        if value is not None and opt.type is not bool:
             value = _convert(opt, value)
         if value is None and opt.name in config_values:
             value = _convert(opt, config_values[opt.name])
@@ -285,6 +284,16 @@ def _write(out: str | None, content: str) -> None:
         Path(out).write_text(content, encoding="utf-8")
 
 
+def _lines(rows: list[str]) -> str:
+    """*rows* as text, each ending in a newline."""
+    return "".join(row + "\n" for row in rows)
+
+
+def _token_row(tok: Token, *columns: str) -> str:
+    """The ``start, end, kind, escaped text`` TSV columns of *tok*, then *columns*."""
+    return "\t".join([str(tok.start), str(tok.end), tok.kind, escape_token_text(tok.text), *columns])
+
+
 def _parse_languages(value: str) -> set[str] | None:
     if value == "all":
         return None
@@ -301,14 +310,13 @@ def _parse_languages(value: str) -> set[str] | None:
 
 def _cmd_tokenize(resolved: dict[str, Any]) -> int:
     docs, is_corpus = _read_documents(resolved["in_path"])
-    lines = []
-    for doc in docs:
-        for tok in tokenize(doc.text):
-            row = [str(tok.start), str(tok.end), tok.kind, escape_token_text(tok.text)]
-            if is_corpus:  # corpus rows carry a leading doc_id column
-                row.insert(0, doc.id)
-            lines.append("\t".join(row))
-    _write(resolved["out"], "\n".join(lines) + ("\n" if lines else ""))
+    # corpus rows carry a leading doc_id column
+    rows = [
+        (doc.id + "\t" if is_corpus else "") + _token_row(tok)
+        for doc in docs
+        for tok in tokenize(doc.text)
+    ]
+    _write(resolved["out"], _lines(rows))
     return 0
 
 
@@ -409,17 +417,10 @@ def _cmd_predict(resolved: dict[str, Any]) -> int:
     predicted, rows = [], []
     for doc, (tokens, labels) in zip(docs, predicted_labels(model, [d.text for d in docs])):
         predicted.append(replace(doc, spans=tuple(decode_bilou(tokens, labels))))
-        rows.extend(
-            "\t".join([doc.id, str(tok.start), str(tok.end), tok.kind,
-                       escape_token_text(tok.text), label])
-            for tok, label in zip(tokens, labels)
-        )
+        rows.extend(doc.id + "\t" + _token_row(tok, label) for tok, label in zip(tokens, labels))
     if resolved["dump_labels"] is not None:
-        Path(resolved["dump_labels"]).write_text(
-            "\n".join(rows) + ("\n" if rows else ""), encoding="utf-8"
-        )
-    lines = [corpus_mod.document_to_json(doc) for doc in predicted]
-    _write(resolved["out"], "\n".join(lines) + ("\n" if lines else ""))
+        Path(resolved["dump_labels"]).write_text(_lines(rows), encoding="utf-8")
+    _write(resolved["out"], _lines([corpus_mod.document_to_json(doc) for doc in predicted]))
     return 0
 
 
@@ -430,19 +431,17 @@ def _cmd_baseline(resolved: dict[str, Any]) -> int:
         min_sentence_chars=resolved["min_sentence_chars"],
     )
     docs, _ = _read_documents(resolved["in_path"])
-    lines = []
-    for doc in docs:
-        spans = tuple(rule_split(doc.text, config))
-        lines.append(
-            corpus_mod.document_to_json(
-                Document(doc.id, doc.language, doc.doc_type, doc.text, spans)
-            )
-        )
-    _write(resolved["out"], "\n".join(lines) + ("\n" if lines else ""))
+    _write(resolved["out"], _lines([
+        corpus_mod.document_to_json(replace(doc, spans=tuple(rule_split(doc.text, config))))
+        for doc in docs
+    ]))
     return 0
 
 
 def _cmd_eval(resolved: dict[str, Any]) -> int:
+    report_path = None if resolved["report"] is None else Path(resolved["report"])
+    if report_path is not None and report_path.suffix not in (".json", ".csv"):
+        raise UsageError(f"--report must end in .json or .csv, got {report_path.name}")
     gold_docs = load_corpus(resolved["gold"])
     predictions = import_foreign_predictions(resolved["pred"])
     report = evaluate(
@@ -458,15 +457,10 @@ def _cmd_eval(resolved: dict[str, Any]) -> int:
             f"{s.language:<9} {s.doc_type:<9} {s.n_docs:>6}  "
             f"{s.macro_p:7.4f}  {s.macro_r:7.4f}  {s.macro_f1:8.4f}  {s.micro_f1:8.4f}"
         )
-    sys.stdout.write("\n".join(out) + "\n")
-    if resolved["report"] is not None:
-        path = Path(resolved["report"])
-        if path.suffix == ".json":
-            path.write_text(report.to_json(), encoding="utf-8")
-        elif path.suffix == ".csv":
-            path.write_text(report.to_csv(), encoding="utf-8")
-        else:
-            raise UsageError(f"--report must end in .json or .csv, got {path.name}")
+    sys.stdout.write(_lines(out))
+    if report_path is not None:
+        content = report.to_json() if report_path.suffix == ".json" else report.to_csv()
+        report_path.write_text(content, encoding="utf-8")
     return 0
 
 

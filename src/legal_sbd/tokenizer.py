@@ -16,6 +16,13 @@ Rules:
 * maximal runs of any other whitespace form one ``whitespace`` token;
 * every remaining character is a single ``other`` token.
 
+The rules are one regular expression.  Each character maps to a class
+code -- ``l`` newline (``\\n`` or ``\\r``), ``s`` other whitespace, ``w``
+letter, ``n`` decimal digit, ``m`` combining mark (Mn), ``o`` anything
+else, checked in that order -- and the tokens are the matches of
+``w[wm]*|n+|s+|.`` over the codes, left to right.  A token's kind comes
+from its first code; a mark that starts a token is ``other``.
+
 A lone carriage return is treated as a newline token; the corpus loader
 normalizes ``\\r\\n`` to ``\\n`` before text reaches the tokenizer.
 
@@ -26,6 +33,7 @@ encoding, boundary evaluation and corpus statistics all go through it.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -36,27 +44,25 @@ WHITESPACE = "whitespace"
 NEWLINE = "newline"
 OTHER = "other"
 
-KINDS = (WORD, NUMBER, WHITESPACE, NEWLINE, OTHER)
 SPACE_KINDS = (WHITESPACE, NEWLINE)  # the kinds predicted spans are trimmed of
-
-_NEWLINE_CHARS = ("\n", "\r")
-
-# Combining marks extend a word run but cannot start one.
-_MARK = "mark"
 
 
 def _classify(ch: str) -> str:
-    if ch in _NEWLINE_CHARS:
-        return NEWLINE
+    if ch in "\n\r":
+        return "l"
     if ch.isspace():
-        return WHITESPACE
+        return "s"
     if ch.isalpha():
-        return WORD
+        return "w"
     if ch.isdecimal():
-        return NUMBER
+        return "n"
     if unicodedata.category(ch) == "Mn":
-        return _MARK
-    return OTHER
+        return "m"
+    return "o"
+
+
+_RUN = re.compile(r"w[wm]*|n+|s+|.")
+_KIND = {"w": WORD, "n": NUMBER, "s": WHITESPACE, "l": NEWLINE, "m": OTHER, "o": OTHER}
 
 
 @dataclass(frozen=True)
@@ -75,43 +81,13 @@ def tokenize(text: str) -> list[Token]:
     Total function: any string (including ``""``) tokenizes without error,
     and ``detokenize(tokenize(text)) == text`` always holds.
     """
+    codes = text.translate({ord(ch): _classify(ch) for ch in set(text)})
     tokens: list[Token] = []
     append = tokens.append
-    cache: dict[str, str] = {}
-    n = len(text)
     i = 0
-    while i < n:
-        ch = text[i]
-        kind = cache.get(ch)
-        if kind is None:
-            kind = cache[ch] = _classify(ch)
-        if kind == NEWLINE:
-            append(Token(ch, i, i + 1, NEWLINE))
-            i += 1
-            continue
-        j = i + 1
-        if kind == WORD:
-            while j < n:
-                ch = text[j]
-                k = cache.get(ch)
-                if k is None:
-                    k = cache[ch] = _classify(ch)
-                if k != WORD and k != _MARK:
-                    break
-                j += 1
-        elif kind in (NUMBER, WHITESPACE):
-            while j < n:
-                ch = text[j]
-                k = cache.get(ch)
-                if k is None:
-                    k = cache[ch] = _classify(ch)
-                if k != kind:
-                    break
-                j += 1
-        else:
-            # single special character (a stray combining mark counts too)
-            kind = OTHER
-        append(Token(text[i:j], i, j, kind))
+    for run in _RUN.findall(codes):
+        j = i + len(run)
+        append(Token(text[i:j], i, j, _KIND[run[0]]))
         i = j
     return tokens
 

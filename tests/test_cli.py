@@ -77,7 +77,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--c1", "nan"), ("--c1", "inf"), ("--c2", "nan"), ("--c2", "inf"),
-        ("--tol", "nan"), ("--lbfgs-memory", "0"),
+        ("--tol", "nan"), ("--lbfgs-memory", "0"), ("--max-sequence-length", "-3"),
     ])
     def test_bad_training_knob_is_data_error(self, flag, value, corpus_path, tmp_path, capsys):
         split, out = tmp_path / "split.json", tmp_path / "m.json"
@@ -459,6 +459,15 @@ class TestContractDetails:
                    "--allow-missing") == 0
         out = capsys.readouterr().out
         assert "0.0000" in out
+
+    def test_eval_bad_report_suffix_fails_before_scoring(self, corpus_path, tmp_path, capsys):
+        report = tmp_path / "out.txt"
+        assert run("eval", "--gold", corpus_path, "--pred", corpus_path,
+                   "--report", report) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--report must end in .json or .csv" in err
+        assert not report.exists()
 
     def test_eval_boundary_modes_accepted(self, corpus_path, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"

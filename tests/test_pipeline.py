@@ -74,15 +74,34 @@ def test_training_with_chunking_still_learns():
         assert predict_documents(model, [doc])[0].spans == doc.spans
 
 
-def test_bad_config_fails_before_any_document_is_labeled(monkeypatch):
+@pytest.fixture
+def labeling_calls(monkeypatch):
+    """Names of the pipeline's labeling and tokenizing functions, once per call."""
     import legal_sbd.pipeline as pipeline
 
     calls = []
-    original = pipeline.label_document
-    monkeypatch.setattr(pipeline, "label_document", lambda doc: calls.append(doc) or original(doc))
+    for name in ("label_document", "label_document_chunked", "tokenize"):
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name,
+            lambda *args, _name=name, _original=original: calls.append(_name) or _original(*args),
+        )
+    return calls
+
+
+def test_bad_config_fails_before_any_document_is_labeled(labeling_calls):
     with pytest.raises(DataError, match="c1"):
         train_on_documents(make_corpus(5, seed=70), TrainingConfig(c1=float("nan")))
-    assert calls == []
+    assert labeling_calls == []
+
+
+@pytest.mark.parametrize("max_sequence_length", [0, -3])
+def test_bad_chunk_length_fails_before_any_document_is_labeled(
+    labeling_calls, max_sequence_length
+):
+    with pytest.raises(DataError, match="max_sequence_length"):
+        train_on_documents(make_corpus(5, seed=70), max_sequence_length=max_sequence_length)
+    assert labeling_calls == []
 
 
 def test_filter_documents():

@@ -81,13 +81,31 @@ def test_offsets_are_contiguous():
         assert text[tok.start : tok.end] == tok.text
 
 
-def test_kind_predicates_are_exclusive():
-    text = "Mot 12 _ \n\t x́"
-    for tok in tokenize(text):
+def is_mark(ch):
+    return unicodedata.category(ch) == "Mn"
+
+
+# Hypothesis's own characters, plus the ones the rules are about: combining
+# marks alone, after a letter and after a digit (a mark starts no word),
+# digits that are not decimal, a lone surrogate, and line breaks that are
+# only whitespace (U+0085, U+2028) next to the ones that are newlines.
+EDGE_CHARACTERS = st.sampled_from([
+    "\u0301", "a\u0301", "1\u0301", "\u0488", "²", "½", "Ⅷ", "\ud800",
+    "\x85", "\u2028", "\r", "\n", " ", "\u00a0",
+])
+
+
+@given(st.lists(EDGE_CHARACTERS | st.characters(), max_size=60).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_kind_predicates_are_exclusive(text):
+    """Every token meets its kind's predicate and no two neighbours could
+    merge; together these admit exactly one tokenization of any text."""
+    seq = tokenize(text)
+    assert detokenize(seq) == text
+    for tok in seq:
         if tok.kind == WORD:
-            assert all(
-                ch.isalpha() or unicodedata.category(ch) == "Mn" for ch in tok.text
-            )
+            assert tok.text[0].isalpha()
+            assert all(ch.isalpha() or is_mark(ch) for ch in tok.text)
         elif tok.kind == NUMBER:
             assert tok.text.isdecimal()
         elif tok.kind == NEWLINE:
@@ -95,7 +113,13 @@ def test_kind_predicates_are_exclusive():
         elif tok.kind == WHITESPACE:
             assert tok.text.isspace() and not any(c in "\n\r" for c in tok.text)
         else:
+            assert tok.kind == OTHER
             assert len(tok.text) == 1
+            ch = tok.text
+            assert not (ch.isspace() or ch.isalpha() or ch.isdecimal())
+    for a, b in zip(seq, seq[1:]):
+        assert not (a.kind == b.kind and a.kind in (WORD, NUMBER, WHITESPACE))
+        assert not (a.kind == WORD and b.kind == OTHER and is_mark(b.text))
 
 
 @given(st.text(max_size=300))
