@@ -95,7 +95,7 @@ def train_on_documents(
     if not docs:
         raise DataError("empty training set")
     config = config or TrainingConfig()
-    config.validate()  # this and the chunk length: before any document is tokenized
+    config.validate()  # this check and the next run before any document is tokenized
     if max_sequence_length is not None and max_sequence_length < 1:
         raise DataError(f"max_sequence_length must be >= 1, got {max_sequence_length}")
     sequences: list[LabeledSequence] = []

@@ -86,16 +86,16 @@ def is_mark(ch):
 
 
 # Hypothesis's own characters, plus the ones the rules are about: combining
-# marks alone, after a letter and after a digit (a mark starts no word),
-# digits that are not decimal, a lone surrogate, and line breaks that are
-# only whitespace (U+0085, U+2028) next to the ones that are newlines.
+# marks (Mn, and Me, which is not one) next to letters, digits and the text's
+# start, digits that are not decimal, a lone surrogate, and line breaks that
+# are only whitespace (U+0085, U+2028) beside the ones that are newlines.
 EDGE_CHARACTERS = st.sampled_from([
-    "\u0301", "a\u0301", "1\u0301", "\u0488", "²", "½", "Ⅷ", "\ud800",
-    "\x85", "\u2028", "\r", "\n", " ", "\u00a0",
+    "\u0301", "\u0301", "\u0488", "a", "é", "1", "٣", "²", "½", "Ⅷ",
+    "\ud800", "\x85", "\u2028", "\r", "\n", " ", "\u00a0",
 ])
 
 
-@given(st.lists(EDGE_CHARACTERS | st.characters(), max_size=60).map("".join))
+@given(st.text(alphabet=EDGE_CHARACTERS | st.characters(), max_size=60))
 @settings(max_examples=400, deadline=None)
 def test_kind_predicates_are_exclusive(text):
     """Every token meets its kind's predicate and no two neighbours could
