@@ -414,13 +414,15 @@ def _cmd_predict(resolved: dict[str, Any]) -> int:
     model = load_model(resolved["model"])
     docs, _ = _read_documents(resolved["in_path"])
     # one prediction run yields both the spans and the dump
-    predicted, rows = [], []
-    for doc, (tokens, labels) in zip(docs, predicted_labels(model, [d.text for d in docs])):
-        predicted.append(replace(doc, spans=tuple(decode_bilou(tokens, labels))))
-        rows.extend(doc.id + "\t" + _token_row(tok, label) for tok, label in zip(tokens, labels))
+    labeled = list(zip(docs, predicted_labels(model, [d.text for d in docs])))
     if resolved["dump_labels"] is not None:
+        rows = [doc.id + "\t" + _token_row(tok, label)
+                for doc, (tokens, labels) in labeled for tok, label in zip(tokens, labels)]
         Path(resolved["dump_labels"]).write_text(_lines(rows), encoding="utf-8")
-    _write(resolved["out"], _lines([corpus_mod.document_to_json(doc) for doc in predicted]))
+    _write(resolved["out"], _lines([
+        corpus_mod.document_to_json(replace(doc, spans=tuple(decode_bilou(*pair))))
+        for doc, pair in labeled
+    ]))
     return 0
 
 
@@ -465,10 +467,12 @@ def _cmd_eval(resolved: dict[str, Any]) -> int:
 
 
 def _cmd_bench(resolved: dict[str, Any]) -> int:
+    if resolved["repeat"] < 1:
+        raise DataError(f"--repeat must be >= 1, got {resolved['repeat']}")
     model = load_model(resolved["model"])
     docs = load_corpus(resolved["corpus"])
     timings = []
-    for _ in range(max(1, resolved["repeat"])):
+    for _ in range(resolved["repeat"]):
         t0 = time.perf_counter()
         predicted = predict_documents(model, docs)
         timings.append(time.perf_counter() - t0)

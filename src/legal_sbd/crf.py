@@ -15,36 +15,23 @@ contiguous rows.  Nothing is padded, so memory grows with the number of
 tokens, not with the batch size times the longest sequence.  A single
 sequence is the packed case with one row per step.
 
-Feature maps (see :mod:`legal_sbd.features`) are binarized into string
-indicators before they meet the model: booleans become ``key=true`` /
-``key=false`` indicators, categorical values become ``key=value``
-indicators, and numeric features keep their key and contribute their
-value as the feature weight multiplier.  Indicators unknown to a model
-score zero.  A key is ``bias`` or ``<offset>:<name>`` and never holds
-``=``, so an indicator splits into key and value at its first ``=``; the
-value may hold ``=`` or ``:`` itself (the token ``=`` gives
-``0:lowercase==``).  The kinds are thus categorical ``d:attr=value``,
-boolean ``d:attr=true`` / ``=false``, numeric ``d:length``, the edge
-flags ``d:BOS=...`` / ``d:EOS=...``, and ``bias``.
+Feature maps (see :mod:`legal_sbd.features`, which states the grammar of
+their string indicators) meet a model through ``features.indicators``;
+indicators unknown to a model score zero.  Scoring feature maps against
+a :class:`CrfModel` -- their indicators encoded by :func:`_encode_rows`,
+times the weight rows -- is the reference path; training, :func:`score`,
+:func:`log_partition`, :func:`marginals` and the oracle tests use it.
+Prediction compiles the model once per run instead (:func:`compile_model`):
+each live indicator is parsed by ``features.parse_indicator`` into a
+weight table over the values of its column.  No feature map or indicator
+string is built, and the scores equal the reference path's bit for bit:
+both sum the templates in the order a feature map lists their keys.
 
-Scoring a list of feature maps against a :class:`CrfModel` -- their
-indicators encoded by :func:`_encode_rows`, times the weight rows -- is
-the reference path; training, :func:`score`, :func:`log_partition`,
-:func:`marginals` and the oracle tests use it.  Prediction compiles the
-model once per run instead (:func:`compile_model`): each live indicator
-is parsed against ``features.KEY_SOURCES`` into a per-template weight
-table.  No feature map or indicator string is built, and the scores
-equal the reference path's up to summation order.
-
-A prediction run scores and decodes all of its texts as one batch.  The
-tokens of all texts are laid end to end with ``features.MAX_RADIUS``
-padding rows before, between and after them; a padding row has
-attribute id 0 and numeric value 0, and row 0 of every table is zero, so
-each template is one slice gather over the whole batch and never reaches
-from one text into the next.  Tokens are interned by (text, kind) once
-per run, and their attributes mapped to integer ids.  ``BOS`` and
-``EOS`` are two more id columns of that layout: 0 on padding, 1 inside a
-text, 2 at its first (``BOS``) or last (``EOS``) token.  :func:`viterbi`
+A prediction run scores and decodes all of its texts as one batch.  Their
+tokens are laid out by ``features.padded_layout``, and each template is
+one slice gather over the padded rows of the whole batch: a padding row
+has category id 0 and numeric value 0, and row 0 of every table is zero,
+so no template reaches from one text into the next.  :func:`viterbi`
 then decodes every text at once on the packed layout, with max-plus
 steps only; the back pointers are taken after the loop from the stored
 scores, by the same sums, so they are the same floating-point values
@@ -69,11 +56,10 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
-from .features import ATTRIBUTE_COLUMNS, KEY_SOURCES, MAX_RADIUS, NUMERIC_ATTRIBUTES, _token_attrs
+from .features import MAX_RADIUS, indicators, padded_layout, parse_indicator
 from .optim import dot, minimize_lbfgs
 from .spans import LABELS
 from .tokenizer import Token
@@ -125,31 +111,19 @@ class CrfModel:
     metadata: dict = field(default_factory=dict)
 
 
-def indicators(features: dict) -> list[tuple[str, float]]:
-    """Binarize one feature map into (indicator, value) pairs."""
-    out = []
-    for key, value in features.items():
-        if value is True:
-            out.append((key + "=true", 1.0))
-        elif value is False:
-            out.append((key + "=false", 1.0))
-        elif isinstance(value, str):
-            out.append((key + "=" + value, 1.0))
-        else:
-            out.append((key, float(value)))
-    return out
-
-
 _ENCODE_CHUNK = 512  # rows whose hits are gathered in Python lists at a time
 
 
-def _encode_rows(feature_maps: Sequence[dict], index: dict[str, int]) -> csr_matrix:
-    """One sparse row per position holding the values of its indicators
+def _encode_rows(feature_maps: Sequence[dict], index: dict[str, int]):
+    """One sparse CSR row per position holding the values of its indicators
     known to *index*, in feature-map order; unknown indicators are dropped.
 
     Hits are gathered in Python lists one chunk of rows at a time and then
     copied into arrays sized for every indicator, so a long input never
-    holds a Python list entry per hit."""
+    holds a Python list entry per hit.  scipy is imported here, so that
+    prediction never loads it."""
+    from scipy.sparse import csr_matrix
+
     capacity = sum(len(fv) for fv in feature_maps)  # one indicator per key
     data = np.empty(capacity)
     cols = np.empty(capacity, dtype=np.int32)
@@ -176,25 +150,18 @@ def _encode_rows(feature_maps: Sequence[dict], index: dict[str, int]) -> csr_mat
 
 
 class CompiledModel(NamedTuple):
-    """The live state weights of a :class:`CrfModel` parsed once against
-    ``features.KEY_SOURCES``, so that tokens are scored without feature
-    maps; built by :func:`compile_model`."""
+    """The live state weights of a :class:`CrfModel`, parsed once to score
+    tokens without feature maps; built by :func:`compile_model`."""
 
     transitions: np.ndarray
     start: np.ndarray
     end: np.ndarray
     bias: np.ndarray  # the row added at every position
-    # per attribute column, its categories' ids; 0 is every other value
-    categories: dict[int, dict[str, int]]
-    categorical: list[tuple[int, int, np.ndarray]]  # (offset, column, id -> row)
-    numeric: list[tuple[int, int, np.ndarray]]  # (offset, column, row per unit)
-
-
-# the flag columns that follow the attribute columns in the layout of
-# _token_unary, and their ids: a flag is 0 on padding, 1 ("false") inside
-# a sequence and 2 ("true") at its first (BOS) or last (EOS) token
-_FLAG_COLUMNS = {"BOS": len(ATTRIBUTE_COLUMNS), "EOS": len(ATTRIBUTE_COLUMNS) + 1}
-_FLAG_IDS = {"false": 1, "true": 2}
+    # per categorical column, the ids of its feature values; 0 is every other value
+    categories: dict[int, dict[object, int]]
+    # (offset, column, id -> row if categorical, else the row per unit), in
+    # the order a feature map lists their keys
+    templates: list[tuple[int, int, np.ndarray]]
 
 
 def compile_model(model: CrfModel) -> CompiledModel:
@@ -204,98 +171,74 @@ def compile_model(model: CrfModel) -> CompiledModel:
     build one per prediction run, after the last change to the model.
     Indicators the feature set cannot emit, such as ``0:space=true``,
     ``0:length=5`` or ``-3:EOS=true``, score zero on the reference path
-    and are dropped.  A ``BOS`` / ``EOS`` template is a categorical one
-    over its flag column."""
+    and are dropped."""
     bias = np.zeros(N_LABELS)
-    categories: dict[int, dict[str, int]] = {}
-    rows_by_template: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
-    numeric = []
+    categories: dict[int, dict[object, int]] = {}
+    # rank -> (offset, column, a numeric row or categorical (value, row) pairs)
+    templates: dict[int, tuple] = {}
     for ind, row in model.state_weights.items():
-        if not row.any():
+        parsed = parse_indicator(ind) if row.any() else None
+        if parsed is None:
             continue
-        key, eq, value = ind.partition("=")  # a key never holds "="
-        d, source = KEY_SOURCES.get(key, (0, None))
-        if source in _FLAG_COLUMNS:
-            if value in _FLAG_IDS:
-                rows_by_template.setdefault((d, _FLAG_COLUMNS[source]), []).append((value, row))
-        elif source == "bias":
-            if not eq:
-                bias = row
-        elif source in NUMERIC_ATTRIBUTES:
-            if not eq:
-                numeric.append((d, ATTRIBUTE_COLUMNS[source], row))
-        elif source is not None and eq:
-            c = ATTRIBUTE_COLUMNS[source]
+        d, c, value, rank = parsed
+        if c is None:
+            bias = row
+        elif value is None:
+            templates[rank] = (d, c, row)
+        else:
             ids = categories.setdefault(c, {})
             ids.setdefault(value, len(ids) + 1)
-            rows_by_template.setdefault((d, c), []).append((value, row))
-    categorical = []
-    for (d, c), rows in rows_by_template.items():
-        ids = categories.get(c, _FLAG_IDS)
-        table = np.zeros((len(ids) + 1, N_LABELS))
-        for value, row in rows:
-            table[ids[value]] = row
-        categorical.append((d, c, table))
-    return CompiledModel(
-        model.transitions, model.start, model.end, bias, categories, categorical, numeric
-    )
+            templates.setdefault(rank, (d, c, []))[2].append((value, row))
+    ordered = []
+    for rank in sorted(templates):
+        d, c, weights = templates[rank]
+        if c in categories:
+            table = np.zeros((len(categories[c]) + 1, N_LABELS))
+            for value, row in weights:
+                table[categories[c][value]] = row
+            weights = table
+        ordered.append((d, c, weights))
+    return CompiledModel(model.transitions, model.start, model.end, bias, categories, ordered)
 
 
 def _token_unary(
     compiled: CompiledModel, tokens: Sequence[Token], lengths: Sequence[int]
 ) -> np.ndarray:
     """Unary scores of consecutive sequences of *tokens* of the given
-    *lengths*: the reference path's scores of their feature maps, summed in
-    another order."""
-    # the padded layout: MAX_RADIUS rows before, between and after the
-    # sequences, each with attribute id 0 and numeric value 0, so that
-    # every template is one slice over it; token i is at row live[i]
-    n, pad = len(lengths), MAX_RADIUS
-    live = np.arange(len(tokens)) + pad * np.repeat(np.arange(1, n + 1), lengths)
-    size = len(tokens) + pad * (n + 1)
-    # every attribute depends on (text, kind) alone, so compute them once
-    # per distinct token of the call; distinct token k is entry k + 1 of
-    # each column, entry 0 being padding
-    index: dict[tuple[str, str], int] = {}
-    distinct: list[Token] = []
-    which = np.zeros(size, dtype=np.intp)
-    at = []
-    for tok in tokens:
-        key = (tok.text, tok.kind)
-        k = index.get(key)
-        if k is None:
-            k = index[key] = len(distinct) + 1
-            distinct.append(tok)
-        at.append(k)
-    which[live] = at
-    columns = list(zip(*map(_token_attrs, distinct)))
-    ids = {}
+    *lengths*: the reference path's scores of their feature maps."""
+    attrs, which = padded_layout(tokens, lengths)
+    which = np.array(which, dtype=np.intp)
+    live = which != 0
+    # the columns of ``features.COLUMNS`` as (values, entry): column c of
+    # padded row r is values[entry[r] - 1], or padding if entry[r] is 0.  An
+    # attribute's entry is which; a flag's is 1 (False) or 2 (True), True for
+    # BOS where the row before is padding, for EOS where the row after is
+    columns = [(values, which) for values in zip(*attrs[1:])]
+    for beside in (np.r_[False, live[:-1]], np.r_[live[1:], False]):
+        columns.append(((False, True), np.where(live & ~beside, 2, live)))
+    ids, numbers = {}, {}
     for c, lookup in compiled.categories.items():
-        get = lookup.get
-        # a flag is the category "true" or "false", as in indicators()
-        values = ("true" if v is True else "false" if v is False else v for v in columns[c])
-        ids[c] = np.array([0, *(get(v, 0) for v in values)], dtype=np.intp)[which]
-    numbers = {
-        c: np.array([0, *columns[c]], dtype=np.float64)[which]
-        for c in {c for _, c, _ in compiled.numeric}
-    }
-    ends = np.cumsum(lengths)
-    for flag, edge in (("BOS", ends - lengths), ("EOS", ends - 1)):
-        ids[_FLAG_COLUMNS[flag]] = column = np.minimum(which, _FLAG_IDS["false"])
-        column[live[edge]] = _FLAG_IDS["true"]
+        values, entry = columns[c]
+        ids[c] = np.array([0, *(lookup.get(v, 0) for v in values)], dtype=np.intp)[entry]
+    for c in {c for _, c, _ in compiled.templates} - set(ids):
+        values, entry = columns[c]
+        numbers[c] = np.array([0, *values], dtype=np.float64)[entry]
+    pad = MAX_RADIUS
     # U row j is padded row pad + j, from the first token to the last
-    rows = size - 2 * pad
+    rows = len(which) - 2 * pad
     U = np.empty((rows, N_LABELS))
     U[:] = compiled.bias
     term = np.empty_like(U)
-    for d, c, table in compiled.categorical:
-        # every id is in range, so "clip" changes none; it spares take()
-        # the copy of *out* that the default mode makes
-        U += np.take(table, ids[c][pad + d : pad + d + rows], axis=0, out=term, mode="clip")
-    for d, c, row in compiled.numeric:
-        U += np.multiply(numbers[c][pad + d : pad + d + rows, None], row, out=term)
+    for d, c, weights in compiled.templates:
+        window = slice(pad + d, pad + d + rows)
+        if c in ids:
+            # every id is in range, so "clip" changes none; it spares take()
+            # the copy of *out* that the default mode makes
+            U += np.take(weights, ids[c][window], axis=0, out=term, mode="clip")
+        else:
+            U += np.multiply(numbers[c][window, None], weights, out=term)
     # the token rows, gathered into the scratch rows that U is done with
-    return np.take(U, live - pad, axis=0, out=term[: len(tokens)], mode="clip")
+    return np.take(U, np.flatnonzero(live[pad:]), axis=0, out=term[: len(tokens)], mode="clip")
 
 
 def _unary_matrix(
@@ -379,7 +322,9 @@ def log_partition(model: CrfModel, features: Sequence[dict]) -> float:
 
 
 def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
-    """Posterior label probabilities per position, shape (T, L)."""
+    """Posterior label probabilities per position, shape (T, L).
+
+    No CLI command uses it; it serves the public API and the oracle tests."""
     U = _unary_matrix(model, features)
     single = [1] * len(U)  # one sequence is a packed batch of one
     alpha = _forward(U, model.transitions, model.start, single)

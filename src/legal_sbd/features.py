@@ -26,26 +26,37 @@ that fall outside the sequence emit nothing.  The feature set is fixed,
 the character sets behind ``special`` included, so prediction always
 computes the features a model was trained on.
 
-The dict maps are the reference and training form: training, the
-``features`` CLI and the oracle tests build them.  Prediction does not;
-:func:`legal_sbd.crf.compile_model` reads ``KEY_SOURCES`` and
-``NUMERIC_ATTRIBUTES`` to score tokens straight from their
-``_token_attrs`` columns, to the same scores.
+Both forms of the features read one layout, built by
+:func:`padded_layout`: a batch of token sequences laid end to end with
+``MAX_RADIUS`` padding rows before, between and after them, each row
+mapped to an entry of a table of ``_token_attrs`` tuples, one per
+distinct (text, kind), entry 0 being padding.  Range and edges follow
+from the padding: the neighbour at offset d of row r is in range iff row
+r + d is not padding, and a row is first in its sequence (``BOS``) iff
+the row before it is padding, last (``EOS``) iff the row after it is.
+:func:`sequence_features` and :func:`token_features` build the dict maps
+from it, for training, the ``features`` CLI and the oracle tests.
+Prediction builds no maps: ``legal_sbd.crf`` gathers weight rows over
+the same layout, to the same scores.
+
+Feature maps meet a model as the string indicators of :func:`indicators`:
+a boolean gives ``key=true`` / ``key=false``, a category ``key=value``,
+and a number keeps its key and multiplies its weight row by its value.
+A key is ``bias`` or ``<offset>:<name>`` and never holds ``=``, so an
+indicator splits into key and value at its first ``=``; the value may
+hold ``=`` or ``:`` itself (the token ``=`` gives ``0:lowercase==``).
+:func:`parse_indicator` is the typed inverse: it gives the offset, the
+column of ``COLUMNS`` and the value an indicator stands for, or None if
+the feature set cannot emit it.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import itemgetter
+from typing import Sequence
 
 from .tokenizer import NEWLINE, NUMBER, Token, WORD
-
-CATEGORY_END = "End"
-CATEGORY_OPEN = "Open"
-CATEGORY_CLOSE = "Close"
-CATEGORY_NEWLINE = "Newline"
-CATEGORY_ABBR = "Abbr"
-CATEGORY_NONE = "No"
-CATEGORY_SPECIAL = "S"
 
 # (attribute, window radius) in the order of ``_token_attrs``, which is
 # also the order a neighbour emits its keys after BOS/EOS.  Radii never
@@ -62,18 +73,22 @@ TEMPLATES = (
     ("space", 3),
 )
 MAX_RADIUS = TEMPLATES[0][1]  # also the BOS/EOS window
-# the column of ``_token_attrs`` that holds each attribute
-ATTRIBUTE_COLUMNS = {name: c for c, (name, _) in enumerate(TEMPLATES)}
-# attributes whose value is a number, kept as the feature value; every
-# other attribute is a category string or a flag
+# the columns a feature reads: those of ``_token_attrs``, in TEMPLATES
+# order, then the two flags that a row's place in its sequence sets
+COLUMNS = (*(name for name, _ in TEMPLATES), "BOS", "EOS")
+# columns whose value is a number, kept as the feature value, and columns
+# whose value is a flag; every other column holds a category string
 NUMERIC_ATTRIBUTES = frozenset({"length"})
+FLAGS = frozenset({"lower", "upper", "number", "space", "BOS", "EOS"})
 
 
-# the character sets behind the ``special`` category
-END_CHARS = frozenset({".", "!", "?"})
-OPEN_CHARS = frozenset({"(", "[", "{"})
-CLOSE_CHARS = frozenset({")", "]", "}"})
-ABBR_CHARS = frozenset({"'", "’"})
+# the token texts of the ``special`` categories other than Newline, No and S
+_SPECIAL_TEXTS = {
+    **dict.fromkeys(".!?", "End"),
+    **dict.fromkeys("([{", "Open"),
+    **dict.fromkeys(")]}", "Close"),
+    **dict.fromkeys("'’", "Abbr"),
+}
 
 
 def special_category(token: Token) -> str:
@@ -84,35 +99,19 @@ def special_category(token: Token) -> str:
     remaining special character (whitespace included) to the shape code S.
     """
     if token.kind == NEWLINE:
-        return CATEGORY_NEWLINE
-    text = token.text
-    if text in END_CHARS:
-        return CATEGORY_END
-    if text in OPEN_CHARS:
-        return CATEGORY_OPEN
-    if text in CLOSE_CHARS:
-        return CATEGORY_CLOSE
-    if text in ABBR_CHARS:
-        return CATEGORY_ABBR
-    if token.kind in (WORD, NUMBER):
-        return CATEGORY_NONE
-    return CATEGORY_SPECIAL
+        return "Newline"
+    if token.text in _SPECIAL_TEXTS:
+        return _SPECIAL_TEXTS[token.text]
+    return "No" if token.kind in (WORD, NUMBER) else "S"
 
 
 def signature(text: str) -> str:
     """Per-character shape code: c/C for lower/upper case letters, N for
     digits, S for everything else ("école" -> "ccccc", "Abc12!" -> "CccNNS")."""
-    out = []
-    for ch in text:
-        if ch.isdecimal():
-            out.append("N")
-        elif ch.isupper():
-            out.append("C")
-        elif ch.islower():
-            out.append("c")
-        else:
-            out.append("S")
-    return "".join(out)
+    return "".join(
+        "N" if ch.isdecimal() else "C" if ch.isupper() else "c" if ch.islower() else "S"
+        for ch in text
+    )
 
 
 def _token_attrs(token: Token):
@@ -129,61 +128,60 @@ def _token_attrs(token: Token):
     )
 
 
-def _neighbour_keys(d: int) -> tuple[int, str, tuple[str, ...]]:
+def _neighbour_keys(d: int) -> tuple[int, int, str, tuple[str, ...]]:
     p = f"{d:+d}"
-    edge = f"{p}:BOS" if d < 0 else f"{p}:EOS"
-    return d, edge, tuple(f"{p}:{name}" for name, radius in TEMPLATES if radius >= abs(d))
+    edge, beside = (f"{p}:BOS", d - 1) if d < 0 else (f"{p}:EOS", d + 1)
+    return d, beside, edge, tuple(f"{p}:{name}" for name, radius in TEMPLATES if radius >= abs(d))
 
 
-# offsets -MAX_RADIUS..-1, then 1..MAX_RADIUS, each with its key strings
+# offsets -MAX_RADIUS..-1, then 1..MAX_RADIUS, each with the offset of the
+# row whose padding sets its edge flag, and its key strings
 _NEIGHBOURS = tuple(
     _neighbour_keys(d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1) if d != 0
 )
 
-# the centre's attribute keys in the order it emits them after ``bias``;
-# its number flag is ``0:numeric``, and it has no ``space`` key
-_CENTRE_KEYS = (
-    ("0:lowercase", "lowercase"),
-    ("0:lower", "lower"),
-    ("0:upper", "upper"),
-    ("0:numeric", "number"),
-    ("0:special", "special"),
-    ("0:sign", "sign"),
-    ("0:length", "length"),
-)
-_centre_keys = tuple(key for key, _ in _CENTRE_KEYS)
-_centre_values = itemgetter(*(ATTRIBUTE_COLUMNS[name] for _, name in _CENTRE_KEYS))
+# the centre's attributes in the order it emits them after ``bias``; its
+# number flag has the key ``0:numeric``, and it has no ``space`` key
+_CENTRE_NAMES = ("lowercase", "lower", "upper", "number", "special", "sign", "length")
+_centre_keys = tuple("0:" + ("numeric" if name == "number" else name) for name in _CENTRE_NAMES)
+_centre_values = itemgetter(*map(COLUMNS.index, _CENTRE_NAMES))
 
 
-def _key_sources() -> dict[str, tuple[int, str]]:
-    sources = {"bias": (0, "bias"), "0:BOS": (0, "BOS"), "0:EOS": (0, "EOS")}
-    sources.update((key, (0, name)) for key, name in _CENTRE_KEYS)
-    for d, edge, keys in _NEIGHBOURS:
-        sources[edge] = (d, "BOS" if d < 0 else "EOS")
-        sources.update((key, (d, name)) for key, (name, _) in zip(keys, TEMPLATES))
-    return sources
+def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list, list[int]]:
+    """Consecutive sequences of *tokens* of the given *lengths*, laid end to
+    end with ``MAX_RADIUS`` padding rows before, between and after them.
+
+    Returns (attrs, which): ``attrs[k]`` is the ``_token_attrs`` tuple of
+    the k-th distinct (text, kind) of *tokens*, and ``attrs[0]`` None, for
+    padding; ``which[r]`` is the entry of padded row r."""
+    index: dict[tuple[str, str], int] = {}
+    attrs: list = [None]
+    padding = [0] * MAX_RADIUS
+    which = list(padding)
+    rest = iter(tokens)
+    for n in lengths:
+        for tok in islice(rest, n):
+            key = (tok.text, tok.kind)
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(attrs)
+                attrs.append(_token_attrs(tok))
+            which.append(k)
+        which += padding
+    return attrs, which
 
 
-# every key a feature map can hold -> (offset, source): the key describes
-# the token at that offset from the position, through the ``TEMPLATES``
-# attribute named by source, or it is that token's "BOS" / "EOS" flag, or
-# the constant "bias"
-KEY_SOURCES = _key_sources()
-
-
-def _position_features(attrs, i: int, last: int) -> dict:
-    """Feature map for position *i*; ``attrs[j]`` holds the attributes of
-    token *j* for every *j* in the window, and *last* is the final index."""
+def _position_features(attrs, which: list[int], r: int) -> dict:
+    """Feature map for the token at row *r* of a :func:`padded_layout`."""
     feats = {"bias": 1.0}
-    feats.update(zip(_centre_keys, _centre_values(attrs[i])))
-    feats["0:BOS"] = i == 0
-    feats["0:EOS"] = i == last
-    # the offsets max(-MAX_RADIUS, -i) .. min(MAX_RADIUS, last - i), without 0
-    in_range = _NEIGHBOURS[max(0, MAX_RADIUS - i) : MAX_RADIUS + min(MAX_RADIUS, last - i)]
-    for d, edge, keys in in_range:
-        j = i + d
-        feats[edge] = j == 0 if d < 0 else j == last
-        feats.update(zip(keys, attrs[j]))
+    feats.update(zip(_centre_keys, _centre_values(attrs[which[r]])))
+    feats["0:BOS"] = which[r - 1] == 0
+    feats["0:EOS"] = which[r + 1] == 0
+    for d, beside, edge, keys in _NEIGHBOURS:
+        k = which[r + d]
+        if k:  # not padding, so in range
+            feats[edge] = which[r + beside] == 0
+            feats.update(zip(keys, attrs[k]))
     return feats
 
 
@@ -191,16 +189,72 @@ def token_features(tokens: list[Token], i: int) -> dict:
     """Feature map for position *i* of *tokens*; see the module table."""
     if not 0 <= i < len(tokens):
         raise IndexError(f"position {i} out of range for sequence of {len(tokens)} tokens")
-    window = range(max(0, i - MAX_RADIUS), min(len(tokens), i + MAX_RADIUS + 1))
-    attrs = {j: _token_attrs(tokens[j]) for j in window}
-    return _position_features(attrs, i, len(tokens) - 1)
+    # the window, and one token more on each side for its edge flags
+    lo = max(0, i - MAX_RADIUS - 1)
+    window = tokens[lo : i + MAX_RADIUS + 2]
+    attrs, which = padded_layout(window, [len(window)])
+    return _position_features(attrs, which, MAX_RADIUS + i - lo)
 
 
 def sequence_features(tokens: list[Token]) -> list[dict]:
     """Feature maps for every position, sharing per-token attribute work."""
-    attrs = [_token_attrs(tok) for tok in tokens]
-    last = len(attrs) - 1
-    return [_position_features(attrs, i, last) for i in range(len(attrs))]
+    attrs, which = padded_layout(tokens, [len(tokens)])
+    rows = range(MAX_RADIUS, MAX_RADIUS + len(tokens))
+    return [_position_features(attrs, which, r) for r in rows]
+
+
+def indicators(features: dict) -> list[tuple[str, float]]:
+    """Binarize one feature map into (indicator, value) pairs."""
+    out = []
+    for key, value in features.items():
+        if value is True:
+            out.append((key + "=true", 1.0))
+        elif value is False:
+            out.append((key + "=false", 1.0))
+        elif isinstance(value, str):
+            out.append((key + "=" + value, 1.0))
+        else:
+            out.append((key, float(value)))
+    return out
+
+
+def _key_columns() -> dict[str, tuple[int, int | None, int]]:
+    column = COLUMNS.index
+    keys = [("bias", 0, None)]
+    keys += ((key, 0, column(name)) for key, name in zip(_centre_keys, _CENTRE_NAMES))
+    keys += [("0:BOS", 0, column("BOS")), ("0:EOS", 0, column("EOS"))]
+    for d, _, edge, names in _NEIGHBOURS:
+        keys.append((edge, d, column("BOS" if d < 0 else "EOS")))
+        keys += ((key, d, c) for c, key in enumerate(names))
+    return {key: (d, c, rank) for rank, (key, d, c) in enumerate(keys)}
+
+
+# every key a feature map can hold -> (offset, column, rank): the key
+# describes that column of the token at that offset from the position, or
+# it is ``bias``, which describes no token (column None); a map lists its
+# keys in the order of their ranks
+_KEY_COLUMNS = _key_columns()
+
+
+def parse_indicator(indicator: str) -> tuple[int, int | None, object, int] | None:
+    """The (offset, column, value, rank) that :func:`indicators` wrote
+    *indicator* from, or None if no feature map can yield it.
+
+    The value is a flag's ``True`` / ``False`` or a category string; for
+    a numeric column it is None, as the token supplies it, and for
+    ``bias`` (column None) it is 1.0.  Ranks order the keys as a feature
+    map lists them."""
+    key, eq, text = indicator.partition("=")  # a key never holds "="
+    source = _KEY_COLUMNS.get(key)
+    if source is None:
+        return None
+    d, c, rank = source
+    if c is None or COLUMNS[c] in NUMERIC_ATTRIBUTES:
+        return None if eq else (d, c, 1.0 if c is None else None, rank)
+    if COLUMNS[c] in FLAGS:
+        value = {"true": True, "false": False}.get(text)  # "" if there is no "="
+        return None if value is None else (d, c, value, rank)
+    return (d, c, text, rank) if eq else None
 
 
 def format_features(feats: dict) -> str:

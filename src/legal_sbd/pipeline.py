@@ -140,11 +140,7 @@ def predict_text(model: CrfModel, text: str) -> list[SentenceSpan]:
 def predict_documents(model: CrfModel, docs: list[Document], threads: int = 1) -> list[Document]:
     """Copies of *docs*, in order, whose spans are the model's predictions.
 
-    *threads* is ignored.  It is accepted only because the benchmark in
-    ``perfbench/`` still passes it; a thread pool behind it was removed
-    after it lost to one thread on every one of 10 alternating pairs on
-    the 60-document benchmark input (2 cores: 0.556 s median serial,
-    0.772 s with two threads).
-    """
+    *threads* is ignored; it is accepted only because the benchmark in
+    ``perfbench/`` passes it."""
     labeled = predicted_labels(model, [doc.text for doc in docs])
     return [replace(doc, spans=tuple(decode_bilou(*pair))) for doc, pair in zip(docs, labeled)]

@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legal_sbd
 from legal_sbd.cli import CONFIG_ENV_VAR, _build_parser, escape_token_text, main
 from legal_sbd.corpus import load_corpus, save_corpus
 from legal_sbd.crf import TrainingConfig, load_model, save_model
@@ -330,6 +333,33 @@ class TestTrainPredictEval:
             labels = [r[5] for r in rows if r[0] == doc.id]
             assert decode_bilou(tokenize(doc.text), labels) == list(predicted[doc.id])
 
+    def test_no_dump_rows_without_the_flag(self, model_path, corpus_path, tmp_path, monkeypatch):
+        from legal_sbd import cli
+
+        rows = []
+        monkeypatch.setattr(cli, "_token_row", lambda *args: rows.append(args) or "")
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--model", model_path, "--in", corpus_path, "--out", pred) == 0
+        assert rows == []
+        assert len(load_corpus(pred)) == 10
+
+    def test_predict_never_loads_scipy(self, model_path, corpus_path, tmp_path):
+        # scipy serves training and the reference scoring path only
+        child = (
+            "import sys\n"
+            "from legal_sbd.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        src = str(Path(legal_sbd.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", child, "predict", "--model", str(model_path),
+             "--in", str(corpus_path), "--out", str(tmp_path / "pred.jsonl")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert done.stdout.split() == ["0", "False"]
+
     def test_train_empty_filter_is_data_error(self, corpus_path, tmp_path, capsys):
         split = tmp_path / "split.json"
         run("split", "--corpus", corpus_path, "--seed", "5", "--out", split)
@@ -402,6 +432,13 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "sentences/s" in out
         assert "single-thread" in out
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_repeat_below_one_is_data_error(self, repeat, tmp_path, capsys):
+        # checked before the model or the corpus is read: neither exists
+        missing = tmp_path / "missing.json"
+        assert run("bench", "--model", missing, "--corpus", missing, "--repeat", repeat) == 2
+        assert "--repeat must be >= 1" in capsys.readouterr().err
 
     def test_empty_corpus_no_division_by_zero(self, model_path, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -13,7 +13,7 @@ from legal_sbd import features, pipeline
 from legal_sbd.crf import (
     CrfModel, _unary_matrix, compile_model, indicators, model_to_json, viterbi,
 )
-from legal_sbd.features import MAX_RADIUS, sequence_features
+from legal_sbd.features import COLUMNS, MAX_RADIUS, parse_indicator, sequence_features
 from legal_sbd.spans import LABELS
 from legal_sbd.synthetic import make_corpus
 from legal_sbd.tokenizer import tokenize
@@ -74,6 +74,43 @@ def test_compiled_unary_matches_reference(text, data):
     compiled = _unary_matrix(compile_model(model), tokens)
     reference = _unary_matrix(model, sequence_features(tokens))
     np.testing.assert_allclose(compiled, reference, rtol=1e-12, atol=1e-12)
+    # the same sums in the same order
+    assert np.array_equal(compiled, reference)
+
+
+@given(text=TEXTS)
+@settings(max_examples=200, deadline=None)
+def test_parse_indicator_inverts_indicators(text):
+    for fv in sequence_features(tokenize(text)):
+        last = -1
+        for key, value in fv.items():
+            ((ind, _),) = indicators({key: value})
+            d, c, parsed, rank = parse_indicator(ind)
+            # a map lists its keys in rank order, the order the compiled
+            # scores are summed in
+            assert rank > last
+            last = rank
+            if key == "bias":
+                assert (d, c) == (0, None)
+            else:
+                offset, name = key.split(":")
+                assert (d, COLUMNS[c]) == (int(offset), "number" if name == "numeric" else name)
+            if parsed is None:  # a number, which the token supplies
+                assert ind == key and type(value) is int
+            else:
+                assert parsed == value and type(parsed) is type(value)
+                assert indicators({key: parsed}) == [(ind, 1.0)]
+
+
+def test_dead_indicators_parse_to_nothing():
+    assert [ind for ind in DEAD if parse_indicator(ind) is not None] == []
+    # a value is split off at the first "=" and typed by its column
+    lowercase, sign, lower = (COLUMNS.index(name) for name in ("lowercase", "sign", "lower"))
+    assert parse_indicator("+1:lowercase==")[:3] == (1, lowercase, "=")
+    assert parse_indicator("0:lowercase=a=b")[:3] == (0, lowercase, "a=b")
+    assert parse_indicator("-2:sign=S:S")[:3] == (-2, sign, "S:S")
+    assert parse_indicator("+3:lower=false")[:3] == (3, lower, False)
+    assert parse_indicator("0:lower=maybe") is None
 
 
 def test_dead_indicators_compile_to_nothing():
@@ -82,7 +119,7 @@ def test_dead_indicators_compile_to_nothing():
                      np.zeros((5, 5)), np.zeros(5), np.zeros(5))
     compiled = compile_model(model)
     assert not compiled.bias.any()
-    assert compiled.categorical == compiled.numeric == []
+    assert compiled.templates == []
     tokens = tokenize("a=b a:b (1) Art. 5.\n")
     assert not _unary_matrix(compiled, tokens).any()
 
