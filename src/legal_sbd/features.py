@@ -46,9 +46,8 @@ A key is ``bias`` or ``<offset>:<name>`` and never holds ``=``, so an
 indicator splits into key and value at its first ``=``; the value may
 hold ``=`` or ``:`` itself (the token ``=`` gives ``0:lowercase==``).
 :func:`parse_indicator` is the typed inverse: it gives the offset, the
-column of ``COLUMNS`` and the value an indicator stands for, or None if
-the feature set cannot emit it.
-"""
+column of ``COLUMNS`` and the value an indicator stands for, and the rank
+of its key in a map, or None if the feature set cannot emit it."""
 
 from __future__ import annotations
 
