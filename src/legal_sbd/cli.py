@@ -483,11 +483,11 @@ def _cmd_bench(resolved: dict[str, Any]) -> int:
         rate = n_sentences / seconds
         per_sentence = 1000.0 * seconds / n_sentences
         sys.stdout.write(
-            f"single-thread: median {seconds:.3f}s  "
+            f"median {seconds:.3f}s  "
             f"{rate:.1f} sentences/s  {per_sentence:.2f} ms/sentence\n"
         )
     else:
-        sys.stdout.write(f"single-thread: median {seconds:.3f}s  0 sentences\n")
+        sys.stdout.write(f"median {seconds:.3f}s  0 sentences\n")
     return 0
 
 

@@ -3,8 +3,12 @@
 Scoring, exact log-partition and marginals via forward-backward, Viterbi
 decoding, and maximum-likelihood training with elastic-net regularization
 (L1 handled by the orthant-wise optimizer, L2 inside the smooth
-objective).  All recursions run in log space, so sequences thousands of
-tokens long neither underflow nor need scaling.
+objective).  Forward-backward runs in probability space with a scale per
+step (Rabiner 1989), so a sequence thousands of tokens long does not
+underflow and a step needs no exp or log; it returns log values all the
+same.  Where extreme weights push a scaled value out of the normal
+doubles, the call falls back to the log-space recursion, which is also
+the oracle of the scaled one.  Viterbi runs in log space (max-plus).
 
 Training evaluates the objective over the whole batch with one forward
 and one backward pass.  The sequences are stably sorted longest first and
@@ -176,8 +180,10 @@ def compile_model(model: CrfModel) -> CompiledModel:
     categories: dict[int, dict[object, int]] = {}
     # rank -> (offset, column, a numeric row or categorical (value, row) pairs)
     templates: dict[int, tuple] = {}
-    for ind, row in model.state_weights.items():
-        parsed = parse_indicator(ind) if row.any() else None
+    rows = model.state_weights.values()
+    live = np.array(list(rows), dtype=np.float64).reshape(len(rows), N_LABELS).any(axis=1)
+    for (ind, row), nonzero in zip(model.state_weights.items(), live.tolist()):
+        parsed = parse_indicator(ind) if nonzero else None
         if parsed is None:
             continue
         d, c, value, rank = parsed
@@ -257,11 +263,144 @@ def _unary_matrix(
     return _encode_rows(features, index) @ weights.reshape(len(index), N_LABELS)
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _links(batch_sizes: Sequence[int]) -> list[tuple[int, np.ndarray]]:
+    """For k = 1, 2, 4, ... below the number of steps of a packed layout
+    (see :func:`_pack`): (lo, earlier), where earlier[j] is the row k steps
+    before row lo + j in its sequence.  Rows before lo, the first k steps,
+    have none."""
+    sizes = np.asarray(batch_sizes)
+    first = np.cumsum(sizes) - sizes  # the first row of each step
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    place = np.arange(len(step)) - first[step]
+    links = []
+    k = 1
+    while k < len(sizes):
+        lo = first[k]
+        links.append((lo, first[step[lo:] - k] + place[lo:]))
+        k *= 2
+    return links
+
+
+def _chain_sums(d: np.ndarray, links, reverse: bool = False) -> np.ndarray:
+    """In place, d[r] plus d at every earlier row of r's sequence, or at
+    every later row if *reverse*, for the packed rows whose :func:`_links`
+    are given.  A prefix sum by doubling (Hillis & Steele 1986): round k
+    adds the partial sum k steps away, so the rounds are array operations
+    and there are ceil(log2(steps)) of them.  Each round reads its sums
+    before it writes any."""
+    for lo, earlier in links:
+        if reverse:
+            d[earlier] += d[lo:]
+        else:
+            d[lo:] += d[earlier]
+    return d
+
+
+def _row_max(V: np.ndarray) -> np.ndarray:
+    """The max of each row of a (rows, L) array, taken column by column:
+    numpy reduces over so short an axis row by row, ten times slower."""
+    m = V[:, 0].copy()
+    for k in range(1, V.shape[1]):
+        np.maximum(m, V[:, k], out=m)
+    return m
+
+
+# Forward-backward runs in probability space (Rabiner 1989; Sutton &
+# McCallum 2012, sec. 4.3).  Per call, P = exp(U - the row's max) and
+# E = exp(trans - max trans) are taken once; a step is then one row-by-E
+# product, a product with P, a row sum s and a divide by it, so the values
+# stay in (0, 1] and no exp or log runs inside the time loop.  The log
+# result is log(scaled value) plus the sum of log s and the shifts along
+# the row's sequence, taken after the loop.  The product is an einsum,
+# never BLAS, whose sums would depend on the thread count.  If any s or
+# scaled value is not a normal double, underflow may have lost exact
+# values, and the whole call falls back to the log-space recursion.
+
+
 def _forward(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, batch_sizes: Sequence[int]
 ) -> np.ndarray:
-    """Log-space forward recursion over packed rows (see :func:`_pack`);
-    alpha[r, k] includes U[r, k]."""
+    """Forward recursion over packed rows (see :func:`_pack`): alpha[r, k]
+    is the log of the summed exp-scores of the paths that end in label k
+    at row r, so it includes U[r, k].  Scaled, with :func:`_log_forward`
+    as the fallback."""
+    n0 = batch_sizes[0]
+    with np.errstate(all="ignore"):
+        P = U.copy()
+        P[:n0] += start
+        shift = _row_max(P)
+        np.exp(P - shift[:, None], out=P)
+        trans_shift = trans.max()
+        E = np.exp(trans - trans_shift)
+        a = np.empty_like(U)
+        s = np.empty(len(U))
+        np.add.reduce(P[:n0], axis=1, out=s[:n0])
+        np.divide(P[:n0], s[:n0, None], out=a[:n0])
+        prev, lo = 0, n0
+        for n in batch_sizes[1:]:
+            q = np.einsum("ri,ij->rj", a[prev : prev + n], E, out=a[lo : lo + n])
+            q *= P[lo : lo + n]
+            np.add.reduce(q, axis=1, out=s[lo : lo + n])
+            q /= s[lo : lo + n, None]
+            prev, lo = lo, lo + n
+        if a.min() >= _TINY and s.min() >= _TINY:
+            shift[n0:] += trans_shift
+            log_scale = _chain_sums(np.log(s) + shift, _links(batch_sizes))
+            return np.log(a, out=a) + log_scale[:, None]
+    return _log_forward(U, trans, start, batch_sizes)
+
+
+def _backward(
+    U: np.ndarray, trans: np.ndarray, end: np.ndarray, batch_sizes: Sequence[int]
+) -> np.ndarray:
+    """Backward recursion over packed rows (see :func:`_pack`): beta[r, k]
+    is the log of the summed exp-scores of the paths from label k at row r
+    to the end of its sequence, excluding U[r, k]; it is ``end`` at a
+    sequence's last row.  Scaled, with :func:`_log_backward` as the
+    fallback."""
+    with np.errstate(all="ignore"):
+        unary_shift = _row_max(U)
+        P = np.exp(U - unary_shift[:, None])
+        trans_shift = trans.max()
+        E = np.exp(trans - trans_shift)
+        end_shift = end.max()
+        # every row starts as a last row, exp(end - end_shift) with s = 1;
+        # the loop overwrites the rows that have a successor
+        b = np.empty_like(U)
+        b[:] = np.exp(end - end_shift)
+        s = np.ones(len(U))
+        q = np.empty_like(U[: batch_sizes[0]])
+        hi = len(U)
+        n_next = 0
+        for n in reversed(batch_sizes):
+            lo = hi - n
+            if n_next:
+                r = np.multiply(P[hi : hi + n_next], b[hi : hi + n_next], out=q[:n_next])
+                r = np.einsum("rj,ij->ri", r, E, out=b[lo : lo + n_next])
+                np.add.reduce(r, axis=1, out=s[lo : lo + n_next])
+                r /= s[lo : lo + n_next, None]
+            hi, n_next = lo, n
+        if b.min() >= _TINY and s.min() >= _TINY:
+            links = _links(batch_sizes)
+            # a row's shifts are those of the row after it, or end's at the last
+            shift = np.full(len(U), end_shift)
+            if links:
+                lo, prev = links[0]
+                shift[prev] = unary_shift[lo:] + trans_shift
+            log_scale = _chain_sums(np.log(s) + shift, links, reverse=True)
+            return np.log(b, out=b) + log_scale[:, None]
+    return _log_backward(U, trans, end, batch_sizes)
+
+
+def _log_forward(
+    U: np.ndarray, trans: np.ndarray, start: np.ndarray, batch_sizes: Sequence[int]
+) -> np.ndarray:
+    """:func:`_forward` in log space: the oracle and fallback of the
+    scaled recursion, with an exp and a log over a (rows, L, L) block per
+    step."""
     alpha = np.empty_like(U)
     lo = batch_sizes[0]
     alpha[:lo] = start + U[:lo]
@@ -274,11 +413,11 @@ def _forward(
     return alpha
 
 
-def _backward(
+def _log_backward(
     U: np.ndarray, trans: np.ndarray, end: np.ndarray, batch_sizes: Sequence[int]
 ) -> np.ndarray:
-    """Log-space backward recursion over packed rows (see :func:`_pack`);
-    beta[r, k] excludes U[r, k], and is ``end`` at a sequence's last row."""
+    """:func:`_backward` in log space: the oracle and fallback of the
+    scaled recursion."""
     beta = np.empty_like(U)
     hi = len(U)
     n_next = 0
@@ -484,6 +623,10 @@ def _to_model(wvec: np.ndarray, vocab: dict[str, int]) -> CrfModel:
     )
 
 
+# the widest transition spread whose expected counts are summed factored
+_FACTORED_SPREAD = 600.0
+
+
 def _batch_objective(wvec, encoded, c2):
     """Regularized NLL and its gradient over a batch encoded by
     :func:`_encode_sequences`; one forward and one backward pass cover
@@ -509,12 +652,23 @@ def _batch_objective(wvec, encoded, c2):
             f"(weight norm {math.sqrt(dot(wvec, wvec)):.3e})"
         )
     m = np.exp(alpha + beta - log_z[seq, None])
-    # expected transition counts: p[j, a, b] is the posterior of label a at
-    # row prev[j] followed by b at row n0 + j, built in place to hold one
-    # (tokens, L, L) array at a time
-    p = alpha[prev, :, None] + trans
-    p += (U + beta)[n0:, None, :] - log_z[seq[n0:], None, None]
-    e_trans = np.exp(p, out=p).sum(axis=0)
+    # expected transition counts, summed over j of the posterior of label a
+    # at row prev[j] followed by b at row n0 + j
+    alpha_prev, rest = alpha[prev], (U + beta)[n0:]
+    trans_shift = trans.max()
+    if trans_shift - trans.min() <= _FACTORED_SPREAD:
+        # the posterior factors as A[j, a] * E[a, b] * B[j, b]: A is at most 1
+        # with c the row's max, E at most 1, and B at most exp(spread of
+        # trans), so no factor overflows and what underflows is below 1e-47
+        c = _row_max(alpha_prev)
+        A = np.exp(alpha_prev - c[:, None])
+        B = np.exp(rest - (log_z[seq[n0:]] - c - trans_shift)[:, None])
+        e_trans = np.exp(trans - trans_shift) * np.einsum("ta,tb->ab", A, B)
+    else:
+        # one (tokens, L, L) array of log posteriors, built in place
+        p = alpha_prev[:, :, None] + trans
+        p += rest[:, None, :] - log_z[seq[n0:], None, None]
+        e_trans = np.exp(p, out=p).sum(axis=0)
     m[rows, y] -= 1.0  # now expected minus observed counts
     observed_trans = np.bincount(y_prev * N_LABELS + y_cur, minlength=N_LABELS * N_LABELS)
     grad = 2.0 * c2 * wvec

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -558,6 +559,92 @@ class TestForwardBackwardAgreement:
                 beta[rows], _backward(unary, model.transitions, model.end, single),
                 rtol=1e-12,
             )
+
+
+def log_space_calls(monkeypatch):
+    """Count the calls of the log-space recursions from here on."""
+    from legal_sbd import crf
+
+    calls = []
+    for name in ("_log_forward", "_log_backward"):
+        def counted(*args, _name=name, _fn=getattr(crf, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(crf, name, counted)
+    return calls
+
+
+class TestScaledRecursion:
+    def test_matches_log_space_recursion(self, rng, monkeypatch):
+        from legal_sbd.crf import _backward, _forward, _log_backward, _log_forward, _pack
+
+        batches = [
+            rng.integers(1, 40, size=int(rng.integers(1, 9))) for _ in range(30)
+        ]
+        batches += [np.ones(6, dtype=int), np.full(5, 17), np.array([1, 30, 1, 30, 1])]
+        calls = log_space_calls(monkeypatch)
+        for lengths in batches:
+            scale = float(rng.uniform(0.2, 3.0))
+            U = rng.normal(size=(int(lengths.sum()), 5)) * scale
+            trans, start, end = (rng.normal(size=shape) * scale for shape in ((5, 5), 5, 5))
+            sizes = _pack(lengths).batch_sizes
+            alpha = _forward(U, trans, start, sizes)
+            beta = _backward(U, trans, end, sizes)
+            assert calls == []  # the scaled path, not its fallback
+            np.testing.assert_allclose(alpha, _log_forward(U, trans, start, sizes), rtol=1e-12)
+            np.testing.assert_allclose(beta, _log_backward(U, trans, end, sizes), rtol=1e-12)
+            calls.clear()
+
+    def test_long_sequence_whose_probabilities_underflow(self, rng, monkeypatch):
+        from legal_sbd.crf import _backward, _forward, _log_backward, _log_forward
+
+        U = rng.normal(size=(5000, 5)) - 3.0
+        trans, start, end = rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=5)
+        sizes = [1] * len(U)
+        calls = log_space_calls(monkeypatch)
+        alpha = _forward(U, trans, start, sizes)
+        beta = _backward(U, trans, end, sizes)
+        assert calls == []
+        want_alpha = _log_forward(U, trans, start, sizes)
+        # exp of the log values underflows to zero long before the end
+        assert want_alpha.max(axis=1)[-1] < math.log(np.finfo(float).tiny)
+        np.testing.assert_allclose(alpha, want_alpha, rtol=1e-12)
+        np.testing.assert_allclose(beta, _log_backward(U, trans, end, sizes), rtol=1e-12)
+
+    def test_extreme_weights_fall_back_to_log_space(self, rng, monkeypatch):
+        # transitions of +-1e3 and unary spreads above 800 within a row put
+        # scaled values below the normal doubles
+        model = random_model(rng, n_indicators=3)
+        model.transitions = rng.choice([-1e3, 1e3], size=(5, 5))
+        model.state_weights["wide"] = np.array([850.0, -10.0, 0.0, 3.0, 1.0])
+        calls = log_space_calls(monkeypatch)
+        # no L2 term: at these weights it would be ~1e5, and its rounding
+        # would swamp the finite differences
+        config = TrainingConfig(c1=0.0, c2=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for length in (1, 2, 4):
+                feats = [{**fv, "wide": 1.0} for fv in random_features(rng, length, 3)]
+                got = log_partition(model, feats)
+                want = brute_log_partition(model, feats)
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+                np.testing.assert_allclose(
+                    marginals(model, feats), brute_marginals(model, feats), atol=1e-10
+                )
+            assert {"_log_forward", "_log_backward"} <= set(calls)
+            batch = [
+                LabeledSequence([{**fv, "wide": 1.0} for fv in seq.features], seq.labels)
+                for seq in random_batch(rng)
+            ]
+            _, grad = nll_and_gradient(model, batch, config)
+            fd_state, fd_arrays = finite_difference_gradient(model, batch, config)
+        for ind, row in fd_state.items():
+            err = np.abs(grad.state_weights[ind] - row) / np.maximum(1.0, np.abs(row))
+            assert err.max() <= 1e-6
+        for name in ("transitions", "start", "end"):
+            got, want = getattr(grad, name), fd_arrays[name]
+            assert (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max() <= 1e-6
 
 
 class TestNonFiniteAbort:
