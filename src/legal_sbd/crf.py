@@ -301,7 +301,7 @@ def _chain_sums(d: np.ndarray, links, reverse: bool = False) -> np.ndarray:
 
 def _row_max(V: np.ndarray) -> np.ndarray:
     """The max of each row of a (rows, L) array, taken column by column:
-    numpy reduces over so short an axis row by row, ten times slower."""
+    numpy reduces so short an axis row by row, over ten times slower."""
     m = V[:, 0].copy()
     for k in range(1, V.shape[1]):
         np.maximum(m, V[:, k], out=m)

@@ -613,11 +613,15 @@ class TestScaledRecursion:
         np.testing.assert_allclose(beta, _log_backward(U, trans, end, sizes), rtol=1e-12)
 
     def test_extreme_weights_fall_back_to_log_space(self, rng, monkeypatch):
-        # transitions of +-1e3 and unary spreads above 800 within a row put
-        # scaled values below the normal doubles
+        # transitions of +-1e3 and unary spreads of 1,200 within a row put
+        # scaled values below the normal doubles.  The likely paths take
+        # -1e3 transitions, as 3 -> 4 scores +1e3 but its labels -1,200
+        # each, so the transition spread is too wide to sum the expected
+        # counts factored
         model = random_model(rng, n_indicators=3)
-        model.transitions = rng.choice([-1e3, 1e3], size=(5, 5))
-        model.state_weights["wide"] = np.array([850.0, -10.0, 0.0, 3.0, 1.0])
+        model.transitions = np.full((5, 5), -1e3)
+        model.transitions[3, 4] = 1e3
+        model.state_weights["wide"] = np.array([0.0, 5.0, -3.0, -1200.0, -1200.0])
         calls = log_space_calls(monkeypatch)
         # no L2 term: at these weights it would be ~1e5, and its rounding
         # would swamp the finite differences
