@@ -341,10 +341,10 @@ def _forward(
         np.divide(P[:n0], s[:n0, None], out=a[:n0])
         prev, lo = 0, n0
         for n in batch_sizes[1:]:
-            q = np.einsum("ri,ij->rj", a[prev : prev + n], E, out=a[lo : lo + n])
-            q *= P[lo : lo + n]
-            np.add.reduce(q, axis=1, out=s[lo : lo + n])
-            q /= s[lo : lo + n, None]
+            rows = np.einsum("ri,ij->rj", a[prev : prev + n], E, out=a[lo : lo + n])
+            rows *= P[lo : lo + n]
+            np.add.reduce(rows, axis=1, out=s[lo : lo + n])
+            rows /= s[lo : lo + n, None]
             prev, lo = lo, lo + n
         if a.min() >= _TINY and s.min() >= _TINY:
             shift[n0:] += trans_shift
@@ -372,16 +372,16 @@ def _backward(
         b = np.empty_like(U)
         b[:] = np.exp(end - end_shift)
         s = np.ones(len(U))
-        q = np.empty_like(U[: batch_sizes[0]])
+        scratch = np.empty_like(U[: batch_sizes[0]])
         hi = len(U)
         n_next = 0
         for n in reversed(batch_sizes):
             lo = hi - n
             if n_next:
-                r = np.multiply(P[hi : hi + n_next], b[hi : hi + n_next], out=q[:n_next])
-                r = np.einsum("rj,ij->ri", r, E, out=b[lo : lo + n_next])
-                np.add.reduce(r, axis=1, out=s[lo : lo + n_next])
-                r /= s[lo : lo + n_next, None]
+                after = np.multiply(P[hi : hi + n_next], b[hi : hi + n_next], out=scratch[:n_next])
+                rows = np.einsum("rj,ij->ri", after, E, out=b[lo : lo + n_next])
+                np.add.reduce(rows, axis=1, out=s[lo : lo + n_next])
+                rows /= s[lo : lo + n_next, None]
             hi, n_next = lo, n
         if b.min() >= _TINY and s.min() >= _TINY:
             links = _links(batch_sizes)
