@@ -477,14 +477,16 @@ def _cmd_bench(resolved: dict[str, Any]) -> int:
         predicted = predict_documents(model, docs)
         timings.append(time.perf_counter() - t0)
     n_sentences = sum(len(d.spans) for d in predicted)
+    n_tokens = sum(len(tokenize(d.text)) for d in docs)
     seconds = statistics.median(timings)
-    sys.stdout.write(f"documents: {len(docs)}  predicted sentences: {n_sentences}\n")
+    sys.stdout.write(
+        f"documents: {len(docs)}  tokens: {n_tokens}  predicted sentences: {n_sentences}\n"
+    )
     if n_sentences and seconds > 0:
-        rate = n_sentences / seconds
         per_sentence = 1000.0 * seconds / n_sentences
         sys.stdout.write(
-            f"median {seconds:.3f}s  "
-            f"{rate:.1f} sentences/s  {per_sentence:.2f} ms/sentence\n"
+            f"median {seconds:.3f}s  {n_tokens / seconds:.0f} tokens/s  "
+            f"{n_sentences / seconds:.1f} sentences/s  {per_sentence:.2f} ms/sentence\n"
         )
     else:
         sys.stdout.write(f"median {seconds:.3f}s  0 sentences\n")

@@ -37,10 +37,15 @@ one slice gather over the padded rows of the whole batch: a padding row
 has category id 0 and numeric value 0, and row 0 of every table is zero,
 so no template reaches from one text into the next.  :func:`viterbi`
 then decodes every text at once on the packed layout, with max-plus
-steps only; the back pointers are taken after the loop from the stored
+steps only.  A text longer than ``_MIN_BLOCKS`` blocks of ``_BLOCK``
+tokens is cut into blocks from its own first token and decoded by a
+blocked scan, in about 2 * ``_BLOCK`` steps plus one small step per
+block instead of one step per token; a shorter one takes one step per
+token.  The back pointers are taken after the loop from the stored
 scores, by the same sums, so they are the same floating-point values
-and ties still go to the lowest label index.  One text is the batch of
-one, so its labels do not depend on the other texts of the run.
+and ties still go to the lowest label index.  Whether and where a text
+is cut depends on its own length only, and no sum mixes two texts, so a
+text's labels do not depend on the other texts of the run.
 
 The label set is ``spans.LABELS``, and every weight row, matrix and
 vector of a :class:`CrfModel` is indexed in its order; a model file
@@ -52,6 +57,7 @@ same shape.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -266,11 +272,13 @@ def _unary_matrix(
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
-def _links(batch_sizes: Sequence[int]) -> list[tuple[int, np.ndarray]]:
+@functools.lru_cache(maxsize=4)
+def _links(batch_sizes: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
     """For k = 1, 2, 4, ... below the number of steps of a packed layout
     (see :func:`_pack`): (lo, earlier), where earlier[j] is the row k steps
     before row lo + j in its sequence.  Rows before lo, the first k steps,
-    have none."""
+    have none.  Memoized, since every objective evaluation of a training
+    run has the same packing; the arrays are read-only."""
     sizes = np.asarray(batch_sizes)
     first = np.cumsum(sizes) - sizes  # the first row of each step
     step = np.repeat(np.arange(len(sizes)), sizes)
@@ -278,10 +286,12 @@ def _links(batch_sizes: Sequence[int]) -> list[tuple[int, np.ndarray]]:
     links = []
     k = 1
     while k < len(sizes):
-        lo = first[k]
-        links.append((lo, first[step[lo:] - k] + place[lo:]))
+        lo = int(first[k])
+        earlier = first[step[lo:] - k] + place[lo:]
+        earlier.flags.writeable = False
+        links.append((lo, earlier))
         k *= 2
-    return links
+    return tuple(links)
 
 
 def _chain_sums(d: np.ndarray, links, reverse: bool = False) -> np.ndarray:
@@ -348,7 +358,7 @@ def _forward(
             prev, lo = lo, lo + n
         if a.min() >= _TINY and s.min() >= _TINY:
             shift[n0:] += trans_shift
-            log_scale = _chain_sums(np.log(s) + shift, _links(batch_sizes))
+            log_scale = _chain_sums(np.log(s) + shift, _links(tuple(batch_sizes)))
             return np.log(a, out=a) + log_scale[:, None]
     return _log_forward(U, trans, start, batch_sizes)
 
@@ -384,7 +394,7 @@ def _backward(
                 rows /= s[lo : lo + n_next, None]
             hi, n_next = lo, n
         if b.min() >= _TINY and s.min() >= _TINY:
-            links = _links(batch_sizes)
+            links = _links(tuple(batch_sizes))
             # a row's shifts are those of the row after it, or end's at the last
             shift = np.full(len(U), end_shift)
             if links:
@@ -473,6 +483,39 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
 
 
 _BACK_CHUNK = 4096  # packed rows whose back pointers are taken at a time
+_BLOCK = 96  # steps per block of a long sequence's Viterbi scan
+_MIN_BLOCKS = 4  # a sequence longer than this many blocks is decoded in blocks
+_COLUMN_ROWS = 32  # from this many rows on, a max-plus step runs column by column
+
+
+def _max_plus(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """out[r, j] = max over i of V[r, i] + M[i, j], or of V[r, i] + M[r, i, j]
+    for a (rows, L, L) M, taken column by column.  numpy reduces an axis of
+    5 row by row: faster than this below about _COLUMN_ROWS rows, up to
+    four times slower for hundreds.  A max is exact, so both ways give the
+    same values."""
+    out = V[:, :1] + M[..., 0, :]
+    term = np.empty_like(out)
+    for i in range(1, V.shape[1]):
+        np.maximum(out, np.add(V[:, i : i + 1], M[..., i, :], out=term), out=out)
+    return out
+
+
+def _back_pointers(D: np.ndarray, prev: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """back[r, j]: the lowest label i with the max of D[prev[r], i] +
+    trans[i, j], as argmax would pick it, taken column by column and
+    _BACK_CHUNK rows at a time."""
+    back = np.zeros((len(prev), N_LABELS), dtype=np.uint8)
+    for lo in range(0, len(prev), _BACK_CHUNK):
+        before = D[prev[lo : lo + _BACK_CHUNK]]
+        arg = back[lo : lo + len(before)]
+        best = before[:, :1] + trans[0]
+        term = np.empty_like(best)
+        for i in range(1, N_LABELS):
+            np.add(before[:, i : i + 1], trans[i], out=term)
+            np.copyto(arg, i, where=term > best)  # a tie keeps the lower label
+            np.maximum(best, term, out=best)
+    return back
 
 
 def viterbi(
@@ -485,43 +528,123 @@ def viterbi(
     position and at every backtrack step.
 
     All sequences are decoded together on the packed layout of
-    :func:`_pack`, one max-plus step per position of the longest."""
+    :func:`_pack`.  A sequence of at most ``_MIN_BLOCKS`` blocks of
+    ``_BLOCK`` steps takes one max-plus step per position, as the loop of
+    the textbook recursion does.  A longer one is cut into blocks of
+    ``_BLOCK`` steps from its own first position and scanned in blocks
+    (Hassan, Särkkä & García-Fernández 2021; Maleki, Musuvathi & Mytkowicz
+    2014):
+
+    1. the max-plus transfer matrix of every block but each sequence's
+       last, all blocks at once in ``_BLOCK`` steps over a (blocks, L, L)
+       array;
+    2. each block's entry vector, the best scores at the last position of
+       the block before it, one small step per block;
+    3. every block's recursion from its entry vector, all blocks and the
+       short sequences at once on the packed layout.
+
+    The entry vectors are written over the rows they stand for before the
+    back pointers are taken, so the path walked is the argmax path of the
+    scores computed.  They sum the same terms as the position-by-position
+    loop, grouped differently: with integer weights every sum is exact
+    and the labels are the loop's, ties included; with real weights they
+    agree unless two paths score within rounding of each other.  Whether
+    a sequence is cut, and where, depends on its own length only, so a
+    sequence's labels do not depend on the other sequences of the call."""
     lengths = np.array([len(features)] if lengths is None else lengths, dtype=np.intp)
     if not lengths.size or lengths.min() < 1 or lengths.sum() != len(features):
         raise ValueError(
             f"sequence lengths {lengths.tolist()} do not split {len(features)} positions"
         )
+    U = _unary_matrix(model, features, lengths)
+    trans = model.transitions
+    ends = np.cumsum(lengths)
+    # each sequence is decoded as pieces (heads: their first positions): the
+    # blocks of a long sequence before its last, which get a transfer
+    # matrix, then for each sequence in order its last block, or the whole
+    # of a short one
+    heads, pieces, chain, K = ends - lengths, lengths, None, 0
+    blocked = lengths > _BLOCK * _MIN_BLOCKS
+    if blocked.any():
+        skip = np.where(blocked, _BLOCK * ((lengths - 1) // _BLOCK), 0)  # last piece's offset
+        chain = _pack(skip[blocked] // _BLOCK)
+        # block-major: chain row j is block step[j] of blocked sequence seq[j]
+        inner = heads[blocked][chain.seq] + _BLOCK * chain.step
+        K = len(inner)
+        heads = np.concatenate((inner, heads + skip))
+        pieces = np.concatenate((np.full(K, _BLOCK), lengths - skip))
+    batch_sizes, seq, step, prev, last = _pack(pieces)
     # D[r, k]: the best score of a path ending in label k at row r, built in
     # place over the unary scores in packed order
-    D = _unary_matrix(model, features, lengths)
-    trans = model.transitions
-    batch_sizes, seq, step, prev, last = _pack(lengths)
-    ends = np.cumsum(lengths)
-    D = D[ends[seq] - lengths[seq] + step]
-    n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
-    D[:n0] += model.start
+    D = U[heads[seq] + step]
+    del U
+    n0 = batch_sizes[0]  # the number of pieces; rows n0: have a predecessor
+    entry = model.start  # what the first row of a piece adds
+    pred = np.full(len(D), -1)  # the row one position earlier, -1 at a start
+    pred[n0:] = prev
+    if chain is not None:
+        # the inner blocks rank after the pieces longer than a block, before
+        # the other pieces of a block's length, so at each of their steps
+        # they are contiguous rows, and their last rows start at exits
+        rank = int(np.count_nonzero(pieces > _BLOCK))
+        firsts = np.cumsum(batch_sizes) - batch_sizes
+        exits = firsts[_BLOCK - 1] + rank
+        # 1. X[j, i, k]: the best score from label i at the position before
+        # block j (for a first block, from the model's start) to label k at
+        # its current step
+        c0 = chain.batch_sizes[0]
+        X = np.empty((K, N_LABELS, N_LABELS))
+        X[:c0] = model.start
+        X[c0:] = trans
+        X += D[rank : rank + K, None, :]
+        for t in range(1, _BLOCK):
+            X = _max_plus(X.reshape(-1, N_LABELS), trans).reshape(K, N_LABELS, N_LABELS)
+            X += D[firsts[t] + rank : firsts[t] + rank + K, None, :]
+        # 2. E[j]: the best scores at block j's last position; a first
+        # block's matrix rows are all the same, the loop's own scores
+        E = np.empty((K, N_LABELS))
+        E[:c0] = X[:c0, 0]
+        before, lo = 0, c0
+        for n in chain.batch_sizes[1:]:
+            E[lo : lo + n] = (E[before : before + n, :, None] + X[lo : lo + n]).max(axis=1)
+            before, lo = lo, lo + n
+        # the block before each piece, as a chain row, or -1
+        after = np.full(len(pieces), -1)
+        after[c0:K] = chain.prev
+        after[K:][blocked] = chain.last
+        after = after[seq[:n0]]
+        entering = np.flatnonzero(after >= 0)
+        entry = np.empty((n0, N_LABELS))
+        entry[:] = model.start
+        entry[entering] = _max_plus(E[after[entering]], trans)
+        pred[entering] = exits + after[entering]
+    # 3. the packed recursion; a first row adds its entry
+    D[:n0] += entry
     before, lo = 0, n0
     for n in batch_sizes[1:]:
-        D[lo : lo + n] += (D[before : before + n, :, None] + trans).max(axis=1)
+        if n < _COLUMN_ROWS:
+            D[lo : lo + n] += (D[before : before + n, :, None] + trans).max(axis=1)
+        else:
+            D[lo : lo + n] += _max_plus(D[before : before + n], trans)
         before, lo = lo, lo + n
-    # back pointers from the stored D: the same sums as in the loop, so the
-    # same maxima, and argmax takes the lowest index among them
-    back = np.empty((len(D) - n0, N_LABELS), dtype=np.uint8)
-    for lo in range(0, len(back), _BACK_CHUNK):
-        rows = prev[lo : lo + _BACK_CHUNK]
-        back[lo : lo + len(rows)] = (D[rows, :, None] + trans).argmax(axis=1)
+    if chain is not None:
+        D[exits : exits + K] = E
+    # back pointers from the stored D: the same sums as in the recursion,
+    # so the same maxima.  A start row's pointers read D[-1] and are unused
+    back = _back_pointers(D, pred, trans)
+    last = last[K:]  # each sequence's last row
     best = (D[last] + model.end).argmax(axis=1)
-    # walk each sequence back from its last row; row r >= n0 came from row
-    # prev[r - n0] with label back[r - n0, k]
-    back_flat, prev_of = memoryview(back.reshape(-1)), memoryview(prev)
+    # walk each sequence back from its last row; row r came from row
+    # pred[r] with label back[r, k]
+    back_flat, pred_of = memoryview(back.reshape(-1)), memoryview(pred)
     labels = [""] * len(D)
     for r, k, pos in zip(last.tolist(), best.tolist(), ends.tolist()):
         pos -= 1
         labels[pos] = LABELS[k]
-        while r >= n0:
-            r -= n0
+        p = pred_of[r]
+        while p >= 0:
             k = back_flat[r * N_LABELS + k]
-            r = prev_of[r]
+            r, p = p, pred_of[p]
             pos -= 1
             labels[pos] = LABELS[k]
     return labels

@@ -28,16 +28,22 @@ def term_by_term_score(model: CrfModel, features, labels) -> float:
     return total
 
 
-def enumerate_scores(model: CrfModel, features):
-    """Scores of all |L|^T label sequences, by enumeration (no recursion)."""
-    n_labels = len(LABELS)
-    length = len(features)
-    unary = np.zeros((length, n_labels))
+def term_by_term_unary(model: CrfModel, features) -> np.ndarray:
+    """Unary scores, shape (T, L), summed indicator by indicator."""
+    unary = np.zeros((len(features), len(LABELS)))
     for t, fv in enumerate(features):
         for ind, val in indicators(fv):
             row = model.state_weights.get(ind)
             if row is not None:
                 unary[t] += val * row
+    return unary
+
+
+def enumerate_scores(model: CrfModel, features):
+    """Scores of all |L|^T label sequences, by enumeration (no recursion)."""
+    n_labels = len(LABELS)
+    length = len(features)
+    unary = term_by_term_unary(model, features)
     combos = np.array(
         list(itertools.product(range(n_labels), repeat=length)), dtype=np.intp
     )
@@ -65,6 +71,30 @@ def brute_viterbi(model: CrfModel, features) -> list[str]:
     ties = [tuple(int(k) for k in combos[i]) for i in np.flatnonzero(scores == best)]
     pick = min(ties, key=lambda c: tuple(reversed(c)))
     return [LABELS[k] for k in pick]
+
+
+def loop_viterbi(model: CrfModel, features) -> list[str]:
+    """The sequential max-plus loop, one position at a time in plain
+    Python, for sequences too long to enumerate.  Ties go to the lowest
+    label index at the final position and at every backtrack step, so
+    with integer weights, whose sums are exact, it is the decoder's
+    documented answer."""
+    labels = range(len(LABELS))
+    unary = term_by_term_unary(model, features).tolist()
+    trans = model.transitions.tolist()
+    best = [s + u for s, u in zip(model.start.tolist(), unary[0])]
+    back = []
+    for row in unary[1:]:
+        # max() returns the first of equal maxima: the lowest label index
+        froms = [max(labels, key=lambda i: best[i] + trans[i][j]) for j in labels]
+        best = [best[i] + trans[i][j] + u for j, (i, u) in enumerate(zip(froms, row))]
+        back.append(froms)
+    k = max(labels, key=lambda j: best[j] + float(model.end[j]))
+    path = [k]
+    for froms in reversed(back):
+        k = froms[k]
+        path.append(k)
+    return [LABELS[k] for k in reversed(path)]
 
 
 def brute_marginals(model: CrfModel, features) -> np.ndarray:

@@ -40,9 +40,10 @@ TEXT = st.one_of(
 )
 
 
-def draw_model(data, texts) -> CrfModel:
+def draw_model(data, texts, integer: bool | None = None) -> CrfModel:
     """Random weights on every edge indicator and on some of the texts'
-    own indicators; integer weights make exact ties common."""
+    own indicators; integer weights (drawn, unless *integer* is given)
+    make exact ties common."""
     own = sorted({
         ind
         for text in texts
@@ -52,7 +53,8 @@ def draw_model(data, texts) -> CrfModel:
     picked = list(EDGES)
     if own:
         picked += data.draw(st.lists(st.sampled_from(own), max_size=60, unique=True), label="own")
-    integer = data.draw(st.booleans(), label="integer")
+    if integer is None:
+        integer = data.draw(st.booleans(), label="integer")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
 
     def draw(*shape):
@@ -70,6 +72,22 @@ def test_batch_matches_each_text_alone_and_the_reference(texts, data):
     for text, (tokens, labels) in zip(texts, batch):
         assert tokens == tokenize(text)
         assert labels == (viterbi(model, sequence_features(tokens)) if tokens else [])
+
+
+@given(texts=st.lists(TEXT, max_size=7), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_blocked_decoding_matches_the_unblocked_loop(texts, data):
+    # blocks of 2 steps, and every text of more than 2 blocks decoded in
+    # blocks, so the drawn texts span many blocks; integer weights make
+    # every sum exact, so the labels are the loop's, ties included
+    model = draw_model(data, texts, integer=True)
+    unblocked = pipeline.predicted_labels(model, texts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crf, "_BLOCK", 2)
+        patch.setattr(crf, "_MIN_BLOCKS", 2)
+        blocked = pipeline.predicted_labels(model, texts)
+        assert blocked == [pipeline.predicted_labels(model, [text])[0] for text in texts]
+    assert blocked == unblocked
 
 
 def test_zero_model_labels_every_token_b():

@@ -15,6 +15,7 @@ from legal_sbd.cli import CONFIG_ENV_VAR, _build_parser, escape_token_text, main
 from legal_sbd.corpus import load_corpus, save_corpus
 from legal_sbd.crf import TrainingConfig, load_model, save_model
 from legal_sbd.synthetic import make_corpus
+from legal_sbd.tokenizer import tokenize
 
 
 @pytest.fixture()
@@ -432,6 +433,19 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "sentences/s" in out
         assert out.splitlines()[-1].startswith("median ")
+
+    def test_reports_tokens_and_tokens_per_second(self, model_path, corpus_path, capsys):
+        assert run("bench", "--model", model_path, "--corpus", corpus_path,
+                   "--repeat", "1") == 0
+        head, last = capsys.readouterr().out.splitlines()
+        tokens = sum(len(tokenize(doc.text)) for doc in load_corpus(corpus_path))
+        assert f"tokens: {tokens} " in head
+        sentences = int(head.split()[-1])
+        # median <s>s  <r> tokens/s  <r> sentences/s  <ms> ms/sentence
+        words = last.split()
+        assert (words[3], words[5]) == ("tokens/s", "sentences/s")
+        # both rates divide by the same median time
+        assert float(words[2]) / float(words[4]) == pytest.approx(tokens / sentences, rel=1e-2)
 
     @pytest.mark.parametrize("repeat", ["0", "-2"])
     def test_repeat_below_one_is_data_error(self, repeat, tmp_path, capsys):

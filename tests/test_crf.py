@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import legal_sbd
+from legal_sbd import crf
 from legal_sbd.crf import (
     CrfModel,
     LabeledSequence,
@@ -33,6 +34,7 @@ from oracles import (
     brute_marginals,
     brute_viterbi,
     finite_difference_gradient,
+    loop_viterbi,
     random_batch,
     random_features,
     random_model,
@@ -153,6 +155,51 @@ class TestViterbi:
             model = random_model(rng, integer=integer)
             feats = random_features(rng, length, integer=integer)
             assert viterbi(model, feats) == brute_viterbi(model, feats)
+
+
+class TestBlockedViterbi:
+    """Sequences longer than _MIN_BLOCKS blocks of _BLOCK steps are decoded
+    by a blocked max-plus scan.  With integer weights every sum is exact,
+    so its labels are the sequential loop's, ties included."""
+
+    def test_loop_oracle_matches_enumeration(self, rng):
+        for trial in range(20):
+            integer = trial % 2 == 1
+            model = random_model(rng, integer=integer)
+            feats = random_features(rng, int(rng.integers(1, 7)), integer=integer)
+            assert loop_viterbi(model, feats) == brute_viterbi(model, feats)
+
+    def test_long_integer_sequence_decodes_like_the_loop(self, rng):
+        model = random_model(rng, integer=True)
+        feats = random_features(rng, 5000, integer=True)
+        assert len(feats) > 10 * crf._BLOCK * crf._MIN_BLOCKS
+        assert viterbi(model, feats) == loop_viterbi(model, feats)
+
+    def test_long_sequence_labels_do_not_depend_on_batch_mates(self, rng):
+        # real weights: the scan's rounding must be the sequence's own.
+        # Pieces longer than a block, of a block's length and shorter
+        # share the packed layout with the blocks of two long sequences
+        model = random_model(rng)
+        block, blocks = crf._BLOCK, crf._MIN_BLOCKS
+        lengths = [3, 2000, block + 5, 1, block, blocks * block + 1, 40, 700]
+        sequences = [random_features(rng, n) for n in lengths]
+        flat = [fv for seq in sequences for fv in seq]
+        alone = [label for seq in sequences for label in viterbi(model, seq)]
+        assert viterbi(model, flat, lengths) == alone
+
+    def test_lengths_at_block_edges(self, rng):
+        block, blocks = crf._BLOCK, crf._MIN_BLOCKS
+        lengths = [
+            blocks * block - 1, blocks * block, blocks * block + 1,
+            (blocks + 1) * block, (blocks + 1) * block + 1, 2 * blocks * block,
+        ]
+        model = random_model(rng, integer=True)
+        sequences = [random_features(rng, n, integer=True) for n in lengths]
+        want = [loop_viterbi(model, seq) for seq in sequences]
+        for seq, labels in zip(sequences, want):
+            assert viterbi(model, seq) == labels
+        flat = [fv for seq in sequences for fv in seq]
+        assert viterbi(model, flat, lengths) == [label for labels in want for label in labels]
 
 
 class TestMarginals:
@@ -595,6 +642,16 @@ class TestScaledRecursion:
             np.testing.assert_allclose(alpha, _log_forward(U, trans, start, sizes), rtol=1e-12)
             np.testing.assert_allclose(beta, _log_backward(U, trans, end, sizes), rtol=1e-12)
             calls.clear()
+
+    def test_links_are_built_once_per_packing(self):
+        from legal_sbd.crf import _links
+
+        sizes = (3, 3, 2, 1, 1)
+        links = _links(sizes)
+        assert _links(tuple(list(sizes))) is links
+        assert [lo for lo, _ in links] == [3, 6, 9]
+        for _, earlier in links:
+            assert not earlier.flags.writeable
 
     def test_long_sequence_whose_probabilities_underflow(self, rng, monkeypatch):
         from legal_sbd.crf import _backward, _forward, _log_backward, _log_forward
