@@ -30,10 +30,12 @@ Both forms of the features read one layout, built by
 :func:`padded_layout`: a batch of token sequences laid end to end with
 ``MAX_RADIUS`` padding rows before, between and after them, each row
 mapped to an entry of a table of ``_token_attrs`` tuples, one per
-distinct (text, kind), entry 0 being padding.  Range and edges follow
-from the padding: the neighbour at offset d of row r is in range iff row
-r + d is not padding, and a row is first in its sequence (``BOS``) iff
-the row before it is padding, last (``EOS``) iff the row after it is.
+distinct text, entry 0 being padding; the text alone decides the entry,
+as a token's kind follows from its first character.  Range and edges
+follow from the padding: the neighbour at offset d of row r is in range
+iff row r + d is not padding, and a row is first in its sequence
+(``BOS``) iff the row before it is padding, last (``EOS``) iff the row
+after it is.
 :func:`sequence_features` and :func:`token_features` build the dict maps
 from it, for training, the ``features`` CLI and the oracle tests.
 Prediction builds no maps: ``legal_sbd.crf`` gathers weight rows over
@@ -51,8 +53,7 @@ of its key in a map, or None if the feature set cannot emit it."""
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .tokenizer import NEWLINE, NUMBER, Token, WORD
@@ -151,22 +152,21 @@ def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list
     end with ``MAX_RADIUS`` padding rows before, between and after them.
 
     Returns (attrs, which): ``attrs[k]`` is the ``_token_attrs`` tuple of
-    the k-th distinct (text, kind) of *tokens*, and ``attrs[0]`` None, for
-    padding; ``which[r]`` is the entry of padded row r."""
-    index: dict[tuple[str, str], int] = {}
-    attrs: list = [None]
+    the k-th distinct text of *tokens*, and ``attrs[0]`` None, for
+    padding; ``which[r]`` is the entry of padded row r.  Tokens with the
+    same text have the same kind, so they share an entry."""
+    texts = list(map(attrgetter("text"), tokens))
+    # texts in order of first appearance, each with a token that has it
+    distinct = dict(zip(texts, tokens))
+    ids = {text: k for k, text in enumerate(distinct, 1)}
+    attrs = [None, *map(_token_attrs, distinct.values())]
     padding = [0] * MAX_RADIUS
     which = list(padding)
-    rest = iter(tokens)
+    pos = 0
     for n in lengths:
-        for tok in islice(rest, n):
-            key = (tok.text, tok.kind)
-            k = index.get(key)
-            if k is None:
-                k = index[key] = len(attrs)
-                attrs.append(_token_attrs(tok))
-            which.append(k)
+        which += map(ids.__getitem__, texts[pos : pos + n])
         which += padding
+        pos += n
     return attrs, which
 
 

@@ -6,6 +6,7 @@ Everything here is deterministic and runs in the calling thread.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
 
 from .corpus import Document, SentenceSpan, corpus_fingerprint
 from .crf import CrfModel, LabeledSequence, TrainingConfig, compile_model, train, viterbi
@@ -122,7 +123,7 @@ def predicted_labels(model: CrfModel, texts: list[str]) -> list[tuple[list[Token
     compiled = compile_model(model)
     tokenized = [tokenize(text) for text in texts]
     lengths = [len(tokens) for tokens in tokenized if tokens]
-    flat = [tok for tokens in tokenized for tok in tokens]
+    flat = list(chain.from_iterable(tokenized))
     labels = viterbi(compiled, flat, lengths) if flat else []
     labeled = []
     pos = 0

@@ -29,6 +29,13 @@ normalizes ``\\r\\n`` to ``\\n`` before text reaches the tokenizer.
 A document's tokens are a plain ``list[Token]``.  :func:`token_ranges` is
 the one place that maps character spans onto token indices; BILOU
 encoding, boundary evaluation and corpus statistics all go through it.
+
+:class:`Token` is a :class:`~typing.NamedTuple`, so :func:`tokenize`
+builds a text's tokens with C-level calls only (``map`` of
+``tuple.__new__`` over zipped columns) and no Python code per token; a
+long judgment has tens of thousands of tokens, and building them as
+frozen dataclasses was most of the tokenizer's time.  Being a tuple, a
+``Token`` equals the plain tuple ``(text, start, end, kind)``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ from __future__ import annotations
 import re
 import unicodedata
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from typing import NamedTuple
 
 WORD = "word"
 NUMBER = "number"
@@ -65,14 +74,23 @@ _RUN = re.compile(r"w[wm]*|n+|s+|.")
 _KIND = {"w": WORD, "n": NUMBER, "s": WHITESPACE, "l": NEWLINE, "m": OTHER, "o": OTHER}
 
 
-@dataclass(frozen=True)
-class Token:
-    """A slice of document text: ``document[start:end] == text``."""
+class Token(NamedTuple):
+    """A slice of document text: ``document[start:end] == text``.
+
+    A named tuple rather than a dataclass so that :func:`tokenize` can
+    build its tokens without running Python code for each: it is
+    immutable, hashable and read by field name, and it also unpacks, has
+    ``len`` 4 and compares equal to the plain tuple of its fields."""
 
     text: str
     start: int
     end: int
     kind: str
+
+
+# a Token from its four fields in one C call; ``Token._make`` and
+# ``Token(...)`` run Python code for each token
+_new_token = partial(tuple.__new__, Token)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -82,14 +100,12 @@ def tokenize(text: str) -> list[Token]:
     and ``detokenize(tokenize(text)) == text`` always holds.
     """
     codes = text.translate({ord(ch): _classify(ch) for ch in set(text)})
-    tokens: list[Token] = []
-    append = tokens.append
-    i = 0
-    for run in _RUN.findall(codes):
-        j = i + len(run)
-        append(Token(text[i:j], i, j, _KIND[run[0]]))
-        i = j
-    return tokens
+    runs = _RUN.findall(codes)
+    ends = list(accumulate(map(len, runs)))
+    starts = [0, *ends]  # one too many; zip stops at the last end
+    texts = [text[i:j] for i, j in zip(starts, ends)]
+    kinds = [_KIND[run[0]] for run in runs]
+    return list(map(_new_token, zip(texts, starts, ends, kinds)))
 
 
 def detokenize(tokens: list[Token]) -> str:

@@ -180,3 +180,25 @@ def finite_difference_gradient(model: CrfModel, batch, config: TrainingConfig, h
             grad[index] = (value_at(up) - value_at(down)) / (2 * h)
         arrays[name] = grad
     return state, arrays
+
+
+def keyed_layout(tokens, lengths):
+    """``features.padded_layout`` as a plain loop that interns on each
+    token's (text, kind), not on its text alone: the layout the text-only
+    interning must reproduce row for row."""
+    from legal_sbd.features import MAX_RADIUS, _token_attrs
+
+    index: dict = {}
+    attrs: list = [None]
+    which = [0] * MAX_RADIUS
+    pos = 0
+    for n in lengths:
+        for tok in tokens[pos : pos + n]:
+            key = (tok.text, tok.kind)
+            if key not in index:
+                index[key] = len(attrs)
+                attrs.append(_token_attrs(tok))
+            which.append(index[key])
+        which += [0] * MAX_RADIUS
+        pos += n
+    return attrs, which

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legal_sbd.features import (
     TEMPLATES,
     format_features,
+    padded_layout,
     sequence_features,
     signature,
     special_category,
@@ -12,6 +15,7 @@ from legal_sbd.features import (
 )
 from legal_sbd.synthetic import make_corpus
 from legal_sbd.tokenizer import tokenize
+from oracles import keyed_layout
 
 # Reference feature map for the token "en" in "C'est en outre": categories,
 # shapes, lengths, window truncation at both sequence edges, and the
@@ -171,3 +175,31 @@ def test_template_radii_never_grow():
     # a neighbour's keys are the prefix of TEMPLATES whose radius covers it
     radii = [radius for _, radius in TEMPLATES]
     assert radii == sorted(radii, reverse=True)
+
+
+def assert_same_layout(tokens, lengths):
+    """Row for row the attributes and padding of the (text, kind) layout."""
+    attrs, which = padded_layout(tokens, lengths)
+    ref_attrs, ref_which = keyed_layout(tokens, lengths)
+    assert len(which) == len(ref_which)
+    assert [k == 0 for k in which] == [k == 0 for k in ref_which]
+    assert [attrs[k] for k in which] == [ref_attrs[k] for k in ref_which]
+    assert len(attrs) == len(ref_attrs)  # one entry per distinct text
+
+
+def test_text_keyed_layout_matches_text_and_kind_layout():
+    docs = make_corpus(6, seed=11, abbreviation_rate=0.5, newline_rate=0.3)
+    texts = [doc.text for doc in docs]
+    # a leading mark, a digit that is not decimal, a lone CR, and
+    # repeats of each across texts
+    texts += ["\u0301a\u0301 1 ٣²\r\n", "", "a\u0301\u0301 ٣ \u0301", "x"]
+    seqs = [tokenize(text) for text in texts]
+    seqs = [seq for seq in seqs if seq]
+    assert_same_layout([tok for seq in seqs for tok in seq], [len(seq) for seq in seqs])
+
+
+@given(st.lists(st.text(alphabet="a\u0301 1٣²\n.(", min_size=1, max_size=30), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_text_keyed_layout_matches_on_any_batch(texts):
+    seqs = [tokenize(text) for text in texts]
+    assert_same_layout([tok for seq in seqs for tok in seq], [len(seq) for seq in seqs])

@@ -1,5 +1,6 @@
 import unicodedata
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from legal_sbd.tokenizer import (
     OTHER,
     WHITESPACE,
     WORD,
+    Token,
     detokenize,
     tokenize,
 )
@@ -81,6 +83,30 @@ def test_offsets_are_contiguous():
         assert text[tok.start : tok.end] == tok.text
 
 
+def test_tokens_are_named_tuples_of_four_fields():
+    seq = tokenize("Art. 12")
+    assert all(type(tok) is Token for tok in seq)
+    tok = seq[0]
+    assert Token._fields == ("text", "start", "end", "kind")
+    assert (tok.text, tok.start, tok.end, tok.kind) == ("Art", 0, 3, WORD)
+    text, start, end, kind = tok
+    assert (text, start, end, kind) == tuple(tok) == ("Art", 0, 3, WORD)
+    # a tuple: equal to the plain tuple of its fields, of length 4
+    assert tok == ("Art", 0, 3, WORD)
+    assert len(tok) == 4
+    assert tok == Token("Art", 0, 3, WORD)
+
+
+def test_tokens_are_immutable_and_hashable():
+    tok = tokenize("Art")[0]
+    for field in Token._fields:
+        with pytest.raises(AttributeError):
+            setattr(tok, field, None)
+    assert tok == ("Art", 0, 3, WORD)
+    assert hash(tok) == hash(Token("Art", 0, 3, WORD))
+    assert len({tok, Token("Art", 0, 3, WORD), tokenize("Art")[0]}) == 1
+
+
 def is_mark(ch):
     return unicodedata.category(ch) == "Mn"
 
@@ -120,6 +146,21 @@ def test_kind_predicates_are_exclusive(text):
     for a, b in zip(seq, seq[1:]):
         assert not (a.kind == b.kind and a.kind in (WORD, NUMBER, WHITESPACE))
         assert not (a.kind == WORD and b.kind == OTHER and is_mark(b.text))
+
+
+@given(
+    st.text(alphabet=EDGE_CHARACTERS | st.characters(), max_size=40),
+    st.text(alphabet=EDGE_CHARACTERS | st.characters(), max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_token_kind_follows_from_its_text(first, second):
+    """Tokens with the same text have the same kind, within one text and
+    across texts, which lets feature layouts intern on the text alone;
+    and a token's text tokenizes alone to that one token."""
+    kinds = {}
+    for tok in tokenize(first) + tokenize(second):
+        assert kinds.setdefault(tok.text, tok.kind) == tok.kind, tok
+        assert tokenize(tok.text) == [(tok.text, 0, len(tok.text), tok.kind)]
 
 
 @given(st.text(max_size=300))

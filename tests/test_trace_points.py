@@ -26,9 +26,17 @@ def test_every_trace_point_records_a_span():
     tracer = tracing.Tracer("tier1")
     with tracing.install(tracer):
         model = pipeline.train_on_documents(docs, TrainingConfig(max_iterations=3))
+        tracer.phase = "predict"
         predicted = pipeline.predict_documents(model, docs)
+        tracer.phase = ""
         evaluation.evaluate(docs, {d.id: list(d.spans) for d in predicted})
         baseline.rule_split(docs[0].text)
     recorded = {span[1] for span in tracer.spans}
     expected = {name for _, _, name in tracing.TRACE_POINTS}
     assert expected - recorded == set()
+    # training tokenizes too, so the prediction stages are checked on the
+    # prediction's own spans: a predict path that bypassed one of these
+    # names would zero its layer metric on every predict phase
+    predicting = {span[1] for span in tracer.spans if span[5] == "predict"}
+    stages = {"tokenizer.tokenize", "crf.unary", "crf.viterbi", "spans.decode_bilou"}
+    assert stages - predicting == set()
