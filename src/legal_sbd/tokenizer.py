@@ -31,8 +31,8 @@ the one place that maps character spans onto token indices; BILOU
 encoding, boundary evaluation and corpus statistics all go through it.
 
 :class:`Token` is a :class:`~typing.NamedTuple`, so :func:`tokenize`
-builds a text's tokens with C-level calls only (``map`` of
-``tuple.__new__`` over zipped columns) and no Python code per token; a
+builds a text's tokens from column lists with one ``map`` of
+``tuple.__new__`` over their zip, and no Python-level call per token; a
 long judgment has tens of thousands of tokens, and building them as
 frozen dataclasses was most of the tokenizer's time.  Being a tuple, a
 ``Token`` equals the plain tuple ``(text, start, end, kind)``.
@@ -78,7 +78,7 @@ class Token(NamedTuple):
     """A slice of document text: ``document[start:end] == text``.
 
     A named tuple rather than a dataclass so that :func:`tokenize` can
-    build its tokens without running Python code for each: it is
+    build its tokens without a Python-level call for each: it is
     immutable, hashable and read by field name, and it also unpacks, has
     ``len`` 4 and compares equal to the plain tuple of its fields."""
 
@@ -88,8 +88,8 @@ class Token(NamedTuple):
     kind: str
 
 
-# a Token from its four fields in one C call; ``Token._make`` and
-# ``Token(...)`` run Python code for each token
+# a Token from the tuple of its four fields in one C call; ``Token._make``
+# and ``Token(...)`` are Python-level calls
 _new_token = partial(tuple.__new__, Token)
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legal_sbd.features import (
@@ -177,29 +177,25 @@ def test_template_radii_never_grow():
     assert radii == sorted(radii, reverse=True)
 
 
-def assert_same_layout(tokens, lengths):
-    """Row for row the attributes and padding of the (text, kind) layout."""
+# synthetic documents, then a leading mark, non-decimal digits, a lone
+# CR and an empty text, with repeats of each across texts
+BATCH = [
+    *(doc.text for doc in make_corpus(6, seed=11, abbreviation_rate=0.5, newline_rate=0.3)),
+    "\u0301a\u0301 1 ٣²\r x\n", "", "a\u0301\u0301 ٣ \u0301\r", "x",
+]
+
+
+@given(st.lists(st.text(alphabet="a\u0301 1٣²\r\n.(", max_size=30), min_size=1, max_size=4))
+@example(BATCH)
+@settings(max_examples=150, deadline=None)
+def test_text_keyed_layout_matches_text_and_kind_layout(texts):
+    """Per row, the layout interned on text gives the attributes and the
+    padding of one interned on (text, kind), with as many entries."""
+    seqs = [seq for seq in map(tokenize, texts) if seq]
+    tokens = [tok for seq in seqs for tok in seq]
+    lengths = [len(seq) for seq in seqs]
     attrs, which = padded_layout(tokens, lengths)
     ref_attrs, ref_which = keyed_layout(tokens, lengths)
-    assert len(which) == len(ref_which)
     assert [k == 0 for k in which] == [k == 0 for k in ref_which]
     assert [attrs[k] for k in which] == [ref_attrs[k] for k in ref_which]
-    assert len(attrs) == len(ref_attrs)  # one entry per distinct text
-
-
-def test_text_keyed_layout_matches_text_and_kind_layout():
-    docs = make_corpus(6, seed=11, abbreviation_rate=0.5, newline_rate=0.3)
-    texts = [doc.text for doc in docs]
-    # a leading mark, a digit that is not decimal, a lone CR, and
-    # repeats of each across texts
-    texts += ["\u0301a\u0301 1 ٣²\r\n", "", "a\u0301\u0301 ٣ \u0301", "x"]
-    seqs = [tokenize(text) for text in texts]
-    seqs = [seq for seq in seqs if seq]
-    assert_same_layout([tok for seq in seqs for tok in seq], [len(seq) for seq in seqs])
-
-
-@given(st.lists(st.text(alphabet="a\u0301 1٣²\n.(", min_size=1, max_size=30), min_size=1, max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_text_keyed_layout_matches_on_any_batch(texts):
-    seqs = [tokenize(text) for text in texts]
-    assert_same_layout([tok for seq in seqs for tok in seq], [len(seq) for seq in seqs])
+    assert len(attrs) == len(ref_attrs)

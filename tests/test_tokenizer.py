@@ -102,7 +102,6 @@ def test_tokens_are_immutable_and_hashable():
     for field in Token._fields:
         with pytest.raises(AttributeError):
             setattr(tok, field, None)
-    assert tok == ("Art", 0, 3, WORD)
     assert hash(tok) == hash(Token("Art", 0, 3, WORD))
     assert len({tok, Token("Art", 0, 3, WORD), tokenize("Art")[0]}) == 1
 
