@@ -5,10 +5,12 @@ decoding, and maximum-likelihood training with elastic-net regularization
 (L1 handled by the orthant-wise optimizer, L2 inside the smooth
 objective).  Forward-backward runs in probability space with a scale per
 step (Rabiner 1989), so a sequence thousands of tokens long does not
-underflow and a step needs no exp or log; it returns log values all the
-same.  Where extreme weights push a scaled value out of the normal
-doubles, the call falls back to the log-space recursion, which is also
-the oracle of the scaled one.  Viterbi runs in log space (max-plus).
+underflow and a step needs no exp or log.  The backward pass reuses the
+forward pass's scales, so :func:`_posteriors` reads the marginals, the
+expected transition counts and log Z off the scaled values directly.
+Where extreme weights push a scaled value out of the normal doubles, the
+call falls back to the log-space recursions, which are also the oracle
+of the scaled ones.  Viterbi runs in log space (max-plus).
 
 Training evaluates the objective over the whole batch with one forward
 and one backward pass.  The sequences are stably sorted longest first and
@@ -57,7 +59,6 @@ same shape.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -272,43 +273,6 @@ def _unary_matrix(
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
-@functools.lru_cache(maxsize=4)
-def _links(batch_sizes: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
-    """For k = 1, 2, 4, ... below the number of steps of a packed layout
-    (see :func:`_pack`): (lo, earlier), where earlier[j] is the row k steps
-    before row lo + j in its sequence.  Rows before lo, the first k steps,
-    have none.  Memoized, since every objective evaluation of a training
-    run has the same packing; the arrays are read-only."""
-    sizes = np.asarray(batch_sizes)
-    first = np.cumsum(sizes) - sizes  # the first row of each step
-    step = np.repeat(np.arange(len(sizes)), sizes)
-    place = np.arange(len(step)) - first[step]
-    links = []
-    k = 1
-    while k < len(sizes):
-        lo = int(first[k])
-        earlier = first[step[lo:] - k] + place[lo:]
-        earlier.flags.writeable = False
-        links.append((lo, earlier))
-        k *= 2
-    return tuple(links)
-
-
-def _chain_sums(d: np.ndarray, links, reverse: bool = False) -> np.ndarray:
-    """In place, d[r] plus d at every earlier row of r's sequence, or at
-    every later row if *reverse*, for the packed rows whose :func:`_links`
-    are given.  A prefix sum by doubling (Hillis & Steele 1986): round k
-    adds the partial sum k steps away, so the rounds are array operations
-    and there are ceil(log2(steps)) of them.  Each round reads its sums
-    before it writes any."""
-    for lo, earlier in links:
-        if reverse:
-            d[earlier] += d[lo:]
-        else:
-            d[lo:] += d[earlier]
-    return d
-
-
 def _row_max(V: np.ndarray) -> np.ndarray:
     """The max of each row of a (rows, L) array, taken column by column:
     numpy reduces so short an axis row by row, over ten times slower."""
@@ -318,99 +282,120 @@ def _row_max(V: np.ndarray) -> np.ndarray:
     return m
 
 
-# Forward-backward runs in probability space (Rabiner 1989; Sutton &
-# McCallum 2012, sec. 4.3).  Per call, P = exp(U - the row's max) and
-# E = exp(trans - max trans) are taken once; a step is then one row-by-E
-# product, a product with P, a row sum s and a divide by it, so the values
-# stay in (0, 1] and no exp or log runs inside the time loop.  The log
-# result is log(scaled value) plus the sum of log s and the shifts along
-# the row's sequence, taken after the loop.  The product is an einsum,
-# never BLAS, whose sums would depend on the thread count.  If any s or
-# scaled value is not a normal double, underflow may have lost exact
-# values, and the whole call falls back to the log-space recursion.
+# Forward-backward runs in probability space, with one set of scales for
+# both passes (Rabiner 1989, sec. V.A; Sutton & McCallum 2012, sec. 4.3).
+# P = exp(U - row max) and E = exp(trans - max trans) are taken once per
+# call, so no exp or log runs in the time loop.  The products are einsums,
+# never BLAS, whose sums would depend on the thread count.  If a scaled
+# value or a scale is not a normal double, underflow may have lost exact
+# values, and the whole call falls back to the log-space recursions.
 
 
 def _forward(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, batch_sizes: Sequence[int]
-) -> np.ndarray:
-    """Forward recursion over packed rows (see :func:`_pack`): alpha[r, k]
-    is the log of the summed exp-scores of the paths that end in label k
-    at row r, so it includes U[r, k].  Scaled, with :func:`_log_forward`
-    as the fallback."""
+) -> tuple[np.ndarray, ...] | None:
+    """Scaled forward recursion over packed rows (see :func:`_pack`):
+    (a, s, P, E, shift), or None if a or s leaves the normal doubles.
+
+    A step is a row-by-E product, a product with P, a row sum s and a
+    divide by it, so a[r] sums to 1.  exp of :func:`_log_forward` at row r
+    is a[r] times the product of s * exp(shift) over r and the rows before
+    it in its sequence; shift[r] is the row's max, start included at a
+    first row, plus max trans at a row with a predecessor."""
     n0 = batch_sizes[0]
-    with np.errstate(all="ignore"):
-        P = U.copy()
-        P[:n0] += start
-        shift = _row_max(P)
-        np.exp(P - shift[:, None], out=P)
-        trans_shift = trans.max()
-        E = np.exp(trans - trans_shift)
-        a = np.empty_like(U)
-        s = np.empty(len(U))
-        np.add.reduce(P[:n0], axis=1, out=s[:n0])
-        np.divide(P[:n0], s[:n0, None], out=a[:n0])
-        prev, lo = 0, n0
-        for n in batch_sizes[1:]:
-            rows = np.einsum("ri,ij->rj", a[prev : prev + n], E, out=a[lo : lo + n])
-            rows *= P[lo : lo + n]
-            np.add.reduce(rows, axis=1, out=s[lo : lo + n])
-            rows /= s[lo : lo + n, None]
-            prev, lo = lo, lo + n
-        if a.min() >= _TINY and s.min() >= _TINY:
-            shift[n0:] += trans_shift
-            log_scale = _chain_sums(np.log(s) + shift, _links(tuple(batch_sizes)))
-            return np.log(a, out=a) + log_scale[:, None]
-    return _log_forward(U, trans, start, batch_sizes)
+    P = U.copy()
+    P[:n0] += start
+    shift = _row_max(P)
+    np.exp(P - shift[:, None], out=P)
+    trans_shift = trans.max()
+    E = np.exp(trans - trans_shift)
+    a = np.empty_like(U)
+    s = np.empty(len(U))
+    np.add.reduce(P[:n0], axis=1, out=s[:n0])
+    np.divide(P[:n0], s[:n0, None], out=a[:n0])
+    prev, lo = 0, n0
+    for n in batch_sizes[1:]:
+        rows = np.einsum("ri,ij->rj", a[prev : prev + n], E, out=a[lo : lo + n])
+        rows *= P[lo : lo + n]
+        np.add.reduce(rows, axis=1, out=s[lo : lo + n])
+        rows /= s[lo : lo + n, None]
+        prev, lo = lo, lo + n
+    if not (a.min() >= _TINY and s.min() >= _TINY):
+        return None
+    shift[n0:] += trans_shift
+    return a, s, P, E, shift
 
 
 def _backward(
-    U: np.ndarray, trans: np.ndarray, end: np.ndarray, batch_sizes: Sequence[int]
+    P: np.ndarray, E: np.ndarray, s: np.ndarray, end: np.ndarray, batch_sizes: Sequence[int]
 ) -> np.ndarray:
-    """Backward recursion over packed rows (see :func:`_pack`): beta[r, k]
-    is the log of the summed exp-scores of the paths from label k at row r
-    to the end of its sequence, excluding U[r, k]; it is ``end`` at a
-    sequence's last row.  Scaled, with :func:`_log_backward` as the
-    fallback."""
+    """Scaled backward recursion over packed rows, on the P, E and s of
+    :func:`_forward`: b is exp(end - max end) at a sequence's last row, and
+    b[r] = E @ (P * b)[next] / s[next] before it, with next the row after r
+    in its sequence.  Dividing by the forward pass's scales keeps a[r] @
+    b[r] the same on every row of a sequence."""
+    # every row starts as a last row; the loop overwrites the rows that
+    # have a successor
+    b = np.empty_like(P)
+    b[:] = np.exp(end - end.max())
+    scratch = np.empty_like(P[: batch_sizes[0]])
+    hi = len(P)
+    n_next = 0
+    for n in reversed(batch_sizes):
+        lo = hi - n
+        if n_next:
+            after = np.multiply(P[hi : hi + n_next], b[hi : hi + n_next], out=scratch[:n_next])
+            rows = np.einsum("rj,ij->ri", after, E, out=b[lo : lo + n_next])
+            rows /= s[hi : hi + n_next, None]
+        hi, n_next = lo, n
+    return b
+
+
+def _posteriors(
+    U: np.ndarray, trans: np.ndarray, start: np.ndarray, end: np.ndarray, packing: _Packing
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log Z of each sequence in the caller's order, the marginals of the
+    packed rows, the expected transition counts summed over the batch).
+
+    Once b is divided by z = a[last] @ b[last], a[r] @ b[r] is 1 on every
+    row: the marginals are a * b, the posterior of label i at row prev[j]
+    and k at row n0 + j is a[prev[j], i] * E[i, k] * (P * b / s)[n0 + j, k],
+    and log Z sums log z, max end and the log scales."""
+    batch_sizes, seq, _, prev, last = packing
+    n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     with np.errstate(all="ignore"):
-        unary_shift = _row_max(U)
-        P = np.exp(U - unary_shift[:, None])
-        trans_shift = trans.max()
-        E = np.exp(trans - trans_shift)
-        end_shift = end.max()
-        # every row starts as a last row, exp(end - end_shift) with s = 1;
-        # the loop overwrites the rows that have a successor
-        b = np.empty_like(U)
-        b[:] = np.exp(end - end_shift)
-        s = np.ones(len(U))
-        scratch = np.empty_like(U[: batch_sizes[0]])
-        hi = len(U)
-        n_next = 0
-        for n in reversed(batch_sizes):
-            lo = hi - n
-            if n_next:
-                after = np.multiply(P[hi : hi + n_next], b[hi : hi + n_next], out=scratch[:n_next])
-                rows = np.einsum("rj,ij->ri", after, E, out=b[lo : lo + n_next])
-                np.add.reduce(rows, axis=1, out=s[lo : lo + n_next])
-                rows /= s[lo : lo + n_next, None]
-            hi, n_next = lo, n
-        if b.min() >= _TINY and s.min() >= _TINY:
-            links = _links(tuple(batch_sizes))
-            # a row's shifts are those of the row after it, or end's at the last
-            shift = np.full(len(U), end_shift)
-            if links:
-                lo, prev = links[0]
-                shift[prev] = unary_shift[lo:] + trans_shift
-            log_scale = _chain_sums(np.log(s) + shift, links, reverse=True)
-            return np.log(b, out=b) + log_scale[:, None]
-    return _log_backward(U, trans, end, batch_sizes)
+        scaled = _forward(U, trans, start, batch_sizes)
+        if scaled is not None:
+            a, s, P, E, shift = scaled
+            b = _backward(P, E, s, end, batch_sizes)
+            if b.min() >= _TINY:
+                z = np.einsum("rk,rk->r", a[last], b[last])
+                b /= z[seq, None]
+                m = a * b
+                after = b[n0:]
+                after *= P[n0:]
+                after /= s[n0:, None]
+                e_trans = E * np.einsum("ta,tb->ab", a[prev], after)
+                if np.isfinite(m).all() and np.isfinite(e_trans).all():
+                    scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
+                    return np.log(z) + end.max() + scales, m, e_trans
+    alpha = _log_forward(U, trans, start, batch_sizes)
+    beta = _log_backward(U, trans, end, batch_sizes)
+    log_z = _logsumexp(alpha[last] + end)
+    m = np.exp(alpha + beta - log_z[seq, None])
+    # one (tokens, L, L) array of log posteriors, built in place
+    p = alpha[prev][:, :, None] + trans
+    p += (U + beta)[n0:, None, :] - log_z[seq[n0:], None, None]
+    return log_z, m, np.exp(p, out=p).sum(axis=0)
 
 
 def _log_forward(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, batch_sizes: Sequence[int]
 ) -> np.ndarray:
-    """:func:`_forward` in log space: the oracle and fallback of the
-    scaled recursion, with an exp and a log over a (rows, L, L) block per
-    step."""
+    """Forward recursion in log space, the oracle and fallback of the
+    scaled one: alpha[r, k] is the log of the summed exp-scores of the
+    paths that end in label k at row r, U[r, k] included.  An exp and a
+    log over a (rows, L, L) block per step."""
     alpha = np.empty_like(U)
     lo = batch_sizes[0]
     alpha[:lo] = start + U[:lo]
@@ -426,8 +411,10 @@ def _log_forward(
 def _log_backward(
     U: np.ndarray, trans: np.ndarray, end: np.ndarray, batch_sizes: Sequence[int]
 ) -> np.ndarray:
-    """:func:`_backward` in log space: the oracle and fallback of the
-    scaled recursion."""
+    """Backward recursion in log space, the oracle and fallback of the
+    scaled one: beta[r, k] is the log of the summed exp-scores of the
+    paths from label k at row r to the end of its sequence, U[r, k]
+    excluded; it is ``end`` at a sequence's last row."""
     beta = np.empty_like(U)
     hi = len(U)
     n_next = 0
@@ -463,23 +450,23 @@ def score(model: CrfModel, features: Sequence[dict], labels: Sequence[str]) -> f
     return s + float(model.transitions[y[:-1], y[1:]].sum())
 
 
+def _sequence_posteriors(model: CrfModel, features: Sequence[dict]):
+    """:func:`_posteriors` of one sequence, a packed batch of one whose
+    rows are in position order."""
+    U = _unary_matrix(model, features)
+    return _posteriors(U, model.transitions, model.start, model.end, _pack(np.array([len(U)])))
+
+
 def log_partition(model: CrfModel, features: Sequence[dict]) -> float:
     """Log of the summed exp-scores of all label sequences."""
-    U = _unary_matrix(model, features)
-    alpha = _forward(U, model.transitions, model.start, [1] * len(U))
-    return float(_logsumexp(alpha[-1] + model.end))
+    return float(_sequence_posteriors(model, features)[0][0])
 
 
 def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
     """Posterior label probabilities per position, shape (T, L).
 
     No CLI command uses it; it serves the public API and the oracle tests."""
-    U = _unary_matrix(model, features)
-    single = [1] * len(U)  # one sequence is a packed batch of one
-    alpha = _forward(U, model.transitions, model.start, single)
-    beta = _backward(U, model.transitions, model.end, single)
-    log_z = _logsumexp(alpha[-1] + model.end)
-    return np.exp(alpha + beta - log_z)
+    return _sequence_posteriors(model, features)[1]
 
 
 _BACK_CHUNK = 4096  # packed rows whose back pointers are taken at a time
@@ -746,21 +733,16 @@ def _to_model(wvec: np.ndarray, vocab: dict[str, int]) -> CrfModel:
     )
 
 
-# the widest transition spread whose expected counts are summed factored
-_FACTORED_SPREAD = 600.0
-
-
 def _batch_objective(wvec, encoded, c2):
     """Regularized NLL and its gradient over a batch encoded by
     :func:`_encode_sequences`; one forward and one backward pass cover
     every sequence at once."""
-    X, y, (batch_sizes, seq, _, prev, last) = encoded
+    X, y, packing = encoded
+    batch_sizes, seq, _, prev, last = packing
     n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec)
     U = X @ state
-    alpha = _forward(U, trans, start, batch_sizes)
-    beta = _backward(U, trans, end, batch_sizes)
-    log_z = _logsumexp(alpha[last] + end)
+    log_z, m, e_trans = _posteriors(U, trans, start, end, packing)
     y_prev, y_cur = y[prev], y[n0:]
     rows = np.arange(len(y))
     gold = U[rows, y]
@@ -774,24 +756,6 @@ def _batch_objective(wvec, encoded, c2):
             f"non-finite objective at sequence {bad[0]} "
             f"(weight norm {math.sqrt(dot(wvec, wvec)):.3e})"
         )
-    m = np.exp(alpha + beta - log_z[seq, None])
-    # expected transition counts, summed over j of the posterior of label a
-    # at row prev[j] followed by b at row n0 + j
-    alpha_prev, rest = alpha[prev], (U + beta)[n0:]
-    trans_shift = trans.max()
-    if trans_shift - trans.min() <= _FACTORED_SPREAD:
-        # the posterior factors as A[j, a] * E[a, b] * B[j, b]: A is at most 1
-        # with c the row's max, E at most 1, and B at most exp(spread of
-        # trans), so no factor overflows and what underflows is below 1e-47
-        c = _row_max(alpha_prev)
-        A = np.exp(alpha_prev - c[:, None])
-        B = np.exp(rest - (log_z[seq[n0:]] - c - trans_shift)[:, None])
-        e_trans = np.exp(trans - trans_shift) * np.einsum("ta,tb->ab", A, B)
-    else:
-        # one (tokens, L, L) array of log posteriors, built in place
-        p = alpha_prev[:, :, None] + trans
-        p += rest[:, None, :] - log_z[seq[n0:], None, None]
-        e_trans = np.exp(p, out=p).sum(axis=0)
     m[rows, y] -= 1.0  # now expected minus observed counts
     observed_trans = np.bincount(y_prev * N_LABELS + y_cur, minlength=N_LABELS * N_LABELS)
     grad = 2.0 * c2 * wvec

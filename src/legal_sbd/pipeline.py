@@ -91,7 +91,8 @@ def train_on_documents(
 
     By default each document is one training sequence; with
     *max_sequence_length* set, very long documents are split at
-    sentence-external whitespace first.
+    sentence-external whitespace first, and the model's metadata records
+    the limit.
     """
     if not docs:
         raise DataError("empty training set")
@@ -106,6 +107,8 @@ def train_on_documents(
         else:
             sequences.extend(label_document_chunked(doc, max_sequence_length))
     metadata = {"corpus_fingerprint": corpus_fingerprint(docs)}
+    if max_sequence_length is not None:
+        metadata["max_sequence_length"] = max_sequence_length
     if extra_metadata:
         metadata.update(extra_metadata)
     return train(sequences, config, extra_metadata=metadata)

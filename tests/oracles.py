@@ -202,3 +202,16 @@ def keyed_layout(tokens, lengths):
         which += [0] * MAX_RADIUS
         pos += n
     return attrs, which
+
+
+def brute_transition_marginals(model: CrfModel, features) -> np.ndarray:
+    """Expected label-pair counts, shape (L, L): entry (a, b) sums over
+    positions t >= 1 the probability of label a at t - 1 and b at t."""
+    combos, scores = enumerate_scores(model, features)
+    log_z = float(np.logaddexp.reduce(np.sort(scores)))
+    probs = np.exp(scores - log_z)
+    out = np.zeros((len(LABELS), len(LABELS)))
+    for combo, p in zip(combos, probs):
+        for a, b in zip(combo[:-1], combo[1:]):
+            out[a, b] += p
+    return out

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legal_sbd
+from legal_sbd import corpus as corpus_mod
 from legal_sbd.cli import CONFIG_ENV_VAR, _build_parser, escape_token_text, main
 from legal_sbd.corpus import load_corpus, save_corpus
 from legal_sbd.crf import TrainingConfig, load_model, save_model
@@ -265,6 +266,30 @@ class TestFeaturesCommand:
     def test_needs_text_or_doc(self, capsys):
         assert run("features", "--position", "0") == 1
 
+    def test_document_from_corpus(self, corpus_path, capsys):
+        doc = load_corpus(corpus_path)[3]
+        assert run("features", "--in", corpus_path, "--doc", doc.id, "--position", "0") == 0
+        out = capsys.readouterr().out
+        assert "'0:BOS': True" in out.splitlines()
+        assert run("features", "--text", doc.text, "--position", "0") == 0
+        assert capsys.readouterr().out == out
+
+    def test_unknown_document_is_data_error(self, corpus_path, capsys):
+        assert run("features", "--in", corpus_path, "--doc", "no-such-doc", "--position", "0") == 2
+        assert "'no-such-doc' not in" in capsys.readouterr().err
+
+
+class TestHistogramCommand:
+    def test_writes_the_library_csv(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "hist.csv"
+        assert run("histogram", "--corpus", corpus_path, "--bin-size", "3", "--out", out) == 0
+        hists = corpus_mod.length_histogram(load_corpus(corpus_path), bin_size=3)
+        assert out.read_text(encoding="utf-8") == corpus_mod.histograms_to_csv(hists)
+
+    def test_zero_bin_size_is_data_error(self, corpus_path, capsys):
+        assert run("histogram", "--corpus", corpus_path, "--bin-size", "0") == 2
+        assert "bin_size must be >= 1" in capsys.readouterr().err
+
 
 class TestTrainPredictEval:
     def test_full_pipeline(self, corpus_path, tmp_path, capsys):
@@ -487,6 +512,17 @@ class TestConfigFile:
         assert run("split", "--corpus", corpus_path) == 0
         assert json.loads(out.read_text())["seed"] == 33
 
+    def test_boolean_config_value(self, corpus_path, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("allow_missing = yes\n")
+        assert run("eval", "--gold", corpus_path, "--pred", empty, "--config", cfg) == 0
+        cfg.write_text("allow_missing = maybe\n")
+        capsys.readouterr()
+        assert run("eval", "--gold", corpus_path, "--pred", empty, "--config", cfg) == 1
+        assert "expected a boolean, got 'maybe'" in capsys.readouterr().err
+
     def test_missing_config_file_is_usage_error(self, corpus_path, tmp_path):
         assert run("stats", "--corpus", corpus_path,
                    "--config", tmp_path / "nope.cfg") == 1
@@ -553,7 +589,9 @@ class TestContractDetails:
             "--max-iterations", "15", "--max-sequence-length", "40",
             "--log-level", "warning",
         ) == 0
-        assert json.loads(model.read_text())["metadata"]["n_documents"] == 6
+        meta = json.loads(model.read_text())["metadata"]
+        assert meta["n_documents"] == 6
+        assert meta["max_sequence_length"] == 40
 
     def test_split_from_other_corpus_rejected(self, corpus_path, tmp_path):
         other = tmp_path / "other.jsonl"

@@ -32,6 +32,7 @@ from legal_sbd.spans import LABELS
 from oracles import (
     brute_log_partition,
     brute_marginals,
+    brute_transition_marginals,
     brute_viterbi,
     finite_difference_gradient,
     loop_viterbi,
@@ -561,51 +562,118 @@ class TestSerialization:
                 load_model(path)
 
 
+def packed_unary(unaries, packing):
+    """The rows of per-sequence unary matrices in packed order."""
+    return np.array([unaries[s][t] for s, t in zip(packing.seq, packing.step)])
+
+
+def log_space_posteriors(U, trans, start, end, packing):
+    """``crf._posteriors`` from the log-space recursions, the expected
+    transition counts summed row by row."""
+    from legal_sbd.crf import _log_backward, _log_forward, _logsumexp
+
+    batch_sizes, seq, _, prev, last = packing
+    alpha = _log_forward(U, trans, start, batch_sizes)
+    beta = _log_backward(U, trans, end, batch_sizes)
+    log_z = _logsumexp(alpha[last] + end)
+    counts = np.zeros((5, 5))
+    for j, r in enumerate(range(batch_sizes[0], len(U))):
+        p = alpha[prev[j], :, None] + trans + (U[r] + beta[r])[None, :]
+        counts += np.exp(p - log_z[seq[r]])
+    return log_z, np.exp(alpha + beta - log_z[seq, None]), counts
+
+
+def row_products(U, trans, start, end, packing):
+    """a[r] @ b[r] on every packed row of the scaled passes, once b is
+    divided by a[last] @ b[last] of its sequence as ``_posteriors`` does."""
+    from legal_sbd.crf import _backward, _forward
+
+    a, s, P, E, _ = _forward(U, trans, start, packing.batch_sizes)
+    b = _backward(P, E, s, end, packing.batch_sizes)
+    z = (a[packing.last] * b[packing.last]).sum(axis=1)
+    return (a * b).sum(axis=1) / z[packing.seq]
+
+
+def assert_matches_log_space(U, trans, start, end, packing):
+    from legal_sbd.crf import _posteriors
+
+    log_z, m, e_trans = _posteriors(U, trans, start, end, packing)
+    want_z, want_m, want_trans = log_space_posteriors(U, trans, start, end, packing)
+    np.testing.assert_allclose(log_z, want_z, rtol=1e-12)
+    np.testing.assert_allclose(m, want_m, atol=1e-10)
+    np.testing.assert_allclose(e_trans, want_trans, atol=1e-10)
+    np.testing.assert_allclose(row_products(U, trans, start, end, packing), 1.0, rtol=0, atol=1e-9)
+
+
 class TestForwardBackwardAgreement:
     def test_alpha_beta_consistent_at_every_position(self, rng):
-        # logsumexp over labels of alpha_t + beta_t must equal the log
-        # partition at every t
-        from legal_sbd.crf import _backward, _forward, _logsumexp, _unary_matrix
+        # a[r] @ b[r] must be 1 at every position once b is divided by its
+        # value at the last one, and the posteriors must be the log path's
+        from legal_sbd.crf import _pack, _unary_matrix
 
         for _ in range(20):
             model = random_model(rng, scale=float(rng.uniform(0.5, 2.5)))
             feats = random_features(rng, int(rng.integers(1, 60)))
             unary = _unary_matrix(model, feats)
-            single = [1] * len(feats)
-            alpha = _forward(unary, model.transitions, model.start, single)
-            beta = _backward(unary, model.transitions, model.end, single)
-            log_z = log_partition(model, feats)
-            for t in range(len(feats)):
-                drift = abs(_logsumexp(alpha[t] + beta[t]) - log_z)
-                assert drift <= 1e-9
+            packing = _pack(np.array([len(feats)]))
+            assert_matches_log_space(unary, model.transitions, model.start, model.end, packing)
 
     def test_packed_rows_match_single_sequences(self, rng):
         # sorted longest first (stably), step t holds the sequences longer
         # than t, and each sequence's rows see only its own predecessors
-        from legal_sbd.crf import _backward, _forward, _pack, _unary_matrix
+        from legal_sbd.crf import _pack, _posteriors, _unary_matrix
 
         model = random_model(rng, scale=1.5)
+        weights = (model.transitions, model.start, model.end)
         lengths = np.array([4, 9, 1, 9, 6])
         unaries = [_unary_matrix(model, random_features(rng, n)) for n in lengths]
         packing = _pack(lengths)
         assert packing.batch_sizes == [5, 4, 4, 4, 3, 3, 2, 2, 2]
         assert packing.seq[:5].tolist() == [1, 3, 4, 0, 2]
-        U = np.array([unaries[s][t] for s, t in zip(packing.seq, packing.step)])
-        alpha = _forward(U, model.transitions, model.start, packing.batch_sizes)
-        beta = _backward(U, model.transitions, model.end, packing.batch_sizes)
+        log_z, m, e_trans = _posteriors(packed_unary(unaries, packing), *weights, packing)
+        summed = np.zeros((5, 5))
         for s, unary in enumerate(unaries):
             rows = np.flatnonzero(packing.seq == s)
             assert packing.step[rows].tolist() == list(range(len(unary)))
             assert packing.last[s] == rows[-1]
-            single = [1] * len(unary)
-            np.testing.assert_allclose(
-                alpha[rows], _forward(unary, model.transitions, model.start, single),
-                rtol=1e-12,
-            )
-            np.testing.assert_allclose(
-                beta[rows], _backward(unary, model.transitions, model.end, single),
-                rtol=1e-12,
-            )
+            alone_z, alone_m, alone_trans = _posteriors(unary, *weights, _pack(lengths[s : s + 1]))
+            np.testing.assert_allclose(log_z[s], alone_z[0], rtol=1e-12)
+            np.testing.assert_allclose(m[rows], alone_m, atol=1e-10)
+            summed += alone_trans
+        np.testing.assert_allclose(e_trans, summed, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["random", "integer", "extreme"])
+    def test_expected_transitions_match_enumeration(self, rng, kind):
+        from legal_sbd.crf import _pack, _posteriors, _unary_matrix
+
+        for _ in range(8):
+            if kind == "extreme":
+                model = extreme_model(rng)
+            else:
+                model = random_model(rng, scale=2.0, integer=kind == "integer")
+            batch = [
+                random_features(rng, int(rng.integers(1, 6)), integer=kind == "integer")
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            if kind == "extreme":
+                batch = [[{**fv, "wide": 1.0} for fv in feats] for feats in batch]
+            packing = _pack(np.array([len(feats) for feats in batch]))
+            U = packed_unary([_unary_matrix(model, feats) for feats in batch], packing)
+            _, _, e_trans = _posteriors(U, model.transitions, model.start, model.end, packing)
+            want = sum(brute_transition_marginals(model, feats) for feats in batch)
+            np.testing.assert_allclose(e_trans, want, atol=1e-10)
+
+
+def extreme_model(rng):
+    """Transitions of +-1e3 and, under the indicator "wide", unary spreads
+    of 1,200 within a row put scaled values below the normal doubles.  The
+    likely paths take -1e3 transitions, as 3 -> 4 scores +1e3 but its
+    labels -1,200 each."""
+    model = random_model(rng, n_indicators=3)
+    model.transitions = np.full((5, 5), -1e3)
+    model.transitions[3, 4] = 1e3
+    model.state_weights["wide"] = np.array([0.0, 5.0, -3.0, -1200.0, -1200.0])
+    return model
 
 
 def log_space_calls(monkeypatch):
@@ -624,7 +692,7 @@ def log_space_calls(monkeypatch):
 
 class TestScaledRecursion:
     def test_matches_log_space_recursion(self, rng, monkeypatch):
-        from legal_sbd.crf import _backward, _forward, _log_backward, _log_forward, _pack
+        from legal_sbd.crf import _pack, _posteriors
 
         batches = [
             rng.integers(1, 40, size=int(rng.integers(1, 9))) for _ in range(30)
@@ -635,50 +703,60 @@ class TestScaledRecursion:
             scale = float(rng.uniform(0.2, 3.0))
             U = rng.normal(size=(int(lengths.sum()), 5)) * scale
             trans, start, end = (rng.normal(size=shape) * scale for shape in ((5, 5), 5, 5))
-            sizes = _pack(lengths).batch_sizes
-            alpha = _forward(U, trans, start, sizes)
-            beta = _backward(U, trans, end, sizes)
+            packing = _pack(lengths)
+            _posteriors(U, trans, start, end, packing)
             assert calls == []  # the scaled path, not its fallback
-            np.testing.assert_allclose(alpha, _log_forward(U, trans, start, sizes), rtol=1e-12)
-            np.testing.assert_allclose(beta, _log_backward(U, trans, end, sizes), rtol=1e-12)
+            assert_matches_log_space(U, trans, start, end, packing)
             calls.clear()
 
-    def test_links_are_built_once_per_packing(self):
-        from legal_sbd.crf import _links
-
-        sizes = (3, 3, 2, 1, 1)
-        links = _links(sizes)
-        assert _links(tuple(list(sizes))) is links
-        assert [lo for lo, _ in links] == [3, 6, 9]
-        for _, earlier in links:
-            assert not earlier.flags.writeable
-
     def test_long_sequence_whose_probabilities_underflow(self, rng, monkeypatch):
-        from legal_sbd.crf import _backward, _forward, _log_backward, _log_forward
+        from legal_sbd.crf import _log_forward, _pack, _posteriors
 
         U = rng.normal(size=(5000, 5)) - 3.0
         trans, start, end = rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=5)
-        sizes = [1] * len(U)
+        packing = _pack(np.array([len(U)]))
         calls = log_space_calls(monkeypatch)
-        alpha = _forward(U, trans, start, sizes)
-        beta = _backward(U, trans, end, sizes)
+        _posteriors(U, trans, start, end, packing)
         assert calls == []
-        want_alpha = _log_forward(U, trans, start, sizes)
         # exp of the log values underflows to zero long before the end
+        want_alpha = _log_forward(U, trans, start, packing.batch_sizes)
         assert want_alpha.max(axis=1)[-1] < math.log(np.finfo(float).tiny)
-        np.testing.assert_allclose(alpha, want_alpha, rtol=1e-12)
-        np.testing.assert_allclose(beta, _log_backward(U, trans, end, sizes), rtol=1e-12)
+        assert_matches_log_space(U, trans, start, end, packing)
+
+    def test_training_stays_on_the_scaled_path(self, monkeypatch):
+        # a fallback on every evaluation would train the same model, slowly
+        from legal_sbd.pipeline import train_on_documents
+        from legal_sbd.synthetic import make_corpus
+
+        calls = log_space_calls(monkeypatch)
+        train_on_documents(make_corpus(12, seed=101))
+        assert calls == []
+
+    def test_end_weights_past_the_doubles_fall_back_to_log_space(self, rng, monkeypatch):
+        # the forward pass stays normal, but exp(end - max end) underflows
+        # where the backward pass starts
+        from legal_sbd.crf import _forward, _pack, _posteriors, _unary_matrix
+
+        model = random_model(rng)
+        model.end[1] = model.end.max() - 1000.0
+        calls = log_space_calls(monkeypatch)
+        for length in (1, 2, 4):
+            feats = random_features(rng, length)
+            U = _unary_matrix(model, feats)
+            packing = _pack(np.array([length]))
+            assert _forward(U, model.transitions, model.start, packing.batch_sizes) is not None
+            log_z, m, e_trans = _posteriors(U, model.transitions, model.start, model.end, packing)
+            assert {"_log_forward", "_log_backward"} <= set(calls)
+            calls.clear()
+            want = brute_log_partition(model, feats)
+            assert abs(log_z[0] - want) <= 1e-10 * max(1.0, abs(want))
+            np.testing.assert_allclose(m, brute_marginals(model, feats), atol=1e-10)
+            np.testing.assert_allclose(
+                e_trans, brute_transition_marginals(model, feats), atol=1e-10
+            )
 
     def test_extreme_weights_fall_back_to_log_space(self, rng, monkeypatch):
-        # transitions of +-1e3 and unary spreads of 1,200 within a row put
-        # scaled values below the normal doubles.  The likely paths take
-        # -1e3 transitions, as 3 -> 4 scores +1e3 but its labels -1,200
-        # each, so the transition spread is too wide to sum the expected
-        # counts factored
-        model = random_model(rng, n_indicators=3)
-        model.transitions = np.full((5, 5), -1e3)
-        model.transitions[3, 4] = 1e3
-        model.state_weights["wide"] = np.array([0.0, 5.0, -3.0, -1200.0, -1200.0])
+        model = extreme_model(rng)
         calls = log_space_calls(monkeypatch)
         # no L2 term: at these weights it would be ~1e5, and its rounding
         # would swamp the finite differences

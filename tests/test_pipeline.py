@@ -74,6 +74,16 @@ def test_training_with_chunking_still_learns():
         assert predict_documents(model, [doc])[0].spans == doc.spans
 
 
+def test_model_records_the_chunk_length_it_was_trained_with():
+    docs = make_corpus(4, seed=67)
+    config = TrainingConfig(max_iterations=3)
+    chunked = train_on_documents(docs, config, max_sequence_length=30)
+    assert chunked.metadata["max_sequence_length"] == 30
+    whole = train_on_documents(docs, config)
+    assert "max_sequence_length" not in whole.metadata
+    assert set(chunked.metadata) - set(whole.metadata) == {"max_sequence_length"}
+
+
 @pytest.fixture
 def labeling_calls(monkeypatch):
     """Names of the pipeline's labeling and tokenizing functions, once per call."""
