@@ -25,8 +25,9 @@ Feature maps (see :mod:`legal_sbd.features`, which states the grammar of
 their string indicators) meet a model through ``features.indicators``;
 indicators unknown to a model score zero.  Scoring feature maps against
 a :class:`CrfModel` -- their indicators encoded by :func:`_encode_rows`,
-times the weight rows -- is the reference path; training, :func:`score`,
+times the weight rows -- is the reference path; :func:`score`,
 :func:`log_partition`, :func:`marginals` and the oracle tests use it.
+
 Prediction compiles the model once per run instead (:func:`compile_model`):
 each live indicator is parsed by ``features.parse_indicator`` into a
 weight table over the values of its column.  No feature map or indicator
@@ -49,6 +50,19 @@ and ties still go to the lowest label index.  Whether and where a text
 is cut depends on its own length only, and no sum mixes two texts, so a
 text's labels do not depend on the other texts of the run.
 
+Training encodes the same indicators without building a map per
+position.  Its indicator matrix X, one row per position and one column
+per vocabulary indicator, is the product ``X = B @ W``.  A row of W is a
+fragment of ``features.factored_features`` encoded by
+:func:`_encode_rows`: the keys a position takes from one token text at
+one offset, or from its position pattern (its steps from its sequence's
+start and to its end, capped), or, for a sequence of plain dicts, a whole
+map.  B is 0/1 and picks each position's fragments, at most 22 of them,
+which share no key, so ``B @ W`` holds X's values exactly.  A fragment
+occurs at many positions, so W is encoded once per distinct fragment,
+and the objective's products ``U = B @ (W @ state)`` and
+``W.T @ (B.T @ m)`` touch far fewer entries than X has.
+
 The label set is ``spans.LABELS``, and every weight row, matrix and
 vector of a :class:`CrfModel` is indexed in its order; a model file
 records the list, and loading rejects any other.  Training flattens a
@@ -63,6 +77,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -70,7 +85,9 @@ import numpy as np
 
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
-from .features import MAX_RADIUS, indicators, padded_layout, parse_indicator
+from .features import (
+    MAX_RADIUS, factored_features, indicators, padded_layout, parse_indicator,
+)
 from .optim import dot, minimize_lbfgs
 from .spans import LABELS
 from .tokenizer import Token
@@ -105,9 +122,11 @@ class TrainingConfig:
 
 @dataclass
 class LabeledSequence:
-    """Per-position feature maps paired with gold BILOU labels."""
+    """Per-position feature maps paired with gold BILOU labels; the maps
+    are a ``features.SequenceFeatures``, read through its tokens, or any
+    sequence of dicts."""
 
-    features: list[dict]
+    features: Sequence[dict]
     labels: list[str]
 
 
@@ -125,38 +144,38 @@ class CrfModel:
 _ENCODE_CHUNK = 512  # rows whose hits are gathered in Python lists at a time
 
 
-def _encode_rows(feature_maps: Sequence[dict], index: dict[str, int]):
-    """One sparse CSR row per position holding the values of its indicators
-    known to *index*, in feature-map order; unknown indicators are dropped.
+def _encode_rows(feature_maps: Iterable[dict], index: dict[str, int]):
+    """One sparse CSR row per feature map holding the values of its
+    indicators known to *index*, in feature-map order; unknown indicators
+    are dropped.
 
-    Hits are gathered in Python lists one chunk of rows at a time and then
-    copied into arrays sized for every indicator, so a long input never
-    holds a Python list entry per hit.  scipy is imported here, so that
-    prediction never loads it."""
+    The maps are read once, one chunk at a time, and each chunk's hits are
+    gathered in Python lists and then kept as arrays, so a long input
+    never holds a Python list entry per hit, and a lazy sequence of maps
+    never holds them all.  scipy is imported here, so that prediction
+    never loads it."""
     from scipy.sparse import csr_matrix
 
-    capacity = sum(len(fv) for fv in feature_maps)  # one indicator per key
-    data = np.empty(capacity)
-    cols = np.empty(capacity, dtype=np.int32)
-    indptr = [0]
+    data, cols, indptr = [np.empty(0)], [np.empty(0, dtype=np.int32)], [0]
     filled = 0
     get = index.get
-    for lo in range(0, len(feature_maps), _ENCODE_CHUNK):
+    maps = iter(feature_maps)
+    while chunk := list(islice(maps, _ENCODE_CHUNK)):
         idx: list[int] = []
         vals: list[float] = []
-        for fv in feature_maps[lo : lo + _ENCODE_CHUNK]:
+        for fv in chunk:
             for ind, val in indicators(fv):
                 k = get(ind)
                 if k is not None:
                     idx.append(k)
                     vals.append(val)
             indptr.append(filled + len(idx))
-        data[filled : filled + len(idx)] = vals
-        cols[filled : filled + len(idx)] = idx
         filled += len(idx)
+        data.append(np.array(vals, dtype=np.float64))
+        cols.append(np.array(idx, dtype=np.int32))
     return csr_matrix(
-        (data[:filled], cols[:filled], np.array(indptr, dtype=np.int32)),
-        shape=(len(feature_maps), len(index)),
+        (np.concatenate(data), np.concatenate(cols), np.array(indptr, dtype=np.int32)),
+        shape=(len(indptr) - 1, len(index)),
     )
 
 
@@ -643,15 +662,16 @@ def viterbi(
 
 
 def _collect_vocabulary(
-    batch: Iterable[LabeledSequence], known: Iterable[str] = ()
+    feature_maps: Iterable[dict], known: Iterable[str] = ()
 ) -> dict[str, int]:
-    """Weight-row index of every indicator in *batch* or *known*, in
-    sorted indicator order."""
+    """Weight-row index of every indicator in *feature_maps* or *known*,
+    in sorted indicator order.  Training passes the fragments of
+    ``features.factored_features``, which hold every indicator of the
+    batch's maps and no other."""
     vocab = set(known)
-    for seq in batch:
-        for fv in seq.features:
-            for ind, _ in indicators(fv):
-                vocab.add(ind)
+    for fv in feature_maps:
+        for ind, _ in indicators(fv):
+            vocab.add(ind)
     return {ind: k for k, ind in enumerate(sorted(vocab))}
 
 
@@ -683,10 +703,27 @@ def _pack(lengths: np.ndarray) -> _Packing:
     return _Packing(batch_sizes.tolist(), seq, step, prev, last)
 
 
-def _encode_sequences(batch: Sequence[LabeledSequence], vocab: dict[str, int]):
-    """The batch as (X, y, packing): one sparse indicator row per position
-    and its gold label index, both in the packed order of :func:`_pack`,
-    and that packing."""
+class _Encoded(NamedTuple):
+    """A training batch, its rows in the packed order of :func:`_pack`."""
+
+    B: object  # CSR (rows, fragments) of 0/1: each row's fragments
+    W: object  # CSR (fragments, indicators): each fragment's indicator values
+    BT: object  # B.T and W.T as CSR, built once for the gradient's products
+    WT: object
+    y: np.ndarray  # row -> gold label index
+    packing: _Packing
+
+
+def _encode_sequences(
+    batch: Sequence[LabeledSequence], known: Iterable[str] = ()
+) -> tuple[dict[str, int], _Encoded]:
+    """The vocabulary of *batch* and *known* (see :func:`_collect_vocabulary`)
+    and the batch encoded against it, its indicator matrix factored as
+    ``X = B @ W`` over the fragments of ``features.factored_features``.
+    Layout-backed feature sequences are read through their tokens; no map
+    of theirs is built."""
+    from scipy.sparse import csr_matrix
+
     label_ids = []
     for s, seq in enumerate(batch):
         if not seq.features:
@@ -696,15 +733,23 @@ def _encode_sequences(batch: Sequence[LabeledSequence], vocab: dict[str, int]):
                 f"sequence {s}: {len(seq.features)} positions vs {len(seq.labels)} labels"
             )
         try:
-            label_ids.append([_LABEL_INDEX[l] for l in seq.labels])
+            label_ids.append(np.array([_LABEL_INDEX[l] for l in seq.labels], dtype=np.intp))
         except KeyError as exc:
             raise DataError(f"sequence {s}: unknown label {exc}") from exc
     lengths = np.array([len(seq.labels) for seq in batch])
     packing = _pack(lengths)
-    rows = list(zip(packing.seq.tolist(), packing.step.tolist()))
-    X = _encode_rows([batch[s].features[t] for s, t in rows], vocab)
-    y = np.array([label_ids[s][t] for s, t in rows], dtype=np.intp)
-    return X, y, packing
+    fragments, parts = factored_features([seq.features for seq in batch])
+    vocab = _collect_vocabulary(fragments, known)
+    # the row of each packed row in batch order, where parts lists them
+    rows = (np.cumsum(lengths) - lengths)[packing.seq] + packing.step
+    parts = parts[rows]
+    present = parts >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(present, axis=1))))
+    cols = parts[present]
+    B = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(rows), len(fragments)))
+    W = _encode_rows(fragments, vocab)
+    y = np.concatenate(label_ids)[rows]
+    return vocab, _Encoded(B, W, B.T.tocsr(), W.T.tocsr(), y, packing)
 
 
 def _n_params(n_features: int) -> int:
@@ -733,15 +778,17 @@ def _to_model(wvec: np.ndarray, vocab: dict[str, int]) -> CrfModel:
     )
 
 
-def _batch_objective(wvec, encoded, c2):
+def _batch_objective(wvec, encoded: _Encoded, c2):
     """Regularized NLL and its gradient over a batch encoded by
     :func:`_encode_sequences`; one forward and one backward pass cover
-    every sequence at once."""
-    X, y, packing = encoded
+    every sequence at once.  The unary scores are ``B @ (W @ state)`` and
+    the state gradient ``W.T @ (B.T @ m)``, X's two products taken through
+    its factors."""
+    B, W, BT, WT, y, packing = encoded
     batch_sizes, seq, _, prev, last = packing
     n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec)
-    U = X @ state
+    U = B @ (W @ state)
     log_z, m, e_trans = _posteriors(U, trans, start, end, packing)
     y_prev, y_cur = y[prev], y[n0:]
     rows = np.arange(len(y))
@@ -760,7 +807,7 @@ def _batch_objective(wvec, encoded, c2):
     observed_trans = np.bincount(y_prev * N_LABELS + y_cur, minlength=N_LABELS * N_LABELS)
     grad = 2.0 * c2 * wvec
     g_state, g_trans, g_start, g_end = _unpack(grad)
-    g_state += X.T @ m
+    g_state += WT @ (BT @ m)
     g_trans += e_trans - observed_trans.reshape(N_LABELS, N_LABELS)
     g_start += m[:n0].sum(axis=0)
     g_end += m[last].sum(axis=0)
@@ -780,8 +827,7 @@ def nll_and_gradient(
     """
     if not batch:
         raise DataError("empty batch")
-    vocab = _collect_vocabulary(batch, known=model.state_weights)
-    encoded = _encode_sequences(batch, vocab)
+    vocab, encoded = _encode_sequences(batch, known=model.state_weights)
     wvec = np.zeros(_n_params(len(vocab)))
     state, trans, start, end = _unpack(wvec)
     for ind, row in model.state_weights.items():
@@ -810,10 +856,9 @@ def train(
     config.validate()
     if not sequences:
         raise DataError("no training sequences")
-    vocab = _collect_vocabulary(sequences)
+    vocab, encoded = _encode_sequences(sequences)
     if not vocab:
         raise DataError("empty feature space: no indicators in the training data")
-    encoded = _encode_sequences(sequences, vocab)
     n_params = _n_params(len(vocab))
     logger.info(
         "training CRF: %d sequences, %d indicators, %d parameters",

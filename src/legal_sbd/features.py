@@ -36,10 +36,16 @@ follow from the padding: the neighbour at offset d of row r is in range
 iff row r + d is not padding, and a row is first in its sequence
 (``BOS``) iff the row before it is padding, last (``EOS``) iff the row
 after it is.
-:func:`sequence_features` and :func:`token_features` build the dict maps
-from it, for training, the ``features`` CLI and the oracle tests.
-Prediction builds no maps: ``legal_sbd.crf`` gathers weight rows over
-the same layout, to the same scores.
+:func:`token_features` builds one dict map from it, for the ``features``
+CLI and the oracle tests.  :func:`sequence_features` returns a read-only
+:class:`SequenceFeatures`, which holds its tokens and builds a position's
+map only when it is indexed or iterated.  Training builds no maps:
+:func:`factored_features` lays the sequences of a batch out once and
+splits every map into fragments that many positions share -- the keys
+one offset takes from one token text, and the keys set by the position's
+place in its sequence -- and ``legal_sbd.crf`` encodes each fragment once.
+Prediction builds no maps either: ``legal_sbd.crf`` gathers weight rows
+over the same layout, to the same scores.
 
 Feature maps meet a model as the string indicators of :func:`indicators`:
 a boolean gives ``key=true`` / ``key=false``, a category ``key=value``,
@@ -53,8 +59,11 @@ of its key in a map, or None if the feature set cannot emit it."""
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from collections import abc
+from operator import attrgetter, index, itemgetter
 from typing import Sequence
+
+import numpy as np
 
 from .tokenizer import NEWLINE, NUMBER, Token, WORD
 
@@ -139,6 +148,7 @@ def _neighbour_keys(d: int) -> tuple[int, int, str, tuple[str, ...]]:
 _NEIGHBOURS = tuple(
     _neighbour_keys(d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1) if d != 0
 )
+_NEIGHBOUR_KEYS = {d: keys for d, _, _, keys in _NEIGHBOURS}
 
 # the centre's attributes in the order it emits them after ``bias``; its
 # number flag has the key ``0:numeric``, and it has no ``space`` key
@@ -195,11 +205,123 @@ def token_features(tokens: list[Token], i: int) -> dict:
     return _position_features(attrs, which, MAX_RADIUS + i - lo)
 
 
-def sequence_features(tokens: list[Token]) -> list[dict]:
-    """Feature maps for every position, sharing per-token attribute work."""
-    attrs, which = padded_layout(tokens, [len(tokens)])
-    rows = range(MAX_RADIUS, MAX_RADIUS + len(tokens))
-    return [_position_features(attrs, which, r) for r in rows]
+class SequenceFeatures(abc.Sequence):
+    """The feature maps of a token sequence, as a read-only sequence of
+    dicts that equals the list of :func:`token_features` at every
+    position.  It holds the tokens and builds a position's map from their
+    padded layout only when that position is indexed or iterated; a slice
+    is a list of maps.  Training reads the tokens and builds no map."""
+
+    __slots__ = ("tokens", "_layout")
+
+    def __init__(self, tokens: Sequence[Token]):
+        self.tokens = tuple(tokens)
+        self._layout = None
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def _rows(self, positions: range):
+        if self._layout is None:
+            self._layout = padded_layout(self.tokens, [len(self.tokens)])
+        attrs, which = self._layout
+        return (_position_features(attrs, which, MAX_RADIUS + i) for i in positions)
+
+    def __getitem__(self, i):
+        n = len(self.tokens)
+        if isinstance(i, slice):
+            return list(self._rows(range(*i.indices(n))))
+        i = index(i)
+        if not -n <= i < n:
+            raise IndexError(f"position {i} out of range for sequence of {n} tokens")
+        return next(self._rows(range(i % n, i % n + 1)))
+
+    def __iter__(self):
+        return self._rows(range(len(self.tokens)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, SequenceFeatures)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SequenceFeatures({len(self.tokens)} positions)"
+
+
+def sequence_features(tokens: Sequence[Token]) -> SequenceFeatures:
+    """The feature map of every position of *tokens*, built on access."""
+    return SequenceFeatures(tokens)
+
+
+def _text_features(d: int, attrs: tuple) -> dict:
+    """The keys a position takes from the token at offset *d*."""
+    if d == 0:
+        return dict(zip(_centre_keys, _centre_values(attrs)))
+    return dict(zip(_NEIGHBOUR_KEYS[d], attrs))
+
+
+def _pattern_features(before: int, after: int) -> dict:
+    """The keys a position takes from its place in its sequence: ``bias``,
+    its own edge flags and those of its in-range neighbours, with *before*
+    and *after* the steps to the sequence's first and last position, each
+    capped at ``MAX_RADIUS + 1``."""
+    feats = {"bias": 1.0, "0:BOS": before == 0, "0:EOS": after == 0}
+    for d, _, edge, _ in _NEIGHBOURS:
+        if -before <= d <= after:
+            feats[edge] = d == (-before if d < 0 else after)
+    return feats
+
+
+_PARTS = 2 * MAX_RADIUS + 2  # a text fragment per offset, then the pattern
+
+
+def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], np.ndarray]:
+    """The feature maps of *sequences* as (fragments, parts): row j of
+    parts holds the indices of the fragments whose keys, merged, are the
+    map of the j-th position, the positions taken sequence by sequence;
+    -1 fills the rest of a row.  No two fragments of a row share a key.
+
+    The :class:`SequenceFeatures` among *sequences* are laid out together
+    by one :func:`padded_layout` call and no map of theirs is built.  Each
+    of their positions has a fragment per in-range offset d, the keys it
+    takes from the token text at d, and one for its position pattern, see
+    :func:`_pattern_features`; each distinct fragment is listed once.
+    Any other sequence is a sequence of maps, and each map is a fragment
+    of its own, the only one of its row."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    laid = [s for s, seq in enumerate(sequences) if isinstance(seq, SequenceFeatures)]
+    plain = [s for s, seq in enumerate(sequences) if not isinstance(seq, SequenceFeatures)]
+    parts = np.full((int(lengths.sum()), _PARTS), -1, dtype=np.intp)
+    fragments: list[dict] = []
+    if laid:
+        n = lengths[laid]
+        attrs, which = padded_layout([t for s in laid for t in sequences[s].tokens], n.tolist())
+        which = np.array(which, dtype=np.intp)
+        entries = which[np.flatnonzero(which)[:, None] + np.arange(-MAX_RADIUS, MAX_RADIUS + 1)]
+        # the steps to each position's sequence start and end, capped
+        step = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+        before = np.minimum(step, MAX_RADIUS + 1)
+        after = np.minimum(np.repeat(n, n) - 1 - step, MAX_RADIUS + 1)
+        # a text fragment's code is (offset slot, entry); the patterns' follow
+        patterns = (_PARTS - 1) * len(attrs)
+        codes = np.empty((len(step), _PARTS), dtype=np.intp)
+        codes[:, :-1] = np.where(entries, np.arange(_PARTS - 1) * len(attrs) + entries, -1)
+        codes[:, -1] = patterns + before * (MAX_RADIUS + 2) + after
+        present = codes >= 0
+        distinct, ids = np.unique(codes[present], return_inverse=True)
+        codes[present] = ids  # now fragment indices
+        for code in distinct.tolist():
+            if code < patterns:
+                slot, k = divmod(code, len(attrs))
+                fragments.append(_text_features(slot - MAX_RADIUS, attrs[k]))
+            else:
+                fragments.append(_pattern_features(*divmod(code - patterns, MAX_RADIUS + 2)))
+        parts[np.concatenate([np.arange(starts[s], starts[s] + lengths[s]) for s in laid])] = codes
+    for s in plain:
+        parts[starts[s] : starts[s] + lengths[s], 0] = np.arange(lengths[s]) + len(fragments)
+        fragments += sequences[s]
+    return fragments, parts
 
 
 def indicators(features: dict) -> list[tuple[str, float]]:

@@ -17,7 +17,9 @@ from .tokenizer import SPACE_KINDS, Token, tokenize
 
 
 def label_document(doc: Document) -> LabeledSequence:
-    """Tokenize one gold document into features plus BILOU labels."""
+    """Tokenize one gold document into features plus BILOU labels; the
+    features are a ``features.SequenceFeatures`` over the tokens, whose
+    maps training never builds."""
     tokens = tokenize(doc.text)
     return LabeledSequence(
         features=sequence_features(tokens),

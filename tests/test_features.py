@@ -165,6 +165,36 @@ def test_sequence_features_match_per_position():
             assert rows[i] == token_features(seq, i)
 
 
+def test_sequence_features_view_behaves_as_the_list():
+    # the layout-backed view against the list of per-position maps it
+    # replaces, on a sequence longer than two windows and on tiny ones
+    (doc,) = make_corpus(1, seed=13, abbreviation_rate=0.5, newline_rate=0.3)
+    for text in (doc.text, "Mot.", "a b", ""):
+        tokens = tokenize(text)
+        view = sequence_features(tokens)
+        want = [token_features(tokens, i) for i in range(len(tokens))]
+        n = len(want)
+        assert len(view) == n
+        assert list(view) == want
+        assert [fv for fv in view] == want
+        assert view == want and want == view
+        assert not view != want
+        if not n:
+            continue
+        assert view != want[:-1] and view != [*want[:-1], {}]
+        assert [view[i] for i in range(n)] == want
+        assert [view[i] for i in range(-n, 0)] == want[-n:]
+        for part in (slice(None), slice(2, 9), slice(-4, None), slice(None, None, 3),
+                     slice(9, 2, -2), slice(None, None, -1), slice(n + 5, n + 9)):
+            assert view[part] == want[part]
+            assert type(view[part]) is list
+        for i in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        with pytest.raises(TypeError):
+            view[0] = {}
+
+
 def test_out_of_range_position_rejected():
     seq = tokenize("a b")
     with pytest.raises(IndexError):
