@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from collections import abc
 from operator import attrgetter, index, itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -221,7 +221,7 @@ class SequenceFeatures(abc.Sequence):
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def _rows(self, positions: range):
+    def _rows(self, positions: Iterable[int]):
         if self._layout is None:
             self._layout = padded_layout(self.tokens, [len(self.tokens)])
         attrs, which = self._layout
@@ -234,7 +234,7 @@ class SequenceFeatures(abc.Sequence):
         i = index(i)
         if not -n <= i < n:
             raise IndexError(f"position {i} out of range for sequence of {n} tokens")
-        return next(self._rows(range(i % n, i % n + 1)))
+        return next(self._rows((i % n,)))
 
     def __iter__(self):
         return self._rows(range(len(self.tokens)))
