@@ -711,6 +711,8 @@ class _Encoded(NamedTuple):
     BT: object  # B.T and W.T as CSR, built once for the gradient's products
     WT: object
     y: np.ndarray  # row -> gold label index
+    cells: np.ndarray  # row -> index of its gold cell in a flattened (rows, L) array
+    observed_trans: np.ndarray  # (L, L) counts of the gold label pairs
     packing: _Packing
 
 
@@ -749,7 +751,10 @@ def _encode_sequences(
     B = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(rows), len(fragments)))
     W = _encode_rows(fragments, vocab)
     y = np.concatenate(label_ids)[rows]
-    return vocab, _Encoded(B, W, B.T.tocsr(), W.T.tocsr(), y, packing)
+    cells = np.arange(len(y)) * N_LABELS + y
+    pairs = y[packing.prev] * N_LABELS + y[packing.batch_sizes[0] :]
+    observed_trans = np.bincount(pairs, minlength=N_LABELS * N_LABELS).reshape(N_LABELS, N_LABELS)
+    return vocab, _Encoded(B, W, B.T.tocsr(), W.T.tocsr(), y, cells, observed_trans, packing)
 
 
 def _n_params(n_features: int) -> int:
@@ -784,17 +789,15 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     every sequence at once.  The unary scores are ``B @ (W @ state)`` and
     the state gradient ``W.T @ (B.T @ m)``, X's two products taken through
     its factors."""
-    B, W, BT, WT, y, packing = encoded
+    B, W, BT, WT, y, cells, observed_trans, packing = encoded
     batch_sizes, seq, _, prev, last = packing
     n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec)
     U = B @ (W @ state)
     log_z, m, e_trans = _posteriors(U, trans, start, end, packing)
-    y_prev, y_cur = y[prev], y[n0:]
-    rows = np.arange(len(y))
-    gold = U[rows, y]
+    gold = np.take(U, cells)
     gold[:n0] += start[y[:n0]]
-    gold[n0:] += trans[y_prev, y_cur]
+    gold[n0:] += trans[y[prev], y[n0:]]
     gold[last] += end[y[last]]
     contributions = log_z - np.bincount(seq, weights=gold, minlength=n0)
     bad = np.flatnonzero(~np.isfinite(contributions))
@@ -803,12 +806,11 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
             f"non-finite objective at sequence {bad[0]} "
             f"(weight norm {math.sqrt(dot(wvec, wvec)):.3e})"
         )
-    m[rows, y] -= 1.0  # now expected minus observed counts
-    observed_trans = np.bincount(y_prev * N_LABELS + y_cur, minlength=N_LABELS * N_LABELS)
+    np.put(m, cells, np.take(m, cells) - 1.0)  # now expected minus observed counts
     grad = 2.0 * c2 * wvec
     g_state, g_trans, g_start, g_end = _unpack(grad)
     g_state += WT @ (BT @ m)
-    g_trans += e_trans - observed_trans.reshape(N_LABELS, N_LABELS)
+    g_trans += e_trans - observed_trans
     g_start += m[:n0].sum(axis=0)
     g_end += m[last].sum(axis=0)
     nll = float(contributions.sum()) + c2 * dot(wvec, wvec)

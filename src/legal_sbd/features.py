@@ -244,9 +244,6 @@ class SequenceFeatures(abc.Sequence):
             return list(self) == list(other)
         return NotImplemented
 
-    def __repr__(self) -> str:
-        return f"SequenceFeatures({len(self.tokens)} positions)"
-
 
 def sequence_features(tokens: Sequence[Token]) -> SequenceFeatures:
     """The feature map of every position of *tokens*, built on access."""

@@ -97,6 +97,7 @@ def test_objective_on_the_view_matches_the_list():
     assert abs(value - want_value) <= 1e-9 * abs(want_value)
     assert grad.state_weights.keys() == want.state_weights.keys()
     pairs = [(grad.state_weights[ind], row) for ind, row in want.state_weights.items()]
-    pairs += [(getattr(grad, name), getattr(want, name)) for name in ("transitions", "start", "end")]
+    for name in ("transitions", "start", "end"):
+        pairs.append((getattr(grad, name), getattr(want, name)))
     for got, row in pairs:
         assert (np.abs(got - row) <= 1e-9 * np.maximum(1.0, np.abs(row))).all()
