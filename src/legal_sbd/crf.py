@@ -24,21 +24,38 @@ sequence is the packed case with one row per step.
 Feature maps (see :mod:`legal_sbd.features`, which states the grammar of
 their string indicators) meet a model through ``features.indicators``;
 indicators unknown to a model score zero.  Scoring feature maps against
-a :class:`CrfModel` -- their indicators encoded by :func:`_encode_rows`,
-times the weight rows -- is the reference path; :func:`score`,
-:func:`log_partition`, :func:`marginals` and the oracle tests use it.
+a :class:`CrfModel` is the reference path; :func:`score`,
+:func:`log_partition`, :func:`marginals` and the oracle tests use it.  It
+scores through training's own factoring (see below): the fragments of
+``features.factored_features`` encoded by :func:`_encode_rows` against
+the model's indicators, and then ``B @ (W @ weights)``.
 
 Prediction compiles the model once per run instead (:func:`compile_model`):
-each live indicator is parsed by ``features.parse_indicator`` into a
-weight table over the values of its column.  No feature map or indicator
-string is built, and the scores equal the reference path's bit for bit:
-both sum the templates in the order a feature map lists their keys.
+each live indicator is parsed by ``features.parse_indicator`` into the
+row of a weight array over (window offset, value of its column), or into
+the table of position patterns.  No feature map or indicator string is
+built.  Per offset d, a call folds one table over its distinct token
+texts (:func:`_offset_tables`): a text's row sums, from zero, the weight
+rows of the keys it gives at d, in the order its fragment lists them,
+as ``W @ state`` sums that fragment's row.
+
+This is where bit identity is anchored.  On the same tokens, the
+compiled scores, the reference path's scores of a ``SequenceFeatures``
+and training's ``U = B @ (W @ state)`` are the same doubles, because all
+three add the same rows in the same order: within a fragment, its keys
+in the order it lists them; within a position, its fragments from offset
+-MAX_RADIUS to MAX_RADIUS and then its pattern, each sum starting from
+zero.  A weight the model lacks adds an exact zero.  For a sequence of
+plain maps B is the identity, so the reference path sums each map's
+indicators in the order it lists them.
 
 A prediction run scores and decodes all of its texts as one batch.  Their
-tokens are laid out by ``features.padded_layout``, and each template is
-one slice gather over the padded rows of the whole batch: a padding row
-has category id 0 and numeric value 0, and row 0 of every table is zero,
-so no template reaches from one text into the next.  :func:`viterbi`
+tokens are laid out by ``features.padded_layout``, and each offset is one
+slice gather from its table over the padded rows of the whole batch, and
+the patterns one more gather: a padding row has entry 0, whose row of
+every table is zero, so no offset reaches from one text into the next.
+The padding rows between texts are scored too and then dropped, which
+measured faster than gathering the token rows alone.  :func:`viterbi`
 then decodes every text at once on the packed layout, with max-plus
 steps only.  A text longer than ``_MIN_BLOCKS`` blocks of ``_BLOCK``
 tokens is cut into blocks from its own first token and decoded by a
@@ -77,7 +94,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -86,7 +103,8 @@ import numpy as np
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
 from .features import (
-    MAX_RADIUS, factored_features, indicators, padded_layout, parse_indicator,
+    CENTRE_COLUMNS, COLUMNS, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE,
+    PATTERN_VALUES, TEMPLATES, factored_features, indicators, padded_layout, parse_indicator,
 )
 from .optim import dot, minimize_lbfgs
 from .spans import LABELS
@@ -181,96 +199,168 @@ def _encode_rows(feature_maps: Iterable[dict], index: dict[str, int]):
 
 class CompiledModel(NamedTuple):
     """The live state weights of a :class:`CrfModel`, parsed once to score
-    tokens without feature maps; built by :func:`compile_model`."""
+    tokens without feature maps; built by :func:`compile_model`.
+
+    A call scores its tokens through one table per window offset, built by
+    :func:`_offset_tables` over the distinct texts of the call, and through
+    ``pattern``.  Plane p of ``weights`` and of the tables holds offset
+    ``_OFFSETS[p]``: the neighbours from -MAX_RADIUS to MAX_RADIUS, so that
+    those within a radius r are planes MAX_RADIUS - r to MAX_RADIUS + r - 1,
+    then the centre."""
 
     transitions: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    bias: np.ndarray  # the row added at every position
-    # per categorical column, the ids of its feature values; 0 is every other value
+    # per column, the ids of its values in ``weights``; 0 is every other
+    # value, and a numeric column's one id, that of None, holds its rows
+    # per unit
     categories: dict[int, dict[object, int]]
-    # (offset, column, id -> row if categorical, else the row per unit), in
-    # the order a feature map lists their keys
-    templates: list[tuple[int, int, np.ndarray]]
+    # (column, first plane, end plane), in the order the tables fold them:
+    # the centre's columns in the order it lists its keys, then the
+    # neighbours' in ``TEMPLATES`` order
+    columns: list[tuple[int, int, int]]
+    weights: np.ndarray  # (planes, ids, L): the row an id adds at a plane
+    # (PATTERN_SIDE ** 2, L): the row each position pattern adds, bias included
+    pattern: np.ndarray
+
+
+# the window offset of each plane of a compiled model's weights and tables
+_OFFSETS = (*range(-MAX_RADIUS, 0), *range(1, MAX_RADIUS + 1), 0)
+_CENTRE = len(_OFFSETS) - 1
+# (plane, offset) in the order a position's fragments are summed
+_FOLD = tuple((_OFFSETS.index(d), d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1))
+_PATTERN_KEY = {key: j for j, key in enumerate(PATTERN_KEYS)}
+# [j, code]: the row of a (keys * 3, L) array of per-key (absent, False,
+# True) weights that key j adds in the pattern of that code
+_PATTERN_ROWS = PATTERN_VALUES.T + 3 * np.arange(len(PATTERN_KEYS))[:, None]
 
 
 def compile_model(model: CrfModel) -> CompiledModel:
-    """Parse every nonzero state weight of *model* into its template.
+    """Parse every nonzero state weight of *model* into its row of
+    ``weights`` or of its pattern key.
 
-    The result shares *model*'s weight arrays and is never stored on it:
-    build one per prediction run, after the last change to the model.
-    Indicators the feature set cannot emit, such as ``0:space=true``,
-    ``0:length=5`` or ``-3:EOS=true``, score zero on the reference path
-    and are dropped."""
+    The result shares *model*'s transitions, start and end arrays and is
+    never stored on it: build one per prediction run, after the last
+    change to the model.  Indicators the feature set cannot
+    emit, such as ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``,
+    score zero on the reference path and are dropped.  The pattern table
+    folds ``bias`` and then each key of ``PATTERN_KEYS`` over
+    ``PATTERN_VALUES``, in the order a pattern fragment lists its keys."""
+    rows = np.array(list(model.state_weights.values()), dtype=np.float64)
+    rows = rows.reshape(len(model.state_weights), N_LABELS)
     bias = np.zeros(N_LABELS)
+    flags = np.zeros((len(PATTERN_KEYS), 3, N_LABELS))  # key -> absent, False, True
     categories: dict[int, dict[object, int]] = {}
-    # rank -> (offset, column, a numeric row or categorical (value, row) pairs)
-    templates: dict[int, tuple] = {}
-    rows = model.state_weights.values()
-    live = np.array(list(rows), dtype=np.float64).reshape(len(rows), N_LABELS).any(axis=1)
-    for (ind, row), nonzero in zip(model.state_weights.items(), live.tolist()):
-        parsed = parse_indicator(ind) if nonzero else None
+    planes, ids, picked = [], [], []  # the plane, id and row of each text weight
+    centre, neighbours = set(), set()  # the columns with a weight there
+    for k, ind in compress(enumerate(model.state_weights), rows.any(axis=1).tolist()):
+        parsed = parse_indicator(ind)
         if parsed is None:
             continue
-        d, c, value, rank = parsed
+        d, c, value, _ = parsed
         if c is None:
-            bias = row
-        elif value is None:
-            templates[rank] = (d, c, row)
+            bias = rows[k]
+        elif c >= len(TEMPLATES):  # BOS or EOS, set by the position pattern
+            flags[_PATTERN_KEY[ind.partition("=")[0]], 1 + value] = rows[k]
         else:
-            ids = categories.setdefault(c, {})
-            ids.setdefault(value, len(ids) + 1)
-            templates.setdefault(rank, (d, c, []))[2].append((value, row))
-    ordered = []
-    for rank in sorted(templates):
-        d, c, weights = templates[rank]
-        if c in categories:
-            table = np.zeros((len(categories[c]) + 1, N_LABELS))
-            for value, row in weights:
-                table[categories[c][value]] = row
-            weights = table
-        ordered.append((d, c, weights))
-    return CompiledModel(model.transitions, model.start, model.end, bias, categories, ordered)
+            lookup = categories.setdefault(c, {})
+            (neighbours if d else centre).add(c)
+            planes.append(MAX_RADIUS + d - (d > 0) if d else _CENTRE)
+            ids.append(lookup.setdefault(value, len(ids) + 1))
+            picked.append(k)
+    weights = np.zeros((len(_OFFSETS), len(ids) + 1, N_LABELS))
+    weights[planes, ids] = rows[picked]
+    columns = [(c, _CENTRE, _CENTRE + 1) for c in CENTRE_COLUMNS if c in centre]
+    columns += (
+        (c, MAX_RADIUS - radius, MAX_RADIUS + radius)
+        for c, (_, radius) in enumerate(TEMPLATES)
+        if c in neighbours
+    )
+    pattern = np.zeros((PATTERN_SIDE**2, N_LABELS))
+    pattern += bias
+    for term in np.take(flags.reshape(-1, N_LABELS), _PATTERN_ROWS, axis=0):
+        pattern += term
+    return CompiledModel(
+        model.transitions, model.start, model.end, categories, columns, weights, pattern
+    )
+
+
+def _offset_tables(compiled: CompiledModel, attrs: Sequence) -> np.ndarray:
+    """(planes, len(attrs), L) tables over the entries of a
+    ``features.padded_layout``: row k of plane p sums, from zero, the
+    weight rows of the keys that entry k gives at offset ``_OFFSETS[p]``,
+    in the order its text fragment lists them.  Row 0, padding, is zero."""
+    values = list(zip(*attrs[1:]))  # column c -> its value for each entry
+    tables = np.zeros((len(_OFFSETS), len(attrs), N_LABELS))
+    ids = {}  # categorical column -> the id of each entry's value
+    for c, lo, hi in compiled.columns:
+        lookup = compiled.categories[c]
+        if COLUMNS[c] in NUMERIC_ATTRIBUTES:
+            per_unit = compiled.weights[lo:hi, lookup[None], None, :]
+            tables[lo:hi] += np.array([0, *values[c]], dtype=np.float64)[:, None] * per_unit
+            continue
+        if c not in ids:
+            ids[c] = np.array([0, *map(lookup.get, values[c], repeat(0))], dtype=np.intp)
+        tables[lo:hi] += np.take(compiled.weights[lo:hi], ids[c], axis=1)
+    return tables
+
+
+def _pattern_codes(lengths: Sequence[int], rows: int) -> np.ndarray:
+    """The pattern code of each row of a padded layout of sequences of the
+    given *lengths*, less its first ``MAX_RADIUS`` rows: ``before *
+    PATTERN_SIDE + after``, as in ``features.factored_features``.  Only
+    the first and last ``MAX_RADIUS + 1`` steps of a sequence have an
+    uncapped side; padding rows keep the interior code."""
+    n = np.asarray(lengths, dtype=np.intp)[:, None]
+    cap = PATTERN_SIDE - 1
+    t = np.arange(cap)
+    steps = np.concatenate((np.broadcast_to(t, (len(n), cap)), n - 1 - t), axis=1)
+    inside = (steps >= 0) & (steps < n)
+    first = np.cumsum(n + MAX_RADIUS) - (n[:, 0] + MAX_RADIUS)
+    codes = np.full(rows, PATTERN_SIDE**2 - 1)
+    edge = np.minimum(steps, cap) * PATTERN_SIDE + np.minimum(n - 1 - steps, cap)
+    codes[(first[:, None] + steps)[inside]] = edge[inside]
+    return codes
 
 
 def _token_unary(
     compiled: CompiledModel, tokens: Sequence[Token], lengths: Sequence[int]
 ) -> np.ndarray:
     """Unary scores of consecutive sequences of *tokens* of the given
-    *lengths*: the reference path's scores of their feature maps."""
+    *lengths*: training's ``B @ (W @ state)``, the fragments' rows summed
+    from zero in slot order and then the pattern's."""
     attrs, which = padded_layout(tokens, lengths)
+    tables = _offset_tables(compiled, attrs)
     which = np.array(which, dtype=np.intp)
-    live = which != 0
-    # the columns of ``features.COLUMNS`` as (values, entry): column c of
-    # padded row r is values[entry[r] - 1], or padding if entry[r] is 0.  An
-    # attribute's entry is which; a flag's is 1 (False) or 2 (True), True for
-    # BOS where the row before is padding, for EOS where the row after is
-    columns = [(values, which) for values in zip(*attrs[1:])]
-    for beside in (np.r_[False, live[:-1]], np.r_[live[1:], False]):
-        columns.append(((False, True), np.where(live & ~beside, 2, live)))
-    ids, numbers = {}, {}
-    for c, lookup in compiled.categories.items():
-        values, entry = columns[c]
-        ids[c] = np.array([0, *(lookup.get(v, 0) for v in values)], dtype=np.intp)[entry]
-    for c in {c for _, c, _ in compiled.templates} - set(ids):
-        values, entry = columns[c]
-        numbers[c] = np.array([0, *values], dtype=np.float64)[entry]
-    pad = MAX_RADIUS
-    # U row j is padded row pad + j, from the first token to the last
-    rows = len(which) - 2 * pad
-    U = np.empty((rows, N_LABELS))
-    U[:] = compiled.bias
+    # U row j is padded row MAX_RADIUS + j, from the first token to the last
+    rows = len(which) - 2 * MAX_RADIUS
+    U = np.zeros((rows, N_LABELS))
     term = np.empty_like(U)
-    for d, c, weights in compiled.templates:
-        window = slice(pad + d, pad + d + rows)
-        if c in ids:
-            # every id is in range, so "clip" changes none; it spares take()
-            # the copy of *out* that the default mode makes
-            U += np.take(weights, ids[c][window], axis=0, out=term, mode="clip")
-        else:
-            U += np.multiply(numbers[c][window, None], weights, out=term)
+    # every id is in range, so "clip" changes none; it spares take() the
+    # copy of *out* that the default mode makes
+    for p, d in _FOLD:
+        window = which[MAX_RADIUS + d : MAX_RADIUS + d + rows]
+        U += np.take(tables[p], window, axis=0, out=term, mode="clip")
+    U += np.take(compiled.pattern, _pattern_codes(lengths, rows), axis=0, out=term, mode="clip")
+    if rows == len(tokens):
+        return U
     # the token rows, gathered into the scratch rows that U is done with
-    return np.take(U, np.flatnonzero(live[pad:]), axis=0, out=term[: len(tokens)], mode="clip")
+    live = np.flatnonzero(which[MAX_RADIUS : MAX_RADIUS + rows])
+    return np.take(U, live, axis=0, out=term[: len(tokens)], mode="clip")
+
+
+def _factored(fragments: list, parts: np.ndarray, index: dict[str, int]):
+    """(B, W), with ``B @ W`` the indicator matrix of the positions of
+    *parts* (see ``features.factored_features``), in its row order: B is
+    CSR of 0/1 and picks each row's fragments in the order *parts* lists
+    them, and W is ``_encode_rows(fragments, index)``."""
+    from scipy.sparse import csr_matrix
+
+    present = parts >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(present, axis=1))))
+    cols = parts[present]
+    B = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(parts), len(fragments)))
+    return B, _encode_rows(fragments, index)
 
 
 def _unary_matrix(
@@ -279,14 +369,17 @@ def _unary_matrix(
     """Unary scores, shape (T, L): of a list of feature maps under a
     :class:`CrfModel` (the reference path), or of a list of tokens under
     the :class:`CompiledModel` of one, read as consecutive sequences of the
-    given *lengths* (default: one sequence)."""
+    given *lengths* (default: one sequence).  Both are training's product
+    ``B @ (W @ state)`` bit for bit, the reference path through training's
+    own factoring."""
     if not features:
         raise ValueError("empty sequence")
     if isinstance(model, CompiledModel):
         return _token_unary(model, features, [len(features)] if lengths is None else lengths)
     index = {ind: k for k, ind in enumerate(model.state_weights)}
     weights = np.array(list(model.state_weights.values()), dtype=np.float64)
-    return _encode_rows(features, index) @ weights.reshape(len(index), N_LABELS)
+    B, W = _factored(*factored_features([features]), index)
+    return B @ (W @ weights.reshape(len(index), N_LABELS))
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -724,8 +817,6 @@ def _encode_sequences(
     ``X = B @ W`` over the fragments of ``features.factored_features``.
     Layout-backed feature sequences are read through their tokens; no map
     of theirs is built."""
-    from scipy.sparse import csr_matrix
-
     label_ids = []
     for s, seq in enumerate(batch):
         if not seq.features:
@@ -744,12 +835,7 @@ def _encode_sequences(
     vocab = _collect_vocabulary(fragments, known)
     # the row of each packed row in batch order, where parts lists them
     rows = (np.cumsum(lengths) - lengths)[packing.seq] + packing.step
-    parts = parts[rows]
-    present = parts >= 0
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(present, axis=1))))
-    cols = parts[present]
-    B = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(rows), len(fragments)))
-    W = _encode_rows(fragments, vocab)
+    B, W = _factored(fragments, parts[rows], vocab)
     y = np.concatenate(label_ids)[rows]
     cells = np.arange(len(y)) * N_LABELS + y
     pairs = y[packing.prev] * N_LABELS + y[packing.batch_sizes[0] :]

@@ -44,8 +44,10 @@ map only when it is indexed or iterated.  Training builds no maps:
 splits every map into fragments that many positions share -- the keys
 one offset takes from one token text, and the keys set by the position's
 place in its sequence -- and ``legal_sbd.crf`` encodes each fragment once.
-Prediction builds no maps either: ``legal_sbd.crf`` gathers weight rows
-over the same layout, to the same scores.
+Prediction builds no maps either: ``legal_sbd.crf`` folds one weight
+table per offset over the layout's entries, in the order a text fragment
+lists its keys, and one over the position patterns of
+``PATTERN_VALUES``, to the same scores bit for bit.
 
 Feature maps meet a model as the string indicators of :func:`indicators`:
 a boolean gives ``key=true`` / ``key=false``, a category ``key=value``,
@@ -154,7 +156,10 @@ _NEIGHBOUR_KEYS = {d: keys for d, _, _, keys in _NEIGHBOURS}
 # number flag has the key ``0:numeric``, and it has no ``space`` key
 _CENTRE_NAMES = ("lowercase", "lower", "upper", "number", "special", "sign", "length")
 _centre_keys = tuple("0:" + ("numeric" if name == "number" else name) for name in _CENTRE_NAMES)
-_centre_values = itemgetter(*map(COLUMNS.index, _CENTRE_NAMES))
+# the columns of the centre's keys, in that order; a neighbour's keys read
+# the columns of ``TEMPLATES`` in table order
+CENTRE_COLUMNS = tuple(map(COLUMNS.index, _CENTRE_NAMES))
+_centre_values = itemgetter(*CENTRE_COLUMNS)
 
 
 def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list, list[int]]:
@@ -270,6 +275,21 @@ def _pattern_features(before: int, after: int) -> dict:
 
 
 _PARTS = 2 * MAX_RADIUS + 2  # a text fragment per offset, then the pattern
+PATTERN_SIDE = MAX_RADIUS + 2  # a pattern's code is before * PATTERN_SIDE + after
+# the keys of a position pattern after ``bias``, in the order that
+# :func:`_pattern_features` lists them
+PATTERN_KEYS = ("0:BOS", "0:EOS", *(edge for _, _, edge, _ in _NEIGHBOURS))
+# PATTERN_VALUES[code, j]: the value of key j in the pattern of that code,
+# 0 if the pattern has no such key, 1 if it is False, 2 if True
+PATTERN_VALUES = np.array(
+    [
+        [1 + feats[key] if key in feats else 0 for key in PATTERN_KEYS]
+        for feats in (
+            _pattern_features(*divmod(code, PATTERN_SIDE)) for code in range(PATTERN_SIDE**2)
+        )
+    ],
+    dtype=np.intp,
+)
 
 
 def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], np.ndarray]:
@@ -304,7 +324,7 @@ def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], 
         patterns = (_PARTS - 1) * len(attrs)
         codes = np.empty((len(step), _PARTS), dtype=np.intp)
         codes[:, :-1] = np.where(entries, np.arange(_PARTS - 1) * len(attrs) + entries, -1)
-        codes[:, -1] = patterns + before * (MAX_RADIUS + 2) + after
+        codes[:, -1] = patterns + before * PATTERN_SIDE + after
         present = codes >= 0
         distinct, ids = np.unique(codes[present], return_inverse=True)
         codes[present] = ids  # now fragment indices
@@ -313,7 +333,7 @@ def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], 
                 slot, k = divmod(code, len(attrs))
                 fragments.append(_text_features(slot - MAX_RADIUS, attrs[k]))
             else:
-                fragments.append(_pattern_features(*divmod(code - patterns, MAX_RADIUS + 2)))
+                fragments.append(_pattern_features(*divmod(code - patterns, PATTERN_SIDE)))
         parts[np.concatenate([np.arange(starts[s], starts[s] + lengths[s]) for s in laid])] = codes
     for s in plain:
         parts[starts[s] : starts[s] + lengths[s], 0] = np.arange(lengths[s]) + len(fragments)

@@ -1,22 +1,30 @@
-"""Compiled prediction against the reference path.
+"""Compiled prediction against the reference path and training.
 
 ``pipeline.predicted_labels`` scores tokens through
 ``crf.compile_model`` and never builds feature maps; the maps of
 ``features.sequence_features`` scored by ``crf._unary_matrix`` remain the
-reference it must equal."""
+reference it must equal, and training's factored product ``B @ (W @
+state)`` over the same sequences the scores it must equal bit for bit."""
+
+import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legal_sbd import features, pipeline
 from legal_sbd.crf import (
-    CrfModel, _unary_matrix, compile_model, indicators, model_to_json, viterbi,
+    CrfModel, LabeledSequence, TrainingConfig, _encode_sequences, _offset_tables,
+    _unary_matrix, compile_model, indicators, model_to_json, viterbi,
 )
 from legal_sbd.features import COLUMNS, MAX_RADIUS, parse_indicator, sequence_features
 from legal_sbd.spans import LABELS
 from legal_sbd.synthetic import make_corpus
 from legal_sbd.tokenizer import tokenize
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # Indicators the fixed feature set never emits, and near misses of live
 # ones; a compiled model must drop them, as the reference path scores
@@ -118,10 +126,53 @@ def test_dead_indicators_compile_to_nothing():
     model = CrfModel({ind: rng.normal(size=len(LABELS)) for ind in DEAD},
                      np.zeros((5, 5)), np.zeros(5), np.zeros(5))
     compiled = compile_model(model)
-    assert not compiled.bias.any()
-    assert compiled.templates == []
     tokens = tokenize("a=b a:b (1) Art. 5.\n")
+    attrs, _ = features.padded_layout(tokens, [len(tokens)])
+    assert not _offset_tables(compiled, attrs).any()
+    assert not compiled.pattern.any()
     assert not _unary_matrix(compiled, tokens).any()
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads()
+SETUP_TEXTS = [doc.text for doc in WORKLOADS.setup_model_corpus()]
+
+
+@functools.cache
+def setup_model() -> CrfModel:
+    """The benchmark's predict workloads' model, trained on SETUP_TEXTS."""
+    config = TrainingConfig(max_iterations=WORKLOADS.SETUP_MODEL_ITERATIONS)
+    return pipeline.train_on_documents(WORKLOADS.setup_model_corpus(), config)
+
+
+@given(texts=st.lists(TEXTS, min_size=1, max_size=4), data=st.data())
+@example(texts=SETUP_TEXTS, data=None).via("the benchmark's setup model on its own corpus")
+@settings(max_examples=150, deadline=None)
+def test_compiled_unary_is_trainings_product(texts, data):
+    token_lists = [tokens for tokens in map(tokenize, texts) if tokens]
+    if not token_lists:
+        return
+    flat = [token for tokens in token_lists for token in tokens]
+    lengths = [len(tokens) for tokens in token_lists]
+    model = setup_model() if data is None else random_model(data, flat)
+    compiled = _unary_matrix(compile_model(model), flat, lengths)
+    # training's unary scores, from packed order back to token order
+    batch = [LabeledSequence(sequence_features(t), ["O"] * len(t)) for t in token_lists]
+    vocab, encoded = _encode_sequences(batch, known=model.state_weights)
+    state = np.zeros((len(vocab), len(LABELS)))
+    for ind, row in model.state_weights.items():
+        state[vocab[ind]] = row
+    packing = encoded.packing
+    trained = np.empty_like(compiled)
+    rows = (np.cumsum(lengths) - lengths)[packing.seq] + packing.step
+    trained[rows] = encoded.B @ (encoded.W @ state)
+    assert np.array_equal(compiled, trained)
 
 
 def test_prediction_builds_no_feature_maps_and_compiles_once(small_model, monkeypatch):
