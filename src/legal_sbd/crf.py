@@ -241,11 +241,11 @@ def compile_model(model: CrfModel) -> CompiledModel:
 
     The result shares *model*'s transitions, start and end arrays and is
     never stored on it: build one per prediction run, after the last
-    change to the model.  Indicators the feature set cannot
-    emit, such as ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``,
-    score zero on the reference path and are dropped.  The pattern table
-    folds ``bias`` and then each key of ``PATTERN_KEYS`` over
-    ``PATTERN_VALUES``, in the order a pattern fragment lists its keys."""
+    change to the model.  Indicators the feature set cannot emit, such as
+    ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``, score zero on the
+    reference path and are dropped.  The pattern table folds ``bias`` and
+    then each key of ``PATTERN_KEYS`` over ``PATTERN_VALUES``, in the
+    order a pattern fragment lists its keys."""
     rows = np.array(list(model.state_weights.values()), dtype=np.float64)
     rows = rows.reshape(len(model.state_weights), N_LABELS)
     bias = np.zeros(N_LABELS)

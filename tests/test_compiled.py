@@ -152,7 +152,7 @@ def setup_model() -> CrfModel:
 
 
 @given(texts=st.lists(TEXTS, min_size=1, max_size=4), data=st.data())
-@example(texts=SETUP_TEXTS, data=None).via("the benchmark's setup model on its own corpus")
+@example(texts=SETUP_TEXTS, data=None)  # the benchmark's setup model on its own corpus
 @settings(max_examples=150, deadline=None)
 def test_compiled_unary_is_trainings_product(texts, data):
     token_lists = [tokens for tokens in map(tokenize, texts) if tokens]
