@@ -30,14 +30,18 @@ scores through training's own factoring (see below): the fragments of
 ``features.factored_features`` encoded by :func:`_encode_rows` against
 the model's indicators, and then ``B @ (W @ weights)``.
 
-Prediction compiles the model once per run instead (:func:`compile_model`):
-each live indicator is parsed by ``features.parse_indicator`` into the
-row of a weight array over (window offset, value of its column), or into
-the table of position patterns.  No feature map or indicator string is
-built.  Per offset d, a call folds one table over its distinct token
-texts (:func:`_offset_tables`): a text's row sums, from zero, the weight
-rows of the keys it gives at d, in the order its fragment lists them,
-as ``W @ state`` sums that fragment's row.
+Prediction compiles the model instead (:func:`compile_model`): each live
+indicator is parsed by ``features.parse_indicator`` into the row of a
+weight array over (window offset, value of its column), or into the
+table of position patterns.  The parse of the model compiled last is
+reused by the next prediction run while the model's state weights are
+the same keys in the same order with byte-equal rows, so a run on an
+unchanged model parses nothing and a changed model is parsed anew.  No
+feature map or indicator string is built.  Per offset d, a call folds
+one table over its distinct token texts (:func:`_offset_tables`): a
+text's row sums, from zero, the weight rows of the keys it gives at d,
+in the order its fragment lists them, as ``W @ state`` sums that
+fragment's row.
 
 This is where bit identity is anchored.  On the same tokens, the
 compiled scores, the reference path's scores of a ``SequenceFeatures``
@@ -235,25 +239,41 @@ _PATTERN_KEY = {key: j for j, key in enumerate(PATTERN_KEYS)}
 _PATTERN_ROWS = PATTERN_VALUES.T + 3 * np.arange(len(PATTERN_KEYS))[:, None]
 
 
+# (keys, row bytes, categories, columns, weights, pattern) of the model
+# parsed last.  It is replaced by one assignment and read once into a
+# local, so concurrent callers each see one model's whole parse.
+_last_parse: tuple | None = None
+
+
 def compile_model(model: CrfModel) -> CompiledModel:
     """Parse every nonzero state weight of *model* into its row of
     ``weights`` or of its pattern key.
 
     The result shares *model*'s transitions, start and end arrays and is
-    never stored on it: build one per prediction run, after the last
-    change to the model.  Indicators the feature set cannot emit, such as
-    ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``, score zero on the
-    reference path and are dropped.  The pattern table folds ``bias`` and
-    then each key of ``PATTERN_KEYS`` over ``PATTERN_VALUES``, in the
-    order a pattern fragment lists its keys."""
+    never stored on it.  The parse of the model compiled last is kept and
+    reused while the state weights are the same content: the same keys in
+    the same order, and rows equal byte for byte (``tobytes``, so ``-0.0``
+    differs from ``0.0`` and a NaN equals its own bits), so a model
+    changed between calls compiles its new weights.  Its ``weights`` and
+    ``pattern`` are read-only.  Indicators the feature set cannot emit,
+    such as ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``, score
+    zero on the reference path and are dropped.  The pattern table folds
+    ``bias`` and then each key of ``PATTERN_KEYS`` over
+    ``PATTERN_VALUES``, in the order a pattern fragment lists its keys."""
+    global _last_parse
+    keys = list(model.state_weights)
     rows = np.array(list(model.state_weights.values()), dtype=np.float64)
-    rows = rows.reshape(len(model.state_weights), N_LABELS)
+    rows = rows.reshape(len(keys), N_LABELS)
+    content = rows.tobytes()
+    last = _last_parse
+    if last is not None and last[0] == keys and last[1] == content:
+        return CompiledModel(model.transitions, model.start, model.end, *last[2:])
     bias = np.zeros(N_LABELS)
     flags = np.zeros((len(PATTERN_KEYS), 3, N_LABELS))  # key -> absent, False, True
     categories: dict[int, dict[object, int]] = {}
     planes, ids, picked = [], [], []  # the plane, id and row of each text weight
     centre, neighbours = set(), set()  # the columns with a weight there
-    for k, ind in compress(enumerate(model.state_weights), rows.any(axis=1).tolist()):
+    for k, ind in compress(enumerate(keys), rows.any(axis=1).tolist()):
         parsed = parse_indicator(ind)
         if parsed is None:
             continue
@@ -280,6 +300,8 @@ def compile_model(model: CrfModel) -> CompiledModel:
     pattern += bias
     for term in np.take(flags.reshape(-1, N_LABELS), _PATTERN_ROWS, axis=0):
         pattern += term
+    weights.flags.writeable = pattern.flags.writeable = False
+    _last_parse = (keys, content, categories, columns, weights, pattern)
     return CompiledModel(
         model.transitions, model.start, model.end, categories, columns, weights, pattern
     )

@@ -121,7 +121,10 @@ def predicted_labels(model: CrfModel, texts: list[str]) -> list[tuple[list[Token
     prediction run, which every prediction function calls once.
 
     The model is compiled once per call and scores tokens directly; no
-    feature maps are built.  The tokens of all non-empty texts are scored
+    feature maps are built.  A call on a model whose state weights are
+    byte for byte those of the model compiled last reuses that parse (see
+    :func:`~legal_sbd.crf.compile_model`), and a changed model is parsed
+    anew, so it predicts with its new weights.  The tokens of all non-empty texts are scored
     and decoded as one batch, by one :func:`~legal_sbd.crf.viterbi` call,
     and each text's labels are the ones it would get alone; an empty text
     gets ``([], [])``."""

@@ -6,15 +6,17 @@
 reference it must equal, and training's factored product ``B @ (W @
 state)`` over the same sequences the scores it must equal bit for bit."""
 
+import copy
 import functools
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from legal_sbd import features, pipeline
+from legal_sbd import crf, features, pipeline
 from legal_sbd.crf import (
     CrfModel, LabeledSequence, TrainingConfig, _encode_sequences, _offset_tables,
     _unary_matrix, compile_model, indicators, model_to_json, viterbi,
@@ -204,3 +206,120 @@ def test_compiled_labels_match_reference_on_a_trained_model(small_model):
     for doc in make_corpus(4, seed=809, abbreviation_rate=0.5, newline_rate=0.3):
         tokens = tokenize(doc.text)
         assert viterbi(compiled, tokens) == viterbi(small_model, sequence_features(tokens))
+
+
+# A text whose tokens fire indicators a trained model has and some it lacks.
+REUSE_TEXT = make_corpus(1, seed=812, abbreviation_rate=0.5)[0].text + " Zqx. Art. 5 (1).\n"
+
+
+def fired(model, text):
+    """The indicators *text*'s tokens give, in order: (known to *model*,
+    unknown to it)."""
+    inds = dict.fromkeys(ind for fv in sequence_features(tokenize(text))
+                         for ind, _ in indicators(fv))
+    known = [ind for ind in inds if ind in model.state_weights]
+    return known, [ind for ind in inds if ind not in model.state_weights]
+
+
+def assert_compiles_as_reference(model, tokens):
+    compiled = compile_model(model)
+    reference = sequence_features(tokens)
+    assert _unary_matrix(compiled, tokens).tobytes() == _unary_matrix(model, reference).tobytes()
+    assert viterbi(compiled, tokens) == viterbi(model, reference)
+
+
+def edit_row(model):
+    model.state_weights[fired(model, REUSE_TEXT)[0][0]] += 0.75
+    return model
+
+
+def add_key(model):
+    model.state_weights[fired(model, REUSE_TEXT)[1][0]] = np.linspace(-2.0, 2.0, len(LABELS))
+    return model
+
+
+def remove_key(model):
+    del model.state_weights[fired(model, REUSE_TEXT)[0][0]]
+    return model
+
+
+def reorder_keys(model):
+    first = next(iter(model.state_weights))
+    model.state_weights[first] = model.state_weights.pop(first)
+    return model
+
+
+def reassign_transitions(model):
+    model.transitions = np.random.default_rng(5).normal(scale=4.0, size=model.transitions.shape)
+    return model
+
+
+def edit_end(model):
+    model.end[:] = np.linspace(3.0, -3.0, len(LABELS))
+    return model
+
+
+def zero_to_negative_zero(model):
+    row = model.state_weights[fired(model, REUSE_TEXT)[0][0]]
+    row[0] = 0.0
+    assert_compiles_as_reference(model, tokenize(REUSE_TEXT))
+    row[0] = -0.0
+    return model
+
+
+def nan_row(model):
+    model.state_weights[fired(model, REUSE_TEXT)[0][0]][:] = np.nan
+    return model
+
+
+@pytest.mark.parametrize("edit", [
+    edit_row, add_key, remove_key, reorder_keys, reassign_transitions, edit_end,
+    zero_to_negative_zero, nan_row,
+])
+def test_reused_compile_matches_reference_after_an_edit(small_model, edit):
+    model = copy.deepcopy(small_model)
+    tokens = tokenize(REUSE_TEXT)
+    assert_compiles_as_reference(model, tokens)  # the parse before the edit is kept
+    model = edit(model)
+    assert_compiles_as_reference(model, tokens)
+    assert_compiles_as_reference(model, tokens)  # and reused
+
+
+def test_two_models_used_alternately_compile_as_reference(small_model):
+    first, second = copy.deepcopy(small_model), edit_row(copy.deepcopy(small_model))
+    tokens = tokenize(REUSE_TEXT)
+    for model in (first, second, first, second, second, first):
+        assert_compiles_as_reference(model, tokens)
+
+
+def test_unchanged_model_is_parsed_once(small_model, monkeypatch):
+    parsed = []
+
+    def counting(ind):
+        parsed.append(ind)
+        return parse_indicator(ind)
+
+    monkeypatch.setattr(crf, "parse_indicator", counting)
+    model = copy.deepcopy(small_model)
+    docs = make_corpus(3, seed=813)
+    first = pipeline.predict_documents(model, docs)
+    parsed.clear()
+    assert pipeline.predict_documents(model, docs) == first
+    assert parsed == []
+    # rows are compared by their bytes: -0.0 is not 0.0, and a NaN is itself
+    for edit in (edit_row, zero_to_negative_zero, nan_row):
+        edit(model)
+        parsed.clear()
+        pipeline.predict_documents(model, docs)
+        assert len(parsed) == sum(bool(row.any()) for row in model.state_weights.values())
+        parsed.clear()
+        pipeline.predict_documents(model, docs)
+        assert parsed == []
+
+
+def test_compiled_weights_are_read_only(small_model):
+    for compiled in (compile_model(small_model), compile_model(small_model)):  # miss, hit
+        with pytest.raises(ValueError):
+            compiled.weights[0] += 1.0
+        with pytest.raises(ValueError):
+            compiled.pattern[0, 0] = 1.0
