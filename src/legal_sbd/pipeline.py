@@ -124,10 +124,10 @@ def predicted_labels(model: CrfModel, texts: list[str]) -> list[tuple[list[Token
     feature maps are built.  A call on a model whose state weights are
     byte for byte those of the model compiled last reuses that parse (see
     :func:`~legal_sbd.crf.compile_model`), and a changed model is parsed
-    anew, so it predicts with its new weights.  The tokens of all non-empty texts are scored
-    and decoded as one batch, by one :func:`~legal_sbd.crf.viterbi` call,
-    and each text's labels are the ones it would get alone; an empty text
-    gets ``([], [])``."""
+    anew, so it predicts with its new weights.  The tokens of all
+    non-empty texts are scored and decoded as one batch, by one
+    :func:`~legal_sbd.crf.viterbi` call, and each text's labels are the
+    ones it would get alone; an empty text gets ``([], [])``."""
     compiled = compile_model(model)
     tokenized = [tokenize(text) for text in texts]
     lengths = [len(tokens) for tokens in tokenized if tokens]
