@@ -317,8 +317,11 @@ def test_unchanged_model_is_parsed_once(small_model, monkeypatch):
         assert parsed == []
 
 
-def test_compiled_weights_are_read_only(small_model):
-    for compiled in (compile_model(small_model), compile_model(small_model)):  # miss, hit
+def test_compiled_weights_are_read_only(small_model, monkeypatch):
+    monkeypatch.setattr(crf, "_last_parse", None)
+    missed, hit = compile_model(small_model), compile_model(small_model)
+    assert hit.weights is missed.weights and hit.pattern is missed.pattern
+    for compiled in (missed, hit):
         with pytest.raises(ValueError):
             compiled.weights[0] += 1.0
         with pytest.raises(ValueError):
