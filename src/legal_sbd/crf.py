@@ -32,15 +32,17 @@ the model's indicators, and then ``B @ (W @ weights)``.
 
 Prediction compiles the model instead (:func:`compile_model`): each live
 indicator is parsed by ``features.parse_indicator`` into the row of a
-weight array over (window offset, value of its column), or into the
-table of position patterns.  The parse of the model compiled last is
-reused by the next prediction run while the model's state weights are
-the same keys in the same order with byte-equal rows, so a run on an
-unchanged model parses nothing and a changed model is parsed anew.  No
-feature map or indicator string is built.  Per offset d, a call folds
-one table over its distinct token texts (:func:`_offset_tables`): a
-text's row sums, from zero, the weight rows of the keys it gives at d,
-in the order its fragment lists them, as ``W @ state`` sums that
+weight array over (window offset, value of its column), plane p holding
+offset p - MAX_RADIUS, or into the table of position patterns.  The
+parse of the model compiled last is reused by the next prediction run
+while the model's state weights are the same keys in the same order
+with byte-equal rows, so a run on an unchanged model parses nothing and
+a changed model is parsed anew.  No feature map or indicator string is
+built.  Per offset d, a call folds one table over its distinct token
+texts (:func:`_offset_tables`): a text's row sums, from zero, the weight
+rows of the keys it gives at d, column by column in
+``features.TEMPLATES`` order, which is the order every fragment, the
+centre's included, lists its keys, as ``W @ state`` sums that
 fragment's row.
 
 This is where bit identity is anchored.  On the same tokens, the
@@ -55,11 +57,13 @@ indicators in the order it lists them.
 
 A prediction run scores and decodes all of its texts as one batch.  Their
 tokens are laid out by ``features.padded_layout``, and each offset is one
-slice gather from its table over the padded rows of the whole batch, and
-the patterns one more gather: a padding row has entry 0, whose row of
-every table is zero, so no offset reaches from one text into the next.
-The padding rows between texts are scored too and then dropped, which
-measured faster than gathering the token rows alone.  :func:`viterbi`
+slice gather from its table over the padded rows of the whole batch: a
+padding row has entry 0, whose row of every table is zero, so no offset
+reaches from one text into the next.  The padding rows between texts
+are scored too and then dropped, which measured faster than gathering
+the token rows alone, and the token rows then add their patterns, coded
+by ``features.pattern_codes`` as training codes them, in one more
+gather.  :func:`viterbi`
 then decodes every text at once on the packed layout, with max-plus
 steps only.  A text longer than ``_MIN_BLOCKS`` blocks of ``_BLOCK``
 tokens is cut into blocks from its own first token and decoded by a
@@ -107,8 +111,8 @@ import numpy as np
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
 from .features import (
-    CENTRE_COLUMNS, COLUMNS, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE,
-    PATTERN_VALUES, TEMPLATES, factored_features, indicators, padded_layout, parse_indicator,
+    COLUMNS, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE, PATTERN_VALUES,
+    TEMPLATES, factored_features, indicators, padded_layout, parse_indicator, pattern_codes,
 )
 from .optim import dot, minimize_lbfgs
 from .spans import LABELS
@@ -208,40 +212,30 @@ class CompiledModel(NamedTuple):
     A call scores its tokens through one table per window offset, built by
     :func:`_offset_tables` over the distinct texts of the call, and through
     ``pattern``.  Plane p of ``weights`` and of the tables holds offset
-    ``_OFFSETS[p]``: the neighbours from -MAX_RADIUS to MAX_RADIUS, so that
-    those within a radius r are planes MAX_RADIUS - r to MAX_RADIUS + r - 1,
-    then the centre."""
+    p - MAX_RADIUS, so the offsets within a radius r are planes
+    MAX_RADIUS - r to MAX_RADIUS + r."""
 
     transitions: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    # per column, the ids of its values in ``weights``; 0 is every other
-    # value, and a numeric column's one id, that of None, holds its rows
-    # per unit
+    # per column with a weight, the ids of its values in ``weights``; 0 is
+    # every other value, and a numeric column's one id, that of None, holds
+    # its rows per unit
     categories: dict[int, dict[object, int]]
-    # (column, first plane, end plane), in the order the tables fold them:
-    # the centre's columns in the order it lists its keys, then the
-    # neighbours' in ``TEMPLATES`` order
-    columns: list[tuple[int, int, int]]
     weights: np.ndarray  # (planes, ids, L): the row an id adds at a plane
     # (PATTERN_SIDE ** 2, L): the row each position pattern adds, bias included
     pattern: np.ndarray
 
 
-# the window offset of each plane of a compiled model's weights and tables
-_OFFSETS = (*range(-MAX_RADIUS, 0), *range(1, MAX_RADIUS + 1), 0)
-_CENTRE = len(_OFFSETS) - 1
-# (plane, offset) in the order a position's fragments are summed
-_FOLD = tuple((_OFFSETS.index(d), d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1))
 _PATTERN_KEY = {key: j for j, key in enumerate(PATTERN_KEYS)}
 # [j, code]: the row of a (keys * 3, L) array of per-key (absent, False,
 # True) weights that key j adds in the pattern of that code
 _PATTERN_ROWS = PATTERN_VALUES.T + 3 * np.arange(len(PATTERN_KEYS))[:, None]
 
 
-# (keys, row bytes, categories, columns, weights, pattern) of the model
-# parsed last.  It is replaced by one assignment and read once into a
-# local, so concurrent callers each see one model's whole parse.
+# (keys, row bytes, categories, weights, pattern) of the model parsed
+# last.  It is replaced by one assignment and read once into a local, so
+# concurrent callers each see one model's whole parse.
 _last_parse: tuple | None = None
 
 
@@ -272,77 +266,53 @@ def compile_model(model: CrfModel) -> CompiledModel:
     flags = np.zeros((len(PATTERN_KEYS), 3, N_LABELS))  # key -> absent, False, True
     categories: dict[int, dict[object, int]] = {}
     planes, ids, picked = [], [], []  # the plane, id and row of each text weight
-    centre, neighbours = set(), set()  # the columns with a weight there
     for k, ind in compress(enumerate(keys), rows.any(axis=1).tolist()):
         parsed = parse_indicator(ind)
         if parsed is None:
             continue
-        d, c, value, _ = parsed
+        d, c, value = parsed
         if c is None:
             bias = rows[k]
         elif c >= len(TEMPLATES):  # BOS or EOS, set by the position pattern
             flags[_PATTERN_KEY[ind.partition("=")[0]], 1 + value] = rows[k]
         else:
-            lookup = categories.setdefault(c, {})
-            (neighbours if d else centre).add(c)
-            planes.append(MAX_RADIUS + d - (d > 0) if d else _CENTRE)
-            ids.append(lookup.setdefault(value, len(ids) + 1))
+            planes.append(MAX_RADIUS + d)
+            ids.append(categories.setdefault(c, {}).setdefault(value, len(ids) + 1))
             picked.append(k)
-    weights = np.zeros((len(_OFFSETS), len(ids) + 1, N_LABELS))
+    weights = np.zeros((2 * MAX_RADIUS + 1, len(ids) + 1, N_LABELS))
     weights[planes, ids] = rows[picked]
-    columns = [(c, _CENTRE, _CENTRE + 1) for c in CENTRE_COLUMNS if c in centre]
-    columns += (
-        (c, MAX_RADIUS - radius, MAX_RADIUS + radius)
-        for c, (_, radius) in enumerate(TEMPLATES)
-        if c in neighbours
-    )
     pattern = np.zeros((PATTERN_SIDE**2, N_LABELS))
     pattern += bias
     for term in np.take(flags.reshape(-1, N_LABELS), _PATTERN_ROWS, axis=0):
         pattern += term
     weights.flags.writeable = pattern.flags.writeable = False
-    _last_parse = (keys, content, categories, columns, weights, pattern)
-    return CompiledModel(
-        model.transitions, model.start, model.end, categories, columns, weights, pattern
-    )
+    _last_parse = (keys, content, categories, weights, pattern)
+    return CompiledModel(model.transitions, model.start, model.end, categories, weights, pattern)
 
 
 def _offset_tables(compiled: CompiledModel, attrs: Sequence) -> np.ndarray:
     """(planes, len(attrs), L) tables over the entries of a
     ``features.padded_layout``: row k of plane p sums, from zero, the
-    weight rows of the keys that entry k gives at offset ``_OFFSETS[p]``,
-    in the order its text fragment lists them.  Row 0, padding, is zero."""
+    weight rows of the keys that entry k gives at offset p - MAX_RADIUS,
+    column by column in ``TEMPLATES`` order, the order its text fragment
+    lists them.  A column folds over the planes its radius reaches; the
+    centre's holds no ``space`` weight, as ``0:space`` parses to None.
+    Row 0, padding, is zero."""
     values = list(zip(*attrs[1:]))  # column c -> its value for each entry
-    tables = np.zeros((len(_OFFSETS), len(attrs), N_LABELS))
-    ids = {}  # categorical column -> the id of each entry's value
-    for c, lo, hi in compiled.columns:
-        lookup = compiled.categories[c]
-        if COLUMNS[c] in NUMERIC_ATTRIBUTES:
-            per_unit = compiled.weights[lo:hi, lookup[None], None, :]
-            tables[lo:hi] += np.array([0, *values[c]], dtype=np.float64)[:, None] * per_unit
+    tables = np.zeros((len(compiled.weights), len(attrs), N_LABELS))
+    for c, (name, radius) in enumerate(TEMPLATES):
+        lookup = compiled.categories.get(c)
+        if lookup is None:
             continue
-        if c not in ids:
-            ids[c] = np.array([0, *map(lookup.get, values[c], repeat(0))], dtype=np.intp)
-        tables[lo:hi] += np.take(compiled.weights[lo:hi], ids[c], axis=1)
+        planes = compiled.weights[MAX_RADIUS - radius : MAX_RADIUS + radius + 1]
+        folded = tables[MAX_RADIUS - radius : MAX_RADIUS + radius + 1]
+        if name in NUMERIC_ATTRIBUTES:
+            per_unit = planes[:, lookup[None], None, :]
+            folded += np.array([0, *values[c]], dtype=np.float64)[:, None] * per_unit
+        else:
+            ids = np.array([0, *map(lookup.get, values[c], repeat(0))], dtype=np.intp)
+            folded += np.take(planes, ids, axis=1)
     return tables
-
-
-def _pattern_codes(lengths: Sequence[int], rows: int) -> np.ndarray:
-    """The pattern code of each row of a padded layout of sequences of the
-    given *lengths*, less its first ``MAX_RADIUS`` rows: ``before *
-    PATTERN_SIDE + after``, as in ``features.factored_features``.  Only
-    the first and last ``MAX_RADIUS + 1`` steps of a sequence have an
-    uncapped side; padding rows keep the interior code."""
-    n = np.asarray(lengths, dtype=np.intp)[:, None]
-    cap = PATTERN_SIDE - 1
-    t = np.arange(cap)
-    steps = np.concatenate((np.broadcast_to(t, (len(n), cap)), n - 1 - t), axis=1)
-    inside = (steps >= 0) & (steps < n)
-    first = np.cumsum(n + MAX_RADIUS) - (n[:, 0] + MAX_RADIUS)
-    codes = np.full(rows, PATTERN_SIDE**2 - 1)
-    edge = np.minimum(steps, cap) * PATTERN_SIDE + np.minimum(n - 1 - steps, cap)
-    codes[(first[:, None] + steps)[inside]] = edge[inside]
-    return codes
 
 
 def _token_unary(
@@ -350,25 +320,26 @@ def _token_unary(
 ) -> np.ndarray:
     """Unary scores of consecutive sequences of *tokens* of the given
     *lengths*: training's ``B @ (W @ state)``, the fragments' rows summed
-    from zero in slot order and then the pattern's."""
+    from zero from offset -MAX_RADIUS to MAX_RADIUS and then the
+    pattern's."""
     attrs, which = padded_layout(tokens, lengths)
     tables = _offset_tables(compiled, attrs)
     which = np.array(which, dtype=np.intp)
-    # U row j is padded row MAX_RADIUS + j, from the first token to the last
+    # U row j is padded row MAX_RADIUS + j, from the first token to the
+    # last, so table p, offset p - MAX_RADIUS, reads padded row p + j
     rows = len(which) - 2 * MAX_RADIUS
     U = np.zeros((rows, N_LABELS))
     term = np.empty_like(U)
     # every id is in range, so "clip" changes none; it spares take() the
     # copy of *out* that the default mode makes
-    for p, d in _FOLD:
-        window = which[MAX_RADIUS + d : MAX_RADIUS + d + rows]
-        U += np.take(tables[p], window, axis=0, out=term, mode="clip")
-    U += np.take(compiled.pattern, _pattern_codes(lengths, rows), axis=0, out=term, mode="clip")
-    if rows == len(tokens):
-        return U
-    # the token rows, gathered into the scratch rows that U is done with
-    live = np.flatnonzero(which[MAX_RADIUS : MAX_RADIUS + rows])
-    return np.take(U, live, axis=0, out=term[: len(tokens)], mode="clip")
+    for p, table in enumerate(tables):
+        U += np.take(table, which[p : p + rows], axis=0, out=term, mode="clip")
+    if rows > len(tokens):
+        # the token rows, gathered into the scratch rows that U is done with
+        live = np.flatnonzero(which[MAX_RADIUS : MAX_RADIUS + rows])
+        U, term = np.take(U, live, axis=0, out=term[: len(tokens)], mode="clip"), U[: len(tokens)]
+    U += np.take(compiled.pattern, pattern_codes(lengths), axis=0, out=term, mode="clip")
+    return U
 
 
 def _factored(fragments: list, parts: np.ndarray, index: dict[str, int]):
@@ -427,9 +398,9 @@ def _row_max(V: np.ndarray) -> np.ndarray:
 
 def _forward(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, batch_sizes: Sequence[int]
-) -> tuple[np.ndarray, ...] | None:
+) -> tuple[np.ndarray, ...]:
     """Scaled forward recursion over packed rows (see :func:`_pack`):
-    (a, s, P, E, shift), or None if a or s leaves the normal doubles.
+    (a, s, P, E, shift).
 
     A step is a row-by-E product, a product with P, a row sum s and a
     divide by it, so a[r] sums to 1.  exp of :func:`_log_forward` at row r
@@ -454,8 +425,6 @@ def _forward(
         np.add.reduce(rows, axis=1, out=s[lo : lo + n])
         rows /= s[lo : lo + n, None]
         prev, lo = lo, lo + n
-    if not (a.min() >= _TINY and s.min() >= _TINY):
-        return None
     shift[n0:] += trans_shift
     return a, s, P, E, shift
 
@@ -498,21 +467,20 @@ def _posteriors(
     batch_sizes, seq, _, prev, last = packing
     n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     with np.errstate(all="ignore"):
-        scaled = _forward(U, trans, start, batch_sizes)
-        if scaled is not None:
-            a, s, P, E, shift = scaled
-            b = _backward(P, E, s, end, batch_sizes)
-            if b.min() >= _TINY:
-                z = np.einsum("rk,rk->r", a[last], b[last])
-                b /= z[seq, None]
-                m = a * b
-                after = b[n0:]
-                after *= P[n0:]
-                after /= s[n0:, None]
-                e_trans = E * np.einsum("ta,tb->ab", a[prev], after)
-                if np.isfinite(m).all() and np.isfinite(e_trans).all():
-                    scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
-                    return np.log(z) + end.max() + scales, m, e_trans
+        a, s, P, E, shift = _forward(U, trans, start, batch_sizes)
+        b = _backward(P, E, s, end, batch_sizes)
+        # a NaN fails every comparison, so it falls back too
+        if a.min() >= _TINY and s.min() >= _TINY and b.min() >= _TINY:
+            z = np.einsum("rk,rk->r", a[last], b[last])
+            b /= z[seq, None]
+            m = a * b
+            after = b[n0:]
+            after *= P[n0:]
+            after /= s[n0:, None]
+            e_trans = E * np.einsum("ta,tb->ab", a[prev], after)
+            if np.isfinite(m).all() and np.isfinite(e_trans).all():
+                scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
+                return np.log(z) + end.max() + scales, m, e_trans
     alpha = _log_forward(U, trans, start, batch_sizes)
     beta = _log_backward(U, trans, end, batch_sizes)
     log_z = _logsumexp(alpha[last] + end)

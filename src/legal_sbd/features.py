@@ -21,10 +21,11 @@ space        3       token is whitespace (bool); neighbors only
 ===========  ======  =======================================================
 
 The center position additionally carries ``bias`` (1.0) and uses the key
-``0:numeric`` for the number flag; neighbors use ``<d>:number``.  Offsets
-that fall outside the sequence emit nothing.  The feature set is fixed,
-the character sets behind ``special`` included, so prediction always
-computes the features a model was trained on.
+``0:numeric`` for the number flag; neighbors use ``<d>:number``.  Every
+offset, the center included, lists the keys it takes from a token in
+table order.  Offsets that fall outside the sequence emit nothing.  The
+feature set is fixed, the character sets behind ``special`` included, so
+prediction always computes the features a model was trained on.
 
 Both forms of the features read one layout, built by
 :func:`padded_layout`: a batch of token sequences laid end to end with
@@ -43,10 +44,11 @@ map only when it is indexed or iterated.  Training builds no maps:
 :func:`factored_features` lays the sequences of a batch out once and
 splits every map into fragments that many positions share -- the keys
 one offset takes from one token text, and the keys set by the position's
-place in its sequence -- and ``legal_sbd.crf`` encodes each fragment once.
-Prediction builds no maps either: ``legal_sbd.crf`` folds one weight
-table per offset over the layout's entries, in the order a text fragment
-lists its keys, and one over the position patterns of
+place in its sequence, coded by :func:`pattern_codes` -- and
+``legal_sbd.crf`` encodes each fragment once.  Prediction builds no maps
+either: ``legal_sbd.crf`` folds one weight table per offset over the
+layout's entries, column by column in table order, the order a text
+fragment lists its keys, and one over the position patterns of
 ``PATTERN_VALUES``, to the same scores bit for bit.
 
 Feature maps meet a model as the string indicators of :func:`indicators`:
@@ -56,13 +58,13 @@ A key is ``bias`` or ``<offset>:<name>`` and never holds ``=``, so an
 indicator splits into key and value at its first ``=``; the value may
 hold ``=`` or ``:`` itself (the token ``=`` gives ``0:lowercase==``).
 :func:`parse_indicator` is the typed inverse: it gives the offset, the
-column of ``COLUMNS`` and the value an indicator stands for, and the rank
-of its key in a map, or None if the feature set cannot emit it."""
+column of ``COLUMNS`` and the value an indicator stands for, or None if
+the feature set cannot emit it."""
 
 from __future__ import annotations
 
 from collections import abc
-from operator import attrgetter, index, itemgetter
+from operator import attrgetter, index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,9 +72,9 @@ import numpy as np
 from .tokenizer import NEWLINE, NUMBER, Token, WORD
 
 # (attribute, window radius) in the order of ``_token_attrs``, which is
-# also the order a neighbour emits its keys after BOS/EOS.  Radii never
-# grow down the table, so the attributes a neighbour at offset d carries
-# are the prefix whose radius is at least |d|.
+# also the order every offset emits its keys in.  Radii never grow down
+# the table, so the attributes a neighbour at offset d carries are the
+# prefix whose radius is at least |d|.
 TEMPLATES = (
     ("special", 10),
     ("lowercase", 7),
@@ -139,27 +141,22 @@ def _token_attrs(token: Token):
     )
 
 
-def _neighbour_keys(d: int) -> tuple[int, int, str, tuple[str, ...]]:
-    p = f"{d:+d}"
-    edge, beside = (f"{p}:BOS", d - 1) if d < 0 else (f"{p}:EOS", d + 1)
-    return d, beside, edge, tuple(f"{p}:{name}" for name, radius in TEMPLATES if radius >= abs(d))
+def _text_keys(d: int) -> tuple[str, ...]:
+    if d == 0:  # no ``space``, the last column; ``0:numeric`` for the number flag
+        return tuple("0:" + ("numeric" if n == "number" else n) for n, _ in TEMPLATES[:-1])
+    return tuple(f"{d:+d}:{name}" for name, radius in TEMPLATES if radius >= abs(d))
 
 
+# offset d -> the keys a position takes from the token at d: key c for
+# column c of ``_token_attrs``, for the prefix of the table that d keeps
+_TEXT_KEYS = {d: _text_keys(d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1)}
 # offsets -MAX_RADIUS..-1, then 1..MAX_RADIUS, each with the offset of the
-# row whose padding sets its edge flag, and its key strings
+# row whose padding sets its edge flag, and that flag's key
 _NEIGHBOURS = tuple(
-    _neighbour_keys(d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1) if d != 0
+    (d, d - 1, f"{d:+d}:BOS") if d < 0 else (d, d + 1, f"{d:+d}:EOS")
+    for d in range(-MAX_RADIUS, MAX_RADIUS + 1)
+    if d
 )
-_NEIGHBOUR_KEYS = {d: keys for d, _, _, keys in _NEIGHBOURS}
-
-# the centre's attributes in the order it emits them after ``bias``; its
-# number flag has the key ``0:numeric``, and it has no ``space`` key
-_CENTRE_NAMES = ("lowercase", "lower", "upper", "number", "special", "sign", "length")
-_centre_keys = tuple("0:" + ("numeric" if name == "number" else name) for name in _CENTRE_NAMES)
-# the columns of the centre's keys, in that order; a neighbour's keys read
-# the columns of ``TEMPLATES`` in table order
-CENTRE_COLUMNS = tuple(map(COLUMNS.index, _CENTRE_NAMES))
-_centre_values = itemgetter(*CENTRE_COLUMNS)
 
 
 def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list, list[int]]:
@@ -188,14 +185,14 @@ def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list
 def _position_features(attrs, which: list[int], r: int) -> dict:
     """Feature map for the token at row *r* of a :func:`padded_layout`."""
     feats = {"bias": 1.0}
-    feats.update(zip(_centre_keys, _centre_values(attrs[which[r]])))
+    feats.update(zip(_TEXT_KEYS[0], attrs[which[r]]))
     feats["0:BOS"] = which[r - 1] == 0
     feats["0:EOS"] = which[r + 1] == 0
-    for d, beside, edge, keys in _NEIGHBOURS:
+    for d, beside, edge in _NEIGHBOURS:
         k = which[r + d]
         if k:  # not padding, so in range
             feats[edge] = which[r + beside] == 0
-            feats.update(zip(keys, attrs[k]))
+            feats.update(zip(_TEXT_KEYS[d], attrs[k]))
     return feats
 
 
@@ -257,9 +254,7 @@ def sequence_features(tokens: Sequence[Token]) -> SequenceFeatures:
 
 def _text_features(d: int, attrs: tuple) -> dict:
     """The keys a position takes from the token at offset *d*."""
-    if d == 0:
-        return dict(zip(_centre_keys, _centre_values(attrs)))
-    return dict(zip(_NEIGHBOUR_KEYS[d], attrs))
+    return dict(zip(_TEXT_KEYS[d], attrs))
 
 
 def _pattern_features(before: int, after: int) -> dict:
@@ -268,7 +263,7 @@ def _pattern_features(before: int, after: int) -> dict:
     and *after* the steps to the sequence's first and last position, each
     capped at ``MAX_RADIUS + 1``."""
     feats = {"bias": 1.0, "0:BOS": before == 0, "0:EOS": after == 0}
-    for d, _, edge, _ in _NEIGHBOURS:
+    for d, _, edge in _NEIGHBOURS:
         if -before <= d <= after:
             feats[edge] = d == (-before if d < 0 else after)
     return feats
@@ -278,7 +273,7 @@ _PARTS = 2 * MAX_RADIUS + 2  # a text fragment per offset, then the pattern
 PATTERN_SIDE = MAX_RADIUS + 2  # a pattern's code is before * PATTERN_SIDE + after
 # the keys of a position pattern after ``bias``, in the order that
 # :func:`_pattern_features` lists them
-PATTERN_KEYS = ("0:BOS", "0:EOS", *(edge for _, _, edge, _ in _NEIGHBOURS))
+PATTERN_KEYS = ("0:BOS", "0:EOS", *(edge for _, _, edge in _NEIGHBOURS))
 # PATTERN_VALUES[code, j]: the value of key j in the pattern of that code,
 # 0 if the pattern has no such key, 1 if it is False, 2 if True
 PATTERN_VALUES = np.array(
@@ -290,6 +285,18 @@ PATTERN_VALUES = np.array(
     ],
     dtype=np.intp,
 )
+
+
+def pattern_codes(lengths: Sequence[int]) -> np.ndarray:
+    """The position-pattern code of every position of consecutive
+    sequences of the given *lengths*: ``before * PATTERN_SIDE + after``,
+    with *before* and *after* the steps to the position's sequence start
+    and end, each capped at ``MAX_RADIUS + 1``."""
+    n = np.asarray(lengths, dtype=np.intp)
+    step = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    before = np.minimum(step, MAX_RADIUS + 1)
+    after = np.minimum(np.repeat(n, n) - 1 - step, MAX_RADIUS + 1)
+    return before * PATTERN_SIDE + after
 
 
 def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], np.ndarray]:
@@ -316,15 +323,11 @@ def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], 
         attrs, which = padded_layout([t for s in laid for t in sequences[s].tokens], n.tolist())
         which = np.array(which, dtype=np.intp)
         entries = which[np.flatnonzero(which)[:, None] + np.arange(-MAX_RADIUS, MAX_RADIUS + 1)]
-        # the steps to each position's sequence start and end, capped
-        step = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-        before = np.minimum(step, MAX_RADIUS + 1)
-        after = np.minimum(np.repeat(n, n) - 1 - step, MAX_RADIUS + 1)
         # a text fragment's code is (offset slot, entry); the patterns' follow
         patterns = (_PARTS - 1) * len(attrs)
-        codes = np.empty((len(step), _PARTS), dtype=np.intp)
+        codes = np.empty((len(entries), _PARTS), dtype=np.intp)
         codes[:, :-1] = np.where(entries, np.arange(_PARTS - 1) * len(attrs) + entries, -1)
-        codes[:, -1] = patterns + before * PATTERN_SIDE + after
+        codes[:, -1] = patterns + pattern_codes(n)
         present = codes >= 0
         distinct, ids = np.unique(codes[present], return_inverse=True)
         codes[present] = ids  # now fragment indices
@@ -356,43 +359,39 @@ def indicators(features: dict) -> list[tuple[str, float]]:
     return out
 
 
-def _key_columns() -> dict[str, tuple[int, int | None, int]]:
-    column = COLUMNS.index
-    keys = [("bias", 0, None)]
-    keys += ((key, 0, column(name)) for key, name in zip(_centre_keys, _CENTRE_NAMES))
-    keys += [("0:BOS", 0, column("BOS")), ("0:EOS", 0, column("EOS"))]
-    for d, _, edge, names in _NEIGHBOURS:
-        keys.append((edge, d, column("BOS" if d < 0 else "EOS")))
-        keys += ((key, d, c) for c, key in enumerate(names))
-    return {key: (d, c, rank) for rank, (key, d, c) in enumerate(keys)}
+def _key_columns() -> dict[str, tuple[int, int | None]]:
+    bos, eos = COLUMNS.index("BOS"), COLUMNS.index("EOS")
+    keys = {"bias": (0, None), "0:BOS": (0, bos), "0:EOS": (0, eos)}
+    keys.update((edge, (d, bos if d < 0 else eos)) for d, _, edge in _NEIGHBOURS)
+    for d, names in _TEXT_KEYS.items():
+        keys.update((key, (d, c)) for c, key in enumerate(names))
+    return keys
 
 
-# every key a feature map can hold -> (offset, column, rank): the key
-# describes that column of the token at that offset from the position, or
-# it is ``bias``, which describes no token (column None); a map lists its
-# keys in the order of their ranks
+# every key a feature map can hold -> (offset, column): the key describes
+# that column of the token at that offset from the position, or it is
+# ``bias``, which describes no token (column None)
 _KEY_COLUMNS = _key_columns()
 
 
-def parse_indicator(indicator: str) -> tuple[int, int | None, object, int] | None:
-    """The (offset, column, value, rank) that :func:`indicators` wrote
+def parse_indicator(indicator: str) -> tuple[int, int | None, object] | None:
+    """The (offset, column, value) that :func:`indicators` wrote
     *indicator* from, or None if no feature map can yield it.
 
     The value is a flag's ``True`` / ``False`` or a category string; for
     a numeric column it is None, as the token supplies it, and for
-    ``bias`` (column None) it is 1.0.  Ranks order the keys as a feature
-    map lists them."""
+    ``bias`` (column None) it is 1.0."""
     key, eq, text = indicator.partition("=")  # a key never holds "="
     source = _KEY_COLUMNS.get(key)
     if source is None:
         return None
-    d, c, rank = source
+    d, c = source
     if c is None or COLUMNS[c] in NUMERIC_ATTRIBUTES:
-        return None if eq else (d, c, 1.0 if c is None else None, rank)
+        return None if eq else (d, c, 1.0 if c is None else None)
     if COLUMNS[c] in FLAGS:
         value = {"true": True, "false": False}.get(text)  # "" if there is no "="
-        return None if value is None else (d, c, value, rank)
-    return (d, c, text, rank) if eq else None
+        return None if value is None else (d, c, value)
+    return (d, c, text) if eq else None
 
 
 def format_features(feats: dict) -> str:

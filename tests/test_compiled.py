@@ -92,14 +92,9 @@ def test_compiled_unary_matches_reference(text, data):
 @settings(max_examples=200, deadline=None)
 def test_parse_indicator_inverts_indicators(text):
     for fv in sequence_features(tokenize(text)):
-        last = -1
         for key, value in fv.items():
             ((ind, _),) = indicators({key: value})
-            d, c, parsed, rank = parse_indicator(ind)
-            # a map lists its keys in rank order, the order the compiled
-            # scores are summed in
-            assert rank > last
-            last = rank
+            d, c, parsed = parse_indicator(ind)
             if key == "bias":
                 assert (d, c) == (0, None)
             else:
@@ -116,11 +111,27 @@ def test_dead_indicators_parse_to_nothing():
     assert [ind for ind in DEAD if parse_indicator(ind) is not None] == []
     # a value is split off at the first "=" and typed by its column
     lowercase, sign, lower = (COLUMNS.index(name) for name in ("lowercase", "sign", "lower"))
-    assert parse_indicator("+1:lowercase==")[:3] == (1, lowercase, "=")
-    assert parse_indicator("0:lowercase=a=b")[:3] == (0, lowercase, "a=b")
-    assert parse_indicator("-2:sign=S:S")[:3] == (-2, sign, "S:S")
-    assert parse_indicator("+3:lower=false")[:3] == (3, lower, False)
+    assert parse_indicator("+1:lowercase==") == (1, lowercase, "=")
+    assert parse_indicator("0:lowercase=a=b") == (0, lowercase, "a=b")
+    assert parse_indicator("-2:sign=S:S") == (-2, sign, "S:S")
+    assert parse_indicator("+3:lower=false") == (3, lower, False)
     assert parse_indicator("0:lower=maybe") is None
+
+
+def test_every_offset_lists_its_keys_in_column_order():
+    # the compiled tables fold a token's columns in TEMPLATES order at every
+    # offset, the centre included, so a text fragment must list its keys in
+    # that order for the sums to match
+    for token in tokenize("Art. 12 (a)\n"):
+        attrs = features._token_attrs(token)
+        for d in range(-MAX_RADIUS, MAX_RADIUS + 1):
+            fragment = features._text_features(d, attrs)
+            columns = [parse_indicator(ind)[1] for ind, _ in indicators(fragment)]
+            assert all(c < after for c, after in zip(columns, columns[1:])), d
+            # the table's prefix that reaches d; the centre has no space key
+            radius = dict(features.TEMPLATES)
+            want = [name for name in radius if radius[name] >= abs(d) and (d or name != "space")]
+            assert [COLUMNS[c] for c in columns] == want, d
 
 
 def test_dead_indicators_compile_to_nothing():

@@ -351,8 +351,12 @@ class TestTrain:
         )
         src = str(Path(legal_sbd.__file__).resolve().parent.parent)
         outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        # a second hash seed too: no vocabulary, factoring or compile order
+        # may follow set or dict hash order
+        for threads, hash_seed in (("1", "0"), ("2", "1")):
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed, PYTHONPATH=src
+            )
             done = subprocess.run(
                 [sys.executable, "-c", child], env=env, capture_output=True, text=True,
                 timeout=300, check=True,
@@ -735,7 +739,7 @@ class TestScaledRecursion:
     def test_end_weights_past_the_doubles_fall_back_to_log_space(self, rng, monkeypatch):
         # the forward pass stays normal, but exp(end - max end) underflows
         # where the backward pass starts
-        from legal_sbd.crf import _forward, _pack, _posteriors, _unary_matrix
+        from legal_sbd.crf import _TINY, _forward, _pack, _posteriors, _unary_matrix
 
         model = random_model(rng)
         model.end[1] = model.end.max() - 1000.0
@@ -744,7 +748,8 @@ class TestScaledRecursion:
             feats = random_features(rng, length)
             U = _unary_matrix(model, feats)
             packing = _pack(np.array([length]))
-            assert _forward(U, model.transitions, model.start, packing.batch_sizes) is not None
+            a, s, *_ = _forward(U, model.transitions, model.start, packing.batch_sizes)
+            assert a.min() >= _TINY and s.min() >= _TINY
             log_z, m, e_trans = _posteriors(U, model.transitions, model.start, model.end, packing)
             assert {"_log_forward", "_log_backward"} <= set(calls)
             calls.clear()

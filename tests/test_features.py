@@ -1,13 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legal_sbd.features import (
+    MAX_RADIUS,
+    PATTERN_SIDE,
     TEMPLATES,
     format_features,
     padded_layout,
+    pattern_codes,
     sequence_features,
     signature,
     special_category,
@@ -229,3 +233,24 @@ def test_text_keyed_layout_matches_text_and_kind_layout(texts):
     assert [k == 0 for k in which] == [k == 0 for k in ref_which]
     assert [attrs[k] for k in which] == [ref_attrs[k] for k in ref_which]
     assert len(attrs) == len(ref_attrs)
+
+
+def loop_pattern_codes(lengths):
+    return [
+        min(t, MAX_RADIUS + 1) * PATTERN_SIDE + min(n - 1 - t, MAX_RADIUS + 1)
+        for n in lengths
+        for t in range(n)
+    ]
+
+
+def test_pattern_codes_match_a_plain_loop():
+    # the two edges meet around 2 * (MAX_RADIUS + 1) positions
+    lengths = list(range(1, 2 * PATTERN_SIDE + 2))
+    for n in lengths:
+        assert pattern_codes([n]).tolist() == loop_pattern_codes([n])
+    rng = random.Random(19)
+    # every length once in shuffled order, then batches with repeats
+    batches = [rng.sample(lengths, len(lengths)) for _ in range(5)]
+    batches += [rng.choices(lengths, k=rng.randint(2, 12)) for _ in range(20)]
+    for batch in batches:
+        assert pattern_codes(np.array(batch)).tolist() == loop_pattern_codes(batch)
