@@ -63,13 +63,12 @@ reaches from one text into the next.  The padding rows between texts
 are scored too and then dropped, which measured faster than gathering
 the token rows alone, and the token rows then add their patterns, coded
 by ``features.pattern_codes`` as training codes them, in one more
-gather.  :func:`viterbi`
-then decodes every text at once on the packed layout, with max-plus
-steps only.  A text longer than ``_MIN_BLOCKS`` blocks of ``_BLOCK``
-tokens is cut into blocks from its own first token and decoded by a
-blocked scan, in about 2 * ``_BLOCK`` steps plus one small step per
-block instead of one step per token; a shorter one takes one step per
-token.  The back pointers are taken after the loop from the stored
+gather.  :func:`viterbi` then decodes every text at once on the packed
+layout, with max-plus steps only.  A text longer than ``_MIN_BLOCKS``
+blocks of ``_BLOCK`` tokens is cut into blocks from its own first token
+and decoded by a blocked scan, in about 2 * ``_BLOCK`` steps plus one
+small step per block instead of one step per token; a shorter one takes
+one step per token.  The back pointers are taken after the loop from the stored
 scores, by the same sums, so they are the same floating-point values
 and ties still go to the lowest label index.  Whether and where a text
 is cut depends on its own length only, and no sum mixes two texts, so a
