@@ -68,9 +68,12 @@ layout, with max-plus steps only.  A text longer than ``_MIN_BLOCKS``
 blocks of ``_BLOCK`` tokens is cut into blocks from its own first token
 and decoded by a blocked scan, in about 2 * ``_BLOCK`` steps plus one
 small step per block instead of one step per token; a shorter one takes
-one step per token.  The back pointers are taken after the loop from the stored
-scores, by the same sums, so they are the same floating-point values
-and ties still go to the lowest label index.  Whether and where a text
+one step per token.  The back pointers are taken after the loop from the
+stored scores, by the same sums, so they are the same floating-point
+values and ties still go to the lowest label index.  Every max-plus
+operation over many rows or blocks runs with them as its innermost
+axis, since numpy pays its loop overhead per element of the outer axes,
+which with the 5 labels innermost is per row.  Whether and where a text
 is cut depends on its own length only, and no sum mixes two texts, so a
 text's labels do not depend on the other texts of the run.
 
@@ -289,28 +292,36 @@ def compile_model(model: CrfModel) -> CompiledModel:
     return CompiledModel(model.transitions, model.start, model.end, categories, weights, pattern)
 
 
+_TABLE_CHUNK = 4096  # entries whose rows a column folds at a time
+
+
 def _offset_tables(compiled: CompiledModel, attrs: Sequence) -> np.ndarray:
     """(planes, len(attrs), L) tables over the entries of a
     ``features.padded_layout``: row k of plane p sums, from zero, the
     weight rows of the keys that entry k gives at offset p - MAX_RADIUS,
     column by column in ``TEMPLATES`` order, the order its text fragment
-    lists them.  A column folds over the planes its radius reaches; the
-    centre's holds no ``space`` weight, as ``0:space`` parses to None.
-    Row 0, padding, is zero."""
+    lists them.  A column folds over the planes its radius reaches, and
+    over _TABLE_CHUNK entries at a time, so its scratch stays that size
+    however many entries there are; the centre's holds no ``space``
+    weight, as ``0:space`` parses to None.  Row 0, padding, is zero."""
     values = list(zip(*attrs[1:]))  # column c -> its value for each entry
     tables = np.zeros((len(compiled.weights), len(attrs), N_LABELS))
     for c, (name, radius) in enumerate(TEMPLATES):
         lookup = compiled.categories.get(c)
         if lookup is None:
             continue
-        planes = compiled.weights[MAX_RADIUS - radius : MAX_RADIUS + radius + 1]
-        folded = tables[MAX_RADIUS - radius : MAX_RADIUS + radius + 1]
-        if name in NUMERIC_ATTRIBUTES:
+        reach = slice(MAX_RADIUS - radius, MAX_RADIUS + radius + 1)
+        planes = compiled.weights[reach]
+        numeric = name in NUMERIC_ATTRIBUTES
+        if numeric:
             per_unit = planes[:, lookup[None], None, :]
-            folded += np.array([0, *values[c]], dtype=np.float64)[:, None] * per_unit
+            column = np.array([0, *values[c]], dtype=np.float64)
         else:
-            ids = np.array([0, *map(lookup.get, values[c], repeat(0))], dtype=np.intp)
-            folded += np.take(planes, ids, axis=1)
+            column = np.array([0, *map(lookup.get, values[c], repeat(0))], dtype=np.intp)
+        for lo in range(0, len(attrs), _TABLE_CHUNK):
+            part = column[lo : lo + _TABLE_CHUNK]
+            folded = tables[reach, lo : lo + _TABLE_CHUNK]
+            folded += part[:, None] * per_unit if numeric else np.take(planes, part, axis=1)
     return tables
 
 
@@ -573,34 +584,25 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
 _BACK_CHUNK = 4096  # packed rows whose back pointers are taken at a time
 _BLOCK = 96  # steps per block of a long sequence's Viterbi scan
 _MIN_BLOCKS = 4  # a sequence longer than this many blocks is decoded in blocks
-_COLUMN_ROWS = 32  # from this many rows on, a max-plus step runs column by column
-
-
-def _max_plus(V: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """out[r, j] = max over i of V[r, i] + M[i, j], or of V[r, i] + M[r, i, j]
-    for a (rows, L, L) M, taken column by column.  numpy reduces an axis of
-    5 row by row: faster than this below about _COLUMN_ROWS rows, up to
-    four times slower for hundreds.  A max is exact, so both ways give the
-    same values."""
-    out = V[:, :1] + M[..., 0, :]
-    term = np.empty_like(out)
-    for i in range(1, V.shape[1]):
-        np.maximum(out, np.add(V[:, i : i + 1], M[..., i, :], out=term), out=out)
-    return out
+# from this many rows on, a max-plus step runs with its rows innermost, where
+# numpy pays its loop overhead per label, not per row; below it that is slower
+_COLUMN_ROWS = 8
 
 
 def _back_pointers(D: np.ndarray, prev: np.ndarray, trans: np.ndarray) -> np.ndarray:
     """back[r, j]: the lowest label i with the max of D[prev[r], i] +
-    trans[i, j], as argmax would pick it, taken column by column and
-    _BACK_CHUNK rows at a time."""
+    trans[i, j], as argmax would pick it, taken _BACK_CHUNK rows at a time
+    on transposed views, so each operation runs over the rows of one
+    destination label."""
     back = np.zeros((len(prev), N_LABELS), dtype=np.uint8)
+    to = trans[:, :, None]  # to[i, j]: trans[i, j] as a column over rows
     for lo in range(0, len(prev), _BACK_CHUNK):
-        before = D[prev[lo : lo + _BACK_CHUNK]]
-        arg = back[lo : lo + len(before)]
-        best = before[:, :1] + trans[0]
+        before = D[prev[lo : lo + _BACK_CHUNK]].T
+        arg = back[lo : lo + before.shape[1]].T
+        best = before[0] + to[0]
         term = np.empty_like(best)
         for i in range(1, N_LABELS):
-            np.add(before[:, i : i + 1], trans[i], out=term)
+            np.add(before[i], to[i], out=term)
             np.copyto(arg, i, where=term > best)  # a tie keeps the lower label
             np.maximum(best, term, out=best)
     return back
@@ -624,21 +626,27 @@ def viterbi(
     2014):
 
     1. the max-plus transfer matrix of every block but each sequence's
-       last, all blocks at once in ``_BLOCK`` steps over a (blocks, L, L)
+       last, all blocks at once in ``_BLOCK`` steps over an (L, L, blocks)
        array;
     2. each block's entry vector, the best scores at the last position of
        the block before it, one small step per block;
     3. every block's recursion from its entry vector, all blocks and the
        short sequences at once on the packed layout.
 
-    The entry vectors are written over the rows they stand for before the
-    back pointers are taken, so the path walked is the argmax path of the
-    scores computed.  They sum the same terms as the position-by-position
-    loop, grouped differently: with integer weights every sum is exact
-    and the labels are the loop's, ties included; with real weights they
-    agree unless two paths score within rounding of each other.  Whether
-    a sequence is cut, and where, depends on its own length only, so a
-    sequence's labels do not depend on the other sequences of the call."""
+    Every wide max-plus operation runs with the blocks or rows innermost:
+    the transfer matrices, a packed step of at least ``_COLUMN_ROWS``
+    rows and the back pointers, which numpy would otherwise loop over 5
+    labels per row.  The scores themselves stay row-major, one row per
+    position, so a narrow step, and with it a short sequence alone, runs
+    row by row.  The entry vectors are written over the rows they stand
+    for before the back pointers are taken, so the path walked is the
+    argmax path of the scores computed.  They sum the same terms as the
+    position-by-position loop, grouped differently: with integer weights
+    every sum is exact and the labels are the loop's, ties included; with
+    real weights they agree unless two paths score within rounding of each
+    other.  Whether a sequence is cut, and where, depends on its own length
+    only, so a sequence's labels do not depend on the other sequences of
+    the call."""
     lengths = np.array([len(features)] if lengths is None else lengths, dtype=np.intp)
     if not lengths.size or lengths.min() < 1 or lengths.sum() != len(features):
         raise ValueError(
@@ -646,6 +654,7 @@ def viterbi(
         )
     U = _unary_matrix(model, features, lengths)
     trans = model.transitions
+    to = trans[:, :, None]  # to[i, j]: trans[i, j] as a column over rows
     ends = np.cumsum(lengths)
     # each sequence is decoded as pieces (heads: their first positions): the
     # blocks of a long sequence before its last, which get a transfer
@@ -677,17 +686,20 @@ def viterbi(
         rank = int(np.count_nonzero(pieces > _BLOCK))
         firsts = np.cumsum(batch_sizes) - batch_sizes
         exits = firsts[_BLOCK - 1] + rank
-        # 1. X[j, i, k]: the best score from label i at the position before
-        # block j (for a first block, from the model's start) to label k at
-        # its current step
+        # 1. X[i, k, j], blocks innermost: the best score from label i at the
+        # position before block j (for a first block, from the model's
+        # start) to label k at its current step
         c0 = chain.batch_sizes[0]
-        X = np.empty((K, N_LABELS, N_LABELS))
-        X[:c0] = model.start
-        X[c0:] = trans
-        X += D[rank : rank + K, None, :]
+        X = np.empty((N_LABELS, N_LABELS, K))
+        X[:, :, :c0] = model.start[:, None]
+        X[:, :, c0:] = trans[:, :, None]
+        X += D[rank : rank + K].T
+        sums = np.empty((N_LABELS, N_LABELS, N_LABELS, K))  # [i, m, k, j]
         for t in range(1, _BLOCK):
-            X = _max_plus(X.reshape(-1, N_LABELS), trans).reshape(K, N_LABELS, N_LABELS)
-            X += D[firsts[t] + rank : firsts[t] + rank + K, None, :]
+            np.add(X[:, :, None], trans[None, :, :, None], out=sums)
+            np.max(sums, axis=1, out=X)
+            X += D[firsts[t] + rank : firsts[t] + rank + K].T
+        X = X.transpose(2, 0, 1)  # X[j, i, k]
         # 2. E[j]: the best scores at block j's last position; a first
         # block's matrix rows are all the same, the loop's own scores
         E = np.empty((K, N_LABELS))
@@ -704,7 +716,7 @@ def viterbi(
         entering = np.flatnonzero(after >= 0)
         entry = np.empty((n0, N_LABELS))
         entry[:] = model.start
-        entry[entering] = _max_plus(E[after[entering]], trans)
+        entry[entering] = (E[after[entering], :, None] + trans).max(axis=1)
         pred[entering] = exits + after[entering]
     # 3. the packed recursion; a first row adds its entry
     D[:n0] += entry
@@ -713,7 +725,7 @@ def viterbi(
         if n < _COLUMN_ROWS:
             D[lo : lo + n] += (D[before : before + n, :, None] + trans).max(axis=1)
         else:
-            D[lo : lo + n] += _max_plus(D[before : before + n], trans)
+            D[lo : lo + n] += (D[before : before + n].T[:, None] + to).max(axis=0).T
         before, lo = lo, lo + n
     if chain is not None:
         D[exits : exits + K] = E

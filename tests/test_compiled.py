@@ -9,6 +9,7 @@ state)`` over the same sequences the scores it must equal bit for bit."""
 import copy
 import functools
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,26 @@ def test_dead_indicators_compile_to_nothing():
     assert not _offset_tables(compiled, attrs).any()
     assert not compiled.pattern.any()
     assert not _unary_matrix(compiled, tokens).any()
+
+
+def test_offset_tables_scratch_stays_bounded(small_model):
+    # 50,000 distinct texts: a column folds a chunk of entries at a time, so
+    # the peak is the tables and a fixed scratch, not twice the tables
+    compiled = compile_model(small_model)
+    tokens = tokenize(" ".join(f"w{i}" for i in range(50_000)))
+    attrs, _ = features.padded_layout(tokens, [len(tokens)])
+    assert len(attrs) > 50_000
+    tracemalloc.start()
+    try:
+        tables = _offset_tables(compiled, attrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * tables.nbytes
+    # a row depends on its entry alone, chunk edges included
+    chunk = crf._TABLE_CHUNK
+    for k in (1, chunk - 1, chunk, chunk + 1, len(attrs) - 1):
+        np.testing.assert_array_equal(_offset_tables(compiled, [None, attrs[k]])[:, 1], tables[:, k])
 
 
 def load_workloads():

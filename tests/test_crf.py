@@ -202,6 +202,34 @@ class TestBlockedViterbi:
         flat = [fv for seq in sequences for fv in seq]
         assert viterbi(model, flat, lengths) == [label for labels in want for label in labels]
 
+    def test_wide_packed_steps_decode_like_the_loop(self, rng):
+        # no sequence is blocked, and the early packed steps hold at least
+        # _COLUMN_ROWS rows, so they run with their rows innermost
+        for _ in range(3):
+            model = random_model(rng, integer=True)
+            lengths = rng.integers(1, 61, size=4 * crf._COLUMN_ROWS).tolist()
+            assert max(lengths) <= crf._BLOCK * crf._MIN_BLOCKS
+            assert sum(n > 1 for n in lengths) >= 2 * crf._COLUMN_ROWS
+            sequences = [random_features(rng, n, integer=True) for n in lengths]
+            flat = [fv for seq in sequences for fv in seq]
+            want = [label for seq in sequences for label in loop_viterbi(model, seq)]
+            assert viterbi(model, flat, lengths) == want
+
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    def test_back_pointers_are_the_first_argmax(self, rng, extra):
+        # rows: 1, or a chunk's worth of rows give or take one
+        rows = 1 if extra is None else crf._BACK_CHUNK + extra
+        D = rng.integers(-1, 2, size=(rows + 2, len(LABELS))).astype(float)
+        trans = rng.integers(-1, 2, size=(len(LABELS), len(LABELS))).astype(float)
+        prev = rng.integers(-1, len(D), size=rows)
+        sums = D[prev][:, :, None] + trans
+        if rows > 1:  # ties everywhere: a quarter of the maxima or more are shared
+            assert ((sums == sums.max(axis=1, keepdims=True)).sum(axis=1) > 1).mean() > 0.25
+        back = crf._back_pointers(D, prev, trans)
+        assert back.dtype == np.uint8
+        # np.argmax picks the first maximum, the lowest label
+        np.testing.assert_array_equal(back, np.argmax(sums, axis=1))
+
 
 class TestMarginals:
     def test_rows_sum_to_one(self, rng):
