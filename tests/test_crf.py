@@ -215,10 +215,10 @@ class TestBlockedViterbi:
             want = [label for seq in sequences for label in loop_viterbi(model, seq)]
             assert viterbi(model, flat, lengths) == want
 
-    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
-    def test_back_pointers_are_the_first_argmax(self, rng, extra):
-        # rows: 1, or a chunk's worth of rows give or take one
-        rows = 1 if extra is None else crf._BACK_CHUNK + extra
+    @pytest.mark.parametrize(
+        "rows", [1, crf._BACK_CHUNK - 1, crf._BACK_CHUNK, crf._BACK_CHUNK + 1]
+    )
+    def test_back_pointers_are_the_first_argmax(self, rng, rows):
         D = rng.integers(-1, 2, size=(rows + 2, len(LABELS))).astype(float)
         trans = rng.integers(-1, 2, size=(len(LABELS), len(LABELS))).astype(float)
         prev = rng.integers(-1, len(D), size=rows)
