@@ -22,13 +22,14 @@ tokens, not with the batch size times the longest sequence.  A single
 sequence is the packed case with one row per step.
 
 Feature maps (see :mod:`legal_sbd.features`, which states the grammar of
-their string indicators) meet a model through ``features.indicators``;
-indicators unknown to a model score zero.  Scoring feature maps against
-a :class:`CrfModel` is the reference path; :func:`score`,
-:func:`log_partition`, :func:`marginals` and the oracle tests use it.  It
-scores through training's own factoring (see below): the fragments of
-``features.factored_features`` encoded by :func:`_encode_rows` against
-the model's indicators, and then ``B @ (W @ weights)``.
+their string indicators) are merges of the fragments of
+``features.factored_features`` and meet a model through
+``features.indicators``; indicators unknown to a model score zero.
+Scoring feature maps against a :class:`CrfModel` is the reference path;
+:func:`score`, :func:`log_partition`, :func:`marginals` and the oracle
+tests use it.  It scores through training's own factoring (see below):
+the fragments encoded by :func:`_encode_rows` against the model's
+indicators, and then ``B @ (W @ weights)``.
 
 Prediction compiles the model instead (:func:`compile_model`): each live
 indicator is parsed by ``features.parse_indicator`` into the row of a
@@ -77,18 +78,15 @@ which with the 5 labels innermost is per row.  Whether and where a text
 is cut depends on its own length only, and no sum mixes two texts, so a
 text's labels do not depend on the other texts of the run.
 
-Training encodes the same indicators without building a map per
+Training encodes the same indicators without merging a map per
 position.  Its indicator matrix X, one row per position and one column
 per vocabulary indicator, is the product ``X = B @ W``.  A row of W is a
-fragment of ``features.factored_features`` encoded by
-:func:`_encode_rows`: the keys a position takes from one token text at
-one offset, or from its position pattern (its steps from its sequence's
-start and to its end, capped), or, for a sequence of plain dicts, a whole
-map.  B is 0/1 and picks each position's fragments, at most 22 of them,
-which share no key, so ``B @ W`` holds X's values exactly.  A fragment
-occurs at many positions, so W is encoded once per distinct fragment,
-and the objective's products ``U = B @ (W @ state)`` and
-``W.T @ (B.T @ m)`` touch far fewer entries than X has.
+fragment encoded by :func:`_encode_rows`, or, for a sequence of plain
+dicts, a whole map.  B is 0/1 and picks each position's fragments, at
+most 22 of them, which share no key, so ``B @ W`` holds X's values
+exactly.  A fragment occurs at many positions, so W is encoded once per
+distinct fragment, and the objective's products ``U = B @ (W @ state)``
+and ``W.T @ (B.T @ m)`` touch far fewer entries than X has.
 
 The label set is ``spans.LABELS``, and every weight row, matrix and
 vector of a :class:`CrfModel` is indexed in its order; a model file
@@ -113,8 +111,9 @@ import numpy as np
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
 from .features import (
-    COLUMNS, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE, PATTERN_VALUES,
-    TEMPLATES, factored_features, indicators, padded_layout, parse_indicator, pattern_codes,
+    COLUMNS, FEATURE_FINGERPRINT, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE,
+    PATTERN_VALUES, TEMPLATES, factored_features, indicators, padded_layout, parse_indicator,
+    pattern_codes,
 )
 from .optim import dot, minimize_lbfgs
 from .spans import LABELS
@@ -258,8 +257,8 @@ def compile_model(model: CrfModel) -> CompiledModel:
     ``PATTERN_VALUES``, in the order a pattern fragment lists its keys."""
     global _last_parse
     keys = list(model.state_weights)
-    rows = np.array(list(model.state_weights.values()), dtype=np.float64)
-    rows = rows.reshape(len(keys), N_LABELS)
+    # the empty array makes a model without state weights concatenate, as floats
+    rows = np.concatenate([*model.state_weights.values(), np.empty(0)]).reshape(len(keys), N_LABELS)
     content = rows.tobytes()
     last = _last_parse
     if last is not None and last[0] == keys and last[1] == content:
@@ -1067,6 +1066,9 @@ def load_model(path) -> CrfModel:
         metadata = dict(obj.get("metadata", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt model file: {exc}") from exc
+    trained_on = metadata.get("feature_fingerprint", FEATURE_FINGERPRINT)
+    if trained_on != FEATURE_FINGERPRINT:
+        raise DataError(f"{path}: feature fingerprint {trained_on!r} is not {FEATURE_FINGERPRINT!r}")
     if transitions.shape != (N_LABELS, N_LABELS) or start.shape != (N_LABELS,) or end.shape != (N_LABELS,):
         raise DataError(f"{path}: model weight shapes do not match its label set")
     weights = [transitions, start, end, *state_weights.values()]

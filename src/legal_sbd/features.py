@@ -27,29 +27,23 @@ table order.  Offsets that fall outside the sequence emit nothing.  The
 feature set is fixed, the character sets behind ``special`` included, so
 prediction always computes the features a model was trained on.
 
-Both forms of the features read one layout, built by
-:func:`padded_layout`: a batch of token sequences laid end to end with
-``MAX_RADIUS`` padding rows before, between and after them, each row
-mapped to an entry of a table of ``_token_attrs`` tuples, one per
-distinct text, entry 0 being padding; the text alone decides the entry,
-as a token's kind follows from its first character.  Range and edges
-follow from the padding: the neighbour at offset d of row r is in range
-iff row r + d is not padding, and a row is first in its sequence
-(``BOS``) iff the row before it is padding, last (``EOS``) iff the row
-after it is.
-:func:`token_features` builds one dict map from it, for the ``features``
-CLI and the oracle tests.  :func:`sequence_features` returns a read-only
-:class:`SequenceFeatures`, which holds its tokens and builds a position's
-map only when it is indexed or iterated.  Training builds no maps:
-:func:`factored_features` lays the sequences of a batch out once and
-splits every map into fragments that many positions share -- the keys
-one offset takes from one token text, and the keys set by the position's
-place in its sequence, coded by :func:`pattern_codes` -- and
-``legal_sbd.crf`` encodes each fragment once.  Prediction builds no maps
-either: ``legal_sbd.crf`` folds one weight table per offset over the
-layout's entries, column by column in table order, the order a text
-fragment lists its keys, and one over the position patterns of
-``PATTERN_VALUES``, to the same scores bit for bit.
+Every feature map is built one way: :func:`factored_features` splits the
+maps of a batch into fragments that many positions share -- the keys one
+offset takes from one token text, and the keys set by the position's
+place in its sequence (its pattern, coded by :func:`pattern_codes`;
+:func:`_pattern_features` alone defines the edge flags) -- and a map is
+the merge of its position's fragments.  The fragments read one layout,
+built by :func:`padded_layout`: a batch of token sequences laid end to
+end with ``MAX_RADIUS`` padding rows before, between and after them,
+each row mapped to an entry of a table of ``_token_attrs`` tuples, one
+per distinct text (which alone decides the entry), entry 0 being padding.
+:func:`sequence_features` returns a read-only :class:`SequenceFeatures`
+that merges a position's map only when it is read, and
+:func:`token_features` reads one position of the window around it.
+Training and prediction build no maps: ``legal_sbd.crf`` encodes each
+fragment once, or folds one weight table per offset over the layout's
+entries and one over ``PATTERN_VALUES``, to the same scores bit for bit.
+A trained model records ``FEATURE_FINGERPRINT``, a hash of the definition.
 
 Feature maps meet a model as the string indicators of :func:`indicators`:
 a boolean gives ``key=true`` / ``key=false``, a category ``key=value``,
@@ -63,6 +57,8 @@ the feature set cannot emit it."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import abc
 from operator import attrgetter, index
 from typing import Iterable, Sequence
@@ -95,7 +91,9 @@ NUMERIC_ATTRIBUTES = frozenset({"length"})
 FLAGS = frozenset({"lower", "upper", "number", "space", "BOS", "EOS"})
 
 
-# the token texts of the ``special`` categories other than Newline, No and S
+# the ``special`` category by kind, S for any other; a text listed in
+# _SPECIAL_TEXTS decides it first, unless the token is a line break
+_SPECIAL_KINDS = {NEWLINE: "Newline", WORD: "No", NUMBER: "No"}
 _SPECIAL_TEXTS = {
     **dict.fromkeys(".!?", "End"),
     **dict.fromkeys("([{", "Open"),
@@ -111,11 +109,8 @@ def special_category(token: Token) -> str:
     to Newline, apostrophes to Abbr; words and numbers map to No, and any
     remaining special character (whitespace included) to the shape code S.
     """
-    if token.kind == NEWLINE:
-        return "Newline"
-    if token.text in _SPECIAL_TEXTS:
-        return _SPECIAL_TEXTS[token.text]
-    return "No" if token.kind in (WORD, NUMBER) else "S"
+    category = _SPECIAL_KINDS.get(token.kind, "S")
+    return category if category == "Newline" else _SPECIAL_TEXTS.get(token.text, category)
 
 
 def signature(text: str) -> str:
@@ -150,12 +145,9 @@ def _text_keys(d: int) -> tuple[str, ...]:
 # offset d -> the keys a position takes from the token at d: key c for
 # column c of ``_token_attrs``, for the prefix of the table that d keeps
 _TEXT_KEYS = {d: _text_keys(d) for d in range(-MAX_RADIUS, MAX_RADIUS + 1)}
-# offsets -MAX_RADIUS..-1, then 1..MAX_RADIUS, each with the offset of the
-# row whose padding sets its edge flag, and that flag's key
+# offsets -MAX_RADIUS..-1, then 1..MAX_RADIUS, each with its edge flag's key
 _NEIGHBOURS = tuple(
-    (d, d - 1, f"{d:+d}:BOS") if d < 0 else (d, d + 1, f"{d:+d}:EOS")
-    for d in range(-MAX_RADIUS, MAX_RADIUS + 1)
-    if d
+    (d, f"{d:+d}:BOS" if d < 0 else f"{d:+d}:EOS") for d in range(-MAX_RADIUS, MAX_RADIUS + 1) if d
 )
 
 
@@ -182,17 +174,12 @@ def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list
     return attrs, which
 
 
-def _position_features(attrs, which: list[int], r: int) -> dict:
-    """Feature map for the token at row *r* of a :func:`padded_layout`."""
-    feats = {"bias": 1.0}
-    feats.update(zip(_TEXT_KEYS[0], attrs[which[r]]))
-    feats["0:BOS"] = which[r - 1] == 0
-    feats["0:EOS"] = which[r + 1] == 0
-    for d, beside, edge in _NEIGHBOURS:
-        k = which[r + d]
-        if k:  # not padding, so in range
-            feats[edge] = which[r + beside] == 0
-            feats.update(zip(_TEXT_KEYS[d], attrs[k]))
+def _merged_features(fragments: list[dict], row) -> dict:
+    """The map merging the fragments that a :func:`factored_features` parts row lists."""
+    feats = {}
+    for j in row:
+        if j >= 0:
+            feats.update(fragments[j])
     return feats
 
 
@@ -200,34 +187,33 @@ def token_features(tokens: list[Token], i: int) -> dict:
     """Feature map for position *i* of *tokens*; see the module table."""
     if not 0 <= i < len(tokens):
         raise IndexError(f"position {i} out of range for sequence of {len(tokens)} tokens")
-    # the window, and one token more on each side for its edge flags
+    # the window and one token more on each side, so its capped pattern is the sequence's
     lo = max(0, i - MAX_RADIUS - 1)
-    window = tokens[lo : i + MAX_RADIUS + 2]
-    attrs, which = padded_layout(window, [len(window)])
-    return _position_features(attrs, which, MAX_RADIUS + i - lo)
+    return SequenceFeatures(tokens[lo : i + MAX_RADIUS + 2])[i - lo]
 
 
 class SequenceFeatures(abc.Sequence):
     """The feature maps of a token sequence, as a read-only sequence of
     dicts that equals the list of :func:`token_features` at every
-    position.  It holds the tokens and builds a position's map from their
-    padded layout only when that position is indexed or iterated; a slice
-    is a list of maps.  Training reads the tokens and builds no map."""
+    position.  It holds the tokens and merges a position's map from their
+    :func:`factored_features` only when that position is indexed or
+    iterated; a slice is a list of maps.  Training reads the tokens and
+    builds no map."""
 
-    __slots__ = ("tokens", "_layout")
+    __slots__ = ("tokens", "_factored")
 
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = tuple(tokens)
-        self._layout = None
+        self._factored = None
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def _rows(self, positions: Iterable[int]):
-        if self._layout is None:
-            self._layout = padded_layout(self.tokens, [len(self.tokens)])
-        attrs, which = self._layout
-        return (_position_features(attrs, which, MAX_RADIUS + i) for i in positions)
+        if self._factored is None:
+            self._factored = factored_features([self])
+        fragments, parts = self._factored
+        return (_merged_features(fragments, parts[i].tolist()) for i in positions)
 
     def __getitem__(self, i):
         n = len(self.tokens)
@@ -263,7 +249,7 @@ def _pattern_features(before: int, after: int) -> dict:
     and *after* the steps to the sequence's first and last position, each
     capped at ``MAX_RADIUS + 1``."""
     feats = {"bias": 1.0, "0:BOS": before == 0, "0:EOS": after == 0}
-    for d, _, edge in _NEIGHBOURS:
+    for d, edge in _NEIGHBOURS:
         if -before <= d <= after:
             feats[edge] = d == (-before if d < 0 else after)
     return feats
@@ -273,7 +259,7 @@ _PARTS = 2 * MAX_RADIUS + 2  # a text fragment per offset, then the pattern
 PATTERN_SIDE = MAX_RADIUS + 2  # a pattern's code is before * PATTERN_SIDE + after
 # the keys of a position pattern after ``bias``, in the order that
 # :func:`_pattern_features` lists them
-PATTERN_KEYS = ("0:BOS", "0:EOS", *(edge for _, _, edge in _NEIGHBOURS))
+PATTERN_KEYS = ("0:BOS", "0:EOS", *(edge for _, edge in _NEIGHBOURS))
 # PATTERN_VALUES[code, j]: the value of key j in the pattern of that code,
 # 0 if the pattern has no such key, 1 if it is False, 2 if True
 PATTERN_VALUES = np.array(
@@ -285,6 +271,13 @@ PATTERN_VALUES = np.array(
     ],
     dtype=np.intp,
 )
+
+
+# a hash of the templates, the ``special`` categories (S for a kind not
+# listed) and the pattern keys, which a trained model records and loading checks
+FEATURE_FINGERPRINT = hashlib.sha256(json.dumps(
+    [TEMPLATES, MAX_RADIUS, _SPECIAL_KINDS, _SPECIAL_TEXTS, "S", PATTERN_KEYS], sort_keys=True
+).encode()).hexdigest()[:16]
 
 
 def pattern_codes(lengths: Sequence[int]) -> np.ndarray:
@@ -303,7 +296,7 @@ def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], 
     """The feature maps of *sequences* as (fragments, parts): row j of
     parts holds the indices of the fragments whose keys, merged, are the
     map of the j-th position, the positions taken sequence by sequence;
-    -1 fills the rest of a row.  No two fragments of a row share a key.
+    -1 marks an empty slot.  No two fragments of a row share a key.
 
     The :class:`SequenceFeatures` among *sequences* are laid out together
     by one :func:`padded_layout` call and no map of theirs is built.  Each
@@ -362,7 +355,7 @@ def indicators(features: dict) -> list[tuple[str, float]]:
 def _key_columns() -> dict[str, tuple[int, int | None]]:
     bos, eos = COLUMNS.index("BOS"), COLUMNS.index("EOS")
     keys = {"bias": (0, None), "0:BOS": (0, bos), "0:EOS": (0, eos)}
-    keys.update((edge, (d, bos if d < 0 else eos)) for d, _, edge in _NEIGHBOURS)
+    keys.update((edge, (d, bos if d < 0 else eos)) for d, edge in _NEIGHBOURS)
     for d, names in _TEXT_KEYS.items():
         keys.update((key, (d, c)) for c, key in enumerate(names))
     return keys

@@ -11,7 +11,7 @@ from itertools import chain
 from .corpus import Document, SentenceSpan, corpus_fingerprint
 from .crf import CrfModel, LabeledSequence, TrainingConfig, compile_model, train, viterbi
 from .errors import DataError
-from .features import sequence_features
+from .features import FEATURE_FINGERPRINT, sequence_features
 from .spans import decode_bilou, encode_bilou
 from .tokenizer import SPACE_KINDS, Token, tokenize
 
@@ -108,7 +108,10 @@ def train_on_documents(
             sequences.append(label_document(doc))
         else:
             sequences.extend(label_document_chunked(doc, max_sequence_length))
-    metadata = {"corpus_fingerprint": corpus_fingerprint(docs)}
+    metadata = {
+        "corpus_fingerprint": corpus_fingerprint(docs),
+        "feature_fingerprint": FEATURE_FINGERPRINT,
+    }
     if max_sequence_length is not None:
         metadata["max_sequence_length"] = max_sequence_length
     if extra_metadata:

@@ -220,8 +220,8 @@ def test_prediction_builds_no_feature_maps_and_compiles_once(small_model, monkey
 
     monkeypatch.setattr(pipeline, "sequence_features",
                         counting("sequence_features", pipeline.sequence_features))
-    monkeypatch.setattr(features, "_position_features",
-                        counting("feature maps", features._position_features))
+    monkeypatch.setattr(features, "_merged_features",
+                        counting("feature maps", features._merged_features))
     monkeypatch.setattr(pipeline, "compile_model",
                         counting("compile_model", pipeline.compile_model))
     docs = make_corpus(6, seed=808, abbreviation_rate=0.5)

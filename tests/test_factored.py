@@ -64,14 +64,14 @@ def test_factored_matrix_matches_the_feature_maps(texts):
 
 def test_training_builds_no_feature_maps(monkeypatch):
     calls = 0
-    build = features._position_features
+    build = features._merged_features
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return build(*args)
 
-    monkeypatch.setattr(features, "_position_features", counted)
+    monkeypatch.setattr(features, "_merged_features", counted)
     config = TrainingConfig(max_iterations=3)
     pipeline.train_on_documents(DOCS, config)
     pipeline.train_on_documents(DOCS, config, max_sequence_length=40)

@@ -199,6 +199,30 @@ def test_sequence_features_view_behaves_as_the_list():
             view[0] = {}
 
 
+# the tokens a window reaches, its edge-flag tokens included
+WINDOW = 2 * MAX_RADIUS + 3
+WINDOW_CHARACTERS = st.sampled_from(["\u0301", "a", "٣", ".", "(", "'", "\ud800", "\r", "\n", " "])
+
+
+@given(st.lists(st.text(alphabet=WINDOW_CHARACTERS | st.characters(), max_size=4), max_size=24)
+       .map(" ".join))
+@example("")
+@example("\r\n")
+@example("e\u0301 \u0301x")
+@example("\ud800x")
+@example("a." * (WINDOW // 2))  # WINDOW - 1 tokens
+@example("a." * (WINDOW // 2) + "a")  # WINDOW tokens
+@example("a." * (WINDOW // 2 + 1))  # WINDOW + 1 tokens
+@example("Art. 5\r\n(1) l'école" * 8)
+@settings(max_examples=200, deadline=None)
+def test_windowed_maps_equal_whole_sequence_maps(text):
+    """token_features reads a window of the tokens, whose capped position
+    pattern must be the whole sequence's at every position."""
+    tokens = tokenize(text)
+    whole = sequence_features(tokens)
+    assert [token_features(tokens, i) for i in range(len(tokens))] == list(whole)
+
+
 def test_out_of_range_position_rejected():
     seq = tokenize("a b")
     with pytest.raises(IndexError):

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legal_sbd.crf import TrainingConfig
+from legal_sbd.crf import TrainingConfig, load_model, save_model
 from legal_sbd.errors import DataError
+from legal_sbd.features import FEATURE_FINGERPRINT
 from legal_sbd.pipeline import (
     chunk_token_indices,
     filter_documents,
@@ -82,6 +85,26 @@ def test_model_records_the_chunk_length_it_was_trained_with():
     whole = train_on_documents(docs, config)
     assert "max_sequence_length" not in whole.metadata
     assert set(chunked.metadata) - set(whole.metadata) == {"max_sequence_length"}
+
+
+def test_model_records_the_features_it_was_trained_on(tmp_path):
+    model = train_on_documents(make_corpus(4, seed=67), TrainingConfig(max_iterations=3))
+    assert model.metadata["feature_fingerprint"] == FEATURE_FINGERPRINT
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    save_model(load_model(path), path)
+    assert path.read_text(encoding="utf-8") == text
+    # a file saved before models recorded the fingerprint loads as it is
+    obj = json.loads(text)
+    del obj["metadata"]["feature_fingerprint"]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert "feature_fingerprint" not in load_model(path).metadata
+    # a model trained on other features does not load
+    obj["metadata"]["feature_fingerprint"] = "0" * 16
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(DataError, match="feature fingerprint"):
+        load_model(path)
 
 
 @pytest.fixture
