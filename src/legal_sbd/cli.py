@@ -178,7 +178,7 @@ COMMAND_OPTS: dict[str, tuple[Opt, ...]] = {
     "bench": (
         Opt("model", str, required=True, help="model JSON"),
         Opt("corpus", str, required=True, help="corpus JSONL to predict"),
-        Opt("repeat", int, 3, "timing repetitions; the median is reported"),
+        Opt("repeat", int, 3, "timing repetitions; the medians are reported"),
     ),
 }
 
@@ -471,14 +471,19 @@ def _cmd_bench(resolved: dict[str, Any]) -> int:
         raise DataError(f"--repeat must be >= 1, got {resolved['repeat']}")
     model = load_model(resolved["model"])
     docs = load_corpus(resolved["corpus"])
-    timings = []
+    timings, alone = [], []  # the whole corpus in one call; each document in its own
     for _ in range(resolved["repeat"]):
         t0 = time.perf_counter()
         predicted = predict_documents(model, docs)
         timings.append(time.perf_counter() - t0)
+        for doc in docs:
+            t0 = time.perf_counter()
+            predict_documents(model, [doc])
+            alone.append(time.perf_counter() - t0)
     n_sentences = sum(len(d.spans) for d in predicted)
     n_tokens = sum(len(tokenize(d.text)) for d in docs)
     seconds = statistics.median(timings)
+    per_document = f"  {1000.0 * statistics.median(alone):.2f} ms/document alone" if alone else ""
     sys.stdout.write(
         f"documents: {len(docs)}  tokens: {n_tokens}  predicted sentences: {n_sentences}\n"
     )
@@ -486,10 +491,11 @@ def _cmd_bench(resolved: dict[str, Any]) -> int:
         per_sentence = 1000.0 * seconds / n_sentences
         sys.stdout.write(
             f"median {seconds:.3f}s  {n_tokens / seconds:.0f} tokens/s  "
-            f"{n_sentences / seconds:.1f} sentences/s  {per_sentence:.2f} ms/sentence\n"
+            f"{n_sentences / seconds:.1f} sentences/s  {per_sentence:.2f} ms/sentence"
+            f"{per_document}\n"
         )
     else:
-        sys.stdout.write(f"median {seconds:.3f}s  0 sentences\n")
+        sys.stdout.write(f"median {seconds:.3f}s  0 sentences{per_document}\n")
     return 0
 
 

@@ -65,13 +65,13 @@ are scored too and then dropped, which measured faster than gathering
 the token rows alone, and the token rows then add their patterns, coded
 by ``features.pattern_codes`` as training codes them, in one more
 gather.  :func:`viterbi` then decodes every text at once on the packed
-layout, with max-plus steps only.  A text longer than ``_MIN_BLOCKS``
-blocks of ``_BLOCK`` tokens is cut into blocks from its own first token
-and decoded by a blocked scan, in about 2 * ``_BLOCK`` steps plus one
-small step per block instead of one step per token; a shorter one takes
-one step per token.  The back pointers are taken after the loop from the
-stored scores, by the same sums, so they are the same floating-point
-values and ties still go to the lowest label index.  Every max-plus
+layout, with max-plus steps only.  A text of T tokens is cut into
+blocks of about sqrt(T / 3) tokens from its own first token and decoded
+by a blocked scan, in about 3 * sqrt(T) steps instead of one per token;
+a text shorter than ``_MIN_CUT`` tokens takes one step per token.  The
+back pointers are taken after the loop from the stored scores, by the
+same sums, so they are the same floating-point values and ties still go
+to the lowest label index.  Every max-plus
 operation over many rows or blocks runs with them as its innermost
 axis, since numpy pays its loop overhead per element of the outer axes,
 which with the 5 labels innermost is per row.  Whether and where a text
@@ -581,11 +581,26 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
 
 
 _BACK_CHUNK = 4096  # packed rows whose back pointers are taken at a time
-_BLOCK = 96  # steps per block of a long sequence's Viterbi scan
-_MIN_BLOCKS = 4  # a sequence longer than this many blocks is decoded in blocks
+# the lengths a sequence's blocks can have, 1, 2, 3, 4, 6, 8, 12, 16, ...:
+# each at most 1.5 times the one before, so one call meets few of them
+_LADDER = np.array(sorted({1 << k for k in range(31)} | {3 << k for k in range(30)}))
+_LADDER_SQUARES = 3 * _LADDER * _LADDER
+# a sequence shorter than this is not cut: below it, one step per position
+# measured faster than the blocked scan with its setup
+_MIN_CUT = 40
 # from this many rows on, a max-plus step runs with its rows innermost, where
 # numpy pays its loop overhead per label, not per row; below it that is slower
 _COLUMN_ROWS = 8
+
+
+def _block_lengths(lengths: np.ndarray) -> np.ndarray:
+    """The length of the blocks that each sequence of the given *lengths*
+    is cut into, from its own length T alone: T itself, one piece, below
+    ``_MIN_CUT``, else the least value b of ``_LADDER`` with 3 * b * b >= T.
+    A transfer step works on L times the scores of a chain step, so blocks
+    near sqrt(T / 3), shorter than sqrt(T), measured fastest."""
+    cut = _LADDER[np.searchsorted(_LADDER_SQUARES, lengths)]
+    return np.where(lengths < _MIN_CUT, lengths, cut)
 
 
 def _back_pointers(D: np.ndarray, prev: np.ndarray, trans: np.ndarray) -> np.ndarray:
@@ -607,6 +622,27 @@ def _back_pointers(D: np.ndarray, prev: np.ndarray, trans: np.ndarray) -> np.nda
     return back
 
 
+def _transfer(D: np.ndarray, tops: Sequence[int], n: int, opening: int, model) -> np.ndarray:
+    """(L, L, n) max-plus transfer matrices of n blocks of len(tops)
+    positions, blocks innermost, whose scores at step t are the rows
+    ``D[tops[t] : tops[t] + n]``: X[k, i, j] is the best score from label
+    i at the position before block j to label k at its last position.  The
+    first *opening* blocks open their sequences, so they start from the
+    model's start scores, whatever i."""
+    X = np.empty((N_LABELS, N_LABELS, n))
+    X[:, :, :opening] = model.start[:, None, None]
+    X[:, :, opening:] = model.transitions.T[:, :, None]
+    top, *tops = tops
+    X += D[top : top + n].T[:, None]
+    step = model.transitions[:, :, None, None]  # [m, k]
+    sums = np.empty((N_LABELS, N_LABELS, N_LABELS, n))  # [m, k, i, j]
+    for top in tops:
+        np.add(X[:, None], step, out=sums)
+        np.max(sums, axis=0, out=X)
+        X += D[top : top + n].T[:, None]
+    return X
+
+
 def viterbi(
     model: CrfModel | CompiledModel, features: Sequence, lengths: Sequence[int] | None = None
 ) -> list[str]:
@@ -616,27 +652,27 @@ def viterbi(
     model.  Ties resolve to the lowest label index at each sequence's final
     position and at every backtrack step.
 
-    All sequences are decoded together on the packed layout of
-    :func:`_pack`.  A sequence of at most ``_MIN_BLOCKS`` blocks of
-    ``_BLOCK`` steps takes one max-plus step per position, as the loop of
-    the textbook recursion does.  A longer one is cut into blocks of
-    ``_BLOCK`` steps from its own first position and scanned in blocks
-    (Hassan, Särkkä & García-Fernández 2021; Maleki, Musuvathi & Mytkowicz
-    2014):
+    All sequences are decoded together by a blocked max-plus scan (Hassan,
+    Särkkä & García-Fernández 2021; Maleki, Musuvathi & Mytkowicz 2014).
+    A sequence of T positions is cut, from its own first position, into
+    blocks of b positions and a last piece of at most b, with b from
+    :func:`_block_lengths`: near sqrt(T / 3), and all of T, one piece, for
+    a short sequence.  Then:
 
     1. the max-plus transfer matrix of every block but each sequence's
-       last, all blocks at once in ``_BLOCK`` steps over an (L, L, blocks)
-       array;
+       last piece, in b - 1 steps over an (L, L, blocks) array, once per
+       block length of the call;
     2. each block's entry vector, the best scores at the last position of
        the block before it, one small step per block;
-    3. every block's recursion from its entry vector, all blocks and the
-       short sequences at once on the packed layout.
+    3. every piece's recursion from its entry vector, all pieces at once
+       on the packed layout of :func:`_pack`, in at most b steps.
 
-    Every wide max-plus operation runs with the blocks or rows innermost:
-    the transfer matrices, a packed step of at least ``_COLUMN_ROWS``
-    rows and the back pointers, which numpy would otherwise loop over 5
-    labels per row.  The scores themselves stay row-major, one row per
-    position, so a narrow step, and with it a short sequence alone, runs
+    So a sequence takes about 2 * b + T / b max-plus steps, about 3 *
+    sqrt(T), instead of T - 1.  Every wide max-plus operation runs
+    with the blocks or rows innermost: the transfer matrices, a packed
+    step of at least ``_COLUMN_ROWS`` rows and the back pointers, which
+    numpy would otherwise loop over 5 labels per row.  The scores
+    themselves stay row-major, one row per position, so a narrow step runs
     row by row.  The entry vectors are written over the rows they stand
     for before the back pointers are taken, so the path walked is the
     argmax path of the scores computed.  They sum the same terms as the
@@ -655,20 +691,21 @@ def viterbi(
     trans = model.transitions
     to = trans[:, :, None]  # to[i, j]: trans[i, j] as a column over rows
     ends = np.cumsum(lengths)
-    # each sequence is decoded as pieces (heads: their first positions): the
-    # blocks of a long sequence before its last, which get a transfer
-    # matrix, then for each sequence in order its last block, or the whole
-    # of a short one
-    heads, pieces, chain, K = ends - lengths, lengths, None, 0
-    blocked = lengths > _BLOCK * _MIN_BLOCKS
+    # each sequence is decoded as pieces (heads: their first positions): its
+    # blocks before the last, which get a transfer matrix, then for each
+    # sequence in order its last piece
+    block = _block_lengths(lengths)
+    inner = (lengths - 1) // block  # blocks before the last piece
+    heads, pieces, K = ends - lengths, lengths, 0
+    blocked = inner > 0
     if blocked.any():
-        skip = np.where(blocked, _BLOCK * ((lengths - 1) // _BLOCK), 0)  # last piece's offset
-        chain = _pack(skip[blocked] // _BLOCK)
+        skip = block * inner  # the last piece's offset
+        chain = _pack(inner[blocked])
         # block-major: chain row j is block step[j] of blocked sequence seq[j]
-        inner = heads[blocked][chain.seq] + _BLOCK * chain.step
-        K = len(inner)
-        heads = np.concatenate((inner, heads + skip))
-        pieces = np.concatenate((np.full(K, _BLOCK), lengths - skip))
+        width = block[blocked][chain.seq]
+        K = len(width)
+        heads = np.concatenate((heads[blocked][chain.seq] + width * chain.step, heads + skip))
+        pieces = np.concatenate((width, lengths - skip))
     batch_sizes, seq, step, prev, last = _pack(pieces)
     # D[r, k]: the best score of a path ending in label k at row r, built in
     # place over the unary scores in packed order
@@ -678,34 +715,26 @@ def viterbi(
     entry = model.start  # what the first row of a piece adds
     pred = np.full(len(D), -1)  # the row one position earlier, -1 at a start
     pred[n0:] = prev
-    if chain is not None:
-        # the inner blocks rank after the pieces longer than a block, before
-        # the other pieces of a block's length, so at each of their steps
-        # they are contiguous rows, and their last rows start at exits
-        rank = int(np.count_nonzero(pieces > _BLOCK))
+    if K:
+        # 1. X[:, :, j]: the transfer matrix of chain row j.  At every step
+        # the blocks of one length follow the longer pieces and precede the
+        # last pieces of their length, in chain order, so they are
+        # contiguous rows; the first c0 blocks open their sequences
         firsts = np.cumsum(batch_sizes) - batch_sizes
-        exits = firsts[_BLOCK - 1] + rank
-        # 1. X[i, k, j], blocks innermost: the best score from label i at the
-        # position before block j (for a first block, from the model's
-        # start) to label k at its current step
         c0 = chain.batch_sizes[0]
         X = np.empty((N_LABELS, N_LABELS, K))
-        X[:, :, :c0] = model.start[:, None]
-        X[:, :, c0:] = trans[:, :, None]
-        X += D[rank : rank + K].T
-        sums = np.empty((N_LABELS, N_LABELS, N_LABELS, K))  # [i, m, k, j]
-        for t in range(1, _BLOCK):
-            np.add(X[:, :, None], trans[None, :, :, None], out=sums)
-            np.max(sums, axis=1, out=X)
-            X += D[firsts[t] + rank : firsts[t] + rank + K].T
-        X = X.transpose(2, 0, 1)  # X[j, i, k]
-        # 2. E[j]: the best scores at block j's last position; a first
-        # block's matrix rows are all the same, the loop's own scores
-        E = np.empty((K, N_LABELS))
-        E[:c0] = X[:c0, 0]
+        for b in set(width.tolist()):
+            rows = np.flatnonzero(width == b)
+            tops = (firsts[:b] + np.count_nonzero(pieces > b)).tolist()
+            X[:, :, rows] = _transfer(D, tops, len(rows), int(np.searchsorted(rows, c0)), model)
+        # 2. E[:, j]: the best scores at block j's last position, blocks
+        # innermost; a first block's matrix rows are all the same, the
+        # loop's own scores
+        E = np.empty((N_LABELS, K))
+        E[:, :c0] = X[:, 0, :c0]
         before, lo = 0, c0
         for n in chain.batch_sizes[1:]:
-            E[lo : lo + n] = (E[before : before + n, :, None] + X[lo : lo + n]).max(axis=1)
+            E[:, lo : lo + n] = (E[:, before : before + n] + X[:, :, lo : lo + n]).max(axis=1)
             before, lo = lo, lo + n
         # the block before each piece, as a chain row, or -1
         after = np.full(len(pieces), -1)
@@ -715,8 +744,9 @@ def viterbi(
         entering = np.flatnonzero(after >= 0)
         entry = np.empty((n0, N_LABELS))
         entry[:] = model.start
-        entry[entering] = (E[after[entering], :, None] + trans).max(axis=1)
-        pred[entering] = exits + after[entering]
+        entry[entering] = (E[:, after[entering]][:, None] + to).max(axis=0).T
+        exits = last[:K]  # the last row of each block
+        pred[entering] = exits[after[entering]]
     # 3. the packed recursion; a first row adds its entry
     D[:n0] += entry
     before, lo = 0, n0
@@ -726,8 +756,8 @@ def viterbi(
         else:
             D[lo : lo + n] += (D[before : before + n].T[:, None] + to).max(axis=0).T
         before, lo = lo, lo + n
-    if chain is not None:
-        D[exits : exits + K] = E
+    if K:
+        D[exits] = E.T
     # back pointers from the stored D: the same sums as in the recursion,
     # so the same maxima.  A start row's pointers read D[-1] and are unused
     back = _back_pointers(D, pred, trans)
@@ -783,17 +813,20 @@ def _pack(lengths: np.ndarray) -> _Packing:
     for each of the first batch_sizes[t] of them, the ones longer than t,
     so row i of step t continues row i of step t - 1.
     """
+    if len(lengths) == 1:  # one row per step, in order
+        n = int(lengths[0])
+        rows = np.arange(n)
+        return _Packing([1] * n, np.zeros(n, dtype=np.intp), rows, rows[:-1], lengths - 1)
     order = np.argsort(-lengths, kind="stable")
     batch_sizes = np.bincount(lengths - 1)[::-1].cumsum()[::-1]
-    offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
+    firsts = batch_sizes.cumsum() - batch_sizes  # each step's first row
     step = np.repeat(np.arange(len(batch_sizes)), batch_sizes)
-    seq = order[np.arange(offsets[-1]) - offsets[step]]
+    within = np.arange(len(step)) - firsts[step]  # each row's place in its step
     n0 = batch_sizes[0]
-    prev = np.arange(n0, offsets[-1]) - batch_sizes[step[n0:] - 1]
+    prev = firsts[:-1].repeat(batch_sizes[1:]) + within[n0:]
     rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    last = offsets[lengths - 1] + rank
-    return _Packing(batch_sizes.tolist(), seq, step, prev, last)
+    rank[order] = within[:n0]
+    return _Packing(batch_sizes.tolist(), order[within], step, prev, firsts[lengths - 1] + rank)
 
 
 class _Encoded(NamedTuple):

@@ -60,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import abc
+from itertools import repeat
 from operator import attrgetter, index
 from typing import Iterable, Sequence
 
@@ -113,22 +114,26 @@ def special_category(token: Token) -> str:
     return category if category == "Newline" else _SPECIAL_TEXTS.get(token.text, category)
 
 
+def _shape(ch: str) -> str:
+    return "N" if ch.isdecimal() else "C" if ch.isupper() else "c" if ch.islower() else "S"
+
+
 def signature(text: str) -> str:
     """Per-character shape code: c/C for lower/upper case letters, N for
     digits, S for everything else ("école" -> "ccccc", "Abc12!" -> "CccNNS")."""
-    return "".join(
-        "N" if ch.isdecimal() else "C" if ch.isupper() else "c" if ch.islower() else "S"
-        for ch in text
-    )
+    return "".join(map(_shape, text))
 
 
-def _token_attrs(token: Token):
+def _token_attrs(token: Token, shapes: dict[int, str] | None = None):
+    """The column values of *token*; *shapes*, a ``str.translate`` table
+    that maps each of its characters to its shape code, spares building
+    its signature one character at a time."""
     text = token.text
     return (
         special_category(token),
         text.lower(),
         len(text),
-        signature(text),
+        signature(text) if shapes is None else text.translate(shapes),
         text[0].islower(),
         text[0].isupper(),
         token.kind == NUMBER,
@@ -163,7 +168,9 @@ def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list
     # texts in order of first appearance, each with a token that has it
     distinct = dict(zip(texts, tokens))
     ids = {text: k for k, text in enumerate(distinct, 1)}
-    attrs = [None, *map(_token_attrs, distinct.values())]
+    # one translate table over the distinct characters of the call
+    shapes = {ord(ch): _shape(ch) for ch in set("".join(distinct))}
+    attrs = [None, *map(_token_attrs, distinct.values(), repeat(shapes))]
     padding = [0] * MAX_RADIUS
     which = list(padding)
     pos = 0
@@ -309,16 +316,16 @@ def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], 
     starts = np.cumsum(lengths) - lengths
     laid = [s for s, seq in enumerate(sequences) if isinstance(seq, SequenceFeatures)]
     plain = [s for s, seq in enumerate(sequences) if not isinstance(seq, SequenceFeatures)]
-    parts = np.full((int(lengths.sum()), _PARTS), -1, dtype=np.intp)
+    parts = np.full((int(lengths.sum()), _PARTS), -1, dtype=np.int32)
     fragments: list[dict] = []
     if laid:
         n = lengths[laid]
         attrs, which = padded_layout([t for s in laid for t in sequences[s].tokens], n.tolist())
-        which = np.array(which, dtype=np.intp)
+        which = np.array(which, dtype=np.int32)
         entries = which[np.flatnonzero(which)[:, None] + np.arange(-MAX_RADIUS, MAX_RADIUS + 1)]
         # a text fragment's code is (offset slot, entry); the patterns' follow
         patterns = (_PARTS - 1) * len(attrs)
-        codes = np.empty((len(entries), _PARTS), dtype=np.intp)
+        codes = np.empty((len(entries), _PARTS), dtype=np.int32)
         codes[:, :-1] = np.where(entries, np.arange(_PARTS - 1) * len(attrs) + entries, -1)
         codes[:, -1] = patterns + pattern_codes(n)
         present = codes >= 0

@@ -77,17 +77,20 @@ def test_batch_matches_each_text_alone_and_the_reference(texts, data):
 @given(texts=st.lists(TEXT, max_size=7), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_blocked_decoding_matches_the_unblocked_loop(texts, data):
-    # blocks of 2 steps, and every text of more than 2 blocks decoded in
-    # blocks, so the drawn texts span many blocks; integer weights make
-    # every sum exact, so the labels are the loop's, ties included
+    # blocks of 2 steps for every text of more than 2 tokens, so the drawn
+    # texts span many blocks, against one step per position for every
+    # text; integer weights make every sum exact, so the labels are the
+    # loop's, ties included
     model = draw_model(data, texts, integer=True)
-    unblocked = pipeline.predicted_labels(model, texts)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crf, "_BLOCK", 2)
-        patch.setattr(crf, "_MIN_BLOCKS", 2)
+        patch.setattr(crf, "_block_lengths", lambda lengths: lengths)
+        unblocked = pipeline.predicted_labels(model, texts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crf, "_block_lengths", lambda lengths: np.minimum(lengths, 2))
         blocked = pipeline.predicted_labels(model, texts)
         assert blocked == [pipeline.predicted_labels(model, [text])[0] for text in texts]
     assert blocked == unblocked
+    assert pipeline.predicted_labels(model, texts) == unblocked
 
 
 def test_zero_model_labels_every_token_b():

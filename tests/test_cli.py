@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -471,6 +472,31 @@ class TestBenchCommand:
         assert (words[3], words[5]) == ("tokens/s", "sentences/s")
         # both rates divide by the same median time
         assert float(words[2]) / float(words[4]) == pytest.approx(tokens / sentences, rel=1e-2)
+
+    def test_reports_the_median_latency_of_a_document_alone(
+        self, model_path, corpus_path, capsys, monkeypatch
+    ):
+        from legal_sbd import cli
+
+        calls = []
+        predict = cli.predict_documents
+
+        def counted(model, docs):
+            calls.append([doc.id for doc in docs])
+            return predict(model, docs)
+
+        monkeypatch.setattr(cli, "predict_documents", counted)
+        assert run("bench", "--model", model_path, "--corpus", corpus_path,
+                   "--repeat", "2") == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        # the batched median, then the median of one call per document
+        assert re.fullmatch(
+            r"median \d+\.\d{3}s  \d+ tokens/s  \d+\.\d sentences/s  \d+\.\d\d ms/sentence"
+            r"  \d+\.\d\d ms/document alone",
+            last,
+        )
+        ids = [doc.id for doc in load_corpus(corpus_path)]
+        assert calls == 2 * ([ids] + [[i] for i in ids])
 
     @pytest.mark.parametrize("repeat", ["0", "-2"])
     def test_repeat_below_one_is_data_error(self, repeat, tmp_path, capsys):

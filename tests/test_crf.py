@@ -159,9 +159,13 @@ class TestViterbi:
 
 
 class TestBlockedViterbi:
-    """Sequences longer than _MIN_BLOCKS blocks of _BLOCK steps are decoded
-    by a blocked max-plus scan.  With integer weights every sum is exact,
-    so its labels are the sequential loop's, ties included."""
+    """Sequences of at least _MIN_CUT positions are cut into blocks of
+    _block_lengths positions and decoded by a blocked max-plus scan.  With
+    integer weights every sum is exact, so its labels are the sequential
+    loop's, ties included."""
+
+    # every length up to here: uncut ones and four block lengths
+    LENGTHS = range(1, 301)
 
     def test_loop_oracle_matches_enumeration(self, rng):
         for trial in range(20):
@@ -170,30 +174,60 @@ class TestBlockedViterbi:
             feats = random_features(rng, int(rng.integers(1, 7)), integer=integer)
             assert loop_viterbi(model, feats) == brute_viterbi(model, feats)
 
+    def test_block_lengths_follow_the_rule(self):
+        lengths = np.arange(1, 100_000)
+        block = crf._block_lengths(lengths)
+        short = lengths < crf._MIN_CUT
+        np.testing.assert_array_equal(block[short], lengths[short])
+        cut, b = lengths[~short], block[~short]
+        assert np.isin(b, crf._LADDER).all()
+        assert (3 * b * b >= cut).all()  # the least ladder value that does
+        smaller = crf._LADDER[np.searchsorted(crf._LADDER, b) - 1]
+        assert (3 * smaller * smaller < cut).all()
+        assert ((cut - 1) // b >= 2).all()  # every cut sequence has 3 pieces or more
+        tested = np.array(self.LENGTHS)
+        tested = tested[tested >= crf._MIN_CUT]
+        assert sorted(set(crf._block_lengths(tested).tolist())) == [4, 6, 8, 12]
+
+    def test_every_length_decodes_like_the_loop(self, rng):
+        model = random_model(rng, integer=True)
+        sequences = [random_features(rng, n, integer=True) for n in self.LENGTHS]
+        want = [loop_viterbi(model, seq) for seq in sequences]
+        for seq, labels in zip(sequences, want):
+            assert viterbi(model, seq) == labels
+        # all at once, longest and shortest interleaved
+        order = np.argsort(rng.random(len(sequences)))
+        flat = [fv for j in order for fv in sequences[j]]
+        lengths = [len(sequences[j]) for j in order]
+        assert viterbi(model, flat, lengths) == [label for j in order for label in want[j]]
+
     def test_long_integer_sequence_decodes_like_the_loop(self, rng):
         model = random_model(rng, integer=True)
         feats = random_features(rng, 5000, integer=True)
-        assert len(feats) > 10 * crf._BLOCK * crf._MIN_BLOCKS
+        assert len(feats) > 10 * crf._MIN_CUT
         assert viterbi(model, feats) == loop_viterbi(model, feats)
 
     def test_long_sequence_labels_do_not_depend_on_batch_mates(self, rng):
         # real weights: the scan's rounding must be the sequence's own.
-        # Pieces longer than a block, of a block's length and shorter
-        # share the packed layout with the blocks of two long sequences
+        # Uncut sequences and the pieces of sequences of six block lengths
+        # share the packed layout
         model = random_model(rng)
-        block, blocks = crf._BLOCK, crf._MIN_BLOCKS
-        lengths = [3, 2000, block + 5, 1, block, blocks * block + 1, 40, 700]
+        cut = crf._MIN_CUT
+        lengths = [3, 2000, cut - 1, 1, cut, cut + 1, 108, 109, 700, 193, 40]
+        blocks = crf._block_lengths(np.array(lengths))[np.array(lengths) >= cut]
+        assert sorted(set(blocks.tolist())) == [4, 6, 8, 12, 16, 32]
         sequences = [random_features(rng, n) for n in lengths]
         flat = [fv for seq in sequences for fv in seq]
         alone = [label for seq in sequences for label in viterbi(model, seq)]
         assert viterbi(model, flat, lengths) == alone
 
     def test_lengths_at_block_edges(self, rng):
-        block, blocks = crf._BLOCK, crf._MIN_BLOCKS
-        lengths = [
-            blocks * block - 1, blocks * block, blocks * block + 1,
-            (blocks + 1) * block, (blocks + 1) * block + 1, 2 * blocks * block,
-        ]
+        # either side of the cut and of every change of block length up to
+        # 20 * 24**2, and of a change in the number of blocks
+        lengths = [crf._MIN_CUT - 1, crf._MIN_CUT, crf._MIN_CUT + 1]
+        for b in (4, 6, 8, 12, 16, 24):
+            lengths += [3 * b * b, 3 * b * b + 1, 5 * b + 1, 5 * b + 2]
+        lengths = sorted(n for n in set(lengths) if n >= crf._MIN_CUT - 1)
         model = random_model(rng, integer=True)
         sequences = [random_features(rng, n, integer=True) for n in lengths]
         want = [loop_viterbi(model, seq) for seq in sequences]
@@ -203,12 +237,12 @@ class TestBlockedViterbi:
         assert viterbi(model, flat, lengths) == [label for labels in want for label in labels]
 
     def test_wide_packed_steps_decode_like_the_loop(self, rng):
-        # no sequence is blocked, and the early packed steps hold at least
+        # no sequence is cut, and the early packed steps hold at least
         # _COLUMN_ROWS rows, so they run with their rows innermost
         for _ in range(3):
             model = random_model(rng, integer=True)
-            lengths = rng.integers(1, 61, size=4 * crf._COLUMN_ROWS).tolist()
-            assert max(lengths) <= crf._BLOCK * crf._MIN_BLOCKS
+            lengths = rng.integers(1, crf._MIN_CUT, size=4 * crf._COLUMN_ROWS).tolist()
+            assert max(lengths) < crf._MIN_CUT
             assert sum(n > 1 for n in lengths) >= 2 * crf._COLUMN_ROWS
             sequences = [random_features(rng, n, integer=True) for n in lengths]
             flat = [fv for seq in sequences for fv in seq]

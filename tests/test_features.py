@@ -85,6 +85,33 @@ def test_signature():
     assert signature(" ") == "S"
 
 
+# a feminine ordinal (lowercase, not a letter case pair), Arabic-Indic and
+# Extended Arabic-Indic digits, combining marks, lone surrogates, a
+# titlecase letter and a superscript digit (a digit, not decimal)
+SHAPE_CHARACTERS = st.sampled_from(
+    ["ª", "٣", "۷", "\u0301", "\u0651", "\ud800", "\udfff", "ǅ", "²", "ß", "Σ"]
+)
+
+
+def shape_of(ch: str) -> str:
+    return "N" if ch.isdecimal() else "C" if ch.isupper() else "c" if ch.islower() else "S"
+
+
+@given(st.lists(st.text(alphabet=SHAPE_CHARACTERS | st.characters(), max_size=12), max_size=8))
+@example(["ª٣\u0301\ud800", "ǅ²ß", "", "Abc12!"])
+@settings(max_examples=200, deadline=None)
+def test_layout_signatures_are_per_character(texts):
+    """The layout shapes every distinct text with one translate table per
+    call; each must be the per-character code, as ``signature`` gives it."""
+    tokens = [tok for text in texts for tok in tokenize(text)]
+    attrs, which = padded_layout(tokens, [len(tokens)])
+    column = [name for name, _ in TEMPLATES].index("sign")
+    for tok, k in zip(tokens, which[MAX_RADIUS:]):
+        assert attrs[k][column] == "".join(map(shape_of, tok.text))
+    for text in texts:
+        assert signature(text) == "".join(map(shape_of, text))
+
+
 def test_single_token_sequence_has_only_center_keys():
     seq = tokenize("Mot")
     feats = token_features(seq, 0)
