@@ -580,7 +580,7 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
     return _sequence_posteriors(model, features)[1]
 
 
-_BACK_CHUNK = 4096  # packed rows whose back pointers are taken at a time
+_BACK_CHUNK = 4096  # packed rows, or blocks of phase 1, that a step takes at a time
 # the lengths a sequence's blocks can have, 1, 2, 3, 4, 6, 8, 12, 16, ...:
 # each at most 1.5 times the one before, so one call meets few of them
 _LADDER = np.array(sorted({1 << k for k in range(31)} | {3 << k for k in range(30)}))
@@ -622,25 +622,34 @@ def _back_pointers(D: np.ndarray, prev: np.ndarray, trans: np.ndarray) -> np.nda
     return back
 
 
-def _transfer(D: np.ndarray, tops: Sequence[int], n: int, opening: int, model) -> np.ndarray:
-    """(L, L, n) max-plus transfer matrices of n blocks of len(tops)
-    positions, blocks innermost, whose scores at step t are the rows
-    ``D[tops[t] : tops[t] + n]``: X[k, i, j] is the best score from label
-    i at the position before block j to label k at its last position.  The
-    first *opening* blocks open their sequences, so they start from the
-    model's start scores, whatever i."""
-    X = np.empty((N_LABELS, N_LABELS, n))
-    X[:, :, :opening] = model.start[:, None, None]
-    X[:, :, opening:] = model.transitions.T[:, :, None]
-    top, *tops = tops
-    X += D[top : top + n].T[:, None]
+def _transfer(
+    X: np.ndarray, rows: np.ndarray, D: np.ndarray, tops: Sequence[int], opening: int, model
+) -> None:
+    """Set X[:, :, rows], (L, L, n), to the max-plus transfer matrices of
+    n blocks of len(tops) positions, blocks innermost, whose scores at step
+    t are the rows ``D[tops[t] : tops[t] + n]``: X[k, i, j] is the best
+    score from label i at the position before block j to label k at its
+    last position.  The first *opening* blocks open their sequences, so
+    they start from the model's start scores, whatever i.  The blocks run
+    _BACK_CHUNK at a time through one scratch, so its size is bounded."""
+    n = len(rows)
     step = model.transitions[:, :, None, None]  # [m, k]
-    sums = np.empty((N_LABELS, N_LABELS, N_LABELS, n))  # [m, k, i, j]
-    for top in tops:
-        np.add(X[:, None], step, out=sums)
-        np.max(sums, axis=0, out=X)
-        X += D[top : top + n].T[:, None]
-    return X
+    chunk = min(n, _BACK_CHUNK)
+    Z = np.empty((N_LABELS, N_LABELS, chunk))
+    sums = np.empty((N_LABELS, N_LABELS, N_LABELS, chunk))  # [m, k, i, j]
+    first, *rest = tops
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        Y, scratch = Z[:, :, : hi - lo], sums[..., : hi - lo]
+        cut = min(max(opening - lo, 0), hi - lo)
+        Y[:, :, :cut] = model.start[:, None, None]
+        Y[:, :, cut:] = model.transitions.T[:, :, None]
+        Y += D[first + lo : first + hi].T[:, None]
+        for top in rest:
+            np.add(Y[:, None], step, out=scratch)
+            np.max(scratch, axis=0, out=Y)
+            Y += D[top + lo : top + hi].T[:, None]
+        X[:, :, rows[lo:hi]] = Y
 
 
 def viterbi(
@@ -726,7 +735,7 @@ def viterbi(
         for b in set(width.tolist()):
             rows = np.flatnonzero(width == b)
             tops = (firsts[:b] + np.count_nonzero(pieces > b)).tolist()
-            X[:, :, rows] = _transfer(D, tops, len(rows), int(np.searchsorted(rows, c0)), model)
+            _transfer(X, rows, D, tops, int(np.searchsorted(rows, c0)), model)
         # 2. E[:, j]: the best scores at block j's last position, blocks
         # innermost; a first block's matrix rows are all the same, the
         # loop's own scores
@@ -736,6 +745,7 @@ def viterbi(
         for n in chain.batch_sizes[1:]:
             E[:, lo : lo + n] = (E[:, before : before + n] + X[:, :, lo : lo + n]).max(axis=1)
             before, lo = lo, lo + n
+        del X
         # the block before each piece, as a chain row, or -1
         after = np.full(len(pieces), -1)
         after[c0:K] = chain.prev
@@ -813,10 +823,6 @@ def _pack(lengths: np.ndarray) -> _Packing:
     for each of the first batch_sizes[t] of them, the ones longer than t,
     so row i of step t continues row i of step t - 1.
     """
-    if len(lengths) == 1:  # one row per step, in order
-        n = int(lengths[0])
-        rows = np.arange(n)
-        return _Packing([1] * n, np.zeros(n, dtype=np.intp), rows, rows[:-1], lengths - 1)
     order = np.argsort(-lengths, kind="stable")
     batch_sizes = np.bincount(lengths - 1)[::-1].cumsum()[::-1]
     firsts = batch_sizes.cumsum() - batch_sizes  # each step's first row

@@ -60,7 +60,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import abc
-from itertools import repeat
 from operator import attrgetter, index
 from typing import Iterable, Sequence
 
@@ -118,22 +117,31 @@ def _shape(ch: str) -> str:
     return "N" if ch.isdecimal() else "C" if ch.isupper() else "c" if ch.islower() else "S"
 
 
+class _Shapes(dict):
+    """A ``str.translate`` table from each code point to its shape code,
+    filled in as ``translate`` meets characters it has not seen."""
+
+    def __missing__(self, code: int) -> str:
+        self[code] = shape = _shape(chr(code))
+        return shape
+
+
+_SHAPES = _Shapes()
+
+
 def signature(text: str) -> str:
     """Per-character shape code: c/C for lower/upper case letters, N for
     digits, S for everything else ("école" -> "ccccc", "Abc12!" -> "CccNNS")."""
-    return "".join(map(_shape, text))
+    return text.translate(_SHAPES)
 
 
-def _token_attrs(token: Token, shapes: dict[int, str] | None = None):
-    """The column values of *token*; *shapes*, a ``str.translate`` table
-    that maps each of its characters to its shape code, spares building
-    its signature one character at a time."""
+def _token_attrs(token: Token):
     text = token.text
     return (
         special_category(token),
         text.lower(),
         len(text),
-        signature(text) if shapes is None else text.translate(shapes),
+        signature(text),
         text[0].islower(),
         text[0].isupper(),
         token.kind == NUMBER,
@@ -168,9 +176,7 @@ def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list
     # texts in order of first appearance, each with a token that has it
     distinct = dict(zip(texts, tokens))
     ids = {text: k for k, text in enumerate(distinct, 1)}
-    # one translate table over the distinct characters of the call
-    shapes = {ord(ch): _shape(ch) for ch in set("".join(distinct))}
-    attrs = [None, *map(_token_attrs, distinct.values(), repeat(shapes))]
+    attrs = [None, *map(_token_attrs, distinct.values())]
     padding = [0] * MAX_RADIUS
     which = list(padding)
     pos = 0

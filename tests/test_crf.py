@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -223,7 +224,7 @@ class TestBlockedViterbi:
 
     def test_lengths_at_block_edges(self, rng):
         # either side of the cut and of every change of block length up to
-        # 20 * 24**2, and of a change in the number of blocks
+        # 3 * 24**2, and of a change in the number of blocks
         lengths = [crf._MIN_CUT - 1, crf._MIN_CUT, crf._MIN_CUT + 1]
         for b in (4, 6, 8, 12, 16, 24):
             lengths += [3 * b * b, 3 * b * b + 1, 5 * b + 1, 5 * b + 2]
@@ -248,6 +249,43 @@ class TestBlockedViterbi:
             flat = [fv for seq in sequences for fv in seq]
             want = [label for seq in sequences for label in loop_viterbi(model, seq)]
             assert viterbi(model, flat, lengths) == want
+
+    def test_transfer_chunks_decode_like_the_loop(self, rng, monkeypatch):
+        # the transfer matrices of a block length run a few blocks at a
+        # time, so chunk edges fall inside the opening blocks and after them
+        monkeypatch.setattr(crf, "_BACK_CHUNK", 5)
+        model = random_model(rng, integer=True)
+        lengths = rng.permutation(np.repeat(np.arange(1, 130), 2)).tolist()
+        sequences = [random_features(rng, n, integer=True) for n in lengths]
+        flat = [fv for seq in sequences for fv in seq]
+        want = [label for seq in sequences for label in loop_viterbi(model, seq)]
+        assert viterbi(model, flat, lengths) == want
+
+    def test_blocked_scratch_stays_bounded(self, rng, monkeypatch):
+        # 1,000 texts of 40-48 tokens, cut into blocks of 4, about 11,000
+        # blocks: the transfer matrices' (L, L, L) scratch is taken
+        # _BACK_CHUNK blocks at a time, so the peak stays near that of
+        # decoding the same texts uncut, one step per position
+        monkeypatch.setattr(crf, "_BACK_CHUNK", 1024)
+        lengths = rng.integers(crf._MIN_CUT, 49, size=1000).tolist()
+        assert set(crf._block_lengths(np.array(lengths)).tolist()) == {4}
+        U = rng.normal(size=(sum(lengths), len(LABELS)))
+        monkeypatch.setattr(crf, "_unary_matrix", lambda model, features, lengths: U.copy())
+        model = random_model(rng)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                labels = viterbi(model, range(len(U)), lengths)
+                return tracemalloc.get_traced_memory()[1], labels
+            finally:
+                tracemalloc.stop()
+
+        blocked, labels = peak()
+        monkeypatch.setattr(crf, "_block_lengths", lambda lengths: lengths)
+        uncut, want = peak()
+        assert labels == want
+        assert blocked <= 1.6 * uncut
 
     @pytest.mark.parametrize(
         "rows", [1, crf._BACK_CHUNK - 1, crf._BACK_CHUNK, crf._BACK_CHUNK + 1]
