@@ -54,26 +54,20 @@ from .pipeline import (
     train_on_documents,
 )
 from .spans import decode_bilou
-from .tokenizer import Token, tokenize
+from .tokenizer import CharTable, Token, tokenize
 
 logger = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "LEGAL_SBD_CONFIG"
 
 _ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", " ": "\\s"}
+# each code point's TSV escape: _ESCAPES, \uXXXX for other whitespace, else itself
+_ESCAPE_TABLE = CharTable(lambda ch: _ESCAPES.get(ch, f"\\u{ord(ch):04x}" if ch.isspace() else ch))
 
 
 def escape_token_text(text: str) -> str:
     """Escape whitespace for the one-token-per-line TSV output."""
-    out = []
-    for ch in text:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ch.isspace():
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_ESCAPE_TABLE)
 
 
 def _str2bool(value: str) -> bool:

@@ -65,7 +65,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tokenizer import NEWLINE, NUMBER, Token, WORD
+from .tokenizer import NEWLINE, NUMBER, CharTable, Token, WORD
 
 # (attribute, window radius) in the order of ``_token_attrs``, which is
 # also the order every offset emits its keys in.  Radii never grow down
@@ -117,21 +117,13 @@ def _shape(ch: str) -> str:
     return "N" if ch.isdecimal() else "C" if ch.isupper() else "c" if ch.islower() else "S"
 
 
-class _Shapes(dict):
-    """A ``str.translate`` table from each code point to its shape code,
-    filled in as ``translate`` meets characters it has not seen."""
-
-    def __missing__(self, code: int) -> str:
-        self[code] = shape = _shape(chr(code))
-        return shape
-
-
-_SHAPES = _Shapes()
+_SHAPES = CharTable(_shape)
 
 
 def signature(text: str) -> str:
     """Per-character shape code: c/C for lower/upper case letters, N for
-    digits, S for everything else ("école" -> "ccccc", "Abc12!" -> "CccNNS")."""
+    digits, S for everything else ("école" -> "ccccc", "Abc12!" -> "CccNNS");
+    one ``str.translate`` through the process-wide ``_SHAPES`` table."""
     return text.translate(_SHAPES)
 
 

@@ -11,19 +11,24 @@ tokens are labeled I while whitespace between sentences stays O.
 Decoding is lenient so that ill-formed model output still yields spans:
 every maximal run of non-O labels becomes one span, trimmed to start and
 end on non-whitespace tokens by :func:`trimmed_span`, which the rule
-baseline uses for its spans too.  Because runs are maximal, two sentences
-that touch with no O-labeled token between them decode as one span; gold
-corpora separate sentences with whitespace, so well-formed encoder output
-round-trips exactly.
+baseline uses for its spans too.  The runs are the matches of one
+regular expression over the joined labels, so a label outside ``LABELS``
+is refused.  Because runs are maximal, two sentences that touch with no
+O-labeled token between them decode as one span; gold corpora separate
+sentences with whitespace, so well-formed encoder output round-trips
+exactly.
 """
 
 from __future__ import annotations
+
+import re
 
 from .corpus import SentenceSpan
 from .errors import DataError
 from .tokenizer import SPACE_KINDS, Token, token_ranges
 
 LABELS = ("B", "I", "L", "O", "U")
+_RUNS = re.compile("[^O]+")  # maximal runs of non-O labels
 
 
 def encode_bilou(tokens: list[Token], spans) -> list[str]:
@@ -66,24 +71,16 @@ def decode_bilou(tokens: list[Token], labels: list[str]) -> list[SentenceSpan]:
 
     Accepts ill-formed input: any maximal run of non-O labels is one span.
     Runs are trimmed so spans start and end on non-whitespace tokens; a
-    run consisting only of whitespace tokens yields nothing.
+    run consisting only of whitespace tokens yields nothing.  A label
+    outside ``LABELS`` raises :class:`DataError`.
     """
-    n = len(tokens)
-    if len(labels) != n:
+    if len(labels) != len(tokens):
         raise DataError(
-            f"label/token length mismatch: {len(labels)} labels, {n} tokens"
+            f"label/token length mismatch: {len(labels)} labels, {len(tokens)} tokens"
         )
-    spans: list[SentenceSpan] = []
-    i = 0
-    while i < n:
-        if labels[i] == "O":
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and labels[j + 1] != "O":
-            j += 1
-        span = trimmed_span(tokens, i, j)
-        if span is not None:
-            spans.append(span)
-        i = j + 1
-    return spans
+    unknown = set(labels).difference(LABELS)
+    if unknown:
+        raise DataError(f"unknown labels {sorted(map(repr, unknown))}; expected {LABELS}")
+    # every label is one character, so match offsets are token indices
+    runs = _RUNS.finditer("".join(labels))
+    return [span for run in runs if (span := trimmed_span(tokens, run.start(), run.end() - 1))]

@@ -21,7 +21,9 @@ code -- ``l`` newline (``\\n`` or ``\\r``), ``s`` other whitespace, ``w``
 letter, ``n`` decimal digit, ``m`` combining mark (Mn), ``o`` anything
 else, checked in that order -- and the tokens are the matches of
 ``w[wm]*|n+|s+|.`` over the codes, left to right.  A token's kind comes
-from its first code; a mark that starts a token is ``other``.
+from its first code; a mark that starts a token is ``other``.  The codes
+are one ``str.translate`` through a process-wide :class:`CharTable`,
+which classifies a code point the first time any text meets it.
 
 A lone carriage return is treated as a newline token; the corpus loader
 normalizes ``\\r\\n`` to ``\\n`` before text reaches the tokenizer.
@@ -70,6 +72,20 @@ def _classify(ch: str) -> str:
     return "o"
 
 
+class CharTable(dict):
+    """A ``str.translate`` table from each code point to ``rule(chr(code))``,
+    filled in as ``translate`` meets code points it has not seen."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, code: int) -> str:
+        self[code] = value = self.rule(chr(code))
+        return value
+
+
+_CLASSES = CharTable(_classify)
 _RUN = re.compile(r"w[wm]*|n+|s+|.")
 _KIND = {"w": WORD, "n": NUMBER, "s": WHITESPACE, "l": NEWLINE, "m": OTHER, "o": OTHER}
 
@@ -99,8 +115,7 @@ def tokenize(text: str) -> list[Token]:
     Total function: any string (including ``""``) tokenizes without error,
     and ``detokenize(tokenize(text)) == text`` always holds.
     """
-    codes = text.translate({ord(ch): _classify(ch) for ch in set(text)})
-    runs = _RUN.findall(codes)
+    runs = _RUN.findall(text.translate(_CLASSES))
     ends = list(accumulate(map(len, runs)))
     starts = [0, *ends]  # one too many; zip stops at the last end
     texts = [text[i:j] for i, j in zip(starts, ends)]
