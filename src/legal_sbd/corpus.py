@@ -217,10 +217,17 @@ def document_to_json(doc: Document) -> str:
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(document_to_json(doc))
-            fh.write("\n")
+    """Write *docs* to *path* as JSONL, every line encoded before the file
+    is opened: a document UTF-8 cannot encode (a lone surrogate) raises
+    :class:`DataError` naming it, and an existing file stays."""
+    lines = []
+    for doc in docs:
+        try:
+            lines.append(document_to_json(doc).encode("utf-8") + b"\n")
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start]
+            raise DataError(f"{path}: document {doc.id!r} holds {bad!r}, which UTF-8 cannot encode") from exc
+    Path(path).write_bytes(b"".join(lines))
 
 
 def corpus_fingerprint(docs: Iterable[Document]) -> str:

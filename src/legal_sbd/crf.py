@@ -111,7 +111,7 @@ import numpy as np
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
 from .features import (
-    COLUMNS, FEATURE_FINGERPRINT, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE,
+    FEATURE_FINGERPRINT, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE,
     PATTERN_VALUES, TEMPLATES, factored_features, indicators, padded_layout, parse_indicator,
     pattern_codes,
 )
@@ -1077,7 +1077,17 @@ def model_to_json(model: CrfModel) -> str:
 
 
 def save_model(model: CrfModel, path) -> None:
-    Path(path).write_text(model_to_json(model), encoding="utf-8")
+    """Write :func:`model_to_json` to *path*, encoded before the file is
+    opened: a model UTF-8 cannot encode (a lone surrogate) raises
+    :class:`DataError` naming the indicator, and an existing file stays."""
+    text = model_to_json(model)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = text[exc.start]
+        where = next((f"indicator {i!r}" for i in sorted(model.state_weights) if bad in i), "metadata")
+        raise DataError(f"{path}: model {where} holds {bad!r}, which UTF-8 cannot encode") from exc
+    Path(path).write_bytes(data)
 
 
 def load_model(path) -> CrfModel:

@@ -50,10 +50,10 @@ def chunk_token_indices(tokens, labels: list[str], max_length: int) -> list[tupl
 
 
 def label_document_chunked(doc: Document, max_sequence_length: int) -> list[LabeledSequence]:
-    """Like :func:`label_document`, but long documents become several
-    training sequences split at sentence-external whitespace."""
-    tokens = tokenize(doc.text)
-    labels = encode_bilou(tokens, doc.spans)
+    """:func:`label_document`'s sequence, cut into several training
+    sequences at sentence-external whitespace if it is long."""
+    whole = label_document(doc)
+    tokens, labels = whole.features.tokens, whole.labels
     return [
         LabeledSequence(features=sequence_features(tokens[a:b]), labels=labels[a:b])
         for a, b in chunk_token_indices(tokens, labels, max_sequence_length)

@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 
 from legal_sbd.crf import CrfModel, LabeledSequence, TrainingConfig, indicators
-from legal_sbd.spans import LABELS
+from legal_sbd.errors import DataError
+from legal_sbd.spans import LABELS, trimmed_span
 
 
 def term_by_term_score(model: CrfModel, features, labels) -> float:
@@ -215,3 +216,25 @@ def brute_transition_marginals(model: CrfModel, features) -> np.ndarray:
         for a, b in zip(combo[:-1], combo[1:]):
             out[a, b] += p
     return out
+
+
+def loop_decode_bilou(tokens, labels):
+    """BILOU decoding one label at a time: every maximal run of non-O
+    labels, trimmed of whitespace tokens by ``trimmed_span``."""
+    n = len(tokens)
+    if len(labels) != n:
+        raise DataError(f"label/token length mismatch: {len(labels)} labels, {n} tokens")
+    spans = []
+    i = 0
+    while i < n:
+        if labels[i] == "O":
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and labels[j + 1] != "O":
+            j += 1
+        span = trimmed_span(tokens, i, j)
+        if span is not None:
+            spans.append(span)
+        i = j + 1
+    return spans

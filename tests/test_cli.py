@@ -252,6 +252,26 @@ class TestTokenizeCommand:
         assert escape_token_text(" ") == "\\u00a0"
 
 
+    @staticmethod
+    def loop_escape(text):
+        """The TSV escape one character at a time, the reference."""
+        escapes = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", " ": "\\s"}
+        out = []
+        for ch in text:
+            if ch in escapes:
+                out.append(escapes[ch])
+            elif ch.isspace():
+                out.append(f"\\u{ord(ch):04x}")
+            else:
+                out.append(ch)
+        return "".join(out)
+
+    @given(st.text(alphabet=st.characters() | st.sampled_from("\\\n\r\t \x85\u2028\u3000\ud800")))
+    @settings(max_examples=300, deadline=None)
+    def test_escaping_matches_the_character_loop(self, text):
+        assert escape_token_text(text) == self.loop_escape(text)
+
+
 class TestFeaturesCommand:
     def test_inline_text_golden_key_order(self, capsys):
         assert run("features", "--text", "C'est en outre", "--position", "4") == 0

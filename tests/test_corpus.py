@@ -109,6 +109,18 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_failed_save_leaves_the_existing_file(tmp_path):
+    # Python-built text can hold a lone surrogate, which UTF-8 cannot encode
+    docs = make_corpus(3, seed=5)
+    path = tmp_path / "c.jsonl"
+    save_corpus(docs, path)
+    before = path.read_bytes()
+    bad = Document("bad-doc", "fr", "judgment", "Un\ud800.", (SentenceSpan(0, 3),))
+    with pytest.raises(DataError, match=r"c\.jsonl: document 'bad-doc' holds '\\ud800'"):
+        save_corpus([*docs[:2], bad, docs[2]], path)
+    assert path.read_bytes() == before
+
+
 def test_split_is_deterministic_partition():
     docs = make_corpus(10, seed=1)
     split_a = split_corpus(docs, seed=42)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +555,22 @@ class TestSerialization:
         save_model(small_model, a)
         save_model(load_model(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_save_leaves_the_existing_file(self, small_model, tmp_path):
+        # Python-built text can hold a lone surrogate, which UTF-8 cannot encode
+        path = tmp_path / "model.json"
+        save_model(small_model, path)
+        before = path.read_bytes()
+        bad = replace(small_model, state_weights={
+            **small_model.state_weights, "0:lowercase=a\ud800": np.ones(len(LABELS)),
+        })
+        with pytest.raises(DataError, match=r"model\.json: model indicator '0:lowercase=a\\ud800'"):
+            save_model(bad, path)
+        assert path.read_bytes() == before
+        bad = replace(small_model, metadata={**small_model.metadata, "note": "\udfff"})
+        with pytest.raises(DataError, match="model metadata holds"):
+            save_model(bad, path)
+        assert path.read_bytes() == before
 
     def test_identical_viterbi_after_round_trip(self, small_model, tmp_path, rng):
         from legal_sbd.pipeline import predict_documents

@@ -137,6 +137,22 @@ def test_bad_chunk_length_fails_before_any_document_is_labeled(
     assert labeling_calls == []
 
 
+def test_chunked_training_labels_each_document_once(labeling_calls):
+    docs = make_corpus(3, seed=71, sentences_per_doc=(8, 12))
+    expected = []  # the chunks of tokenizing and encoding each document afresh
+    for doc in docs:
+        tokens = tokenize(doc.text)
+        labels = encode_bilou(tokens, doc.spans)
+        expected += [[tokens[a:b], labels[a:b]] for a, b in chunk_token_indices(tokens, labels, 30)]
+    labeling_calls.clear()
+    train_on_documents(docs, TrainingConfig(max_iterations=2), max_sequence_length=30)
+    per_document = ["label_document_chunked", "label_document", "tokenize"]
+    assert labeling_calls == per_document * len(docs)
+    chunks = [chunk for doc in docs for chunk in label_document_chunked(doc, 30)]
+    assert len(chunks) > len(docs)
+    assert [[list(c.features.tokens), c.labels] for c in chunks] == expected
+
+
 def test_filter_documents():
     docs = make_corpus(4, seed=67) + make_corpus(
         3, seed=68, doc_type="law", language="de", id_prefix="de"

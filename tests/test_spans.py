@@ -5,9 +5,10 @@ import pytest
 
 from legal_sbd.corpus import SentenceSpan
 from legal_sbd.errors import DataError
-from legal_sbd.spans import decode_bilou, encode_bilou
+from legal_sbd.spans import LABELS, decode_bilou, encode_bilou
 from legal_sbd.synthetic import make_corpus
 from legal_sbd.tokenizer import NEWLINE, WHITESPACE, tokenize
+from oracles import loop_decode_bilou
 
 WELL_FORMED = re.compile(r"^(O|U|BI*L)*$")
 
@@ -76,6 +77,14 @@ def test_length_mismatch_rejected():
     seq = tokenize("a b")
     with pytest.raises(DataError, match="mismatch"):
         decode_bilou(seq, ["O"])
+
+
+@pytest.mark.parametrize("bad", ["X", "", "BI", "o", None])
+def test_label_outside_the_label_set_rejected(bad):
+    # the decoder joins the labels into one string, one character per token
+    seq = tokenize("a b c")
+    with pytest.raises(DataError, match="unknown labels"):
+        decode_bilou(seq, ["B", bad, "I", "I", "L"])
 
 
 def test_span_covering_no_token_rejected():
@@ -147,3 +156,16 @@ def test_decode_invariants_on_arbitrary_labels(text, raw_labels):
         assert span.start >= prev_end
         assert not text[span.start : span.end].isspace()
         prev_end = span.end
+
+
+# texts whose tokens are mostly whitespace, line breaks or nothing at all,
+# beside arbitrary ones: the runs the decoder trims away
+SPACEY_TEXTS = st.text(alphabet=st.sampled_from(" \t\n\r\u00a0\u2028a.1"), max_size=40)
+
+
+@given(st.data(), st.sampled_from(["", "\r\n", " ", " \n \n"]) | SPACEY_TEXTS | st.text(max_size=60))
+@settings(max_examples=400, deadline=None)
+def test_decode_matches_the_loop_on_arbitrary_labels(data, text):
+    seq = tokenize(text)
+    labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=len(seq), max_size=len(seq)))
+    assert decode_bilou(seq, labels) == loop_decode_bilou(seq, labels)

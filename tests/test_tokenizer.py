@@ -1,16 +1,20 @@
 import unicodedata
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legal_sbd import tokenizer
 from legal_sbd.tokenizer import (
     NEWLINE,
     NUMBER,
     OTHER,
     WHITESPACE,
     WORD,
+    CharTable,
     Token,
+    _classify,
     detokenize,
     tokenize,
 )
@@ -173,3 +177,33 @@ def test_round_trip_any_unicode(text):
         assert tok.end - tok.start == len(tok.text)
         pos = tok.end
     assert pos == len(text)
+
+
+# any code point: Hypothesis's characters, lone surrogates, astral
+# characters and marks of every kind, beside the rules' edge cases
+ANY_CHARACTER = (
+    EDGE_CHARACTERS
+    | st.characters()
+    | st.integers(0xD800, 0xDFFF).map(chr)
+    | st.characters(min_codepoint=0x10000)
+    | st.characters(categories=["Mn", "Mc", "Me"])
+)
+
+
+@given(st.text(alphabet=ANY_CHARACTER, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_class_codes_are_the_per_character_rule(text):
+    codes = text.translate(tokenizer._CLASSES)
+    assert codes == "".join(map(_classify, text))
+    assert text.translate(CharTable(_classify)) == codes  # a fresh table agrees
+
+
+@given(st.text(alphabet=ANY_CHARACTER, max_size=40), st.text(alphabet=ANY_CHARACTER, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_tokens_do_not_depend_on_what_was_tokenized_before(first, second):
+    # a fresh, empty table, so that *first* fills entries *second* reads
+    with mock.patch.object(tokenizer, "_CLASSES", CharTable(_classify)):
+        before = tokenize(second)
+        tokenize(first)
+        assert tokenize(second) == before
+    assert tokenize(second) == before
