@@ -251,7 +251,6 @@ class TestTokenizeCommand:
         assert escape_token_text("a\\b") == "a\\\\b"
         assert escape_token_text(" ") == "\\u00a0"
 
-
     @staticmethod
     def loop_escape(text):
         """The TSV escape one character at a time, the reference."""
