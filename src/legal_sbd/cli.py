@@ -275,7 +275,19 @@ def _write(out: str | None, content: str) -> None:
     if out is None:
         sys.stdout.write(content)
     else:
-        Path(out).write_text(content, encoding="utf-8")
+        _save(out, content)
+
+
+def _save(path, content: str) -> None:
+    """Write *content* to *path*, encoded before the file is opened: content
+    UTF-8 cannot encode (a lone surrogate) raises :class:`DataError`, and
+    an existing file stays as it was."""
+    try:
+        data = content.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start]
+        raise DataError(f"{path}: output holds {bad!r}, which UTF-8 cannot encode") from exc
+    Path(path).write_bytes(data)
 
 
 def _lines(rows: list[str]) -> str:
@@ -407,16 +419,16 @@ def _cmd_train(resolved: dict[str, Any]) -> int:
 def _cmd_predict(resolved: dict[str, Any]) -> int:
     model = load_model(resolved["model"])
     docs, _ = _read_documents(resolved["in_path"])
-    # one prediction run yields both the spans and the dump
-    labeled = list(zip(docs, predicted_labels(model, [d.text for d in docs])))
-    if resolved["dump_labels"] is not None:
+    if resolved["dump_labels"] is None:
+        predicted = predict_documents(model, docs)  # no Token is built
+    else:
+        # one prediction run yields both the spans and the dump
+        labeled = list(zip(docs, predicted_labels(model, [d.text for d in docs])))
         rows = [doc.id + "\t" + _token_row(tok, label)
                 for doc, (tokens, labels) in labeled for tok, label in zip(tokens, labels)]
-        Path(resolved["dump_labels"]).write_text(_lines(rows), encoding="utf-8")
-    _write(resolved["out"], _lines([
-        corpus_mod.document_to_json(replace(doc, spans=tuple(decode_bilou(*pair))))
-        for doc, pair in labeled
-    ]))
+        _save(resolved["dump_labels"], _lines(rows))
+        predicted = [replace(doc, spans=tuple(decode_bilou(*pair))) for doc, pair in labeled]
+    _write(resolved["out"], _lines([corpus_mod.document_to_json(doc) for doc in predicted]))
     return 0
 
 
@@ -455,8 +467,7 @@ def _cmd_eval(resolved: dict[str, Any]) -> int:
         )
     sys.stdout.write(_lines(out))
     if report_path is not None:
-        content = report.to_json() if report_path.suffix == ".json" else report.to_csv()
-        report_path.write_text(content, encoding="utf-8")
+        _save(report_path, report.to_json() if report_path.suffix == ".json" else report.to_csv())
     return 0
 
 

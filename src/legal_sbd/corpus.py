@@ -24,7 +24,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError
 from .tokenizer import SPACE_KINDS, token_ranges, tokenize
@@ -32,8 +32,14 @@ from .tokenizer import SPACE_KINDS, token_ranges, tokenize
 DOC_TYPES = ("judgment", "law")
 
 
-@dataclass(frozen=True)
-class SentenceSpan:
+class SentenceSpan(NamedTuple):
+    """Characters ``start`` to ``end`` (exclusive) of a document text.
+
+    A named tuple, as ``tokenizer.Token`` is, so that decoding can build a
+    long text's spans without a Python-level call for each: it is
+    immutable, hashable and read by field name, and it equals the plain
+    tuple ``(start, end, label)``."""
+
     start: int
     end: int
     label: str = "Sentence"

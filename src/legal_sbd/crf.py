@@ -57,7 +57,7 @@ plain maps B is the identity, so the reference path sums each map's
 indicators in the order it lists them.
 
 A prediction run scores and decodes all of its texts as one batch.  Their
-tokens are laid out by ``features.padded_layout``, and each offset is one
+token texts are laid out by ``features.padded_layout``, and each offset is one
 slice gather from its table over the padded rows of the whole batch: a
 padding row has entry 0, whose row of every table is zero, so no offset
 reaches from one text into the next.  The padding rows between texts
@@ -117,7 +117,6 @@ from .features import (
 )
 from .optim import dot, minimize_lbfgs
 from .spans import LABELS
-from .tokenizer import Token
 
 logger = logging.getLogger(__name__)
 
@@ -325,15 +324,14 @@ def _offset_tables(compiled: CompiledModel, attrs: Sequence) -> np.ndarray:
 
 
 def _token_unary(
-    compiled: CompiledModel, tokens: Sequence[Token], lengths: Sequence[int]
+    compiled: CompiledModel, texts: Sequence[str], lengths: Sequence[int]
 ) -> np.ndarray:
-    """Unary scores of consecutive sequences of *tokens* of the given
-    *lengths*: training's ``B @ (W @ state)``, the fragments' rows summed
-    from zero from offset -MAX_RADIUS to MAX_RADIUS and then the
+    """Unary scores of consecutive sequences of the token *texts* of the
+    given *lengths*: training's ``B @ (W @ state)``, the fragments' rows
+    summed from zero from offset -MAX_RADIUS to MAX_RADIUS and then the
     pattern's."""
-    attrs, which = padded_layout(tokens, lengths)
+    attrs, which = padded_layout(texts, lengths)
     tables = _offset_tables(compiled, attrs)
-    which = np.array(which, dtype=np.intp)
     # U row j is padded row MAX_RADIUS + j, from the first token to the
     # last, so table p, offset p - MAX_RADIUS, reads padded row p + j
     rows = len(which) - 2 * MAX_RADIUS
@@ -343,10 +341,10 @@ def _token_unary(
     # copy of *out* that the default mode makes
     for p, table in enumerate(tables):
         U += np.take(table, which[p : p + rows], axis=0, out=term, mode="clip")
-    if rows > len(tokens):
+    if rows > len(texts):
         # the token rows, gathered into the scratch rows that U is done with
         live = np.flatnonzero(which[MAX_RADIUS : MAX_RADIUS + rows])
-        U, term = np.take(U, live, axis=0, out=term[: len(tokens)], mode="clip"), U[: len(tokens)]
+        U, term = np.take(U, live, axis=0, out=term[: len(texts)], mode="clip"), U[: len(texts)]
     U += np.take(compiled.pattern, pattern_codes(lengths), axis=0, out=term, mode="clip")
     return U
 
@@ -369,9 +367,9 @@ def _unary_matrix(
     model: CrfModel | CompiledModel, features: Sequence, lengths: Sequence[int] | None = None
 ) -> np.ndarray:
     """Unary scores, shape (T, L): of a list of feature maps under a
-    :class:`CrfModel` (the reference path), or of a list of tokens under
-    the :class:`CompiledModel` of one, read as consecutive sequences of the
-    given *lengths* (default: one sequence).  Both are training's product
+    :class:`CrfModel` (the reference path), or of a list of token texts
+    under the :class:`CompiledModel` of one, read as consecutive sequences
+    of the given *lengths* (default: one sequence).  Both are training's product
     ``B @ (W @ state)`` bit for bit, the reference path through training's
     own factoring."""
     if not features:
@@ -657,8 +655,8 @@ def viterbi(
 ) -> list[str]:
     """Highest-scoring label sequences of consecutive sequences of the
     given *lengths* (default: one sequence), as one flat list: of a list of
-    feature maps under a model, or of a list of tokens under a compiled
-    model.  Ties resolve to the lowest label index at each sequence's final
+    feature maps under a model, or of a list of token texts under a
+    compiled model.  Ties resolve to the lowest label index at each sequence's final
     position and at every backtrack step.
 
     All sequences are decoded together by a blocked max-plus scan (Hassan,

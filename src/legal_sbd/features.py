@@ -33,10 +33,11 @@ offset takes from one token text, and the keys set by the position's
 place in its sequence (its pattern, coded by :func:`pattern_codes`;
 :func:`_pattern_features` alone defines the edge flags) -- and a map is
 the merge of its position's fragments.  The fragments read one layout,
-built by :func:`padded_layout`: a batch of token sequences laid end to
-end with ``MAX_RADIUS`` padding rows before, between and after them,
-each row mapped to an entry of a table of ``_token_attrs`` tuples, one
-per distinct text (which alone decides the entry), entry 0 being padding.
+built by :func:`padded_layout` from token texts alone: a batch of token
+sequences laid end to end with ``MAX_RADIUS`` padding rows before,
+between and after them, each row mapped to an entry of a table of
+``_token_attrs`` tuples, one per distinct text (which alone decides the
+entry, its kind included), entry 0 being padding.
 :func:`sequence_features` returns a read-only :class:`SequenceFeatures`
 that merges a position's map only when it is read, and
 :func:`token_features` reads one position of the window around it.
@@ -60,12 +61,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import abc
-from operator import attrgetter, index
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tokenizer import NEWLINE, NUMBER, CharTable, Token, WORD
+from .tokenizer import NEWLINE, NUMBER, CharTable, Token, WORD, token_kind
 
 # (attribute, window radius) in the order of ``_token_attrs``, which is
 # also the order every offset emits its keys in.  Radii never grow down
@@ -108,9 +109,16 @@ def special_category(token: Token) -> str:
     Sentence terminators map to End, brackets to Open/Close, line breaks
     to Newline, apostrophes to Abbr; words and numbers map to No, and any
     remaining special character (whitespace included) to the shape code S.
+    The token's text decides it (see :func:`_text_category`).
     """
-    category = _SPECIAL_KINDS.get(token.kind, "S")
-    return category if category == "Newline" else _SPECIAL_TEXTS.get(token.text, category)
+    text = token.text
+    return _text_category(text, token_kind(text))
+
+
+def _text_category(text: str, kind: str) -> str:
+    """The ``special`` category of a token with this *text* and *kind*."""
+    category = _SPECIAL_KINDS.get(kind, "S")
+    return category if category == "Newline" else _SPECIAL_TEXTS.get(text, category)
 
 
 def _shape(ch: str) -> str:
@@ -127,16 +135,17 @@ def signature(text: str) -> str:
     return text.translate(_SHAPES)
 
 
-def _token_attrs(token: Token):
-    text = token.text
+def _token_attrs(text: str):
+    """The ``TEMPLATES`` columns of a token whose text is *text*."""
+    kind = token_kind(text)
     return (
-        special_category(token),
+        _text_category(text, kind),
         text.lower(),
         len(text),
         signature(text),
         text[0].islower(),
         text[0].isupper(),
-        token.kind == NUMBER,
+        kind == NUMBER,
         text.isspace(),
     )
 
@@ -156,25 +165,24 @@ _NEIGHBOURS = tuple(
 )
 
 
-def padded_layout(tokens: Sequence[Token], lengths: Sequence[int]) -> tuple[list, list[int]]:
-    """Consecutive sequences of *tokens* of the given *lengths*, laid end to
-    end with ``MAX_RADIUS`` padding rows before, between and after them.
+def padded_layout(texts: Sequence[str], lengths: Sequence[int]) -> tuple[list, np.ndarray]:
+    """Consecutive sequences of the token *texts* of the given *lengths*,
+    laid end to end with ``MAX_RADIUS`` padding rows before, between and
+    after them.
 
     Returns (attrs, which): ``attrs[k]`` is the ``_token_attrs`` tuple of
-    the k-th distinct text of *tokens*, and ``attrs[0]`` None, for
-    padding; ``which[r]`` is the entry of padded row r.  Tokens with the
-    same text have the same kind, so they share an entry."""
-    texts = list(map(attrgetter("text"), tokens))
-    # texts in order of first appearance, each with a token that has it
-    distinct = dict(zip(texts, tokens))
-    ids = {text: k for k, text in enumerate(distinct, 1)}
-    attrs = [None, *map(_token_attrs, distinct.values())]
-    padding = [0] * MAX_RADIUS
-    which = list(padding)
-    pos = 0
+    the k-th distinct text of *texts*, and ``attrs[0]`` None, for
+    padding; ``which[r]``, an array, is the entry of padded row r."""
+    distinct = dict.fromkeys(texts)  # texts in order of first appearance
+    ids = dict(zip(distinct, range(1, len(distinct) + 1)))
+    attrs = [None, *map(_token_attrs, distinct)]
+    entries = np.fromiter(map(ids.__getitem__, texts), dtype=np.intp, count=len(texts))
+    which = np.zeros(len(texts) + MAX_RADIUS * (len(lengths) + 1), dtype=np.intp)
+    row = pos = 0
     for n in lengths:
-        which += map(ids.__getitem__, texts[pos : pos + n])
-        which += padding
+        row += MAX_RADIUS
+        which[row : row + n] = entries[pos : pos + n]
+        row += n
         pos += n
     return attrs, which
 
@@ -318,8 +326,8 @@ def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], 
     fragments: list[dict] = []
     if laid:
         n = lengths[laid]
-        attrs, which = padded_layout([t for s in laid for t in sequences[s].tokens], n.tolist())
-        which = np.array(which, dtype=np.int32)
+        texts = [t.text for s in laid for t in sequences[s].tokens]
+        attrs, which = padded_layout(texts, n.tolist())
         entries = which[np.flatnonzero(which)[:, None] + np.arange(-MAX_RADIUS, MAX_RADIUS + 1)]
         # a text fragment's code is (offset slot, entry); the patterns' follow
         patterns = (_PARTS - 1) * len(attrs)

@@ -1,6 +1,11 @@
 """Document-level glue: corpus in, labeled sequences or predicted spans out.
 
-Everything here is deterministic and runs in the calling thread.
+Prediction runs on columns: each text's ``tokenizer.TokenColumns`` go
+through compiled scoring, Viterbi and the column decode of
+``spans._decode_columns`` with no ``Token`` built; only
+:func:`predicted_labels`, which returns tokens, and training, which
+labels tokens, make them.  Everything here is deterministic and runs in
+the calling thread.
 """
 
 from __future__ import annotations
@@ -12,15 +17,19 @@ from .corpus import Document, SentenceSpan, corpus_fingerprint
 from .crf import CrfModel, LabeledSequence, TrainingConfig, compile_model, train, viterbi
 from .errors import DataError
 from .features import FEATURE_FINGERPRINT, sequence_features
-from .spans import decode_bilou, encode_bilou
-from .tokenizer import SPACE_KINDS, Token, tokenize
+from .spans import encode_bilou
+from .tokenizer import SPACE_KINDS, Token, TokenColumns, _column_tokens
+
+# the column builder and decode keep these names: perfbench/tracer.py times the stages by them
+from .spans import _decode_columns as decode_bilou
+from .tokenizer import _token_columns as tokenize
 
 
 def label_document(doc: Document) -> LabeledSequence:
     """Tokenize one gold document into features plus BILOU labels; the
     features are a ``features.SequenceFeatures`` over the tokens, whose
     maps training never builds."""
-    tokens = tokenize(doc.text)
+    tokens = _column_tokens(tokenize(doc.text))
     return LabeledSequence(
         features=sequence_features(tokens),
         labels=encode_bilou(tokens, doc.spans),
@@ -119,34 +128,41 @@ def train_on_documents(
     return train(sequences, config, extra_metadata=metadata)
 
 
-def predicted_labels(model: CrfModel, texts: list[str]) -> list[tuple[list[Token], list[str]]]:
-    """Tokens of each of *texts* and their Viterbi labels: the one
-    prediction run, which every prediction function calls once.
+def _predicted_columns(model: CrfModel, texts: list[str]) -> list[tuple[TokenColumns, list[str]]]:
+    """The token columns of each of *texts* and their Viterbi labels: the
+    one prediction run, which every prediction function calls once.
 
-    The model is compiled once per call and scores tokens directly; no
-    feature maps are built.  A call on a model whose state weights are
+    The model is compiled once per call and scores token texts directly;
+    no feature maps are built.  A call on a model whose state weights are
     byte for byte those of the model compiled last reuses that parse (see
     :func:`~legal_sbd.crf.compile_model`), and a changed model is parsed
     anew, so it predicts with its new weights.  The tokens of all
     non-empty texts are scored and decoded as one batch, by one
     :func:`~legal_sbd.crf.viterbi` call, and each text's labels are the
-    ones it would get alone; an empty text gets ``([], [])``."""
+    ones it would get alone; an empty text gets no labels."""
     compiled = compile_model(model)
-    tokenized = [tokenize(text) for text in texts]
-    lengths = [len(tokens) for tokens in tokenized if tokens]
-    flat = list(chain.from_iterable(tokenized))
+    columns = [tokenize(text) for text in texts]
+    lengths = [len(cols.texts) for cols in columns if cols.texts]
+    flat = list(chain.from_iterable(cols.texts for cols in columns))
     labels = viterbi(compiled, flat, lengths) if flat else []
     labeled = []
     pos = 0
-    for tokens in tokenized:
-        labeled.append((tokens, labels[pos : pos + len(tokens)]))
-        pos += len(tokens)
+    for cols in columns:
+        labeled.append((cols, labels[pos : pos + len(cols.texts)]))
+        pos += len(cols.texts)
     return labeled
+
+
+def predicted_labels(model: CrfModel, texts: list[str]) -> list[tuple[list[Token], list[str]]]:
+    """Tokens of each of *texts* and their Viterbi labels, from one
+    prediction run (see :func:`_predicted_columns`); an empty text gets
+    ``([], [])``."""
+    return [(_column_tokens(cols), labels) for cols, labels in _predicted_columns(model, texts)]
 
 
 def predict_text(model: CrfModel, text: str) -> list[SentenceSpan]:
     """Predict sentence spans for raw text."""
-    return decode_bilou(*predicted_labels(model, [text])[0])
+    return decode_bilou(*_predicted_columns(model, [text])[0])
 
 
 def predict_documents(model: CrfModel, docs: list[Document], threads: int = 1) -> list[Document]:
@@ -154,5 +170,5 @@ def predict_documents(model: CrfModel, docs: list[Document], threads: int = 1) -
 
     *threads* is ignored; it is accepted only because the benchmark in
     ``perfbench/`` passes it."""
-    labeled = predicted_labels(model, [doc.text for doc in docs])
+    labeled = _predicted_columns(model, [doc.text for doc in docs])
     return [replace(doc, spans=tuple(decode_bilou(*pair))) for doc, pair in zip(docs, labeled)]

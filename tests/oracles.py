@@ -198,7 +198,7 @@ def keyed_layout(tokens, lengths):
             key = (tok.text, tok.kind)
             if key not in index:
                 index[key] = len(attrs)
-                attrs.append(_token_attrs(tok))
+                attrs.append(_token_attrs(tok.text))
             which.append(index[key])
         which += [0] * MAX_RADIUS
         pos += n

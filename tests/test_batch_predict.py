@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legal_sbd import crf, pipeline
+from legal_sbd import crf, pipeline, tokenizer
+from legal_sbd.corpus import Document
 from legal_sbd.crf import CrfModel, indicators, viterbi
 from legal_sbd.features import MAX_RADIUS, sequence_features
-from legal_sbd.spans import LABELS
+from legal_sbd.spans import LABELS, decode_bilou
 from legal_sbd.synthetic import make_corpus
 from legal_sbd.tokenizer import tokenize
 from oracles import brute_viterbi, random_features, random_model
@@ -155,3 +156,31 @@ def test_one_decode_per_call(small_model, monkeypatch):
     labeled = pipeline.predicted_labels(small_model, texts)
     assert [tokens for tokens, _ in labeled] == [tokenize(text) for text in texts]
     assert calls == {"viterbi": 1, "_unary_matrix": 1, "compile_model": 1}
+
+
+@given(texts=st.lists(TEXT, max_size=7), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_columnar_spans_are_the_token_decode(texts, data):
+    # predict_documents and predict_text decode columns; their spans must
+    # be those of decoding predicted_labels' tokens, batched and alone
+    model = draw_model(data, texts)
+    docs = [Document(f"doc-{i}", "fr", "judgment", text) for i, text in enumerate(texts)]
+    want = [decode_bilou(*pair) for pair in pipeline.predicted_labels(model, texts)]
+    assert [list(doc.spans) for doc in pipeline.predict_documents(model, docs)] == want
+    for doc, spans in zip(docs, want):
+        assert [list(out.spans) for out in pipeline.predict_documents(model, [doc])] == [spans]
+        assert pipeline.predict_text(model, doc.text) == spans
+
+
+def test_columnar_prediction_builds_no_token(small_model, monkeypatch):
+    docs = make_corpus(5, seed=814, newline_rate=0.3)
+    n_tokens = len(tokenize(docs[0].text))
+    built = []
+    real = tokenizer._new_token
+    monkeypatch.setattr(tokenizer, "_new_token", lambda fields: built.append(fields) or real(fields))
+    predicted = pipeline.predict_documents(small_model, docs)
+    assert pipeline.predict_text(small_model, docs[0].text) == list(predicted[0].spans)
+    assert built == []
+    # the count sees the tokens that predicted_labels returns
+    pipeline.predicted_labels(small_model, [docs[0].text])
+    assert len(built) == n_tokens

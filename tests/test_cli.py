@@ -424,6 +424,76 @@ class TestTrainPredictEval:
         assert direct == loaded
 
 
+    def test_predict_builds_tokens_only_for_the_dump(
+        self, model_path, corpus_path, tmp_path, monkeypatch
+    ):
+        from legal_sbd import tokenizer
+
+        built = []
+        real = tokenizer._new_token
+        monkeypatch.setattr(tokenizer, "_new_token", lambda fields: built.append(1) or real(fields))
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--model", model_path, "--in", corpus_path, "--out", pred) == 0
+        assert built == []
+        dumped, dump = tmp_path / "dumped.jsonl", tmp_path / "labels.tsv"
+        assert run(
+            "predict", "--model", model_path, "--in", corpus_path,
+            "--out", dumped, "--dump-labels", dump,
+        ) == 0
+        assert len(built) == len(dump.read_text().splitlines())
+        assert dumped.read_bytes() == pred.read_bytes()
+
+
+class TestFailedWritesKeepFiles:
+    """A text can hold a lone surrogate (JSON's \\ud800 escape loads as
+    one), which UTF-8 cannot encode: the command fails with a data error,
+    and an existing output file stays byte for byte."""
+
+    OLD = b"earlier output\n"
+
+    @pytest.fixture()
+    def bad_corpus(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        record = {
+            "id": "bad-doc", "language": "fr", "type": "judgment",
+            "text": "Un\ud800 mot. Deux mots.",
+            "spans": [{"start": 0, "end": 8, "label": "Sentence"}],
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="ascii")  # escaped as \ud800
+        return path
+
+    def existing(self, path):
+        path.write_bytes(self.OLD)
+        return path
+
+    def test_out(self, bad_corpus, tmp_path, capsys):
+        out = self.existing(tmp_path / "pred.jsonl")
+        assert run("baseline", "--in", bad_corpus, "--out", out) == 2
+        assert "cannot encode" in capsys.readouterr().err
+        assert out.read_bytes() == self.OLD
+
+    def test_dump_labels(self, bad_corpus, model_path, tmp_path, capsys):
+        out, dump = self.existing(tmp_path / "pred.jsonl"), self.existing(tmp_path / "labels.tsv")
+        assert run(
+            "predict", "--model", model_path, "--in", bad_corpus,
+            "--out", out, "--dump-labels", dump,
+        ) == 2
+        assert "cannot encode" in capsys.readouterr().err
+        assert dump.read_bytes() == self.OLD
+        assert out.read_bytes() == self.OLD
+
+    def test_report(self, corpus_path, tmp_path, monkeypatch, capsys):
+        # a report holds only checked language and type codes and numbers,
+        # so a row UTF-8 cannot encode is patched in
+        from legal_sbd.evaluation import EvalReport
+
+        monkeypatch.setattr(EvalReport, "to_csv", lambda self: "language\n\ud800\n")
+        report = self.existing(tmp_path / "report.csv")
+        assert run("eval", "--gold", corpus_path, "--pred", corpus_path, "--report", report) == 2
+        assert "cannot encode" in capsys.readouterr().err
+        assert report.read_bytes() == self.OLD
+
+
 class TestBaselineCommand:
     def test_emits_corpus_jsonl(self, corpus_path, tmp_path):
         out = tmp_path / "base.jsonl"

@@ -1,6 +1,6 @@
 """Compiled prediction against the reference path and training.
 
-``pipeline.predicted_labels`` scores tokens through
+``pipeline.predicted_labels`` scores token texts through
 ``crf.compile_model`` and never builds feature maps; the maps of
 ``features.sequence_features`` scored by ``crf._unary_matrix`` remain the
 reference it must equal, and training's factored product ``B @ (W @
@@ -58,6 +58,11 @@ TEXTS = st.one_of(
 )
 
 
+def texts_of(tokens) -> list[str]:
+    """The token texts that compiled scoring reads."""
+    return [token.text for token in tokens]
+
+
 def random_model(data, tokens) -> CrfModel:
     """A sparse model over some of the tokens' own indicators and some
     dead or odd ones, with random weights."""
@@ -82,7 +87,7 @@ def test_compiled_unary_matches_reference(text, data):
     if not tokens:
         return
     model = random_model(data, tokens)
-    compiled = _unary_matrix(compile_model(model), tokens)
+    compiled = _unary_matrix(compile_model(model), texts_of(tokens))
     reference = _unary_matrix(model, sequence_features(tokens))
     np.testing.assert_allclose(compiled, reference, rtol=1e-12, atol=1e-12)
     # the same sums in the same order
@@ -124,7 +129,7 @@ def test_every_offset_lists_its_keys_in_column_order():
     # offset, the centre included, so a text fragment must list its keys in
     # that order for the sums to match
     for token in tokenize("Art. 12 (a)\n"):
-        attrs = features._token_attrs(token)
+        attrs = features._token_attrs(token.text)
         for d in range(-MAX_RADIUS, MAX_RADIUS + 1):
             fragment = features._text_features(d, attrs)
             columns = [parse_indicator(ind)[1] for ind, _ in indicators(fragment)]
@@ -140,19 +145,19 @@ def test_dead_indicators_compile_to_nothing():
     model = CrfModel({ind: rng.normal(size=len(LABELS)) for ind in DEAD},
                      np.zeros((5, 5)), np.zeros(5), np.zeros(5))
     compiled = compile_model(model)
-    tokens = tokenize("a=b a:b (1) Art. 5.\n")
-    attrs, _ = features.padded_layout(tokens, [len(tokens)])
+    texts = texts_of(tokenize("a=b a:b (1) Art. 5.\n"))
+    attrs, _ = features.padded_layout(texts, [len(texts)])
     assert not _offset_tables(compiled, attrs).any()
     assert not compiled.pattern.any()
-    assert not _unary_matrix(compiled, tokens).any()
+    assert not _unary_matrix(compiled, texts).any()
 
 
 def test_offset_tables_scratch_stays_bounded(small_model):
     # 50,000 distinct texts: a column folds a chunk of entries at a time, so
     # the peak is the tables and a fixed scratch, not twice the tables
     compiled = compile_model(small_model)
-    tokens = tokenize(" ".join(f"w{i}" for i in range(50_000)))
-    attrs, _ = features.padded_layout(tokens, [len(tokens)])
+    texts = texts_of(tokenize(" ".join(f"w{i}" for i in range(50_000))))
+    attrs, _ = features.padded_layout(texts, [len(texts)])
     assert len(attrs) > 50_000
     tracemalloc.start()
     try:
@@ -195,7 +200,7 @@ def test_compiled_unary_is_trainings_product(texts, data):
     flat = [token for tokens in token_lists for token in tokens]
     lengths = [len(tokens) for tokens in token_lists]
     model = setup_model() if data is None else random_model(data, flat)
-    compiled = _unary_matrix(compile_model(model), flat, lengths)
+    compiled = _unary_matrix(compile_model(model), texts_of(flat), lengths)
     # training's unary scores, from packed order back to token order
     batch = [LabeledSequence(sequence_features(t), ["O"] * len(t)) for t in token_lists]
     vocab, encoded = _encode_sequences(batch, known=model.state_weights)
@@ -237,7 +242,7 @@ def test_compiled_labels_match_reference_on_a_trained_model(small_model):
     compiled = compile_model(small_model)
     for doc in make_corpus(4, seed=809, abbreviation_rate=0.5, newline_rate=0.3):
         tokens = tokenize(doc.text)
-        assert viterbi(compiled, tokens) == viterbi(small_model, sequence_features(tokens))
+        assert viterbi(compiled, texts_of(tokens)) == viterbi(small_model, sequence_features(tokens))
 
 
 # A text whose tokens fire indicators a trained model has and some it lacks.
@@ -256,8 +261,9 @@ def fired(model, text):
 def assert_compiles_as_reference(model, tokens):
     compiled = compile_model(model)
     reference = sequence_features(tokens)
-    assert _unary_matrix(compiled, tokens).tobytes() == _unary_matrix(model, reference).tobytes()
-    assert viterbi(compiled, tokens) == viterbi(model, reference)
+    texts = texts_of(tokens)
+    assert _unary_matrix(compiled, texts).tobytes() == _unary_matrix(model, reference).tobytes()
+    assert viterbi(compiled, texts) == viterbi(model, reference)
 
 
 def edit_row(model):

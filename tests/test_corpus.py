@@ -45,6 +45,19 @@ def test_load_minimal_record(tmp_path):
     assert docs[0].spans[0] == SentenceSpan(0, 2)
 
 
+def test_spans_are_named_tuples_of_three_fields():
+    span = SentenceSpan(4, 9)
+    assert SentenceSpan._fields == ("start", "end", "label")
+    assert (span.start, span.end, span.label) == (4, 9, "Sentence")
+    assert span == (4, 9, "Sentence") == SentenceSpan(start=4, end=9, label="Sentence")
+    assert span != SentenceSpan(4, 9, "Other")
+    assert len({span, SentenceSpan(4, 9), (4, 9, "Sentence")}) == 1
+    for field in SentenceSpan._fields:
+        with pytest.raises(AttributeError):
+            setattr(span, field, 0)
+    assert repr(span) == "SentenceSpan(start=4, end=9, label='Sentence')"
+
+
 def test_span_out_of_range(tmp_path):
     line = json.dumps(
         {"id": "d1", "language": "fr", "type": "law", "text": "abcde",

@@ -104,7 +104,7 @@ def test_layout_signatures_are_per_character(texts):
     """The layout shapes every distinct text with one translate table per
     call; each must be the per-character code, as ``signature`` gives it."""
     tokens = [tok for text in texts for tok in tokenize(text)]
-    attrs, which = padded_layout(tokens, [len(tokens)])
+    attrs, which = padded_layout([tok.text for tok in tokens], [len(tokens)])
     column = [name for name, _ in TEMPLATES].index("sign")
     for tok, k in zip(tokens, which[MAX_RADIUS:]):
         assert attrs[k][column] == "".join(map(shape_of, tok.text))
@@ -279,7 +279,7 @@ def test_text_keyed_layout_matches_text_and_kind_layout(texts):
     seqs = [seq for seq in map(tokenize, texts) if seq]
     tokens = [tok for seq in seqs for tok in seq]
     lengths = [len(seq) for seq in seqs]
-    attrs, which = padded_layout(tokens, lengths)
+    attrs, which = padded_layout([tok.text for tok in tokens], lengths)
     ref_attrs, ref_which = keyed_layout(tokens, lengths)
     assert [k == 0 for k in which] == [k == 0 for k in ref_which]
     assert [attrs[k] for k in which] == [ref_attrs[k] for k in ref_which]

@@ -5,9 +5,9 @@ import pytest
 
 from legal_sbd.corpus import SentenceSpan
 from legal_sbd.errors import DataError
-from legal_sbd.spans import LABELS, decode_bilou, encode_bilou
+from legal_sbd.spans import LABELS, _decode_columns, decode_bilou, encode_bilou
 from legal_sbd.synthetic import make_corpus
-from legal_sbd.tokenizer import NEWLINE, WHITESPACE, tokenize
+from legal_sbd.tokenizer import NEWLINE, WHITESPACE, _token_columns, tokenize
 from oracles import loop_decode_bilou
 
 WELL_FORMED = re.compile(r"^(O|U|BI*L)*$")
@@ -169,3 +169,23 @@ def test_decode_matches_the_loop_on_arbitrary_labels(data, text):
     seq = tokenize(text)
     labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=len(seq), max_size=len(seq)))
     assert decode_bilou(seq, labels) == loop_decode_bilou(seq, labels)
+
+
+@given(st.data(), st.sampled_from(["", "\r\n", " ", " \n \n"]) | SPACEY_TEXTS | st.text(max_size=60))
+@settings(max_examples=400, deadline=None)
+def test_column_decode_matches_the_loop_on_arbitrary_labels(data, text):
+    seq = tokenize(text)
+    labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=len(seq), max_size=len(seq)))
+    assert _decode_columns(_token_columns(text), labels) == loop_decode_bilou(seq, labels)
+
+
+def test_column_decode_of_ill_formed_runs():
+    columns = _token_columns("a b. \n c")  # [a][ ][b][.][ ][\n][ ][c]
+    for labels, want in [
+        (["I", "I", "I", "I", "I", "I", "I", "I"], [SentenceSpan(0, 8)]),
+        (["L", "U", "B", "B", "O", "I", "I", "U"], [SentenceSpan(0, 4), SentenceSpan(7, 8)]),
+        (["O", "I", "O", "I", "I", "I", "O", "O"], [SentenceSpan(3, 4)]),
+        (["O", "B", "O", "O", "B", "I", "L", "O"], []),
+    ]:
+        assert _decode_columns(columns, labels) == want
+        assert decode_bilou(tokenize("a b. \n c"), labels) == want

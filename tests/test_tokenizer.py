@@ -1,6 +1,7 @@
 import unicodedata
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from legal_sbd.tokenizer import (
     Token,
     _classify,
     detokenize,
+    token_kind,
     tokenize,
 )
 
@@ -196,14 +198,39 @@ def test_class_codes_are_the_per_character_rule(text):
     codes = text.translate(tokenizer._CLASSES)
     assert codes == "".join(map(_classify, text))
     assert text.translate(CharTable(_classify)) == codes  # a fresh table agrees
+    assert tokenizer._class_codes(text) == codes  # and so does the gather
 
 
 @given(st.text(alphabet=ANY_CHARACTER, max_size=40), st.text(alphabet=ANY_CHARACTER, max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_tokens_do_not_depend_on_what_was_tokenized_before(first, second):
-    # a fresh, empty table, so that *first* fills entries *second* reads
-    with mock.patch.object(tokenizer, "_CLASSES", CharTable(_classify)):
+    # fresh, empty tables, so that *first* fills entries *second* reads
+    fresh_bytes = np.zeros_like(tokenizer._CLASS_BYTES)
+    with mock.patch.object(tokenizer, "_CLASSES", CharTable(_classify)), \
+            mock.patch.object(tokenizer, "_CLASS_BYTES", fresh_bytes):
         before = tokenize(second)
         tokenize(first)
         assert tokenize(second) == before
     assert tokenize(second) == before
+
+
+# texts at the column builder's edges: none, a CRLF pair, combining marks
+# that start a token, astral characters and lone surrogates
+COLUMN_EDGES = st.sampled_from([
+    "", "\r\n", "\u0301", "\u0301a\u0301 \u0301\u0301.", "1\u0301", "\U0001d400\U0001d401 \U0001f600x",
+    "\ud800", "a\udfffb \ud800\udc00", "\r\n\r\n \n",
+])
+
+
+@given(COLUMN_EDGES | st.text(alphabet=ANY_CHARACTER, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_columns_are_the_token_fields(text):
+    tokens = tokenize(text)
+    texts, ends, codes = tokenizer._token_columns(text)
+    assert texts == [tok.text for tok in tokens]
+    assert ends == [tok.end for tok in tokens]
+    assert len(codes) == len(tokens)
+    # a code is the class of the token's first character, and gives its kind
+    assert codes == "".join(_classify(tok.text[0]) for tok in tokens)
+    assert [tokenizer._KIND[code] for code in codes] == [tok.kind for tok in tokens]
+    assert [token_kind(tok.text) for tok in tokens] == [tok.kind for tok in tokens]
