@@ -84,7 +84,7 @@ def trimmed_span(tokens: list[Token], a: int, b: int) -> SentenceSpan | None:
     return SentenceSpan(tokens[a].start, tokens[b].end) if a <= b else None
 
 
-def _decode(starts: list[int], stops: list, codes: str, labels: list[str]) -> list[SentenceSpan]:
+def _decode(starts: list[int], stops: list[int], codes: str, labels: list[str]) -> list[SentenceSpan]:
     """The spans of *labels*, one label of ``LABELS`` per token, with the
     tokens whose class code is in ``SPACE_CODES`` trimmed off each run:
     tokens a to b - 1 give the span ``(starts[a], stops[b])``, where token
