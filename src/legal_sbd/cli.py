@@ -278,7 +278,7 @@ def _write(out: str | None, content: str) -> None:
         _save(out, content)
 
 
-def _save(path, content: str) -> None:
+def _save(path: str | Path, content: str) -> None:
     """Write *content* to *path*, encoded before the file is opened: content
     UTF-8 cannot encode (a lone surrogate) raises :class:`DataError`, and
     an existing file stays as it was."""

@@ -36,8 +36,8 @@ encoding, boundary evaluation and corpus statistics all go through it.
 Prediction reads no ``Token``: it takes a text's tokens as columns
 (:class:`TokenColumns` -- the token texts, their end offsets and each
 token's first class code), which :func:`_token_columns` builds from the
-runs with a few C-level passes and no Python object per token beyond the
-text.  A token's kind follows from its first character's class, so
+runs with a few C-level passes and no Python object per token beyond its
+text and end offset.  A token's kind follows from its first character's class, so
 :func:`token_kind` gives it from the text alone.  :func:`tokenize` is
 the same builder plus one :class:`Token` per token, made by
 :func:`_column_tokens`: a :class:`~typing.NamedTuple` built with one
