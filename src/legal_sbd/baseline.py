@@ -13,18 +13,28 @@ legal text:
 
 Abbreviation handling is intentionally absent: "art. 12" splits wrongly
 here, which is exactly the gap a trained sequence model closes.
+
+The rules read a text's token columns (``tokenizer.TokenColumns``).  A
+token a sentence ends after is followed by whitespace or by the text's
+end, so the spans are the column decode (``spans._decode_columns``) of
+labels that are O on the token after each cut and I on every other.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .corpus import SentenceSpan
 from .errors import DataError
-from .spans import trimmed_span
-from .tokenizer import NEWLINE, NUMBER, OTHER, SPACE_KINDS, WORD, tokenize
+from .spans import _decode_columns
+from .tokenizer import NUMBER, OTHER, SPACE_CODES, WORD, _token_columns, token_kind
 
 OPENING_QUOTES = frozenset({'"', "'", "«", "“", "‘", "„"})
+
+_SPACE_RUN = re.compile(f"[{SPACE_CODES}]*")
+_BLANK_LINE = re.compile("l(?=l)")  # a newline token (class code l) before another
 
 
 @dataclass(frozen=True)
@@ -37,51 +47,38 @@ class RuleConfig:
 DEFAULT_RULES = RuleConfig()
 
 
-def _starts_sentence(token) -> bool:
-    if token.kind == NUMBER:
-        return True
-    if token.kind == WORD:
-        return token.text[0].isupper()
-    return token.text in OPENING_QUOTES
+def _starts_sentence(text: str) -> bool:
+    kind = token_kind(text)
+    return kind == NUMBER or (text[0].isupper() if kind == WORD else text in OPENING_QUOTES)
+
+
+def _cuts(texts: list[str], codes: str, config: RuleConfig):
+    """The indices of the tokens a sentence ends after, in no set order."""
+    n = len(texts)
+    # a colon that is a terminator follows the terminator rule alone
+    colon_rule = config.colon_newline_rule and ":" not in config.terminators
+    marks = config.terminators | {":"} if colon_rule else config.terminators
+    for i in compress(count(), map(marks.__contains__, texts)):
+        if colon_rule and texts[i] == ":":
+            if codes.startswith("l", i + 1):
+                yield i
+        elif token_kind(texts[i]) == OTHER:
+            j = _SPACE_RUN.match(codes, i + 1).end()
+            if j >= n or (j > i + 1 and _starts_sentence(texts[j])):
+                yield i
+    for blank in _BLANK_LINE.finditer(codes):
+        yield blank.start()
 
 
 def rule_split(text: str, config: RuleConfig = DEFAULT_RULES) -> list[SentenceSpan]:
     """Split *text* into sorted, disjoint, whitespace-trimmed sentence spans."""
     if not config.terminators:
         raise DataError("rule config needs at least one terminator")
-    tokens = tokenize(text)
-    n = len(tokens)
-    cuts = []  # sentence ends after tokens[i]
-    for i, tok in enumerate(tokens):
-        if tok.kind == OTHER and tok.text in config.terminators:
-            j = i + 1
-            while j < n and tokens[j].kind in SPACE_KINDS:
-                j += 1
-            if j >= n:
-                cuts.append(i)
-            elif j > i + 1 and _starts_sentence(tokens[j]):
-                cuts.append(i)
-        elif (
-            config.colon_newline_rule
-            and tok.kind == OTHER
-            and tok.text == ":"
-            and i + 1 < n
-            and tokens[i + 1].kind == NEWLINE
-        ):
-            cuts.append(i)
-        elif tok.kind == NEWLINE and i + 1 < n and tokens[i + 1].kind == NEWLINE:
-            cuts.append(i)
-    spans: list[SentenceSpan] = []
-    begin = 0
-    for cut in cuts + [n - 1]:
-        if cut < begin:
-            continue
-        _emit(tokens, begin, cut, config, spans)
-        begin = cut + 1
-    return spans
-
-
-def _emit(tokens, a: int, b: int, config: RuleConfig, out: list[SentenceSpan]) -> None:
-    span = trimmed_span(tokens, a, b)
-    if span is not None and span.end - span.start >= config.min_sentence_chars:
-        out.append(span)
+    columns = _token_columns(text)
+    n = len(columns.texts)
+    labels = ["I"] * n
+    for cut in _cuts(columns.texts, columns.codes, config):
+        if cut + 1 < n:
+            labels[cut + 1] = "O"
+    spans = _decode_columns(columns, labels)
+    return [span for span in spans if span.end - span.start >= config.min_sentence_chars]

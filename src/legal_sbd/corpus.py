@@ -21,13 +21,15 @@ import hashlib
 import io
 import json
 import random
-from bisect import bisect_left
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import DataError
-from .tokenizer import SPACE_KINDS, token_ranges, tokenize
+from .tokenizer import SOLID_FLAGS, _token_columns, token_ranges
 
 DOC_TYPES = ("judgment", "law")
 
@@ -155,18 +157,13 @@ def _normalize_newlines(text: str, spans: list[SentenceSpan]):
     """Replace CRLF with LF and shift span offsets accordingly."""
     if "\r\n" not in text:
         return text, spans
-    removed = []  # indices of '\r' characters that get dropped
-    pos = text.find("\r\n")
-    while pos != -1:
-        removed.append(pos)
-        pos = text.find("\r\n", pos + 2)
+    removed = np.array([m.start() for m in re.finditer("\r\n", text)])  # dropped '\r's
 
     def shift(offset: int) -> int:
-        return offset - bisect_left(removed, offset)  # removed positions below offset
+        return offset - int(np.searchsorted(removed, offset))  # removed positions below offset
 
-    new_text = text.replace("\r\n", "\n")
-    new_spans = [SentenceSpan(shift(s.start), shift(s.end), s.label) for s in spans]
-    return new_text, new_spans
+    spans = [SentenceSpan(shift(s.start), shift(s.end), s.label) for s in spans]
+    return text.replace("\r\n", "\n"), spans
 
 
 def _parse_document(obj: dict, path: str | Path, lineno: int) -> Document:
@@ -336,19 +333,20 @@ def corpus_stats(docs: Iterable[Document]) -> list[StatsRow]:
         )
         row.documents += 1
         row.sentences += len(doc.spans)
-        for nonws, total in _sentence_token_counts(tokenize(doc.text), doc.spans):
-            row.tokens += nonws
-            row.tokens_with_whitespace += total
+        nonws, totals = _sentence_token_counts(doc.text, doc.spans)
+        row.tokens += sum(nonws)
+        row.tokens_with_whitespace += sum(totals)
     return [rows[key] for key in sorted(rows)]
 
 
-def _sentence_token_counts(tokens, spans) -> list[tuple[int, int]]:
-    """(non-whitespace, total) token counts per sentence span."""
-    counts = []
-    for first, last in token_ranges(tokens, spans):
-        run = tokens[first : last + 1]
-        counts.append((sum(tok.kind not in SPACE_KINDS for tok in run), len(run)))
-    return counts
+def _sentence_token_counts(text: str, spans) -> tuple[list[int], list[int]]:
+    """The non-whitespace and the total token counts of each span of *text*."""
+    columns = _token_columns(text)
+    firsts, lasts = token_ranges(columns.ends, spans)
+    solid = np.frombuffer(columns.codes.encode().translate(SOLID_FLAGS), np.bool_)
+    before = np.concatenate(([0], np.cumsum(solid)))  # non-whitespace tokens before token i
+    nonws = np.maximum(before[lasts + 1] - before[firsts], 0)
+    return nonws.tolist(), np.maximum(lasts + 1 - firsts, 0).tolist()
 
 
 def stats_to_csv(rows: list[StatsRow]) -> str:
@@ -400,7 +398,7 @@ def length_histogram(
     excluded: dict[str, int] = {}
     for doc in docs:
         per_type = counts.setdefault(doc.doc_type, {})
-        for nonws, _ in _sentence_token_counts(tokenize(doc.text), doc.spans):
+        for nonws in _sentence_token_counts(doc.text, doc.spans)[0]:
             if nonws > cutoff:
                 excluded[doc.doc_type] = excluded.get(doc.doc_type, 0) + 1
                 continue

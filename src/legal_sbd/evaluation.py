@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Document, SentenceSpan, parse_span, read_json_lines
 from .errors import DataError
-from .tokenizer import Token, token_ranges, tokenize
+from .tokenizer import Token, _token_columns, token_ranges
 
 BOUNDARY_MODES = ("both", "start", "end")
 
@@ -35,23 +35,27 @@ def boundary_vector(reference: list[Token], spans, mode: str = "both") -> np.nda
     ends, or both (the default).  Spans may overlap token edges arbitrarily;
     a span outside the text raises :class:`DataError`.
     """
+    _check_mode(mode)
+    return _boundary_bits([tok.end for tok in reference], spans, mode)
+
+
+def _check_mode(mode: str) -> None:
     if mode not in BOUNDARY_MODES:
         raise DataError(f"unknown boundary mode {mode!r} (expected one of {BOUNDARY_MODES})")
-    bits = np.zeros(len(reference), dtype=bool)
-    if not reference:
-        if spans:
-            raise DataError("spans supplied for empty reference text")
-        return bits
-    text_len = reference[-1].end
-    for span, (first, last) in zip(spans, token_ranges(reference, spans)):
+
+
+def _boundary_bits(ends, spans, mode: str) -> np.ndarray:
+    """:func:`boundary_vector` for the tokens of a text ending at offsets *ends*."""
+    text_len = int(ends[-1]) if len(ends) else 0
+    for span in spans:
         if not (0 <= span.start < span.end <= text_len):
-            raise DataError(
-                f"span ({span.start}, {span.end}) outside text of length {text_len}"
-            )
-        if mode in ("both", "start"):
-            bits[first] = True
-        if mode in ("both", "end"):
-            bits[last] = True
+            raise DataError(f"span ({span.start}, {span.end}) outside text of length {text_len}")
+    bits = np.zeros(len(ends), dtype=bool)
+    firsts, lasts = token_ranges(ends, spans)
+    if mode != "end":
+        bits[firsts] = True
+    if mode != "start":
+        bits[lasts] = True
     return bits
 
 
@@ -146,6 +150,7 @@ def evaluate(
     evaluation is this same function pointed at documents of a language
     the model never saw.
     """
+    _check_mode(mode)
     known = {doc.id for doc in gold_docs}
     unknown = set(predictions) - known
     if unknown:
@@ -157,9 +162,9 @@ def evaluate(
         if doc.id not in predictions and not allow_missing:
             raise DataError(f"missing prediction for document {doc.id!r}")
         pred_spans = predictions.get(doc.id, [])
-        reference = tokenize(doc.text)
-        gold_bits = boundary_vector(reference, doc.spans, mode)
-        pred_bits = boundary_vector(reference, pred_spans, mode)
+        ends = np.array(_token_columns(doc.text).ends)
+        gold_bits = _boundary_bits(ends, doc.spans, mode)
+        pred_bits = _boundary_bits(ends, pred_spans, mode)
         counts = _counts(gold_bits, pred_bits)
         doc_score = DocScore(doc.id, *_prf_from_counts(*counts), int(gold_bits.sum()))
         report.per_document.append(doc_score)

@@ -2,10 +2,11 @@
 
 Prediction runs on columns: each text's ``tokenizer.TokenColumns`` go
 through compiled scoring, Viterbi and the column decode of
-``spans._decode_columns`` with no ``Token`` built; only
-:func:`predicted_labels`, which returns tokens, and training, which
-labels tokens, make them.  Everything here is deterministic and runs in
-the calling thread.
+``spans._decode_columns`` with no ``Token`` built.  Training labels a
+document from its columns' end offsets, and builds ``Token``s only for
+the ``features.SequenceFeatures`` it trains on; :func:`predicted_labels`
+returns tokens.  Everything here is deterministic and runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .corpus import Document, SentenceSpan, corpus_fingerprint
 from .crf import CrfModel, LabeledSequence, TrainingConfig, compile_model, train, viterbi
 from .errors import DataError
 from .features import FEATURE_FINGERPRINT, sequence_features
-from .spans import encode_bilou
+from .spans import _encode_ends
 from .tokenizer import SPACE_KINDS, Token, TokenColumns, _column_tokens
 
 # the column builder and decode keep these names: perfbench/tracer.py times the stages by them
@@ -29,10 +30,10 @@ def label_document(doc: Document) -> LabeledSequence:
     """Tokenize one gold document into features plus BILOU labels; the
     features are a ``features.SequenceFeatures`` over the tokens, whose
     maps training never builds."""
-    tokens = _column_tokens(tokenize(doc.text))
+    columns = tokenize(doc.text)
     return LabeledSequence(
-        features=sequence_features(tokens),
-        labels=encode_bilou(tokens, doc.spans),
+        features=sequence_features(_column_tokens(columns)),
+        labels=_encode_ends(columns.ends, doc.spans),
     )
 
 

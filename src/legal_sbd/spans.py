@@ -5,8 +5,10 @@ single-token sentence).  Only one span class exists, so labels carry no
 type suffix.
 
 Encoding: a token belongs to a span iff its character range intersects
-it (:func:`legal_sbd.tokenizer.token_ranges`), so interior whitespace
-tokens are labeled I while whitespace between sentences stays O.
+it (:func:`legal_sbd.tokenizer.token_ranges`, over the tokens' end
+offsets), so interior whitespace tokens are labeled I while whitespace
+between sentences stays O.  Training labels a text's end offsets
+(:func:`_encode_ends`), and :func:`encode_bilou` a token list's.
 
 Decoding is lenient so that ill-formed model output still yields spans:
 every maximal run of non-O labels becomes one span, trimmed to start and
@@ -20,8 +22,8 @@ mask, so no Python code runs per token or per run beyond building the
 span.  Because runs are maximal, two sentences that touch with no
 O-labeled token between them decode as one span; gold corpora separate
 sentences with whitespace, so well-formed encoder output round-trips
-exactly.  :func:`trimmed_span` trims one token range as the decode
-does; the rule baseline builds its spans with it.
+exactly.  The rule baseline decodes its cuts through
+:func:`_decode_columns` too.
 """
 
 from __future__ import annotations
@@ -30,18 +32,19 @@ import re
 from functools import partial
 from itertools import accumulate, repeat
 
+import numpy as np
+
 from .corpus import SentenceSpan
 from .errors import DataError
-from .tokenizer import SPACE_CODES, SPACE_KINDS, Token, TokenColumns, token_ranges
+from .tokenizer import SOLID_FLAGS, SPACE_KINDS, Token, TokenColumns, token_ranges
 
 LABELS = ("B", "I", "L", "O", "U")
 
 
 # a token's mask byte is 2 if its label is not O, plus 1 if it is not
 # whitespace: the flags of the labels' joined text and of the tokens'
-# class codes, each one translate, ORed as two big integers
+# class codes (SOLID_FLAGS), each one translate, ORed as two big integers
 _INSIDE = bytes(2 * (chr(byte) in LABELS and chr(byte) != "O") for byte in range(256))
-_SOLID = bytes(chr(byte) not in SPACE_CODES for byte in range(256))
 # a run of non-O tokens from its first to its last non-whitespace token;
 # split() keeps the runs between the gaps around them
 _TRIMMED_RUN = re.compile(rb"(\x03(?:[\x02\x03]*\x03)?)")
@@ -50,38 +53,29 @@ _new_span = partial(tuple.__new__, SentenceSpan)
 
 
 def encode_bilou(tokens: list[Token], spans) -> list[str]:
-    """Label every one of *tokens* against character-offset *spans*.
+    """Label every one of *tokens*, the tokens of one text, against
+    character-offset *spans*.
 
     Spans must be sorted and non-overlapping (document invariants); a span
     that covers no token raises :class:`DataError`.
     """
-    labels = ["O"] * len(tokens)
-    next_free = 0  # first token index not claimed by an earlier span
-    for span, (first, last) in zip(spans, token_ranges(tokens, spans)):
-        first = max(first, next_free)
+    return _encode_ends([tok.end for tok in tokens], spans)
+
+
+def _encode_ends(ends, spans) -> list[str]:
+    """:func:`encode_bilou` for the tokens of a text ending at offsets *ends*."""
+    labels = ["O"] * len(ends)
+    firsts, lasts = token_ranges(ends, spans)
+    # a span claims no token of the span before it
+    firsts = np.maximum(firsts, np.concatenate(([0], lasts[:-1] + 1)))
+    for span, first, last in zip(spans, firsts.tolist(), lasts.tolist()):
         if first > last:
-            raise DataError(
-                f"span ({span.start}, {span.end}) intersects no unclaimed token"
-            )
+            raise DataError(f"span ({span.start}, {span.end}) intersects no unclaimed token")
         if first == last:
             labels[first] = "U"
         else:
-            labels[first] = "B"
-            for i in range(first + 1, last):
-                labels[i] = "I"
-            labels[last] = "L"
-        next_free = last + 1
+            labels[first : last + 1] = ["B", *["I"] * (last - first - 1), "L"]
     return labels
-
-
-def trimmed_span(tokens: list[Token], a: int, b: int) -> SentenceSpan | None:
-    """The span of tokens *a* through *b*, trimmed to start and end on
-    non-whitespace tokens; None if all of them are whitespace."""
-    while a <= b and tokens[a].kind in SPACE_KINDS:
-        a += 1
-    while b >= a and tokens[b].kind in SPACE_KINDS:
-        b -= 1
-    return SentenceSpan(tokens[a].start, tokens[b].end) if a <= b else None
 
 
 def _decode(starts: list[int], stops: list[int], codes: str, labels: list[str]) -> list[SentenceSpan]:
@@ -90,7 +84,7 @@ def _decode(starts: list[int], stops: list[int], codes: str, labels: list[str]) 
     tokens a to b - 1 give the span ``(starts[a], stops[b])``, where token
     a starts and token b - 1 ends."""
     inside = int.from_bytes("".join(labels).encode().translate(_INSIDE), "big")
-    solid = int.from_bytes(codes.encode().translate(_SOLID), "big")
+    solid = int.from_bytes(codes.encode().translate(SOLID_FLAGS), "big")
     pieces = _TRIMMED_RUN.split((inside | solid).to_bytes(len(labels), "big"))
     # the pieces are gaps and runs in turn, so their ends are alternately
     # a run's first token and the token after its last

@@ -29,20 +29,18 @@ from a byte array that mirrors the table (:func:`_class_codes`).
 A lone carriage return is treated as a newline token; the corpus loader
 normalizes ``\\r\\n`` to ``\\n`` before text reaches the tokenizer.
 
-A document's tokens are a plain ``list[Token]``.  :func:`token_ranges` is
-the one place that maps character spans onto token indices; BILOU
-encoding, boundary evaluation and corpus statistics all go through it.
-
-Prediction reads no ``Token``: it takes a text's tokens as columns
-(:class:`TokenColumns` -- the token texts, their end offsets and each
-token's first class code), which :func:`_token_columns` builds from the
-runs with a few C-level passes and no Python object per token beyond its
-text and end offset.  A token's kind follows from its first character's class, so
-:func:`token_kind` gives it from the text alone.  :func:`tokenize` is
+A text's tokens are built once, as columns (:class:`TokenColumns`: the
+token texts, their end offsets and each token's first class code), by
+:func:`_token_columns` with a few C-level passes and no Python object per
+token beyond its text and end offset.  Prediction, evaluation, training
+labels, corpus statistics and the rule baseline read these columns, and
+:func:`token_ranges` maps character spans onto token indices from the end
+offsets alone.  A token's kind follows from its first character's class,
+so :func:`token_kind` gives it from the text alone.  :func:`tokenize` is
 the same builder plus one :class:`Token` per token, made by
-:func:`_column_tokens`: a :class:`~typing.NamedTuple` built with one
-``map`` of ``tuple.__new__`` over the columns' zip, and no Python-level
-call per token.  Being a tuple, a ``Token`` equals the plain tuple
+:func:`_column_tokens` with one ``map`` of ``tuple.__new__`` over the
+columns' zip and no Python-level call per token; being a
+:class:`~typing.NamedTuple`, a ``Token`` equals the plain tuple
 ``(text, start, end, kind)``.
 """
 
@@ -51,7 +49,6 @@ from __future__ import annotations
 import re
 import sys
 import unicodedata
-from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import accumulate
 from operator import itemgetter
@@ -102,6 +99,8 @@ _CLASS_BYTES = np.zeros(sys.maxunicode + 1, dtype=np.uint8)
 _RUN = re.compile(r"w[wm]*|n+|s+|.")
 _KIND = {"w": WORD, "n": NUMBER, "s": WHITESPACE, "l": NEWLINE, "m": OTHER, "o": OTHER}
 SPACE_CODES = "".join(code for code, kind in _KIND.items() if kind in SPACE_KINDS)
+# a bytes.translate table: 1 for a class code outside SPACE_CODES, 0 for one in it
+SOLID_FLAGS = bytes(chr(byte) not in SPACE_CODES for byte in range(256))
 
 
 class Token(NamedTuple):
@@ -185,9 +184,12 @@ def detokenize(tokens: list[Token]) -> str:
     return "".join(tok.text for tok in tokens)
 
 
-def token_ranges(tokens: list[Token], spans) -> list[tuple[int, int]]:
-    """(first, last) indices of the tokens whose character range intersects
-    each of *spans*; first > last for a span that intersects none."""
-    starts = [tok.start for tok in tokens]
-    ends = [tok.end for tok in tokens]
-    return [(bisect_right(ends, s.start), bisect_left(starts, s.end) - 1) for s in spans]
+def token_ranges(ends, spans) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the first and of the last token whose character
+    range intersects each of *spans*, as two arrays, for the tokens of a
+    text that end at offsets *ends* (token i starts where token i - 1
+    ends, the first at 0); first > last for a span that intersects none."""
+    bounds = np.concatenate(([0], ends))
+    firsts = np.searchsorted(bounds[1:], [span.start for span in spans], "right")
+    lasts = np.searchsorted(bounds[:-1], [span.end for span in spans]) - 1
+    return firsts, lasts

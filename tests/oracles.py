@@ -7,12 +7,16 @@ real bug rather than a shared one.
 """
 
 import itertools
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from legal_sbd.baseline import OPENING_QUOTES, RuleConfig
+from legal_sbd.corpus import SentenceSpan
 from legal_sbd.crf import CrfModel, LabeledSequence, TrainingConfig, indicators
 from legal_sbd.errors import DataError
-from legal_sbd.spans import LABELS, trimmed_span
+from legal_sbd.spans import LABELS
+from legal_sbd.tokenizer import NEWLINE, NUMBER, OTHER, SPACE_KINDS, WORD, tokenize
 
 
 def term_by_term_score(model: CrfModel, features, labels) -> float:
@@ -218,9 +222,70 @@ def brute_transition_marginals(model: CrfModel, features) -> np.ndarray:
     return out
 
 
+def loop_token_ranges(tokens, spans):
+    """(first, last) indices of the tokens whose character range
+    intersects each of *spans*, by bisecting the tokens' start and end
+    offsets; first > last for a span that intersects none."""
+    starts = [tok.start for tok in tokens]
+    ends = [tok.end for tok in tokens]
+    return [(bisect_right(ends, s.start), bisect_left(starts, s.end) - 1) for s in spans]
+
+
+def loop_encode_bilou(tokens, spans):
+    """BILOU labels written one token at a time over ``loop_token_ranges``."""
+    labels = ["O"] * len(tokens)
+    next_free = 0  # first token index not claimed by an earlier span
+    for span, (first, last) in zip(spans, loop_token_ranges(tokens, spans)):
+        first = max(first, next_free)
+        if first > last:
+            raise DataError(f"span ({span.start}, {span.end}) intersects no unclaimed token")
+        if first == last:
+            labels[first] = "U"
+        else:
+            labels[first] = "B"
+            for i in range(first + 1, last):
+                labels[i] = "I"
+            labels[last] = "L"
+        next_free = last + 1
+    return labels
+
+
+def loop_boundary_vector(tokens, spans, mode="both"):
+    """Boundary bits set one span at a time over ``loop_token_ranges``."""
+    text_len = tokens[-1].end if tokens else 0
+    bits = np.zeros(len(tokens), dtype=bool)
+    for span, (first, last) in zip(spans, loop_token_ranges(tokens, spans)):
+        if not (0 <= span.start < span.end <= text_len):
+            raise DataError(f"span ({span.start}, {span.end}) outside text of length {text_len}")
+        if mode in ("both", "start"):
+            bits[first] = True
+        if mode in ("both", "end"):
+            bits[last] = True
+    return bits
+
+
+def loop_sentence_token_counts(tokens, spans):
+    """(non-whitespace, total) counts of the tokens each span intersects."""
+    counts = []
+    for first, last in loop_token_ranges(tokens, spans):
+        run = tokens[first : last + 1]
+        counts.append((sum(tok.kind not in SPACE_KINDS for tok in run), len(run)))
+    return counts
+
+
+def loop_trimmed_span(tokens, a, b):
+    """The span of tokens *a* through *b*, trimmed to start and end on
+    non-whitespace tokens; None if all of them are whitespace."""
+    while a <= b and tokens[a].kind in SPACE_KINDS:
+        a += 1
+    while b >= a and tokens[b].kind in SPACE_KINDS:
+        b -= 1
+    return SentenceSpan(tokens[a].start, tokens[b].end) if a <= b else None
+
+
 def loop_decode_bilou(tokens, labels):
     """BILOU decoding one label at a time: every maximal run of non-O
-    labels, trimmed of whitespace tokens by ``trimmed_span``."""
+    labels, trimmed of whitespace tokens by ``loop_trimmed_span``."""
     n = len(tokens)
     if len(labels) != n:
         raise DataError(f"label/token length mismatch: {len(labels)} labels, {n} tokens")
@@ -233,8 +298,53 @@ def loop_decode_bilou(tokens, labels):
         j = i
         while j + 1 < n and labels[j + 1] != "O":
             j += 1
-        span = trimmed_span(tokens, i, j)
+        span = loop_trimmed_span(tokens, i, j)
         if span is not None:
             spans.append(span)
         i = j + 1
+    return spans
+
+
+def _loop_starts_sentence(token):
+    if token.kind == NUMBER:
+        return True
+    if token.kind == WORD:
+        return token.text[0].isupper()
+    return token.text in OPENING_QUOTES
+
+
+def loop_rule_split(text, config=RuleConfig()):
+    """The rule baseline walking ``Token``s: each rule is checked at every
+    token, and the tokens between cuts are trimmed by ``loop_trimmed_span``."""
+    if not config.terminators:
+        raise DataError("rule config needs at least one terminator")
+    tokens = tokenize(text)
+    n = len(tokens)
+    cuts = []  # sentence ends after tokens[i]
+    for i, tok in enumerate(tokens):
+        if tok.kind == OTHER and tok.text in config.terminators:
+            j = i + 1
+            while j < n and tokens[j].kind in SPACE_KINDS:
+                j += 1
+            if j >= n or (j > i + 1 and _loop_starts_sentence(tokens[j])):
+                cuts.append(i)
+        elif (
+            config.colon_newline_rule
+            and tok.kind == OTHER
+            and tok.text == ":"
+            and i + 1 < n
+            and tokens[i + 1].kind == NEWLINE
+        ):
+            cuts.append(i)
+        elif tok.kind == NEWLINE and i + 1 < n and tokens[i + 1].kind == NEWLINE:
+            cuts.append(i)
+    spans = []
+    begin = 0
+    for cut in cuts + [n - 1]:
+        if cut < begin:
+            continue
+        span = loop_trimmed_span(tokens, begin, cut)
+        if span is not None and span.end - span.start >= config.min_sentence_chars:
+            spans.append(span)
+        begin = cut + 1
     return spans

@@ -6,6 +6,8 @@ from legal_sbd.baseline import RuleConfig, rule_split
 from legal_sbd.corpus import SentenceSpan
 from legal_sbd.errors import DataError
 from legal_sbd.synthetic import make_corpus
+from oracles import loop_rule_split
+from strategies import TEXTS
 
 
 def texts_of(text, spans):
@@ -130,11 +132,11 @@ def test_empty_terminators_rejected():
         rule_split("x", RuleConfig(terminators=frozenset()))
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
-@given(st.text(max_size=200))
+@given(TEXTS | st.text(max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_rule_split_invariants_on_arbitrary_text(text):
     spans = rule_split(text)
@@ -146,3 +148,31 @@ def test_rule_split_invariants_on_arbitrary_text(text):
         assert not text[span.start].isspace()
         assert not text[span.end - 1].isspace()
         prev_end = span.end
+
+
+# terminators of every kind: the usual ones, a colon (which then follows
+# the terminator rule alone), a line break, a space, a letter, a combining
+# mark and one longer than any token a terminator can match
+RULE_CONFIGS = st.builds(
+    RuleConfig,
+    terminators=st.frozensets(
+        st.sampled_from([".", "!", "?", ":", ";", "\n", " ", "a", "\u0301", ".."]), min_size=1
+    ),
+    colon_newline_rule=st.booleans(),
+    min_sentence_chars=st.integers(0, 6),
+)
+
+
+@given(TEXTS, st.just(RuleConfig()) | RULE_CONFIGS)
+@example("a:\nb", RuleConfig(terminators=frozenset({".", ":"})))
+@settings(max_examples=500, deadline=None)
+def test_rule_split_matches_the_token_walk(text, config):
+    assert rule_split(text, config) == loop_rule_split(text, config)
+
+
+def test_rule_split_matches_the_token_walk_on_corpora():
+    docs = make_corpus(60, seed=16, abbreviation_rate=0.4, newline_rate=0.4)
+    configs = [RuleConfig(), RuleConfig(frozenset({".", ":", ";"}), False, 12)]
+    for doc in docs:
+        for config in configs:
+            assert rule_split(doc.text, config) == loop_rule_split(doc.text, config)

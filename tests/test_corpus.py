@@ -1,10 +1,14 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legal_sbd.corpus import (
     Document,
     SentenceSpan,
+    StatsRow,
     corpus_fingerprint,
     corpus_stats,
     histograms_to_csv,
@@ -18,6 +22,9 @@ from legal_sbd.corpus import (
 )
 from legal_sbd.errors import DataError
 from legal_sbd.synthetic import make_corpus
+from legal_sbd.tokenizer import tokenize
+from oracles import loop_sentence_token_counts
+from strategies import TEXTS, sorted_spans_over, spans_over
 
 
 def write_lines(path, lines):
@@ -242,6 +249,39 @@ def test_histogram_frequencies_normalized():
         assert abs(sum(b[3] for b in hist.bins) - 1.0) < 1e-9
     csv_text = histograms_to_csv(hists)
     assert csv_text.startswith("type,bin_start,bin_end,count,frequency")
+
+
+def expected_rows(doc, bin_size, cutoff):
+    """The stats row and the histogram bin counts of one document, from
+    the loop's per-sentence token counts."""
+    counts = loop_sentence_token_counts(tokenize(doc.text), doc.spans)
+    row = StatsRow(doc.language, doc.doc_type, 1, len(doc.spans),
+                   sum(nonws for nonws, _ in counts), sum(total for _, total in counts))
+    lengths = [nonws for nonws, _ in counts]
+    binned = Counter((n - 1) // bin_size if n > 0 else 0 for n in lengths if n <= cutoff)
+    bins = [binned[i] for i in range(max(binned) + 1 if binned else 0)]
+    return row, bins, sum(n > cutoff for n in lengths)
+
+
+def assert_rows_match_the_loop(doc, bin_size, cutoff):
+    row, bins, excluded = expected_rows(doc, bin_size, cutoff)
+    assert corpus_stats([doc]) == [row]
+    (hist,) = length_histogram([doc], bin_size=bin_size, cutoff=cutoff)
+    assert [count for _, _, count, _ in hist.bins] == bins
+    assert (hist.included, hist.excluded) == (sum(bins), excluded)
+
+
+@given(st.data(), TEXTS, st.integers(1, 6), st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_stats_and_histogram_rows_match_the_loop(data, text, bin_size, cutoff):
+    spans = data.draw(sorted_spans_over(text) | spans_over(text))
+    assert_rows_match_the_loop(Document("d", "fr", "law", text, tuple(spans)), bin_size, cutoff)
+
+
+def test_stats_and_histogram_rows_match_the_loop_on_corpora():
+    for doc in make_corpus(30, seed=8, newline_rate=0.3, abbreviation_rate=0.3):
+        assert_rows_match_the_loop(doc, 5, 101)
+        assert_rows_match_the_loop(doc, 2, 9)
 
 
 def test_fingerprint_covers_text_and_spans():

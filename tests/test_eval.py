@@ -3,10 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from legal_sbd.baseline import rule_split
 from legal_sbd.corpus import Document, SentenceSpan, save_corpus
 from legal_sbd.errors import DataError
 from legal_sbd.evaluation import (
+    BOUNDARY_MODES,
     boundary_vector,
     clip_overlaps,
     evaluate,
@@ -15,6 +19,8 @@ from legal_sbd.evaluation import (
 )
 from legal_sbd.synthetic import make_corpus
 from legal_sbd.tokenizer import tokenize
+from oracles import loop_boundary_vector
+from strategies import TEXTS, sorted_spans_over, spans_over
 
 
 def bits(reference, spans, mode="both"):
@@ -63,6 +69,19 @@ class TestBoundaryVector:
         with_newline = bits(seq, [SentenceSpan(3, 9)])
         assert gold != with_newline
         assert with_newline[seq.index(next(t for t in seq if t.text == "\n"))] == 1
+
+    @given(st.data(), TEXTS, st.sampled_from(BOUNDARY_MODES))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, data, text, mode):
+        seq = tokenize(text)
+        spans = data.draw(spans_over(text) | sorted_spans_over(text))
+        try:
+            expected = loop_boundary_vector(seq, spans, mode)
+        except DataError:
+            with pytest.raises(DataError):
+                boundary_vector(seq, spans, mode)
+        else:
+            assert boundary_vector(seq, spans, mode).tolist() == expected.tolist()
 
     def test_span_outside_text_rejected(self):
         seq = tokenize("abc")
@@ -170,6 +189,25 @@ class TestEvaluate:
         predictions["ghost"] = []
         with pytest.raises(DataError, match="unknown document ids"):
             evaluate(docs, predictions)
+
+    def test_unknown_mode_rejected_before_any_document(self):
+        with pytest.raises(DataError, match="boundary mode"):
+            evaluate([], {}, mode="bogus")
+        docs = make_corpus(2, seed=48)
+        with pytest.raises(DataError, match="boundary mode"):
+            evaluate(docs, {}, mode="bogus", allow_missing=True)
+
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    def test_document_scores_are_those_of_the_loop_vectors(self, mode):
+        docs = make_corpus(20, seed=49, newline_rate=0.3, abbreviation_rate=0.3)
+        predictions = {d.id: rule_split(d.text) for d in docs}
+        report = evaluate(docs, predictions, mode=mode)
+        for doc, score in zip(docs, report.per_document):
+            seq = tokenize(doc.text)
+            gold = loop_boundary_vector(seq, doc.spans, mode)
+            pred = loop_boundary_vector(seq, predictions[doc.id], mode)
+            assert (score.precision, score.recall, score.f1) == prf(gold, pred)
+            assert score.support == gold.sum()
 
     def test_report_serialization(self, tmp_path):
         docs = make_corpus(4, seed=47)

@@ -1,14 +1,17 @@
-"""Every module-level import in the package is read by the module that
-makes it; no linter runs in CI, so this test is the check."""
+"""Every module-level import in the package, the tests and the demos is
+read by the module that makes it; no linter runs in CI, so this test is
+the check."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "legal_sbd"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "legal_sbd"
 # __init__.py imports names to re-export them, not to read them
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +41,9 @@ def test_the_check_finds_unused_imports():
     assert unused_imports(source) == ["os", "osp", "parse"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=lambda path: path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}",
+)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -5,10 +5,11 @@ import pytest
 
 from legal_sbd.corpus import SentenceSpan
 from legal_sbd.errors import DataError
-from legal_sbd.spans import LABELS, _decode_columns, decode_bilou, encode_bilou
+from legal_sbd.spans import LABELS, _decode_columns, _encode_ends, decode_bilou, encode_bilou
 from legal_sbd.synthetic import make_corpus
 from legal_sbd.tokenizer import NEWLINE, WHITESPACE, _token_columns, tokenize
-from oracles import loop_decode_bilou
+from oracles import loop_decode_bilou, loop_encode_bilou
+from strategies import EDGE_TEXTS, TEXTS, sorted_spans_over, spans_over
 
 WELL_FORMED = re.compile(r"^(O|U|BI*L)*$")
 
@@ -174,7 +175,7 @@ def test_decode_invariants_on_arbitrary_labels(text, raw_labels):
 SPACEY_TEXTS = st.text(alphabet=st.sampled_from(" \t\n\r\u00a0\u2028a.1"), max_size=40)
 
 
-@given(st.data(), st.sampled_from(["", "\r\n", " ", " \n \n"]) | SPACEY_TEXTS | st.text(max_size=60))
+@given(st.data(), EDGE_TEXTS | SPACEY_TEXTS | st.text(max_size=60))
 @settings(max_examples=400, deadline=None)
 def test_decode_matches_the_loop_on_arbitrary_labels(data, text):
     seq = tokenize(text)
@@ -182,3 +183,22 @@ def test_decode_matches_the_loop_on_arbitrary_labels(data, text):
     assert decode_bilou(seq, labels) == loop_decode_bilou(seq, labels)
     # and the column decode that prediction calls
     assert _decode_columns(_token_columns(text), labels) == loop_decode_bilou(seq, labels)
+
+
+@given(st.data(), TEXTS)
+@settings(max_examples=400, deadline=None)
+def test_encode_matches_the_loop(data, text):
+    """Labels, or the DataError, of encoding a token list and a text's end
+    offsets are those of labeling one token at a time."""
+    seq = tokenize(text)
+    spans = data.draw(sorted_spans_over(text) | spans_over(text))
+    try:
+        expected = loop_encode_bilou(seq, spans)
+    except DataError:
+        with pytest.raises(DataError, match="no unclaimed token"):
+            encode_bilou(seq, spans)
+        with pytest.raises(DataError, match="no unclaimed token"):
+            _encode_ends(_token_columns(text).ends, spans)
+    else:
+        assert encode_bilou(seq, spans) == expected
+        assert _encode_ends(_token_columns(text).ends, spans) == expected

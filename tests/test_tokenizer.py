@@ -18,8 +18,11 @@ from legal_sbd.tokenizer import (
     _classify,
     detokenize,
     token_kind,
+    token_ranges,
     tokenize,
 )
+from oracles import loop_token_ranges
+from strategies import TEXTS, sorted_spans_over, spans_over
 
 
 def kinds_of(text):
@@ -234,3 +237,14 @@ def test_columns_are_the_token_fields(text):
     assert codes == "".join(_classify(tok.text[0]) for tok in tokens)
     assert [tokenizer._KIND[code] for code in codes] == [tok.kind for tok in tokens]
     assert [token_kind(tok.text) for tok in tokens] == [tok.kind for tok in tokens]
+
+
+@given(st.data(), TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_token_ranges_match_the_bisecting_loop(data, text):
+    """Over the end offsets alone, spans that cut a token, lie outside the
+    text, are empty or inverted map as bisecting start and end offsets do."""
+    tokens = tokenize(text)
+    spans = data.draw(spans_over(text) | sorted_spans_over(text))
+    firsts, lasts = token_ranges(tokenizer._token_columns(text).ends, spans)
+    assert list(zip(firsts.tolist(), lasts.tolist())) == loop_token_ranges(tokens, spans)
