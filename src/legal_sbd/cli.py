@@ -54,7 +54,7 @@ from .pipeline import (
     train_on_documents,
 )
 from .spans import decode_bilou
-from .tokenizer import CharTable, Token, tokenize
+from .tokenizer import CharTable, Token, _token_columns, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -486,7 +486,7 @@ def _cmd_bench(resolved: dict[str, Any]) -> int:
             predict_documents(model, [doc])
             alone.append(time.perf_counter() - t0)
     n_sentences = sum(len(d.spans) for d in predicted)
-    n_tokens = sum(len(tokenize(d.text)) for d in docs)
+    n_tokens = sum(len(_token_columns(d.text).texts) for d in docs)
     seconds = statistics.median(timings)
     per_document = f"  {1000.0 * statistics.median(alone):.2f} ms/document alone" if alone else ""
     sys.stdout.write(

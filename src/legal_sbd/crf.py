@@ -44,7 +44,15 @@ texts (:func:`_offset_tables`): a text's row sums, from zero, the weight
 rows of the keys it gives at d, column by column in
 ``features.TEMPLATES`` order, which is the order every fragment, the
 centre's included, lists its keys, as ``W @ state`` sums that
-fragment's row.
+fragment's row.  The rows are kept across calls in a memo of the parse
+(:class:`_TextMemo`, keyed by each token text), so a call folds rows
+only for the texts the memo lacks, and the first call after a model is
+parsed folds all of its own.  A new parse starts an empty memo.  The
+memo holds at most ``_MEMO_TEXTS`` texts, 840 bytes each (about
+13.8 MB), or one call's distinct texts if that is more: a call whose new
+texts would take it past the bound starts a fresh memo of its own texts.
+Rows once written never change, so what the memo holds does not change
+a score, and concurrent callers read and extend it under its one lock.
 
 This is where bit identity is anchored.  On the same tokens, the
 compiled scores, the reference path's scores of a ``SequenceFeatures``
@@ -57,14 +65,15 @@ plain maps B is the identity, so the reference path sums each map's
 indicators in the order it lists them.
 
 A prediction run scores and decodes all of its texts as one batch.  Their
-token texts are laid out by ``features.padded_layout``, and each offset is one
-slice gather from its table over the padded rows of the whole batch: a
-padding row has entry 0, whose row of every table is zero, so no offset
-reaches from one text into the next.  The padding rows between texts
-are scored too and then dropped, which measured faster than gathering
-the token rows alone, and the token rows then add their patterns, coded
-by ``features.pattern_codes`` as training codes them, in one more
-gather.  :func:`viterbi` then decodes every text at once on the packed
+token texts are laid out as ``features.padded_layout`` lays them
+(``features.padded_rows``), each row holding its text's memo row, and
+each offset is one slice gather from its table over the padded rows of
+the whole batch: a padding row has entry 0, whose row of every table is
+zero, so no offset reaches from one text into the next.  The padding
+rows between texts are scored too and then dropped, which measured
+faster than gathering the token rows alone, and the token rows then add
+their patterns, coded by ``features.pattern_codes`` as training codes
+them, in one more gather.  :func:`viterbi` then decodes every text at once on the packed
 layout, with max-plus steps only.  A text of T tokens is cut into
 blocks of about sqrt(T / 3) tokens from its own first token and decoded
 by a blocked scan, in about 3 * sqrt(T) steps instead of one per token;
@@ -101,6 +110,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
@@ -112,8 +122,8 @@ from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
 from .features import (
     FEATURE_FINGERPRINT, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE,
-    PATTERN_VALUES, TEMPLATES, factored_features, indicators, padded_layout, parse_indicator,
-    pattern_codes,
+    PATTERN_VALUES, TEMPLATES, _token_attrs, factored_features, indicators, padded_rows,
+    parse_indicator, pattern_codes,
 )
 from .optim import dot, minimize_lbfgs
 from .spans import LABELS
@@ -205,14 +215,73 @@ def _encode_rows(feature_maps: Iterable[dict], index: dict[str, int]):
     )
 
 
+# the most token texts a memo holds rows for, unless one call alone brings
+# more: a text's rows are 2 * MAX_RADIUS + 1 planes of N_LABELS doubles,
+# 840 bytes, so the tables stay under 13.8 MB
+_MEMO_TEXTS = 16_384
+
+
+class _TextMemo:
+    """The offset-table rows (see :func:`_offset_tables`) of every token
+    text scored under one parse, kept from call to call, so that a call
+    folds rows only for the texts new to the memo.
+
+    ``tables`` is (planes, capacity, L): row 0 is the zero padding row,
+    and row ``index[text]`` is that text's row at every plane.  Rows once
+    written never change.  Growing copies them into a new array, and a
+    call whose new texts would take the memo past ``_MEMO_TEXTS`` texts
+    starts a new index and array that hold its own texts only, so the
+    memo holds at most max(_MEMO_TEXTS, one call's distinct texts) rows.
+    A row depends on its own text alone, so scores do not depend on what
+    the memo holds.  Callers read and extend the index and the tables
+    under ``lock``, then gather from the array they were handed without
+    it."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.index: dict[str, int] = {}
+        self.tables = np.zeros((2 * MAX_RADIUS + 1, 1, N_LABELS))
+
+    def rows(self, compiled: CompiledModel, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(tables, the row of each of *texts*), with the rows of the
+        texts the memo lacks folded in first."""
+        with self.lock:
+            index = self.index
+            new = [text for text in dict.fromkeys(texts) if text not in index]
+            if new:
+                if len(index) + len(new) > _MEMO_TEXTS:
+                    index = self.index = {}
+                    self.tables = np.zeros((len(self.tables), 1, N_LABELS))
+                    new = list(dict.fromkeys(texts))
+                tables, held = self.tables, 1 + len(index)
+                filled = held + len(new)
+                if filled > tables.shape[1]:
+                    capacity = max(filled, min(2 * filled, _MEMO_TEXTS + 1))
+                    tables = np.zeros((len(tables), capacity, N_LABELS))
+                    tables[:, :held] = self.tables[:, :held]
+                    self.tables = tables
+                # _TABLE_CHUNK texts at a time, so the folding scratch stays that size
+                for lo in range(0, len(new), _TABLE_CHUNK):
+                    part = [None, *map(_token_attrs, new[lo : lo + _TABLE_CHUNK])]
+                    rows = slice(held + lo, held + lo + len(part) - 1)
+                    tables[:, rows] = _offset_tables(compiled, part)[:, 1:]
+                index.update(zip(new, range(held, filled)))
+            entries = np.fromiter(map(index.__getitem__, texts), dtype=np.intp, count=len(texts))
+            return self.tables, entries
+
+
 class CompiledModel(NamedTuple):
     """The live state weights of a :class:`CrfModel`, parsed once to score
     tokens without feature maps; built by :func:`compile_model`.
 
-    A call scores its tokens through one table per window offset, built by
-    :func:`_offset_tables` over the distinct texts of the call, and through
-    ``pattern``.  Plane p of ``weights`` and of the tables holds offset
-    p - MAX_RADIUS, so the offsets within a radius r are planes
+    A call scores its tokens through one table per window offset, whose
+    rows, one per token text, ``memo`` keeps across calls under this parse
+    (folded by :func:`_offset_tables` for the texts it lacks, so the first
+    call after a parse folds all of its texts), and through ``pattern``.
+    The memo holds at most max(_MEMO_TEXTS, one call's distinct texts)
+    rows, 840 bytes each, and starts anew when a call would take it past
+    ``_MEMO_TEXTS`` texts.  Plane p of ``weights`` and of the tables holds
+    offset p - MAX_RADIUS, so the offsets within a radius r are planes
     MAX_RADIUS - r to MAX_RADIUS + r."""
 
     transitions: np.ndarray
@@ -225,6 +294,7 @@ class CompiledModel(NamedTuple):
     weights: np.ndarray  # (planes, ids, L): the row an id adds at a plane
     # (PATTERN_SIDE ** 2, L): the row each position pattern adds, bias included
     pattern: np.ndarray
+    memo: _TextMemo  # the parse's table rows of the texts scored so far
 
 
 _PATTERN_KEY = {key: j for j, key in enumerate(PATTERN_KEYS)}
@@ -233,9 +303,10 @@ _PATTERN_KEY = {key: j for j, key in enumerate(PATTERN_KEYS)}
 _PATTERN_ROWS = PATTERN_VALUES.T + 3 * np.arange(len(PATTERN_KEYS))[:, None]
 
 
-# (keys, row bytes, categories, weights, pattern) of the model parsed
-# last.  It is replaced by one assignment and read once into a local, so
-# concurrent callers each see one model's whole parse.
+# (keys, row bytes, categories, weights, pattern, memo) of the model
+# parsed last.  It is replaced by one assignment and read once into a
+# local, so concurrent callers each see one model's whole parse; a new
+# parse comes with an empty memo.
 _last_parse: tuple | None = None
 
 
@@ -248,8 +319,9 @@ def compile_model(model: CrfModel) -> CompiledModel:
     reused while the state weights are the same content: the same keys in
     the same order, and rows equal byte for byte (``tobytes``, so ``-0.0``
     differs from ``0.0`` and a NaN equals its own bits), so a model
-    changed between calls compiles its new weights.  Its ``weights`` and
-    ``pattern`` are read-only.  Indicators the feature set cannot emit,
+    changed between calls compiles its new weights, and a parse made anew
+    starts an empty ``memo``.  Its ``weights`` and ``pattern`` are
+    read-only.  Indicators the feature set cannot emit,
     such as ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``, score
     zero on the reference path and are dropped.  The pattern table folds
     ``bias`` and then each key of ``PATTERN_KEYS`` over
@@ -286,19 +358,19 @@ def compile_model(model: CrfModel) -> CompiledModel:
     for term in np.take(flags.reshape(-1, N_LABELS), _PATTERN_ROWS, axis=0):
         pattern += term
     weights.flags.writeable = pattern.flags.writeable = False
-    _last_parse = (keys, content, categories, weights, pattern)
-    return CompiledModel(model.transitions, model.start, model.end, categories, weights, pattern)
+    _last_parse = (keys, content, categories, weights, pattern, _TextMemo())
+    return CompiledModel(model.transitions, model.start, model.end, *_last_parse[2:])
 
 
 _TABLE_CHUNK = 4096  # entries whose rows a column folds at a time
 
 
 def _offset_tables(compiled: CompiledModel, attrs: Sequence) -> np.ndarray:
-    """(planes, len(attrs), L) tables over the entries of a
-    ``features.padded_layout``: row k of plane p sums, from zero, the
-    weight rows of the keys that entry k gives at offset p - MAX_RADIUS,
-    column by column in ``TEMPLATES`` order, the order its text fragment
-    lists them.  A column folds over the planes its radius reaches, and
+    """(planes, len(attrs), L) tables over *attrs*, ``_token_attrs``
+    tuples after a None, as in ``features.padded_layout``: row k of plane
+    p sums, from zero, the weight rows of the keys that entry k gives at
+    offset p - MAX_RADIUS, column by column in ``TEMPLATES`` order, the
+    order its text fragment lists them.  A column folds over the planes its radius reaches, and
     over _TABLE_CHUNK entries at a time, so its scratch stays that size
     however many entries there are; the centre's holds no ``space``
     weight, as ``0:space`` parses to None.  Row 0, padding, is zero."""
@@ -330,22 +402,24 @@ def _token_unary(
     given *lengths*: training's ``B @ (W @ state)``, the fragments' rows
     summed from zero from offset -MAX_RADIUS to MAX_RADIUS and then the
     pattern's."""
-    attrs, which = padded_layout(texts, lengths)
-    tables = _offset_tables(compiled, attrs)
+    tables, entries = compiled.memo.rows(compiled, texts)
+    which = padded_rows(entries, lengths)
     # U row j is padded row MAX_RADIUS + j, from the first token to the
     # last, so table p, offset p - MAX_RADIUS, reads padded row p + j
     rows = len(which) - 2 * MAX_RADIUS
     U = np.zeros((rows, N_LABELS))
     term = np.empty_like(U)
     # every id is in range, so "clip" changes none; it spares take() the
-    # copy of *out* that the default mode makes
+    # copy of *out* that the default mode makes.  The method, not np.take,
+    # whose Python wrapper took about 30 us of a 105-token text's 22
+    # gathers on a 2-core x86_64 box
     for p, table in enumerate(tables):
-        U += np.take(table, which[p : p + rows], axis=0, out=term, mode="clip")
+        U += table.take(which[p : p + rows], axis=0, out=term, mode="clip")
     if rows > len(texts):
         # the token rows, gathered into the scratch rows that U is done with
         live = np.flatnonzero(which[MAX_RADIUS : MAX_RADIUS + rows])
-        U, term = np.take(U, live, axis=0, out=term[: len(texts)], mode="clip"), U[: len(texts)]
-    U += np.take(compiled.pattern, pattern_codes(lengths), axis=0, out=term, mode="clip")
+        U, term = U.take(live, axis=0, out=term[: len(texts)], mode="clip"), U[: len(texts)]
+    U += compiled.pattern.take(pattern_codes(lengths), axis=0, out=term, mode="clip")
     return U
 
 

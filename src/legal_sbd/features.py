@@ -177,14 +177,21 @@ def padded_layout(texts: Sequence[str], lengths: Sequence[int]) -> tuple[list, n
     ids = dict(zip(distinct, range(1, len(distinct) + 1)))
     attrs = [None, *map(_token_attrs, distinct)]
     entries = np.fromiter(map(ids.__getitem__, texts), dtype=np.intp, count=len(texts))
-    which = np.zeros(len(texts) + MAX_RADIUS * (len(lengths) + 1), dtype=np.intp)
+    return attrs, padded_rows(entries, lengths)
+
+
+def padded_rows(entries: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """The *entries* of consecutive sequences of the given *lengths*, one
+    per token, laid out as :func:`padded_layout` lays their texts: the
+    entry of every padded row, 0 for a padding row."""
+    which = np.zeros(len(entries) + MAX_RADIUS * (len(lengths) + 1), dtype=np.intp)
     row = pos = 0
     for n in lengths:
         row += MAX_RADIUS
         which[row : row + n] = entries[pos : pos + n]
         row += n
         pos += n
-    return attrs, which
+    return which
 
 
 def _merged_features(fragments: list[dict], row) -> dict:

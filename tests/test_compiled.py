@@ -9,7 +9,9 @@ state)`` over the same sequences the scores it must equal bit for bit."""
 import copy
 import functools
 import importlib.util
+import threading
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from legal_sbd.features import COLUMNS, MAX_RADIUS, parse_indicator, sequence_fe
 from legal_sbd.spans import LABELS
 from legal_sbd.synthetic import make_corpus
 from legal_sbd.tokenizer import tokenize
+import strategies
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -170,6 +173,174 @@ def test_offset_tables_scratch_stays_bounded(small_model):
     chunk = crf._TABLE_CHUNK
     for k in (1, chunk - 1, chunk, chunk + 1, len(attrs) - 1):
         np.testing.assert_array_equal(_offset_tables(compiled, [None, attrs[k]])[:, 1], tables[:, k])
+
+
+def bits(U: np.ndarray) -> np.ndarray:
+    """The doubles of *U* as integers, so -0.0 and 0.0 differ."""
+    return U.view(np.int64)
+
+
+def empty_memo(compiled):
+    """*compiled* with a memo that holds no text yet."""
+    return compiled._replace(memo=crf._TextMemo())
+
+
+# two models for the explicit example of the memo test
+FIXED_MODEL = CrfModel(
+    {"0:lowercase=art": np.arange(5.0), "+1:special=End": -np.arange(5.0), "0:length": np.ones(5),
+     "-2:sign=c": np.full(5, 0.5), "bias": np.linspace(-1, 1, 5)},
+    np.eye(5), np.zeros(5), np.arange(5.0),
+)
+FIXED_RIVAL = CrfModel({"0:lowercase=a": np.ones(5)}, np.zeros((5, 5)), np.ones(5), np.zeros(5))
+
+
+@given(text=strategies.TEXTS, other=strategies.TEXTS, data=st.data())
+@example(text="Art. 5 a\r\nb", other="a b. Art.", data=None)
+@settings(max_examples=150, deadline=None)
+def test_memo_never_changes_a_score(text, other, data):
+    # every memo state gives the reference path's unary bits and labels
+    tokens, others = tokenize(text), texts_of(tokenize(other))
+    if not tokens:
+        return
+    texts = texts_of(tokens)
+    if data is None:  # the explicit example: two fixed models
+        model, rival = copy.deepcopy(FIXED_MODEL), copy.deepcopy(FIXED_RIVAL)
+    else:
+        model, rival = random_model(data, tokens), random_model(data, tokenize(other) or tokens)
+    # a key no token gives, so the rival's parse is never the model's
+    rival.state_weights["+1:lowercase=two words"] = np.ones(len(LABELS))
+    reference = bits(_unary_matrix(model, sequence_features(tokens)))
+    labels = viterbi(model, sequence_features(tokens))
+
+    def check(compiled):
+        assert np.array_equal(bits(_unary_matrix(compiled, texts)), reference)
+        assert viterbi(compiled, texts) == labels
+
+    check(empty_memo(compile_model(model)))  # cold
+    warm = empty_memo(compile_model(model))
+    if others:
+        _unary_matrix(warm, others)
+    check(warm)  # holding other texts
+    check(warm)  # holding the text's own too
+    if others:  # batched and alone agree on a warm memo
+        both = [len(others), len(texts)]
+        assert viterbi(warm, others + texts, both)[len(others) :] == labels
+        U = _unary_matrix(warm, others + texts, both)
+        assert np.array_equal(bits(U[len(others) :]), reference)
+    # another model compiled in between: a new parse, with an empty memo,
+    # while the stale compiled model keeps scoring through its own
+    first = compile_model(model)
+    check(first)
+    _unary_matrix(compile_model(rival), others or texts)
+    again = compile_model(model)
+    assert again.memo is not first.memo and not again.memo.index
+    check(again)
+    check(first)
+    # a reset forced by a small cap
+    cap = 1 if data is None else data.draw(st.integers(1, 4), label="cap")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crf, "_MEMO_TEXTS", cap)
+        small = empty_memo(compile_model(model))
+        if others:
+            _unary_matrix(small, others)
+        check(small)
+        # at most the cap or the texts of the call that started it afresh
+        bound = max(cap, len(set(others)), len(set(texts)))
+        assert len(small.memo.index) <= bound
+        assert small.memo.tables.shape[1] <= bound + 1
+
+
+def test_memo_folds_only_the_texts_it_lacks(small_model, monkeypatch):
+    attrs_of, folded_rows = [], []
+    token_attrs, offset_tables = crf._token_attrs, crf._offset_tables
+
+    def counting_attrs(text):
+        attrs_of.append(text)
+        return token_attrs(text)
+
+    def counting_tables(compiled, attrs):
+        folded_rows.append(len(attrs) - 1)
+        return offset_tables(compiled, attrs)
+
+    monkeypatch.setattr(crf, "_token_attrs", counting_attrs)
+    monkeypatch.setattr(crf, "_offset_tables", counting_tables)
+    monkeypatch.setattr(crf, "_last_parse", None)
+    docs = make_corpus(6, seed=4711)
+    held: set[str] = set()
+    for doc in docs:
+        texts = set(texts_of(tokenize(doc.text)))
+        attrs_of.clear()
+        folded_rows.clear()
+        pipeline.predict_documents(small_model, [doc])
+        # each text the memo lacked is folded once, and no text it held
+        assert sorted(attrs_of) == sorted(texts - held)
+        assert sum(folded_rows) == len(attrs_of)
+        held |= texts
+    attrs_of.clear()
+    folded_rows.clear()
+    pipeline.predict_documents(small_model, docs)
+    assert attrs_of == [] and folded_rows == []
+
+
+def test_memo_memory_stays_bounded(small_model, monkeypatch):
+    # 50,000 distinct texts in calls of 6,000 and one of 20,000: the memo
+    # holds at most max(cap, one call's distinct texts) rows, and what a
+    # call leaves allocated is those rows and their index
+    monkeypatch.setattr(crf, "_last_parse", None)
+    compiled = compile_model(small_model)
+    memo, cap = compiled.memo, crf._MEMO_TEXTS
+    per_text = compiled.weights.shape[0] * len(LABELS) * 8  # one text's rows
+    words = (f"w{i}" for i in range(50_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for size in (6_000, 6_000, 20_000, 6_000, 6_000, 6_000):
+            _unary_matrix(compiled, list(islice(words, size)))
+            bound = max(cap, size)
+            assert len(memo.index) <= bound
+            assert memo.tables.shape[1] <= bound + 1
+            left = tracemalloc.get_traced_memory()[0] - before
+            assert left <= (bound + 1) * per_text + 256 * len(memo.index) + 2**20
+    finally:
+        tracemalloc.stop()
+    assert next(words, None) is None
+    assert len(memo.index) == 6_000  # the last reset kept the last call's texts
+
+
+def test_threads_predict_as_serially(small_model, monkeypatch):
+    # 4 threads predict interleaved documents under two alternating models,
+    # each in its own order, and each gets the serial predictions; a small
+    # cap makes the shared memos reset while they run
+    rival = copy.deepcopy(small_model)
+    for row in rival.state_weights.values():
+        row *= -0.5
+    rival.transitions = rival.transitions[::-1].copy()
+    docs = make_corpus(12, seed=2718)
+    jobs = [(small_model if i % 2 else rival, doc) for i, doc in enumerate(docs)]
+    serial = [pipeline.predict_documents(model, [doc])[0] for model, doc in jobs]
+    assert serial[0].spans != pipeline.predict_documents(small_model, [docs[0]])[0].spans
+    monkeypatch.setattr(crf, "_MEMO_TEXTS", 64)
+    start = threading.Barrier(4)
+    got: dict[int, list] = {}
+
+    def work(t):
+        order = list(range(t, len(jobs))) + list(range(t))
+        start.wait()
+        out = {}
+        for _ in range(3):
+            for i in order:
+                model, doc = jobs[i]
+                out.setdefault(i, []).append(pipeline.predict_documents(model, [doc])[0])
+        got[t] = [out[i] for i in range(len(jobs))]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(got) == [0, 1, 2, 3]
+    for t in got:
+        assert got[t] == [[want] * 3 for want in serial], t
 
 
 def load_workloads():
