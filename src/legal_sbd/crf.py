@@ -217,7 +217,8 @@ def _encode_rows(feature_maps: Iterable[dict], index: dict[str, int]):
 
 # the most token texts a memo holds rows for, unless one call alone brings
 # more: a text's rows are 2 * MAX_RADIUS + 1 planes of N_LABELS doubles,
-# 840 bytes, so the tables stay under 13.8 MB
+# 840 bytes, so the tables stay under 13.8 MB; the index adds each text
+# and its dict entry
 _MEMO_TEXTS = 16_384
 
 
@@ -279,8 +280,9 @@ class CompiledModel(NamedTuple):
     (folded by :func:`_offset_tables` for the texts it lacks, so the first
     call after a parse folds all of its texts), and through ``pattern``.
     The memo holds at most max(_MEMO_TEXTS, one call's distinct texts)
-    rows, 840 bytes each, and starts anew when a call would take it past
-    ``_MEMO_TEXTS`` texts.  Plane p of ``weights`` and of the tables holds
+    rows, 840 bytes each, starts anew when a call would take it past
+    ``_MEMO_TEXTS`` texts, and is shared by concurrent callers under its
+    one lock.  Plane p of ``weights`` and of the tables holds
     offset p - MAX_RADIUS, so the offsets within a radius r are planes
     MAX_RADIUS - r to MAX_RADIUS + r."""
 
