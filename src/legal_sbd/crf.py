@@ -44,15 +44,10 @@ texts (:func:`_offset_tables`): a text's row sums, from zero, the weight
 rows of the keys it gives at d, column by column in
 ``features.TEMPLATES`` order, which is the order every fragment, the
 centre's included, lists its keys, as ``W @ state`` sums that
-fragment's row.  The rows are kept across calls in a memo of the parse
-(:class:`_TextMemo`, keyed by each token text), so a call folds rows
-only for the texts the memo lacks, and the first call after a model is
-parsed folds all of its own.  A new parse starts an empty memo.  The
-memo holds at most ``_MEMO_TEXTS`` texts, 840 bytes each (about
-13.8 MB), or one call's distinct texts if that is more: a call whose new
-texts would take it past the bound starts a fresh memo of its own texts.
-Rows once written never change, so what the memo holds does not change
-a score, and concurrent callers read and extend it under its one lock.
+fragment's row.  The parse keeps these rows across calls in its memo,
+:class:`_TextMemo` (its bound, reset rule and lock are stated there), so
+a call folds rows only for the texts the memo lacks, and the first call
+after a model is parsed folds all of its own.
 
 This is where bit identity is anchored.  On the same tokens, the
 compiled scores, the reference path's scores of a ``SequenceFeatures``
@@ -73,8 +68,8 @@ zero, so no offset reaches from one text into the next.  The padding
 rows between texts are scored too and then dropped, which measured
 faster than gathering the token rows alone, and the token rows then add
 their patterns, coded by ``features.pattern_codes`` as training codes
-them, in one more gather.  :func:`viterbi` then decodes every text at once on the packed
-layout, with max-plus steps only.  A text of T tokens is cut into
+them, in one more gather.  :func:`viterbi` then decodes every text at
+once on the packed layout, with max-plus steps only.  A text of T tokens is cut into
 blocks of about sqrt(T / 3) tokens from its own first token and decoded
 by a blocked scan, in about 3 * sqrt(T) steps instead of one per token;
 a text shorter than ``_MIN_CUT`` tokens takes one step per token.  The
@@ -215,11 +210,14 @@ def _encode_rows(feature_maps: Iterable[dict], index: dict[str, int]):
     )
 
 
-# the most token texts a memo holds rows for, unless one call alone brings
-# more: a text's rows are 2 * MAX_RADIUS + 1 planes of N_LABELS doubles,
-# 840 bytes, so the tables stay under 13.8 MB; the index adds each text
-# and its dict entry
+# the most token texts, and characters of them, that a memo holds, unless
+# one call alone brings more: a text's rows are 2 * MAX_RADIUS + 1 planes
+# of N_LABELS doubles, 840 bytes, so the tables stay under 13.8 MB, and
+# the index's keys hold at most 2 ** 18 characters (1 MB even at 4 bytes
+# a character) plus about 150 bytes of string header and dict slot per
+# text (2.5 MB)
 _MEMO_TEXTS = 16_384
+_MEMO_CHARS = 2**18
 
 
 class _TextMemo:
@@ -227,20 +225,25 @@ class _TextMemo:
     text scored under one parse, kept from call to call, so that a call
     folds rows only for the texts new to the memo.
 
-    ``tables`` is (planes, capacity, L): row 0 is the zero padding row,
-    and row ``index[text]`` is that text's row at every plane.  Rows once
-    written never change.  Growing copies them into a new array, and a
-    call whose new texts would take the memo past ``_MEMO_TEXTS`` texts
-    starts a new index and array that hold its own texts only, so the
-    memo holds at most max(_MEMO_TEXTS, one call's distinct texts) rows.
-    A row depends on its own text alone, so scores do not depend on what
-    the memo holds.  Callers read and extend the index and the tables
-    under ``lock``, then gather from the array they were handed without
-    it."""
+    A new parse starts an empty memo, so the first call after a model is
+    parsed folds rows for all of its texts.  ``tables`` is (planes,
+    capacity, L): row 0 is the zero padding row, and row ``index[text]``
+    is that text's row at every plane.  Rows once written never change.
+    Growing copies them into a new array, and a call whose new texts
+    would take the memo past ``_MEMO_TEXTS`` texts or ``_MEMO_CHARS``
+    characters of them starts a new index and array that hold its own
+    texts only.  So the memo holds at most max(_MEMO_TEXTS, one call's
+    distinct texts) rows, at most 13.8 MB, and keys of at most
+    max(_MEMO_CHARS, one call's distinct characters) characters, at most
+    3.5 MB more (see ``_MEMO_CHARS``).  A row depends on its own text
+    alone, so scores do not depend on what the memo holds.  Callers read
+    and extend the index and the tables under ``lock``, then gather from
+    the array they were handed without it."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.index: dict[str, int] = {}
+        self.chars = 0  # the characters of the texts in index
         self.tables = np.zeros((2 * MAX_RADIUS + 1, 1, N_LABELS))
 
     def rows(self, compiled: CompiledModel, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -250,10 +253,12 @@ class _TextMemo:
             index = self.index
             new = [text for text in dict.fromkeys(texts) if text not in index]
             if new:
-                if len(index) + len(new) > _MEMO_TEXTS:
+                chars = self.chars + sum(map(len, new))
+                if len(index) + len(new) > _MEMO_TEXTS or chars > _MEMO_CHARS:
                     index = self.index = {}
                     self.tables = np.zeros((len(self.tables), 1, N_LABELS))
                     new = list(dict.fromkeys(texts))
+                    chars = sum(map(len, new))
                 tables, held = self.tables, 1 + len(index)
                 filled = held + len(new)
                 if filled > tables.shape[1]:
@@ -261,12 +266,10 @@ class _TextMemo:
                     tables = np.zeros((len(tables), capacity, N_LABELS))
                     tables[:, :held] = self.tables[:, :held]
                     self.tables = tables
-                # _TABLE_CHUNK texts at a time, so the folding scratch stays that size
-                for lo in range(0, len(new), _TABLE_CHUNK):
-                    part = [None, *map(_token_attrs, new[lo : lo + _TABLE_CHUNK])]
-                    rows = slice(held + lo, held + lo + len(part) - 1)
-                    tables[:, rows] = _offset_tables(compiled, part)[:, 1:]
+                attrs = [None, *map(_token_attrs, new)]
+                tables[:, held:filled] = _offset_tables(compiled, attrs)[:, 1:]
                 index.update(zip(new, range(held, filled)))
+                self.chars = chars
             entries = np.fromiter(map(index.__getitem__, texts), dtype=np.intp, count=len(texts))
             return self.tables, entries
 
@@ -276,15 +279,11 @@ class CompiledModel(NamedTuple):
     tokens without feature maps; built by :func:`compile_model`.
 
     A call scores its tokens through one table per window offset, whose
-    rows, one per token text, ``memo`` keeps across calls under this parse
-    (folded by :func:`_offset_tables` for the texts it lacks, so the first
-    call after a parse folds all of its texts), and through ``pattern``.
-    The memo holds at most max(_MEMO_TEXTS, one call's distinct texts)
-    rows, 840 bytes each, starts anew when a call would take it past
-    ``_MEMO_TEXTS`` texts, and is shared by concurrent callers under its
-    one lock.  Plane p of ``weights`` and of the tables holds
-    offset p - MAX_RADIUS, so the offsets within a radius r are planes
-    MAX_RADIUS - r to MAX_RADIUS + r."""
+    rows, one per token text, ``memo`` (:class:`_TextMemo`) keeps across
+    calls under this parse, and through ``pattern``.  Plane p of
+    ``weights`` and of the tables holds offset p - MAX_RADIUS, so the
+    offsets within a radius r are planes MAX_RADIUS - r to
+    MAX_RADIUS + r."""
 
     transitions: np.ndarray
     start: np.ndarray
@@ -322,8 +321,8 @@ def compile_model(model: CrfModel) -> CompiledModel:
     the same order, and rows equal byte for byte (``tobytes``, so ``-0.0``
     differs from ``0.0`` and a NaN equals its own bits), so a model
     changed between calls compiles its new weights, and a parse made anew
-    starts an empty ``memo``.  Its ``weights`` and ``pattern`` are
-    read-only.  Indicators the feature set cannot emit,
+    starts an empty ``memo`` (:class:`_TextMemo`).  Its ``weights`` and
+    ``pattern`` are read-only.  Indicators the feature set cannot emit,
     such as ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``, score
     zero on the reference path and are dropped.  The pattern table folds
     ``bias`` and then each key of ``PATTERN_KEYS`` over
@@ -372,10 +371,11 @@ def _offset_tables(compiled: CompiledModel, attrs: Sequence) -> np.ndarray:
     tuples after a None, as in ``features.padded_layout``: row k of plane
     p sums, from zero, the weight rows of the keys that entry k gives at
     offset p - MAX_RADIUS, column by column in ``TEMPLATES`` order, the
-    order its text fragment lists them.  A column folds over the planes its radius reaches, and
-    over _TABLE_CHUNK entries at a time, so its scratch stays that size
-    however many entries there are; the centre's holds no ``space``
-    weight, as ``0:space`` parses to None.  Row 0, padding, is zero."""
+    order its text fragment lists them.  A column folds over the planes
+    its radius reaches, and over _TABLE_CHUNK entries at a time, so its
+    scratch stays that size however many entries there are; the centre's
+    holds no ``space`` weight, as ``0:space`` parses to None.  Row 0,
+    padding, is zero."""
     values = list(zip(*attrs[1:]))  # column c -> its value for each entry
     tables = np.zeros((len(compiled.weights), len(attrs), N_LABELS))
     for c, (name, radius) in enumerate(TEMPLATES):

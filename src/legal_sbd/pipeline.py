@@ -138,13 +138,10 @@ def _predicted_columns(model: CrfModel, texts: list[str]) -> list[tuple[TokenCol
     byte for byte those of the model compiled last reuses that parse (see
     :func:`~legal_sbd.crf.compile_model`), and a changed model is parsed
     anew, so it predicts with its new weights.  A parse keeps each token
-    text's rows of the offset tables in a memo across calls, so a call
-    folds tables only for texts that no earlier call under the same parse
-    scored, and the first call on a newly parsed model pays for folding
-    all of its texts.  The memo holds at most ``crf._MEMO_TEXTS`` texts,
-    about 13.8 MB, or one call's distinct texts if more, and starts afresh
-    when a call would pass that bound; it is shared by concurrent callers
-    under one lock and never changes a label.  The tokens of all
+    text's rows of the offset tables across calls in a bounded memo
+    (:class:`~legal_sbd.crf._TextMemo`), so the first call on a newly
+    parsed model folds all of its texts and later calls only texts new to
+    it; what the memo holds never changes a label.  The tokens of all
     non-empty texts are scored and decoded as one batch, by one
     :func:`~legal_sbd.crf.viterbi` call, and each text's labels are the
     ones it would get alone; an empty text gets no labels."""

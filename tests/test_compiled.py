@@ -223,18 +223,23 @@ def test_memo_never_changes_a_score(text, other, data):
     assert again.memo is not first.memo and not again.memo.index
     check(again)
     check(first)
-    # a reset forced by a small cap
+    # a reset forced by a small cap on texts or on their characters
     cap = data.draw(st.integers(1, 4), label="cap")
+    chars_cap = data.draw(st.integers(1, 40), label="chars_cap")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(crf, "_MEMO_TEXTS", cap)
+        patch.setattr(crf, "_MEMO_CHARS", chars_cap)
         small = empty_memo(compile_model(model))
         if others:
             _unary_matrix(small, others)
         check(small)
-        # at most the cap or the texts of the call that started it afresh
+        # at most the caps or the texts of the call that started it afresh
         bound = max(cap, len(set(others)), len(set(texts)))
         assert len(small.memo.index) <= bound
         assert small.memo.tables.shape[1] <= bound + 1
+        held = sum(map(len, small.memo.index))
+        assert small.memo.chars == held
+        assert held <= max(chars_cap, *(sum(map(len, set(t))) for t in (others, texts)))
 
 
 def test_memo_folds_only_the_texts_it_lacks(small_model, monkeypatch):
@@ -292,6 +297,30 @@ def test_memo_memory_stays_bounded(small_model, monkeypatch):
         tracemalloc.stop()
     assert next(words, None) is None
     assert len(memo.index) == 6_000  # the last reset kept the last call's texts
+
+
+def test_memo_bounds_the_characters_it_keeps(small_model, monkeypatch):
+    # 2,000 texts of 1,000 characters at 4 bytes each, in calls of 100: the
+    # memo keeps the characters of at most max(cap, one call's) of them, and
+    # what a call leaves allocated is its rows, those characters at 4 bytes
+    # and the index, however long the texts are
+    monkeypatch.setattr(crf, "_last_parse", None)
+    compiled = compile_model(small_model)
+    memo, cap = compiled.memo, crf._MEMO_CHARS
+    words = [f"{i:05d}".rjust(1_000, "\N{MATHEMATICAL FRAKTUR SMALL A}") for i in range(2_000)]
+    call = 100 * 1_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for lo in range(0, len(words), 100):
+            _unary_matrix(compiled, words[lo : lo + 100])
+            held = sum(map(len, memo.index))
+            assert memo.chars == held <= max(cap, call)
+            left = tracemalloc.get_traced_memory()[0] - before
+            assert left <= memo.tables.nbytes + 4 * max(cap, call) + 256 * len(memo.index) + 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(memo.index) < len(words) // 2
 
 
 def test_threads_predict_as_serially(small_model, monkeypatch):
