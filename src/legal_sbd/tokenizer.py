@@ -16,32 +16,42 @@ Rules:
 * maximal runs of any other whitespace form one ``whitespace`` token;
 * every remaining character is a single ``other`` token.
 
-The rules are one regular expression.  Each character maps to a class
-code -- ``l`` newline (``\\n`` or ``\\r``), ``s`` other whitespace, ``w``
-letter, ``n`` decimal digit, ``m`` combining mark (Mn), ``o`` anything
-else, checked in that order -- and the tokens are the matches of
-``w[wm]*|n+|s+|.`` over the codes, left to right.  A token's kind comes
-from its first code; a mark that starts a token is ``other``.  A
+Each character maps to a class code -- ``l`` newline (``\\n`` or
+``\\r``), ``s`` other whitespace, ``w`` letter, ``n`` decimal digit, ``m``
+combining mark (Mn), ``o`` anything else, checked in that order.  A
 process-wide :class:`CharTable` classifies a code point the first time
 any text meets it, and a text's codes are one gather of its code points
-from a byte array that mirrors the table (:func:`_class_codes`).
+from a byte array that mirrors the table (:func:`_class_codes`).  The
+boundaries follow from the codes alone:
+
+1. every run of marks right after a letter joins that letter's word: its
+   codes become ``w``;
+2. a token starts at the first character, wherever a code differs from
+   the one before it, and at every ``l``, ``o`` and remaining ``m``.
+
+A token's kind comes from its first code; a mark that starts a token is
+``other``.  This gives the tokens that matching ``w[wm]*|n+|s+|.`` over
+the codes, left to right, gives; the tests keep that regular expression
+as the reference (``tests/oracles.py``).
 
 A lone carriage return is treated as a newline token; the corpus loader
 normalizes ``\\r\\n`` to ``\\n`` before text reaches the tokenizer.
 
 A text's tokens are built once, as columns (:class:`TokenColumns`: the
 token texts, their end offsets and each token's first class code), by
-:func:`_token_columns` with a few C-level passes and no Python object per
-token beyond its text and end offset.  Prediction, evaluation, training
-labels, corpus statistics and the rule baseline read these columns, and
-:func:`token_ranges` maps character spans onto token indices from the end
-offsets alone.  A token's kind follows from its first character's class,
-so :func:`token_kind` gives it from the text alone.  :func:`tokenize` is
-the same builder plus one :class:`Token` per token, made by
-:func:`_column_tokens` with one ``map`` of ``tuple.__new__`` over the
-columns' zip and no Python-level call per token; being a
-:class:`~typing.NamedTuple`, a ``Token`` equals the plain tuple
-``(text, start, end, kind)``.
+:func:`_token_columns`: the boundary rule is a few array operations over
+the code bytes (one regular-expression substitution over them folds the
+marks, only when a text holds one), and the only Python object made per
+token is its text, one slice of the input, and its end offset.
+Prediction, evaluation, training labels, corpus statistics and the rule
+baseline read these columns, and :func:`token_ranges` maps character
+spans onto token indices from the end offsets alone.  A token's kind
+follows from its first character's class, so :func:`token_kind` gives it
+from the text alone.  :func:`tokenize` is the same builder plus one
+:class:`Token` per token, made by :func:`_column_tokens` with one ``map``
+of ``tuple.__new__`` over the columns' zip and no Python-level call per
+token; being a :class:`~typing.NamedTuple`, a ``Token`` equals the plain
+tuple ``(text, start, end, kind)``.
 """
 
 from __future__ import annotations
@@ -50,8 +60,6 @@ import re
 import sys
 import unicodedata
 from functools import partial
-from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -96,11 +104,15 @@ _CLASSES = CharTable(_classify)
 # byte k is the code _CLASSES holds for code point k, as ASCII, or 0 while
 # no text has held that code point
 _CLASS_BYTES = np.zeros(sys.maxunicode + 1, dtype=np.uint8)
-_RUN = re.compile(r"w[wm]*|n+|s+|.")
+# a run of marks right after a letter: it belongs to the letter's word
+_WORD_MARKS = re.compile(rb"(?<=w)m+")
 _KIND = {"w": WORD, "n": NUMBER, "s": WHITESPACE, "l": NEWLINE, "m": OTHER, "o": OTHER}
 SPACE_CODES = "".join(code for code, kind in _KIND.items() if kind in SPACE_KINDS)
 # a bytes.translate table: 1 for a class code outside SPACE_CODES, 0 for one in it
 SOLID_FLAGS = bytes(chr(byte) not in SPACE_CODES for byte in range(256))
+# a bytes.translate table: 1 for a class code that is a token of its own
+# character, whatever the code before it (l, o and m), 0 for any other
+_SINGLE_FLAGS = bytes(chr(byte) in "lom" for byte in range(256))
 
 
 class Token(NamedTuple):
@@ -133,28 +145,52 @@ class TokenColumns(NamedTuple):
     codes: str
 
 
-def _class_codes(text: str) -> str:
-    """``text.translate(_CLASSES)``: the class code of every character of
-    *text*, gathered from ``_CLASS_BYTES`` by code point.  Code points
-    that no text has held are classified through ``_CLASSES`` first.  A
-    translate looks each character up in a dict; the gather is a few
-    array operations, whatever the length of *text*."""
+def _code_array(text: str) -> np.ndarray:
+    """The class code of every character of *text*, as an array of ASCII
+    bytes gathered from ``_CLASS_BYTES`` by code point.  Code points that
+    no text has held are classified through ``_CLASSES`` first."""
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     codes = _CLASS_BYTES[points]
     if not codes.all():
         new = np.unique(points[codes == 0]).tolist()
         _CLASS_BYTES[new] = [ord(_CLASSES[point]) for point in new]
         codes = _CLASS_BYTES[points]
-    return codes.tobytes().decode("ascii")
+    return codes
+
+
+def _class_codes(text: str) -> str:
+    """``text.translate(_CLASSES)``: the class code of every character of
+    *text*, from :func:`_code_array`.  A translate looks each character up
+    in a dict; the gather is a few array operations, whatever the length
+    of *text*."""
+    return _code_array(text).tobytes().decode("ascii")
+
+
+def _fold_word_marks(run: re.Match) -> bytes:
+    return b"w" * len(run[0])
 
 
 def _token_columns(text: str) -> TokenColumns:
     """The tokens of *text* as :class:`TokenColumns`, by the rules of
-    :func:`tokenize`, which builds its tokens from them."""
-    runs = _RUN.findall(_class_codes(text))
-    ends = list(accumulate(map(len, runs)))
-    texts = [text[i:j] for i, j in zip([0, *ends], ends)]
-    return TokenColumns(texts, ends, "".join(map(itemgetter(0), runs)))
+    :func:`tokenize`, which builds its tokens from them: the boundary rule
+    of the module docstring over the class codes, as array operations."""
+    if not text:
+        return TokenColumns([], [], "")
+    codes = _code_array(text)
+    raw = codes.tobytes()
+    if b"m" in raw:
+        raw = _WORD_MARKS.sub(_fold_word_marks, raw)
+        codes = np.frombuffer(raw, dtype=np.uint8)
+    is_start = np.frombuffer(raw.translate(_SINGLE_FLAGS), dtype=np.bool_).copy()
+    is_start[0] = True
+    is_start[1:] |= codes[1:] != codes[:-1]
+    starts = np.flatnonzero(is_start)
+    firsts = starts.tolist()
+    ends = firsts[1:] + [len(text)]
+    texts = [text[i:j] for i, j in zip(firsts, ends)]
+    # a start is never a folded mark, so the folded codes are the first
+    # characters' classes
+    return TokenColumns(texts, ends, codes[starts].tobytes().decode("ascii"))
 
 
 def _column_tokens(columns: TokenColumns) -> list[Token]:
