@@ -21,42 +21,35 @@ Each character maps to a class code -- ``l`` newline (``\\n`` or
 combining mark (Mn), ``o`` anything else, checked in that order.  A
 process-wide :class:`CharTable` classifies a code point the first time
 any text meets it, and a text's codes are one gather of its code points
-from a byte array that mirrors the table (:func:`_class_codes`).  The
-boundaries follow from the codes alone:
-
-1. every run of marks right after a letter joins that letter's word: its
-   codes become ``w``;
-2. a token starts at the first character, wherever a code differs from
-   the one before it, and at every ``l``, ``o`` and remaining ``m``.
-
-A token's kind comes from its first code; a mark that starts a token is
-``other``.  This gives the tokens that matching ``w[wm]*|n+|s+|.`` over
-the codes, left to right, gives; the tests keep that regular expression
-as the reference (``tests/oracles.py``).
+from a byte array that mirrors the table (:func:`_code_array`).  The
+boundaries follow from the codes alone: each run of marks right after a
+letter joins that letter's word, and a token then starts at the first
+character, wherever a code differs from the one before it, and at every
+``l``, ``o`` and remaining ``m``.  These are the tokens of the matches of
+``w[wm]*|n+|s+|.`` over the codes, left to right, which the tests keep as
+the reference.  A token's kind comes from its first code; a mark that
+starts a token is ``other``.
 
 A lone carriage return is treated as a newline token; the corpus loader
 normalizes ``\\r\\n`` to ``\\n`` before text reaches the tokenizer.
 
 A text's tokens are built once, as columns (:class:`TokenColumns`: the
 token texts, their end offsets and each token's first class code), by
-:func:`_token_columns`: the boundary rule is a few array operations over
-the code bytes (one regular-expression substitution over them folds the
-marks, only when a text holds one), and the only Python object made per
-token is its text, one slice of the input, and its end offset.
-Prediction, evaluation, training labels, corpus statistics and the rule
-baseline read these columns, and :func:`token_ranges` maps character
-spans onto token indices from the end offsets alone.  A token's kind
-follows from its first character's class, so :func:`token_kind` gives it
-from the text alone.  :func:`tokenize` is the same builder plus one
-:class:`Token` per token, made by :func:`_column_tokens` with one ``map``
-of ``tuple.__new__`` over the columns' zip and no Python-level call per
-token; being a :class:`~typing.NamedTuple`, a ``Token`` equals the plain
-tuple ``(text, start, end, kind)``.
+:func:`_token_columns` with a few array operations and no Python object per
+token beyond its text and end offset.  Prediction, evaluation, training
+labels, corpus statistics and the rule baseline read these columns, and
+:func:`token_ranges` maps character spans onto token indices from the end
+offsets alone.  A token's kind follows from its first character's class,
+so :func:`token_kind` gives it from the text alone.  :func:`tokenize` is
+the same builder plus one :class:`Token` per token, made by
+:func:`_column_tokens` with one ``map`` of ``tuple.__new__`` over the
+columns' zip and no Python-level call per token; being a
+:class:`~typing.NamedTuple`, a ``Token`` equals the plain tuple
+``(text, start, end, kind)``.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 import unicodedata
 from functools import partial
@@ -104,8 +97,6 @@ _CLASSES = CharTable(_classify)
 # byte k is the code _CLASSES holds for code point k, as ASCII, or 0 while
 # no text has held that code point
 _CLASS_BYTES = np.zeros(sys.maxunicode + 1, dtype=np.uint8)
-# a run of marks right after a letter: it belongs to the letter's word
-_WORD_MARKS = re.compile(rb"(?<=w)m+")
 _KIND = {"w": WORD, "n": NUMBER, "s": WHITESPACE, "l": NEWLINE, "m": OTHER, "o": OTHER}
 SPACE_CODES = "".join(code for code, kind in _KIND.items() if kind in SPACE_KINDS)
 # a bytes.translate table: 1 for a class code outside SPACE_CODES, 0 for one in it
@@ -159,28 +150,26 @@ def _code_array(text: str) -> np.ndarray:
 
 
 def _class_codes(text: str) -> str:
-    """``text.translate(_CLASSES)``: the class code of every character of
-    *text*, from :func:`_code_array`.  A translate looks each character up
-    in a dict; the gather is a few array operations, whatever the length
-    of *text*."""
+    """``text.translate(_CLASSES)``, from :func:`_code_array`: a few array
+    operations where a translate looks each character up in a dict."""
     return _code_array(text).tobytes().decode("ascii")
-
-
-def _fold_word_marks(run: re.Match) -> bytes:
-    return b"w" * len(run[0])
 
 
 def _token_columns(text: str) -> TokenColumns:
     """The tokens of *text* as :class:`TokenColumns`, by the rules of
-    :func:`tokenize`, which builds its tokens from them: the boundary rule
-    of the module docstring over the class codes, as array operations."""
+    :func:`tokenize`, which builds its tokens from them, by the boundary
+    rule of the module docstring."""
     if not text:
         return TokenColumns([], [], "")
     codes = _code_array(text)
     raw = codes.tobytes()
     if b"m" in raw:
-        raw = _WORD_MARKS.sub(_fold_word_marks, raw)
-        codes = np.frombuffer(raw, dtype=np.uint8)
+        # a mark whose last non-mark before it is a letter is in that word
+        marks = codes == ord("m")
+        last = np.where(marks, 0, np.arange(len(codes)))
+        np.maximum.accumulate(last, out=last)
+        codes[marks & (codes[last] == ord("w"))] = ord("w")
+        raw = codes.tobytes()
     is_start = np.frombuffer(raw.translate(_SINGLE_FLAGS), dtype=np.bool_).copy()
     is_start[0] = True
     is_start[1:] |= codes[1:] != codes[:-1]

@@ -7,6 +7,7 @@ real bug rather than a shared one.
 """
 
 import itertools
+import re
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -16,7 +17,16 @@ from legal_sbd.corpus import SentenceSpan
 from legal_sbd.crf import CrfModel, LabeledSequence, TrainingConfig, indicators
 from legal_sbd.errors import DataError
 from legal_sbd.spans import LABELS
-from legal_sbd.tokenizer import NEWLINE, NUMBER, OTHER, SPACE_KINDS, WORD, tokenize
+from legal_sbd.tokenizer import (
+    NEWLINE,
+    NUMBER,
+    OTHER,
+    SPACE_KINDS,
+    WORD,
+    TokenColumns,
+    _classify,
+    tokenize,
+)
 
 
 def term_by_term_score(model: CrfModel, features, labels) -> float:
@@ -220,6 +230,17 @@ def brute_transition_marginals(model: CrfModel, features) -> np.ndarray:
         for a, b in zip(combo[:-1], combo[1:]):
             out[a, b] += p
     return out
+
+
+def loop_token_columns(text: str) -> TokenColumns:
+    """The token columns of *text* by the regular expression the
+    tokenizer's boundary rule replaced: the matches of ``w[wm]*|n+|s+|.``
+    over the class code of each character, from ``_classify`` one
+    character at a time, left to right."""
+    runs = re.findall("w[wm]*|n+|s+|.", "".join(map(_classify, text)))
+    ends = list(itertools.accumulate(map(len, runs)))
+    texts = [text[i:j] for i, j in zip([0, *ends], ends)]
+    return TokenColumns(texts, ends, "".join(run[0] for run in runs))
 
 
 def loop_token_ranges(tokens, spans):

@@ -1,9 +1,10 @@
+import itertools
 import unicodedata
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legal_sbd import tokenizer
@@ -21,7 +22,7 @@ from legal_sbd.tokenizer import (
     token_ranges,
     tokenize,
 )
-from oracles import loop_token_ranges
+from oracles import loop_token_columns, loop_token_ranges
 from strategies import TEXTS, sorted_spans_over, spans_over
 
 
@@ -237,6 +238,35 @@ def test_columns_are_the_token_fields(text):
     assert codes == "".join(_classify(tok.text[0]) for tok in tokens)
     assert [tokenizer._KIND[code] for code in codes] == [tok.kind for tok in tokens]
     assert [token_kind(tok.text) for tok in tokens] == [tok.kind for tok in tokens]
+
+
+# pieces that put combining marks at a text's start, after a digit, a
+# space, a newline and another mark, inside a word and at its end, beside
+# lone surrogates and astral letters, marks (U+E0100 is Mn) and symbols
+MARK_PIECES = st.sampled_from([
+    "\u0301", "\u0301\u0300", "\U000e0100", "a", "ab", "\u00e9", "\U0001d400", "1", "\u0663",
+    " ", "\u00a0", "\n", "\r", ".", "\u0488", "\ud800", "\udfff", "\U0001f600",
+])
+MARKED_TEXTS = st.lists(MARK_PIECES, max_size=24).map("".join)
+
+
+@given(TEXTS | MARKED_TEXTS)
+@example("\u0301b\u0300")  # a stray mark, then a marked word
+@settings(max_examples=500, deadline=None)
+def test_columns_match_the_regular_expression(text):
+    assert tokenizer._token_columns(text) == loop_token_columns(text)
+
+
+def test_columns_match_on_every_short_class_string():
+    """Every string of up to six characters over one character of each
+    class code: newline, whitespace, letter, digit, mark and other."""
+    count = 0
+    for length in range(7):
+        for chars in itertools.product("\n a1\u0301.", repeat=length):
+            text = "".join(chars)
+            assert tokenizer._token_columns(text) == loop_token_columns(text), repr(text)
+            count += 1
+    assert count == 55_987
 
 
 @given(st.data(), TEXTS)
