@@ -90,7 +90,9 @@ dicts, a whole map.  B is 0/1 and picks each position's fragments, at
 most 22 of them, which share no key, so ``B @ W`` holds X's values
 exactly.  A fragment occurs at many positions, so W is encoded once per
 distinct fragment, and the objective's products ``U = B @ (W @ state)``
-and ``W.T @ (B.T @ m)`` touch far fewer entries than X has.
+and ``W.T @ (B.T @ m)`` touch far fewer entries than X has.  The latter
+reads B and W through their transposed (CSC) views, which add up each
+output row in the order a stored CSR transpose would, so none is stored.
 
 The label set is ``spans.LABELS``, and every weight row, matrix and
 vector of a :class:`CrfModel` is indexed in its order; a model file
@@ -910,12 +912,11 @@ def _pack(lengths: np.ndarray) -> _Packing:
 
 
 class _Encoded(NamedTuple):
-    """A training batch, its rows in the packed order of :func:`_pack`."""
+    """A training batch, its rows in the packed order of :func:`_pack`.  The
+    gradient reads B and W through their transposed views; no copy is kept."""
 
     B: object  # CSR (rows, fragments) of 0/1: each row's fragments
     W: object  # CSR (fragments, indicators): each fragment's indicator values
-    BT: object  # B.T and W.T as CSR, built once for the gradient's products
-    WT: object
     y: np.ndarray  # row -> gold label index
     cells: np.ndarray  # row -> index of its gold cell in a flattened (rows, L) array
     observed_trans: np.ndarray  # (L, L) counts of the gold label pairs
@@ -953,7 +954,7 @@ def _encode_sequences(
     cells = np.arange(len(y)) * N_LABELS + y
     pairs = y[packing.prev] * N_LABELS + y[packing.batch_sizes[0] :]
     observed_trans = np.bincount(pairs, minlength=N_LABELS * N_LABELS).reshape(N_LABELS, N_LABELS)
-    return vocab, _Encoded(B, W, B.T.tocsr(), W.T.tocsr(), y, cells, observed_trans, packing)
+    return vocab, _Encoded(B, W, y, cells, observed_trans, packing)
 
 
 def _n_params(n_features: int) -> int:
@@ -987,8 +988,8 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     :func:`_encode_sequences`; one forward and one backward pass cover
     every sequence at once.  The unary scores are ``B @ (W @ state)`` and
     the state gradient ``W.T @ (B.T @ m)``, X's two products taken through
-    its factors."""
-    B, W, BT, WT, y, cells, observed_trans, packing = encoded
+    its factors, the latter on the transposed (CSC) views of B and W."""
+    B, W, y, cells, observed_trans, packing = encoded
     batch_sizes, seq, _, prev, last = packing
     n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec)
@@ -1008,7 +1009,7 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     np.put(m, cells, np.take(m, cells) - 1.0)  # now expected minus observed counts
     grad = 2.0 * c2 * wvec
     g_state, g_trans, g_start, g_end = _unpack(grad)
-    g_state += WT @ (BT @ m)
+    g_state += W.T @ (B.T @ m)
     g_trans += e_trans - observed_trans
     g_start += m[:n0].sum(axis=0)
     g_end += m[last].sum(axis=0)
@@ -1177,16 +1178,19 @@ def load_model(path) -> CrfModel:
         raise DataError(f"{path}: label set {obj.get('labels')!r} is not {list(LABELS)}")
     try:
         state_weights: dict[str, np.ndarray] = {}
+        seen = set()
         for ind, label, w in obj["state_weights"]:
             if not isinstance(ind, str):  # no feature map could ever emit it
                 raise TypeError(f"indicator {ind!r} is not a string")
-            row = state_weights.get(ind)
-            if row is None:
-                row = state_weights[ind] = np.zeros(N_LABELS)
-            row[_LABEL_INDEX[label]] = json_number(w)
+            if (ind, label) in seen:  # model_to_json writes each pair once
+                raise ValueError(f"indicator {ind!r} has two weights for label {label!r}")
+            seen.add((ind, label))
+            state_weights.setdefault(ind, np.zeros(N_LABELS))[_LABEL_INDEX[label]] = json_number(w)
         transitions = np.array([[json_number(w) for w in row] for row in obj["transitions"]])
         start, end = (np.array([json_number(w) for w in obj[k]]) for k in ("start", "end"))
-        metadata = dict(obj.get("metadata", {}))
+        metadata = obj.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise TypeError(f"metadata {metadata!r} is not an object")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt model file: {exc}") from exc
     trained_on = metadata.get("feature_fingerprint", FEATURE_FINGERPRINT)

@@ -149,12 +149,6 @@ def _code_array(text: str) -> np.ndarray:
     return codes
 
 
-def _class_codes(text: str) -> str:
-    """``text.translate(_CLASSES)``, from :func:`_code_array`: a few array
-    operations where a translate looks each character up in a dict."""
-    return _code_array(text).tobytes().decode("ascii")
-
-
 def _token_columns(text: str) -> TokenColumns:
     """The tokens of *text* as :class:`TokenColumns`, by the rules of
     :func:`tokenize`, which builds its tokens from them, by the boundary

@@ -163,6 +163,11 @@ UNREADABLE_INPUTS = [
     ("model indicator that is not a string", lambda t, c, m: (
         "predict", "--model", _write(t / "bad.json", _extra_state_weight(m, [5, "B", 0.25])),
         "--in", c)),
+    ("model with two weights for one indicator and label", lambda t, c, m: (
+        "predict", "--model", _write(t / "bad.json", _extra_state_weight(
+            m, json.loads(m.read_text(encoding="utf-8"))["state_weights"][0])),
+        "--in", c)),
+    ("non-UTF-8 --in", lambda t, c, m: ("tokenize", "--in", _write(t / "bad.txt", b"caf\xe9"))),
 ]
 
 
@@ -633,6 +638,8 @@ class TestConfigFile:
         cfg = tmp_path / "eval.cfg"
         cfg.write_text("allow_missing = yes\n")
         assert run("eval", "--gold", corpus_path, "--pred", empty, "--config", cfg) == 0
+        cfg.write_text("allow_missing = false\n")
+        assert run("eval", "--gold", corpus_path, "--pred", empty, "--config", cfg) == 2
         cfg.write_text("allow_missing = maybe\n")
         capsys.readouterr()
         assert run("eval", "--gold", corpus_path, "--pred", empty, "--config", cfg) == 1
@@ -641,6 +648,21 @@ class TestConfigFile:
     def test_missing_config_file_is_usage_error(self, corpus_path, tmp_path):
         assert run("stats", "--corpus", corpus_path,
                    "--config", tmp_path / "nope.cfg") == 1
+
+    def test_line_without_equals_sign_rejected(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\nseed 9\n")
+        assert run("stats", "--corpus", corpus_path, "--config", cfg) == 1
+        assert f"{cfg}:2: expected key=value, got 'seed 9'" in capsys.readouterr().err
+
+    def test_value_outside_the_choices_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("boundary=middle\n")
+        # the config is read before any input file
+        assert run("eval", "--gold", tmp_path / "g.jsonl", "--pred", tmp_path / "p.jsonl",
+                   "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert "bad value for --boundary: 'middle' (expected one of ('both', 'start'" in err
 
 
 class TestContractDetails:
@@ -652,6 +674,31 @@ class TestContractDetails:
 
         monkeypatch.setitem(cli_mod._HANDLERS, "stats", boom)
         assert run("stats", "--corpus", corpus_path) == 3
+
+    def test_training_error_is_exit_3(self, corpus_path, monkeypatch, capsys):
+        import legal_sbd.cli as cli_mod
+        from legal_sbd.errors import TrainingError
+
+        def diverge(resolved):
+            raise TrainingError("non-finite objective at sequence 0")
+
+        monkeypatch.setitem(cli_mod._HANDLERS, "stats", diverge)
+        assert run("stats", "--corpus", corpus_path) == 3
+        assert capsys.readouterr().err == "internal error: non-finite objective at sequence 0\n"
+
+    def test_bad_typed_value_is_usage_error(self, tmp_path, capsys):
+        # converted before any input file is read
+        assert run("train", "--corpus", tmp_path / "c.jsonl", "--split", tmp_path / "s.json",
+                   "--out", tmp_path / "m.json", "--c1", "abc") == 1
+        assert "bad value for --c1: 'abc'" in capsys.readouterr().err
+
+    def test_languages_without_a_code_is_usage_error(self, corpus_path, tmp_path, capsys):
+        split, model = tmp_path / "split.json", tmp_path / "m.json"
+        assert run("split", "--corpus", corpus_path, "--out", split) == 0
+        assert run("train", "--corpus", corpus_path, "--split", split, "--out", model,
+                   "--languages", ",") == 1
+        assert "no language codes in ','" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_eval_allow_missing_empty_pred_file(self, corpus_path, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from legal_sbd.corpus import (
     save_split,
     split_corpus,
     stats_to_csv,
+    validate_document,
 )
 from legal_sbd.errors import DataError
 from legal_sbd.synthetic import make_corpus
@@ -186,6 +188,59 @@ def test_split_too_small():
     docs = make_corpus(4, seed=1)
     with pytest.raises(DataError, match="too small"):
         split_corpus(docs, seed=0)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (Document("", "fr", "law", "x"), "document with empty id"),
+        (Document("d", "fr", "law", ""), "'d': empty text"),
+        (Document("d", "FR", "law", "x"), "language 'FR' is not a two-letter lowercase code"),
+        (Document("d", "fra", "law", "x"), "language 'fra'"),
+        (Document("d", "fr", "law", "A. \n B.", (SentenceSpan(2, 5),)),
+         r"span \(2, 5\) contains only whitespace"),
+    ],
+    ids=["empty id", "empty text", "upper-case language", "three-letter language",
+         "whitespace span"],
+)
+def test_validate_document_rejects(doc, message):
+    with pytest.raises(DataError, match=message):
+        validate_document(doc)
+
+
+def test_duplicate_document_id_rejected(tmp_path):
+    line = json.dumps({"id": "a", "language": "fr", "type": "law", "text": "x", "spans": []})
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [line, "", line])
+    with pytest.raises(DataError, match="duplicate document id 'a' on line 3"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', "7", "null"])
+def test_line_that_is_not_an_object_rejected(tmp_path, line):
+    good = json.dumps({"id": "a", "language": "fr", "type": "law", "text": "x", "spans": []})
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [good, line])
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 2 is not a JSON object")):
+        load_corpus(path)
+
+
+def test_split_too_small_for_validation_and_test():
+    # one document per language: a fifth of one rounds to none
+    languages = ["de", "en", "fr", "it", "pt"]
+    docs = [Document(f"d{k}", lang, "law", "A.") for k, lang in enumerate(languages)]
+    with pytest.raises(DataError, match="too small to yield non-empty validation/test"):
+        split_corpus(docs, seed=0)
+
+
+@pytest.mark.parametrize("field", ["train", "validation", "test"])
+def test_split_file_missing_field(tmp_path, field):
+    obj = {"seed": 1, "train": ["a"], "validation": ["b"], "test": ["c"]}
+    del obj[field]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(DataError, match=f"split file missing field '{field}'"):
+        load_split(path)
 
 
 def test_split_file_round_trip(tmp_path):

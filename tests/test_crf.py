@@ -99,6 +99,12 @@ class TestScore:
         with pytest.raises(ValueError):
             score(zero_model(), [{"bias": 1.0}], ["B", "L"])
 
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            score(zero_model(), [], [])
+        with pytest.raises(ValueError, match="empty sequence"):
+            log_partition(zero_model(), [])
+
 
 class TestLogPartition:
     def test_uniform_model_closed_form(self):
@@ -498,6 +504,12 @@ class TestTrain:
         with pytest.raises(DataError, match="empty feature space"):
             train([LabeledSequence([{}], ["O"])], TrainingConfig())
 
+    def test_empty_sequence_or_label_mismatch_rejected(self):
+        with pytest.raises(DataError, match="sequence 1 is empty"):
+            train([LabeledSequence([{"bias": 1.0}], ["O"]), LabeledSequence([], [])])
+        with pytest.raises(DataError, match="sequence 0: 1 positions vs 2 labels"):
+            train([LabeledSequence([{"bias": 1.0}], ["O", "O"])])
+
     def test_invalid_config_rejected(self):
         with pytest.raises(DataError):
             train(tiny_training_batch(), TrainingConfig(c1=-1.0))
@@ -681,6 +693,47 @@ class TestSerialization:
             path.write_text(text)
             with pytest.raises(DataError, match=r"model\.json: corrupt model file: "):
                 load_model(path)
+
+    def test_duplicate_state_weight_rejected(self, small_model, tmp_path):
+        # model_to_json writes each (indicator, label) once; a second
+        # triple would silently replace the first
+        def edit(obj):
+            obj["state_weights"] = [["bias", "B", 1.0], ["bias", "B", -3.0]]
+
+        path = self._rewritten(small_model, tmp_path / "model.json", edit)
+        message = r"model\.json: corrupt model file: indicator 'bias' has two weights for label 'B'"
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("metadata", [[["a", 1]], "ab", None, 3])
+    def test_metadata_that_is_not_an_object_rejected(self, small_model, tmp_path, metadata):
+        def edit(obj):
+            obj["metadata"] = metadata
+
+        path = self._rewritten(small_model, tmp_path / "model.json", edit)
+        message = r"model\.json: corrupt model file: metadata .* is not an object"
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    def test_transition_matrix_of_another_shape_rejected(self, small_model, tmp_path):
+        def edit(obj):
+            obj["transitions"] = [row[:4] for row in obj["transitions"][:4]]
+
+        path = self._rewritten(small_model, tmp_path / "model.json", edit)
+        with pytest.raises(DataError, match=r"model\.json: model weight shapes do not match"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["transitions", "start", "end"])
+    def test_non_finite_weights_are_not_written(self, small_model, name):
+        weights = getattr(small_model, name).copy()
+        weights.flat[1] = math.inf
+        with pytest.raises(DataError, match=f"model has non-finite {name} weights"):
+            model_to_json(replace(small_model, **{name: weights}))
+
+    def test_non_finite_state_row_is_not_written(self, small_model):
+        state_weights = {**small_model.state_weights, "bias": np.array([0.0, math.nan, 0, 0, 0])}
+        with pytest.raises(DataError, match="model has non-finite weights for indicator 'bias'"):
+            model_to_json(replace(small_model, state_weights=state_weights))
 
 
 def packed_unary(unaries, packing):

@@ -257,3 +257,19 @@ class TestForeignImport:
         path.write_text('{"id": "a", "spans": [{"start": "x"}]}\n', encoding="utf-8")
         with pytest.raises(DataError, match=r"pred\.jsonl: malformed prediction line 1: "):
             import_foreign_predictions(path)
+
+    @pytest.mark.parametrize("start, end", [(4, 4), (6, 2)], ids=["empty", "inverted"])
+    def test_empty_or_inverted_span_rejected(self, tmp_path, start, end):
+        path = tmp_path / "pred.jsonl"
+        spans = [{"start": 0, "end": 2}, {"start": start, "end": end}]
+        path.write_text(json.dumps({"id": "a", "spans": spans}) + "\n", encoding="utf-8")
+        message = r"pred\.jsonl: line 1: empty or inverted span in document 'a'"
+        with pytest.raises(DataError, match=message):
+            import_foreign_predictions(path)
+
+    def test_duplicate_document_rejected(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        line = json.dumps({"id": "a", "spans": [{"start": 0, "end": 2}]})
+        path.write_text(f"{line}\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"pred\.jsonl: duplicate prediction for document 'a'"):
+            import_foreign_predictions(path)

@@ -38,8 +38,13 @@ def assert_factoring_matches_maps(sequences):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
-    # W's rows are the transposes' columns
-    assert (encoded.BT != encoded.B.T).nnz == 0 and (encoded.WT != encoded.W.T).nnz == 0
+    # the gradient's product through the transposed views adds in the
+    # order of CSR copies of the transposes: the same bits
+    B, W = encoded.B, encoded.W
+    m = np.random.default_rng(len(packed)).standard_normal((B.shape[0], len(LABELS)))
+    views = W.T @ (B.T @ m)
+    copies = W.T.tocsr() @ (B.T.tocsr() @ m)
+    assert np.array_equal(views.view(np.int64), copies.view(np.int64))
 
 
 @given(st.lists(st.text(alphabet=ALPHABET, max_size=30), min_size=1, max_size=4))

@@ -226,6 +226,13 @@ def test_sequence_features_view_behaves_as_the_list():
             view[0] = {}
 
 
+@pytest.mark.parametrize("other", [None, 3, "Mot.", {"0:bias": 1.0}])
+def test_sequence_features_view_is_unequal_to_a_non_sequence(other):
+    view = sequence_features(tokenize("Mot."))
+    assert view.__eq__(other) is NotImplemented  # the other operand decides, then identity
+    assert view != other and not view == other
+
+
 # the tokens a window reaches, its edge-flag tokens included
 WINDOW = 2 * MAX_RADIUS + 3
 WINDOW_CHARACTERS = st.sampled_from(["\u0301", "a", "٣", ".", "(", "'", "\ud800", "\r", "\n", " "])

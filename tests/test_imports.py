@@ -1,8 +1,10 @@
 """Every module-level import in the package, the tests and the demos is
-read by the module that makes it; no linter runs in CI, so this test is
-the check."""
+read by the module that makes it, and every private module-level function
+or class of the package is referenced by the package; no linter runs in
+CI, so these tests are the check."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,51 @@ def test_the_check_finds_unused_imports():
 )
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def referenced_names(tree: ast.AST):
+    """Every name that *tree* reads, loads as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level function or class of *sources*
+    (module name -> source) named with one leading underscore that no
+    module references outside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and everywhere[node.name] == Counter(referenced_names(node))[node.name]
+    ]
+
+
+def test_the_check_finds_unreferenced_private_definitions():
+    sources = {
+        "a": (
+            "from .b import _imported\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "def _called(): pass\n"
+            "class _Unused: pass\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _called()\n"
+        ),
+        "b": "import a\ndef _imported(): pass\ndef _read(): pass\nx = a._read\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a._recursive", "a._Unused"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

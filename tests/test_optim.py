@@ -116,3 +116,30 @@ def test_non_finite_start_aborts():
 def test_negative_l1_rejected():
     with pytest.raises(ValueError):
         minimize_lbfgs(quadratic(np.zeros(2)), np.zeros(2), l1=-1.0)
+
+
+def test_line_search_stops_on_a_gradient_that_points_uphill():
+    # every step along minus the reported gradient raises the objective,
+    # so no backtrack meets the Armijo condition
+    def fun(x):
+        return 0.5 * float(x @ x), -x
+
+    x0 = np.array([1.0, -2.0])
+    res = minimize_lbfgs(fun, x0)
+    assert (res.stop_reason, res.converged, res.iterations) == ("line_search", False, 0)
+    assert res.evaluations == 51  # the start and each of the 50 backtracks
+    assert np.array_equal(res.x, x0) and res.fun == 2.5
+
+
+@pytest.mark.parametrize("l1", [0.0, 0.5])
+def test_step_lost_to_rounding_is_never_evaluated(l1):
+    # x + step * d rounds back to x (doubles near 1e17 are 16 apart), so no
+    # backtrack moves (dg == 0) and the search halves the step without
+    # calling the objective
+    def fun(x):
+        return float(x.sum()), np.ones_like(x)
+
+    x0 = np.array([1e17, -1e17])
+    res = minimize_lbfgs(fun, x0, l1=l1)
+    assert (res.stop_reason, res.iterations, res.evaluations) == ("line_search", 0, 1)
+    assert np.array_equal(res.x, x0)

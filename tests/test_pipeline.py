@@ -128,6 +128,11 @@ def test_bad_config_fails_before_any_document_is_labeled(labeling_calls):
     assert labeling_calls == []
 
 
+def test_empty_training_set_rejected():
+    with pytest.raises(DataError, match="empty training set"):
+        train_on_documents([])
+
+
 @pytest.mark.parametrize("max_sequence_length", [0, -3])
 def test_bad_chunk_length_fails_before_any_document_is_labeled(
     labeling_calls, max_sequence_length
