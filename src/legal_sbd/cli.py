@@ -373,6 +373,7 @@ def _cmd_histogram(resolved: dict[str, Any]) -> int:
 
 
 def _cmd_train(resolved: dict[str, Any]) -> int:
+    languages = _parse_languages(resolved["languages"])
     docs = load_corpus(resolved["corpus"])
     split = load_split(resolved["split"])
     known = {doc.id for doc in docs}
@@ -382,7 +383,6 @@ def _cmd_train(resolved: dict[str, Any]) -> int:
             f"split file {resolved['split']} references document ids missing "
             f"from the corpus: {sorted(stale)[:5]}"
         )
-    languages = _parse_languages(resolved["languages"])
     train_docs = filter_documents(
         docs, ids=set(split.train), languages=languages, subset=resolved["subset"]
     )

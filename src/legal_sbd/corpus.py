@@ -109,6 +109,13 @@ def json_int(value) -> int:
     return value
 
 
+def json_str(value) -> str:
+    """*value* if JSON read it as a string; ``TypeError`` otherwise."""
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def json_number(value) -> float:
     """*value* as a float if JSON read it as a number; ``TypeError`` for
     ``"0.5"`` or ``true``, which ``float()`` would read as 0.5 and 1.0."""
@@ -150,7 +157,7 @@ def parse_span(record) -> SentenceSpan:
     """A span record ``{"start": int, "end": int, "label": str}``, label
     ``"Sentence"`` if absent; ``TypeError`` or ``KeyError`` if malformed."""
     return SentenceSpan(json_int(record["start"]), json_int(record["end"]),
-                        record.get("label", "Sentence"))
+                        json_str(record.get("label", "Sentence")))
 
 
 def _normalize_newlines(text: str, spans: list[SentenceSpan]):
@@ -170,6 +177,8 @@ def _parse_document(obj: dict, path: str | Path, lineno: int) -> Document:
     for key in ("id", "language", "type", "text"):
         if key not in obj:
             raise DataError(f"{path}: line {lineno}: missing field {key!r}")
+        if type(obj[key]) is not str:
+            raise DataError(f"{path}: line {lineno}: field {key!r} is not a string: {obj[key]!r}")
     raw_spans = obj.get("spans", [])
     if not isinstance(raw_spans, list):
         raise DataError(f"{path}: line {lineno}: 'spans' must be a list")
@@ -178,11 +187,11 @@ def _parse_document(obj: dict, path: str | Path, lineno: int) -> Document:
     except (TypeError, KeyError) as exc:
         raise DataError(f"{path}: line {lineno}: malformed span in document "
                         f"{obj.get('id')!r}: {exc}") from exc
-    text, spans = _normalize_newlines(str(obj["text"]), spans)
+    text, spans = _normalize_newlines(obj["text"], spans)
     return Document(
-        id=str(obj["id"]),
-        language=str(obj["language"]),
-        doc_type=str(obj["type"]),
+        id=obj["id"],
+        language=obj["language"],
+        doc_type=obj["type"],
         text=text,
         spans=tuple(spans),
     )

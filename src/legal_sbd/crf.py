@@ -34,7 +34,8 @@ indicators, and then ``B @ (W @ weights)``.
 Prediction compiles the model instead (:func:`compile_model`): each live
 indicator is parsed by ``features.parse_indicator`` into the row of a
 weight array over (window offset, value of its column), plane p holding
-offset p - MAX_RADIUS, or into the table of position patterns.  The
+offset p - MAX_RADIUS, or, if a position pattern gives it, looked up by
+its string in ``features.PATTERN_SLOTS`` for the table of patterns.  The
 parse of the model compiled last is reused by the next prediction run
 while the model's state weights are the same keys in the same order
 with byte-equal rows, so a run on an unchanged model parses nothing and
@@ -118,8 +119,8 @@ import numpy as np
 from .corpus import json_number, read_json_object
 from .errors import DataError, TrainingError
 from .features import (
-    FEATURE_FINGERPRINT, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_KEYS, PATTERN_SIDE,
-    PATTERN_VALUES, TEMPLATES, _token_attrs, factored_features, indicators, padded_rows,
+    FEATURE_FINGERPRINT, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_SIDE, PATTERN_SLOT_ROWS,
+    PATTERN_SLOTS, TEMPLATES, _token_attrs, factored_features, indicators, padded_rows,
     parse_indicator, pattern_codes,
 )
 from .optim import dot, minimize_lbfgs
@@ -300,12 +301,6 @@ class CompiledModel(NamedTuple):
     memo: _TextMemo  # the parse's table rows of the texts scored so far
 
 
-_PATTERN_KEY = {key: j for j, key in enumerate(PATTERN_KEYS)}
-# [j, code]: the row of a (keys * 3, L) array of per-key (absent, False,
-# True) weights that key j adds in the pattern of that code
-_PATTERN_ROWS = PATTERN_VALUES.T + 3 * np.arange(len(PATTERN_KEYS))[:, None]
-
-
 # (keys, row bytes, categories, weights, pattern, memo) of the model
 # parsed last.  It is replaced by one assignment and read once into a
 # local, so concurrent callers each see one model's whole parse; a new
@@ -315,7 +310,7 @@ _last_parse: tuple | None = None
 
 def compile_model(model: CrfModel) -> CompiledModel:
     """Parse every nonzero state weight of *model* into its row of
-    ``weights`` or of its pattern key.
+    ``weights``, or look it up in ``features.PATTERN_SLOTS``.
 
     The result shares *model*'s transitions, start and end arrays and is
     never stored on it.  The parse of the model compiled last is kept and
@@ -326,9 +321,9 @@ def compile_model(model: CrfModel) -> CompiledModel:
     starts an empty ``memo`` (:class:`_TextMemo`).  Its ``weights`` and
     ``pattern`` are read-only.  Indicators the feature set cannot emit,
     such as ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``, score
-    zero on the reference path and are dropped.  The pattern table folds
-    ``bias`` and then each key of ``PATTERN_KEYS`` over
-    ``PATTERN_VALUES``, in the order a pattern fragment lists its keys."""
+    zero on the reference path and are dropped.  A pattern's row sums the
+    slot rows of ``features.PATTERN_SLOT_ROWS`` from zero, ``bias`` and
+    then ``PATTERN_KEYS``, in the order its fragment lists its keys."""
     global _last_parse
     keys = list(model.state_weights)
     # the empty array makes a model without state weights concatenate, as floats
@@ -337,28 +332,22 @@ def compile_model(model: CrfModel) -> CompiledModel:
     last = _last_parse
     if last is not None and last[0] == keys and last[1] == content:
         return CompiledModel(model.transitions, model.start, model.end, *last[2:])
-    bias = np.zeros(N_LABELS)
-    flags = np.zeros((len(PATTERN_KEYS), 3, N_LABELS))  # key -> absent, False, True
+    slots = np.zeros((len(PATTERN_SLOTS) + 1, N_LABELS))  # slot 0: a key the pattern lacks
     categories: dict[int, dict[object, int]] = {}
     planes, ids, picked = [], [], []  # the plane, id and row of each text weight
     for k, ind in compress(enumerate(keys), rows.any(axis=1).tolist()):
         parsed = parse_indicator(ind)
-        if parsed is None:
-            continue
-        d, c, value = parsed
-        if c is None:
-            bias = rows[k]
-        elif c >= len(TEMPLATES):  # BOS or EOS, set by the position pattern
-            flags[_PATTERN_KEY[ind.partition("=")[0]], 1 + value] = rows[k]
-        else:
+        if parsed is not None:
+            d, c, value = parsed
             planes.append(MAX_RADIUS + d)
             ids.append(categories.setdefault(c, {}).setdefault(value, len(ids) + 1))
             picked.append(k)
+        elif ind in PATTERN_SLOTS:
+            slots[PATTERN_SLOTS[ind]] = rows[k]
     weights = np.zeros((2 * MAX_RADIUS + 1, len(ids) + 1, N_LABELS))
     weights[planes, ids] = rows[picked]
     pattern = np.zeros((PATTERN_SIDE**2, N_LABELS))
-    pattern += bias
-    for term in np.take(flags.reshape(-1, N_LABELS), _PATTERN_ROWS, axis=0):
+    for term in np.take(slots, PATTERN_SLOT_ROWS, axis=0):
         pattern += term
     weights.flags.writeable = pattern.flags.writeable = False
     _last_parse = (keys, content, categories, weights, pattern, _TextMemo())

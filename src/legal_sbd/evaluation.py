@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, SentenceSpan, parse_span, read_json_lines
+from .corpus import Document, SentenceSpan, json_str, parse_span, read_json_lines
 from .errors import DataError
 from .tokenizer import Token, _token_columns, token_ranges
 
@@ -212,7 +212,7 @@ def import_foreign_predictions(path: str | Path) -> dict[str, list[SentenceSpan]
     predictions: dict[str, list[SentenceSpan]] = {}
     for lineno, obj in read_json_lines(path):
         try:
-            doc_id = str(obj["id"])
+            doc_id = json_str(obj["id"])
             spans = [parse_span(s) for s in obj.get("spans", [])]
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: malformed prediction line {lineno}: {exc}") from exc

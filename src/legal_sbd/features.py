@@ -43,7 +43,7 @@ that merges a position's map only when it is read, and
 :func:`token_features` reads one position of the window around it.
 Training and prediction build no maps: ``legal_sbd.crf`` encodes each
 fragment once, or folds one weight table per offset over the layout's
-entries and one over ``PATTERN_VALUES``, to the same scores bit for bit.
+entries and one over the pattern codes, to the same scores bit for bit.
 A trained model records ``FEATURE_FINGERPRINT``, a hash of the definition.
 
 Feature maps meet a model as the string indicators of :func:`indicators`:
@@ -52,9 +52,9 @@ and a number keeps its key and multiplies its weight row by its value.
 A key is ``bias`` or ``<offset>:<name>`` and never holds ``=``, so an
 indicator splits into key and value at its first ``=``; the value may
 hold ``=`` or ``:`` itself (the token ``=`` gives ``0:lowercase==``).
-:func:`parse_indicator` is the typed inverse: it gives the offset, the
-column of ``COLUMNS`` and the value an indicator stands for, or None if
-the feature set cannot emit it."""
+:func:`parse_indicator` is the typed inverse for the indicators a token
+text gives, their offset, column of ``COLUMNS`` and value, and gives None
+for any other, such as those of a position pattern (``PATTERN_SLOTS``)."""
 
 from __future__ import annotations
 
@@ -83,13 +83,12 @@ TEMPLATES = (
     ("space", 3),
 )
 MAX_RADIUS = TEMPLATES[0][1]  # also the BOS/EOS window
-# the columns a feature reads: those of ``_token_attrs``, in TEMPLATES
-# order, then the two flags that a row's place in its sequence sets
-COLUMNS = (*(name for name, _ in TEMPLATES), "BOS", "EOS")
+# the columns a token text gives: those of ``_token_attrs``, in TEMPLATES order
+COLUMNS = tuple(name for name, _ in TEMPLATES)
 # columns whose value is a number, kept as the feature value, and columns
 # whose value is a flag; every other column holds a category string
 NUMERIC_ATTRIBUTES = frozenset({"length"})
-FLAGS = frozenset({"lower", "upper", "number", "space", "BOS", "EOS"})
+FLAGS = frozenset({"lower", "upper", "number", "space"})
 
 
 # the ``special`` category by kind, S for any other; a text listed in
@@ -280,17 +279,40 @@ PATTERN_SIDE = MAX_RADIUS + 2  # a pattern's code is before * PATTERN_SIDE + aft
 # the keys of a position pattern after ``bias``, in the order that
 # :func:`_pattern_features` lists them
 PATTERN_KEYS = ("0:BOS", "0:EOS", *(edge for _, edge in _NEIGHBOURS))
-# PATTERN_VALUES[code, j]: the value of key j in the pattern of that code,
-# 0 if the pattern has no such key, 1 if it is False, 2 if True
-PATTERN_VALUES = np.array(
-    [
-        [1 + feats[key] if key in feats else 0 for key in PATTERN_KEYS]
-        for feats in (
-            _pattern_features(*divmod(code, PATTERN_SIDE)) for code in range(PATTERN_SIDE**2)
-        )
-    ],
-    dtype=np.intp,
-)
+
+
+def indicators(features: dict) -> list[tuple[str, float]]:
+    """Binarize one feature map into (indicator, value) pairs."""
+    out = []
+    for key, value in features.items():
+        if value is True:
+            out.append((key + "=true", 1.0))
+        elif value is False:
+            out.append((key + "=false", 1.0))
+        elif isinstance(value, str):
+            out.append((key + "=" + value, 1.0))
+        else:
+            out.append((key, float(value)))
+    return out
+
+
+def _pattern_slots() -> tuple[dict[str, int], np.ndarray]:
+    slots: dict[str, int] = {}
+    table = np.zeros((1 + len(PATTERN_KEYS), PATTERN_SIDE**2), dtype=np.intp)
+    for code in range(PATTERN_SIDE**2):
+        feats = _pattern_features(*divmod(code, PATTERN_SIDE))
+        for j, key in enumerate(("bias", *PATTERN_KEYS)):
+            if key in feats:
+                ((ind, _),) = indicators({key: feats[key]})
+                table[j, code] = slots.setdefault(ind, len(slots) + 1)
+    return slots, table
+
+
+# PATTERN_SLOTS: every indicator that a position pattern gives -> its
+# slot, from 1; PATTERN_SLOT_ROWS[j, code]: the slot of the indicator
+# that key j, ``bias`` and then those of PATTERN_KEYS, gives in the
+# pattern of that code, 0 if the pattern has no key j
+PATTERN_SLOTS, PATTERN_SLOT_ROWS = _pattern_slots()
 
 
 # a hash of the templates, the ``special`` categories (S for a kind not
@@ -357,50 +379,25 @@ def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], 
     return fragments, parts
 
 
-def indicators(features: dict) -> list[tuple[str, float]]:
-    """Binarize one feature map into (indicator, value) pairs."""
-    out = []
-    for key, value in features.items():
-        if value is True:
-            out.append((key + "=true", 1.0))
-        elif value is False:
-            out.append((key + "=false", 1.0))
-        elif isinstance(value, str):
-            out.append((key + "=" + value, 1.0))
-        else:
-            out.append((key, float(value)))
-    return out
+# every key a token's text gives a position -> (offset, column): the key
+# describes that column of the token at that offset from the position
+_KEY_COLUMNS = {key: (d, c) for d, names in _TEXT_KEYS.items() for c, key in enumerate(names)}
 
 
-def _key_columns() -> dict[str, tuple[int, int | None]]:
-    bos, eos = COLUMNS.index("BOS"), COLUMNS.index("EOS")
-    keys = {"bias": (0, None), "0:BOS": (0, bos), "0:EOS": (0, eos)}
-    keys.update((edge, (d, bos if d < 0 else eos)) for d, edge in _NEIGHBOURS)
-    for d, names in _TEXT_KEYS.items():
-        keys.update((key, (d, c)) for c, key in enumerate(names))
-    return keys
-
-
-# every key a feature map can hold -> (offset, column): the key describes
-# that column of the token at that offset from the position, or it is
-# ``bias``, which describes no token (column None)
-_KEY_COLUMNS = _key_columns()
-
-
-def parse_indicator(indicator: str) -> tuple[int, int | None, object] | None:
+def parse_indicator(indicator: str) -> tuple[int, int, object] | None:
     """The (offset, column, value) that :func:`indicators` wrote
-    *indicator* from, or None if no feature map can yield it.
+    *indicator* from, or None if no token text gives it: a position
+    pattern's indicators, ``bias`` among them, parse to None.
 
     The value is a flag's ``True`` / ``False`` or a category string; for
-    a numeric column it is None, as the token supplies it, and for
-    ``bias`` (column None) it is 1.0."""
+    a numeric column it is None, as the token supplies it."""
     key, eq, text = indicator.partition("=")  # a key never holds "="
     source = _KEY_COLUMNS.get(key)
     if source is None:
         return None
     d, c = source
-    if c is None or COLUMNS[c] in NUMERIC_ATTRIBUTES:
-        return None if eq else (d, c, 1.0 if c is None else None)
+    if COLUMNS[c] in NUMERIC_ATTRIBUTES:
+        return None if eq else (d, c, None)
     if COLUMNS[c] in FLAGS:
         value = {"true": True, "false": False}.get(text)  # "" if there is no "="
         return None if value is None else (d, c, value)

@@ -699,6 +699,10 @@ class TestContractDetails:
                    "--languages", ",") == 1
         assert "no language codes in ','" in capsys.readouterr().err
         assert not model.exists()
+        # checked before any input file is read
+        assert run("train", "--corpus", tmp_path / "missing.jsonl", "--split", split,
+                   "--out", model, "--languages", ",") == 1
+        assert "no language codes in ','" in capsys.readouterr().err
 
     def test_eval_allow_missing_empty_pred_file(self, corpus_path, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

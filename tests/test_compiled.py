@@ -103,12 +103,13 @@ def test_parse_indicator_inverts_indicators(text):
     for fv in sequence_features(tokenize(text)):
         for key, value in fv.items():
             ((ind, _),) = indicators({key: value})
+            if key == "bias" or key.endswith((":BOS", ":EOS")):
+                # a position pattern's, which compiling looks up by its string
+                assert parse_indicator(ind) is None and ind in features.PATTERN_SLOTS
+                continue
             d, c, parsed = parse_indicator(ind)
-            if key == "bias":
-                assert (d, c) == (0, None)
-            else:
-                offset, name = key.split(":")
-                assert (d, COLUMNS[c]) == (int(offset), "number" if name == "numeric" else name)
+            offset, name = key.split(":")
+            assert (d, COLUMNS[c]) == (int(offset), "number" if name == "numeric" else name)
             if parsed is None:  # a number, which the token supplies
                 assert ind == key and type(value) is int
             else:
@@ -141,6 +142,30 @@ def test_every_offset_lists_its_keys_in_column_order():
             radius = dict(features.TEMPLATES)
             want = [name for name in radius if radius[name] >= abs(d) and (d or name != "space")]
             assert [COLUMNS[c] for c in columns] == want, d
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_compiled_pattern_table_scores_every_pattern_fragment(data):
+    # each of the 144 position patterns' fragment, encoded as training
+    # encodes it, against its row of the compiled table, bit for bit
+    live = sorted(features.PATTERN_SLOTS)
+    picked = data.draw(st.lists(st.sampled_from(live + list(DEAD + ODD_VALUES)), unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    L = len(LABELS)
+    weights = {}
+    for ind in picked:
+        row = rng.normal(size=L)
+        row[rng.random(L) < 0.3] = data.draw(st.sampled_from([0.0, -0.0]), label="zero")
+        weights[ind] = row
+    model = CrfModel(weights, np.zeros((L, L)), np.zeros(L), np.zeros(L))
+    index = {ind: k for k, ind in enumerate(weights)}
+    state = np.array(list(weights.values())).reshape(len(index), L)
+    side = features.PATTERN_SIDE
+    fragments = [features._pattern_features(*divmod(code, side)) for code in range(side**2)]
+    assert len(fragments) == 144
+    want = crf._encode_rows(fragments, index) @ state
+    assert np.array_equal(bits(compile_model(model).pattern), bits(want))
 
 
 def test_dead_indicators_compile_to_nothing():

@@ -225,6 +225,30 @@ def test_line_that_is_not_an_object_rejected(tmp_path, line):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("id", 7), ("text", None), ("text", ["A", "b."]), ("language", True), ("type", {"law": 1}),
+])
+def test_field_that_is_not_a_string_rejected(tmp_path, field, value):
+    # str() would load 7 as "7" and null as the text "None"
+    good = {"id": "a", "language": "fr", "type": "law", "text": "A. b.", "spans": []}
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [json.dumps(good), json.dumps({**good, "id": "b", field: value})])
+    message = re.escape(f"{path}: line 2: field {field!r} is not a string: {value!r}")
+    with pytest.raises(DataError, match=message):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("label", [1, None, ["Sentence"]])
+def test_span_label_that_is_not_a_string_rejected(tmp_path, label):
+    span = {"start": 0, "end": 2, "label": label}
+    line = json.dumps({"id": "a", "language": "fr", "type": "law", "text": "A. b.", "spans": [span]})
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [line])
+    message = re.escape(f"{path}: line 1: malformed span in document 'a': {label!r} is not a string")
+    with pytest.raises(DataError, match=message):
+        load_corpus(path)
+
+
 def test_split_too_small_for_validation_and_test():
     # one document per language: a fifth of one rounds to none
     languages = ["de", "en", "fr", "it", "pt"]

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,15 @@ class TestForeignImport:
         path = tmp_path / "pred.jsonl"
         path.write_text('{"id": "a", "spans": [{"start": "x"}]}\n', encoding="utf-8")
         with pytest.raises(DataError, match=r"pred\.jsonl: malformed prediction line 1: "):
+            import_foreign_predictions(path)
+
+    @pytest.mark.parametrize("doc_id", [5, None, ["a"]])
+    def test_id_that_is_not_a_string_rejected(self, tmp_path, doc_id):
+        # str() would score {"id": 5} against gold document "5"
+        path = tmp_path / "pred.jsonl"
+        path.write_text(json.dumps({"id": doc_id, "spans": []}) + "\n", encoding="utf-8")
+        message = re.escape(f"pred.jsonl: malformed prediction line 1: {doc_id!r} is not a string")
+        with pytest.raises(DataError, match=message):
             import_foreign_predictions(path)
 
     @pytest.mark.parametrize("start, end", [(4, 4), (6, 2)], ids=["empty", "inverted"])

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legal_sbd.features import (
+    FEATURE_FINGERPRINT,
     MAX_RADIUS,
     PATTERN_SIDE,
     TEMPLATES,
@@ -261,6 +262,12 @@ def test_out_of_range_position_rejected():
     seq = tokenize("a b")
     with pytest.raises(IndexError):
         token_features(seq, 3)
+
+
+def test_feature_fingerprint_is_pinned():
+    # every saved model records it and load_model rejects any other, so a
+    # change to it makes every existing model file fail to load
+    assert FEATURE_FINGERPRINT == "2761c0eb23a5cd19"
 
 
 def test_template_radii_never_grow():

@@ -1,7 +1,7 @@
 """Every module-level import in the package, the tests and the demos is
-read by the module that makes it, and every private module-level function
-or class of the package is referenced by the package; no linter runs in
-CI, so these tests are the check."""
+read by the module that makes it, and every private module-level function,
+class or assigned name of the package is referenced by the package; no
+linter runs in CI, so these tests are the check."""
 
 import ast
 from collections import Counter
@@ -62,19 +62,31 @@ def referenced_names(tree: ast.AST):
             yield node.name
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names that the module-level statement *node* defines: a
+    function's or class's, or those an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)]
+    return []
+
+
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each module-level function or class of *sources*
-    (module name -> source) named with one leading underscore that no
-    module references outside the definition itself."""
+    """``module.name`` of each module-level function, class or assigned
+    name of *sources* (module name -> source) named with one leading
+    underscore that no module references outside the definition itself."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = Counter(name for tree in trees.values() for name in referenced_names(tree))
     return [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and everywhere[node.name] == Counter(referenced_names(node))[node.name]
+        for name in defined_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        and everywhere[name] == Counter(referenced_names(node))[name]
     ]
 
 
@@ -87,11 +99,18 @@ def test_the_check_finds_unreferenced_private_definitions():
             "def _called(): pass\n"
             "class _Unused: pass\n"
             "def __getattr__(name): pass\n"
-            "def public(): return _called()\n"
+            "def public(): return _called() + _SIZE + _second\n"
+            "_SIZE = 4096\n"
+            "_TABLE = {'k': _SIZE}\n"
+            "_first, (_second, _third) = 1, (2, 3)\n"
+            "_hint: int = 0\n"
+            "__all__ = ['public']\n"
         ),
         "b": "import a\ndef _imported(): pass\ndef _read(): pass\nx = a._read\n",
     }
-    assert unreferenced_private_definitions(sources) == ["a._recursive", "a._Unused"]
+    assert unreferenced_private_definitions(sources) == [
+        "a._recursive", "a._Unused", "a._TABLE", "a._first", "a._third", "a._hint",
+    ]
 
 
 def test_no_unreferenced_private_definitions():
