@@ -22,6 +22,7 @@ import io
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -314,6 +315,9 @@ def load_split(path: str | Path) -> CorpusSplit:
         raise DataError(f"{path}: split seed {obj['seed']!r} is not an integer") from exc
     if not all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids):
         raise DataError(f"{path}: train, validation and test must be lists of id strings")
+    repeated = [i for i, n in Counter(i for x in ids for i in x).items() if n > 1]
+    if repeated:
+        raise DataError(f"{path}: split lists document id {repeated[0]!r} more than once")
     return CorpusSplit(seed, *(tuple(x) for x in ids))
 
 

@@ -157,8 +157,8 @@ class TrainingConfig:
 @dataclass
 class LabeledSequence:
     """Per-position feature maps paired with gold BILOU labels; the maps
-    are a ``features.SequenceFeatures``, read through its tokens, or any
-    sequence of dicts."""
+    are a ``features.SequenceFeatures``, read through its token texts, or
+    any sequence of dicts."""
 
     features: Sequence[dict]
     labels: list[str]
@@ -918,7 +918,7 @@ def _encode_sequences(
     """The vocabulary of *batch* and *known* (see :func:`_collect_vocabulary`)
     and the batch encoded against it, its indicator matrix factored as
     ``X = B @ W`` over the fragments of ``features.factored_features``.
-    Layout-backed feature sequences are read through their tokens; no map
+    Layout-backed feature sequences are read through their texts; no map
     of theirs is built."""
     label_ids = []
     for s, seq in enumerate(batch):

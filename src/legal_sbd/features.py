@@ -208,25 +208,25 @@ def token_features(tokens: list[Token], i: int) -> dict:
         raise IndexError(f"position {i} out of range for sequence of {len(tokens)} tokens")
     # the window and one token more on each side, so its capped pattern is the sequence's
     lo = max(0, i - MAX_RADIUS - 1)
-    return SequenceFeatures(tokens[lo : i + MAX_RADIUS + 2])[i - lo]
+    return sequence_features(tokens[lo : i + MAX_RADIUS + 2])[i - lo]
 
 
 class SequenceFeatures(abc.Sequence):
     """The feature maps of a token sequence, as a read-only sequence of
     dicts that equals the list of :func:`token_features` at every
-    position.  It holds the tokens and merges a position's map from their
-    :func:`factored_features` only when that position is indexed or
-    iterated; a slice is a list of maps.  Training reads the tokens and
-    builds no map."""
+    position.  It holds the token texts, which alone decide the maps, and
+    merges a position's map from their :func:`factored_features` only
+    when that position is indexed or iterated; a slice is a list of maps.
+    Training reads the texts and builds no map."""
 
-    __slots__ = ("tokens", "_factored")
+    __slots__ = ("texts", "_factored")
 
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = tuple(tokens)
+    def __init__(self, texts: Sequence[str]):
+        self.texts = tuple(texts)
         self._factored = None
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.texts)
 
     def _rows(self, positions: Iterable[int]):
         if self._factored is None:
@@ -235,7 +235,7 @@ class SequenceFeatures(abc.Sequence):
         return (_merged_features(fragments, parts[i].tolist()) for i in positions)
 
     def __getitem__(self, i):
-        n = len(self.tokens)
+        n = len(self.texts)
         if isinstance(i, slice):
             return list(self._rows(range(*i.indices(n))))
         i = index(i)
@@ -244,7 +244,7 @@ class SequenceFeatures(abc.Sequence):
         return next(self._rows((i % n,)))
 
     def __iter__(self):
-        return self._rows(range(len(self.tokens)))
+        return self._rows(range(len(self.texts)))
 
     def __eq__(self, other):
         if isinstance(other, (list, SequenceFeatures)):
@@ -252,9 +252,12 @@ class SequenceFeatures(abc.Sequence):
         return NotImplemented
 
 
-def sequence_features(tokens: Sequence[Token]) -> SequenceFeatures:
-    """The feature map of every position of *tokens*, built on access."""
-    return SequenceFeatures(tokens)
+def sequence_features(tokens: Sequence[Token | str]) -> SequenceFeatures:
+    """The feature map of every position of *tokens* (or token texts), built on access."""
+    texts = tuple(t if isinstance(t, str) else t.text for t in tokens)
+    if "" in texts:
+        raise ValueError("a token's text is empty")
+    return SequenceFeatures(texts)
 
 
 def _text_features(d: int, attrs: tuple) -> dict:
@@ -355,7 +358,7 @@ def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], 
     fragments: list[dict] = []
     if laid:
         n = lengths[laid]
-        texts = [t.text for s in laid for t in sequences[s].tokens]
+        texts = [t for s in laid for t in sequences[s].texts]
         attrs, which = padded_layout(texts, n.tolist())
         entries = which[np.flatnonzero(which)[:, None] + np.arange(-MAX_RADIUS, MAX_RADIUS + 1)]
         # a text fragment's code is (offset slot, entry); the patterns' follow

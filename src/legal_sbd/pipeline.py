@@ -1,12 +1,11 @@
 """Document-level glue: corpus in, labeled sequences or predicted spans out.
 
-Prediction runs on columns: each text's ``tokenizer.TokenColumns`` go
-through compiled scoring, Viterbi and the column decode of
-``spans._decode_columns`` with no ``Token`` built.  Training labels a
-document from its columns' end offsets, and builds ``Token``s only for
-the ``features.SequenceFeatures`` it trains on; :func:`predicted_labels`
-returns tokens.  Everything here is deterministic and runs in the
-calling thread.
+Prediction and training run on columns: each text's
+``tokenizer.TokenColumns`` go through compiled scoring, Viterbi and the
+column decode of ``spans._decode_columns``, or give a document's labels
+from their end offsets and its ``features.SequenceFeatures`` from their
+texts, with no ``Token`` built.  Only :func:`predicted_labels` returns
+tokens.  Everything here is deterministic and runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .crf import CrfModel, LabeledSequence, TrainingConfig, compile_model, train
 from .errors import DataError
 from .features import FEATURE_FINGERPRINT, sequence_features
 from .spans import _encode_ends
-from .tokenizer import SPACE_KINDS, Token, TokenColumns, _column_tokens
+from .tokenizer import Token, TokenColumns, _column_tokens
 
 # the column builder and decode keep these names: perfbench/tracer.py times the stages by them
 from .spans import _decode_columns as decode_bilou
@@ -28,34 +27,34 @@ from .tokenizer import _token_columns as tokenize
 
 def label_document(doc: Document) -> LabeledSequence:
     """Tokenize one gold document into features plus BILOU labels; the
-    features are a ``features.SequenceFeatures`` over the tokens, whose
-    maps training never builds."""
+    features are a ``features.SequenceFeatures`` over the token texts,
+    whose maps training never builds."""
     columns = tokenize(doc.text)
     return LabeledSequence(
-        features=sequence_features(_column_tokens(columns)),
+        features=sequence_features(columns.texts),
         labels=_encode_ends(columns.ends, doc.spans),
     )
 
 
-def chunk_token_indices(tokens, labels: list[str], max_length: int) -> list[tuple[int, int]]:
-    """Half-open token ranges of at most ~*max_length* tokens.
+def chunk_token_indices(texts, labels: list[str], max_length: int) -> list[tuple[int, int]]:
+    """Half-open ranges of at most ~*max_length* of the token *texts*.
 
-    Cuts happen only after O-labeled whitespace tokens, so no sentence is
-    ever severed; a run without such a cut point may exceed the limit.
+    Cuts happen only after an O-labeled text that ``isspace()``, so no
+    sentence is ever severed; a run without such a cut may exceed the limit.
     """
     if max_length < 1:
         raise DataError(f"max_length must be >= 1, got {max_length}")
     ranges = []
     begin = 0
     last_cut = -1  # token index after which a cut is safe
-    for i, (tok, label) in enumerate(zip(tokens, labels)):
+    for i, (text, label) in enumerate(zip(texts, labels)):
         if i - begin + 1 > max_length and last_cut >= begin:
             ranges.append((begin, last_cut + 1))
             begin = last_cut + 1
-        if label == "O" and tok.kind in SPACE_KINDS:
+        if label == "O" and text.isspace():
             last_cut = i
-    if begin < len(tokens):
-        ranges.append((begin, len(tokens)))
+    if begin < len(texts):
+        ranges.append((begin, len(texts)))
     return ranges
 
 
@@ -63,10 +62,10 @@ def label_document_chunked(doc: Document, max_sequence_length: int) -> list[Labe
     """:func:`label_document`'s sequence, cut into several training
     sequences at sentence-external whitespace if it is long."""
     whole = label_document(doc)
-    tokens, labels = whole.features.tokens, whole.labels
+    texts, labels = whole.features.texts, whole.labels
     return [
-        LabeledSequence(features=sequence_features(tokens[a:b]), labels=labels[a:b])
-        for a, b in chunk_token_indices(tokens, labels, max_sequence_length)
+        LabeledSequence(features=sequence_features(texts[a:b]), labels=labels[a:b])
+        for a, b in chunk_token_indices(texts, labels, max_sequence_length)
     ]
 
 

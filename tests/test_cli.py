@@ -121,6 +121,12 @@ def _train_with_seed(tmp_path, corpus_path, literal):
     return _train_with_split(tmp_path, corpus_path, json.dumps(split).replace('"SEED"', literal))
 
 
+def _train_with_test_id_in_train(tmp_path, corpus_path):
+    ids = [json.loads(line)["id"] for line in corpus_path.read_text(encoding="utf-8").splitlines()]
+    split = {"seed": 1, "train": ids, "validation": [], "test": ids[-1:]}
+    return _train_with_split(tmp_path, corpus_path, json.dumps(split))
+
+
 def _train_with_split(tmp_path, corpus_path, split_json):
     split = _write(tmp_path / "split.json", split_json)
     return "train", "--corpus", corpus_path, "--split", split, "--out", tmp_path / "m.json"
@@ -152,6 +158,7 @@ UNREADABLE_INPUTS = [
         t, c, '{"seed": "x", "train": [], "validation": [], "test": []}')),
     ("split ids that are not strings", lambda t, c, m: _train_with_split(
         t, c, '{"seed": 1, "train": [1], "validation": [], "test": []}')),
+    ("split that lists a test id in train", lambda t, c, m: _train_with_test_id_in_train(t, c)),
     ("corpus integer too long to convert", lambda t, c, m: (
         "stats", "--corpus", _write(t / "bad.jsonl", _span_start(c, "9" * 5000)))),
     *[(f"corpus span offset {v}", lambda t, c, m, v=v: (

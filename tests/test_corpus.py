@@ -267,6 +267,19 @@ def test_split_file_missing_field(tmp_path, field):
         load_split(path)
 
 
+@pytest.mark.parametrize("train, validation, test, repeated", [
+    (["a", "b", "a"], ["c"], ["d"], "a"),  # twice in one partition
+    (["a", "b"], ["c"], ["b"], "b"),  # a test document in train
+    (["a"], ["b", "c"], ["c", "d"], "c"),  # in validation and in test
+])
+def test_split_file_listing_an_id_twice(tmp_path, train, validation, test, repeated):
+    path = tmp_path / "split.json"
+    obj = {"seed": 1, "train": train, "validation": validation, "test": test}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*'{repeated}' more than once"):
+        load_split(path)
+
+
 def test_split_file_round_trip(tmp_path):
     docs = make_corpus(10, seed=1)
     split = split_corpus(docs, seed=7)

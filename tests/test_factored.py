@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from legal_sbd import crf, features, pipeline
+from legal_sbd import crf, features, pipeline, tokenizer
 from legal_sbd.corpus import Document
 from legal_sbd.crf import LabeledSequence, TrainingConfig, nll_and_gradient
 from legal_sbd.features import sequence_features
@@ -84,6 +84,18 @@ def test_training_builds_no_feature_maps(monkeypatch):
     # the counter sees the maps that are built
     view = pipeline.label_document(DOCS[0]).features
     assert len(list(view)) == calls > 0
+
+
+def test_training_builds_no_token(monkeypatch):
+    built = []
+    real = tokenizer._new_token
+    monkeypatch.setattr(tokenizer, "_new_token", lambda fields: built.append(fields) or real(fields))
+    config = TrainingConfig(max_iterations=3)
+    pipeline.train_on_documents(DOCS, config)
+    pipeline.train_on_documents(DOCS, config, max_sequence_length=40)
+    assert built == []
+    # the counter sees the tokens that are built
+    assert len(tokenize(DOCS[0].text)) == len(built) > 0
 
 
 def test_objective_on_the_view_matches_the_list():

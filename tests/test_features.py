@@ -19,7 +19,7 @@ from legal_sbd.features import (
     token_features,
 )
 from legal_sbd.synthetic import make_corpus
-from legal_sbd.tokenizer import tokenize
+from legal_sbd.tokenizer import Token, tokenize
 from oracles import keyed_layout
 
 # Reference feature map for the token "en" in "C'est en outre": categories,
@@ -256,6 +256,19 @@ def test_windowed_maps_equal_whole_sequence_maps(text):
     tokens = tokenize(text)
     whole = sequence_features(tokens)
     assert [token_features(tokens, i) for i in range(len(tokens))] == list(whole)
+
+
+def test_sequence_features_of_texts_equal_those_of_tokens():
+    tokens = tokenize("Art. 5 ZGB.\n(1) Die Frist.")
+    texts = [tok.text for tok in tokens]
+    assert sequence_features(texts).texts == sequence_features(tokens).texts == tuple(texts)
+    assert sequence_features(texts) == sequence_features(tokens)
+
+
+@pytest.mark.parametrize("items", [["a", " ", ""], [""], [Token("", 0, 0, "other")]])
+def test_an_empty_token_text_is_a_value_error(items):
+    with pytest.raises(ValueError, match="empty"):
+        sequence_features(items)
 
 
 def test_out_of_range_position_rejected():

@@ -1,7 +1,8 @@
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legal_sbd.crf import TrainingConfig, load_model, save_model
@@ -18,7 +19,8 @@ from legal_sbd.pipeline import (
 )
 from legal_sbd.spans import encode_bilou
 from legal_sbd.synthetic import make_corpus
-from legal_sbd.tokenizer import tokenize
+from legal_sbd.tokenizer import SPACE_KINDS, tokenize
+from strategies import TEXTS
 
 
 def test_label_document_alignment():
@@ -34,7 +36,8 @@ def test_chunking_never_severs_sentences():
     for doc in docs:
         seq = tokenize(doc.text)
         labels = encode_bilou(seq, doc.spans)
-        ranges = chunk_token_indices(seq, labels, max_length=40)
+        texts = [tok.text for tok in seq]
+        ranges = chunk_token_indices(texts, labels, max_length=40)
         # ranges partition the tokens
         assert ranges[0][0] == 0
         assert ranges[-1][1] == len(seq)
@@ -43,11 +46,27 @@ def test_chunking_never_severs_sentences():
         # every cut lands after an O-labeled whitespace token
         for _, end in ranges[:-1]:
             assert labels[end - 1] == "O"
+            assert texts[end - 1].isspace()
         # chunk labels concatenate to the original labeling
         rebuilt = []
         for a, b in ranges:
             rebuilt.extend(labels[a:b])
         assert rebuilt == labels
+
+
+# every whitespace character, then each before a combining mark, which
+# starts a token of its own there
+SPACES = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+
+
+@given(TEXTS)
+@example(SPACES + "\u0301".join(SPACES))
+@settings(max_examples=300, deadline=None)
+def test_chunk_cut_rule_is_the_space_kind_rule(text):
+    # chunking cuts after a text that isspace(); that is the kind rule of
+    # the predicted spans' trimming
+    for tok in tokenize(text):
+        assert tok.text.isspace() == (tok.kind in SPACE_KINDS)
 
 
 def test_chunked_sequences_stay_below_limit_when_cuttable():
@@ -62,9 +81,9 @@ def test_chunked_sequences_stay_below_limit_when_cuttable():
 
 def test_chunk_limit_validation():
     (doc,) = make_corpus(1, seed=64)
-    seq = tokenize(doc.text)
+    texts = [tok.text for tok in tokenize(doc.text)]
     with pytest.raises(DataError):
-        chunk_token_indices(seq, ["O"] * len(seq), 0)
+        chunk_token_indices(texts, ["O"] * len(texts), 0)
 
 
 def test_training_with_chunking_still_learns():
@@ -148,14 +167,16 @@ def test_chunked_training_labels_each_document_once(labeling_calls):
     for doc in docs:
         tokens = tokenize(doc.text)
         labels = encode_bilou(tokens, doc.spans)
-        expected += [[tokens[a:b], labels[a:b]] for a, b in chunk_token_indices(tokens, labels, 30)]
+        texts = [t.text for t in tokens]
+        ranges = chunk_token_indices(texts, labels, 30)
+        expected += [[[t.text for t in tokens[a:b]], labels[a:b]] for a, b in ranges]
     labeling_calls.clear()
     train_on_documents(docs, TrainingConfig(max_iterations=2), max_sequence_length=30)
     per_document = ["label_document_chunked", "label_document", "tokenize"]
     assert labeling_calls == per_document * len(docs)
     chunks = [chunk for doc in docs for chunk in label_document_chunked(doc, 30)]
     assert len(chunks) > len(docs)
-    assert [[list(c.features.tokens), c.labels] for c in chunks] == expected
+    assert [[list(c.features.texts), c.labels] for c in chunks] == expected
 
 
 def test_filter_documents():
