@@ -271,23 +271,12 @@ def _read_documents(path: str) -> tuple[list[Document], bool]:
     return [Document(id=Path(path).stem, language="xx", doc_type="judgment", text=text)], False
 
 
-def _write(out: str | None, content: str) -> None:
+def _write(out: str | Path | None, content: str) -> None:
+    """*content* to stdout if *out* is None, else to file *out* (``corpus.write_file``)."""
     if out is None:
         sys.stdout.write(content)
     else:
-        _save(out, content)
-
-
-def _save(path: str | Path, content: str) -> None:
-    """Write *content* to *path*, encoded before the file is opened: content
-    UTF-8 cannot encode (a lone surrogate) raises :class:`DataError`, and
-    an existing file stays as it was."""
-    try:
-        data = content.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        bad = exc.object[exc.start]
-        raise DataError(f"{path}: output holds {bad!r}, which UTF-8 cannot encode") from exc
-    Path(path).write_bytes(data)
+        corpus_mod.write_file(out, content, lambda bad: "output")
 
 
 def _lines(rows: list[str]) -> str:
@@ -374,6 +363,10 @@ def _cmd_histogram(resolved: dict[str, Any]) -> int:
 
 def _cmd_train(resolved: dict[str, Any]) -> int:
     languages = _parse_languages(resolved["languages"])
+    config = TrainingConfig(c1=resolved["c1"], c2=resolved["c2"],
+                            max_iterations=resolved["max_iterations"],
+                            lbfgs_memory=resolved["lbfgs_memory"], convergence_tol=resolved["tol"])
+    config.validate()  # before any input file is read, as the languages are
     docs = load_corpus(resolved["corpus"])
     split = load_split(resolved["split"])
     known = {doc.id for doc in docs}
@@ -391,13 +384,6 @@ def _cmd_train(resolved: dict[str, Any]) -> int:
             "empty training set after filtering "
             f"(subset={resolved['subset']}, languages={resolved['languages']})"
         )
-    config = TrainingConfig(
-        c1=resolved["c1"],
-        c2=resolved["c2"],
-        max_iterations=resolved["max_iterations"],
-        lbfgs_memory=resolved["lbfgs_memory"],
-        convergence_tol=resolved["tol"],
-    )
     model = train_on_documents(
         train_docs,
         config,
@@ -426,7 +412,7 @@ def _cmd_predict(resolved: dict[str, Any]) -> int:
         labeled = list(zip(docs, predicted_labels(model, [d.text for d in docs])))
         rows = [doc.id + "\t" + _token_row(tok, label)
                 for doc, (tokens, labels) in labeled for tok, label in zip(tokens, labels)]
-        _save(resolved["dump_labels"], _lines(rows))
+        _write(resolved["dump_labels"], _lines(rows))
         predicted = [replace(doc, spans=tuple(decode_bilou(*pair))) for doc, pair in labeled]
     _write(resolved["out"], _lines([corpus_mod.document_to_json(doc) for doc in predicted]))
     return 0
@@ -467,7 +453,7 @@ def _cmd_eval(resolved: dict[str, Any]) -> int:
         )
     sys.stdout.write(_lines(out))
     if report_path is not None:
-        _save(report_path, report.to_json() if report_path.suffix == ".json" else report.to_csv())
+        _write(report_path, report.to_json() if report_path.suffix == ".json" else report.to_csv())
     return 0
 
 

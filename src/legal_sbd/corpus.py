@@ -11,7 +11,8 @@ at least one non-whitespace character.
 
 The package parses JSON only here: :func:`read_json_object` reads split
 and model files, :func:`read_json_lines` corpora and predictions, and
-both raise :class:`DataError` naming the file.
+both raise :class:`DataError` naming the file.  It writes every file,
+model, corpus, split and CLI output alike, through :func:`write_file`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -154,6 +155,20 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
+def write_file(path: str | Path, text: str, culprit: Callable[[str], str]) -> None:
+    """Write *text* to *path* as UTF-8, the package's one way to write a
+    file.  The whole text is encoded before the file is opened: a text
+    UTF-8 cannot encode (one holding a lone surrogate) raises
+    :class:`DataError` ``"{path}: {culprit(bad)} holds {bad!r}, which
+    UTF-8 cannot encode"``, and an existing file stays as it was."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = text[exc.start]
+        raise DataError(f"{path}: {culprit(bad)} holds {bad!r}, which UTF-8 cannot encode") from exc
+    Path(path).write_bytes(data)
+
+
 def parse_span(record) -> SentenceSpan:
     """A span record ``{"start": int, "end": int, "label": str}``, label
     ``"Sentence"`` if absent; ``TypeError`` or ``KeyError`` if malformed."""
@@ -175,11 +190,13 @@ def _normalize_newlines(text: str, spans: list[SentenceSpan]):
 
 
 def _parse_document(obj: dict, path: str | Path, lineno: int) -> Document:
-    for key in ("id", "language", "type", "text"):
-        if key not in obj:
-            raise DataError(f"{path}: line {lineno}: missing field {key!r}")
-        if type(obj[key]) is not str:
-            raise DataError(f"{path}: line {lineno}: field {key!r} is not a string: {obj[key]!r}")
+    try:
+        for key in ("id", "language", "type", "text"):
+            json_str(obj[key])
+    except KeyError as exc:
+        raise DataError(f"{path}: line {lineno}: missing field {key!r}") from exc
+    except TypeError as exc:
+        raise DataError(f"{path}: line {lineno}: field {key!r} is not a string: {obj[key]!r}") from exc
     raw_spans = obj.get("spans", [])
     if not isinstance(raw_spans, list):
         raise DataError(f"{path}: line {lineno}: 'spans' must be a list")
@@ -230,17 +247,13 @@ def document_to_json(doc: Document) -> str:
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    """Write *docs* to *path* as JSONL, every line encoded before the file
-    is opened: a document UTF-8 cannot encode (a lone surrogate) raises
+    """Write *docs* to *path* as JSONL through :func:`write_file`: a
+    document UTF-8 cannot encode (a lone surrogate) raises
     :class:`DataError` naming it, and an existing file stays."""
-    lines = []
-    for doc in docs:
-        try:
-            lines.append(document_to_json(doc).encode("utf-8") + b"\n")
-        except UnicodeEncodeError as exc:
-            bad = exc.object[exc.start]
-            raise DataError(f"{path}: document {doc.id!r} holds {bad!r}, which UTF-8 cannot encode") from exc
-    Path(path).write_bytes(b"".join(lines))
+    docs = list(docs)
+    lines = [document_to_json(doc) + "\n" for doc in docs]
+    write_file(path, "".join(lines), lambda bad: next(
+        f"document {doc.id!r}" for doc, line in zip(docs, lines) if bad in line))
 
 
 def corpus_fingerprint(docs: Iterable[Document]) -> str:
@@ -299,9 +312,8 @@ def save_split(split: CorpusSplit, path: str | Path) -> None:
         "validation": list(split.validation),
         "test": list(split.test),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # json.dumps escapes every non-ASCII character, so the text always encodes
+    write_file(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", lambda bad: "split")
 
 
 def load_split(path: str | Path) -> CorpusSplit:
@@ -313,12 +325,16 @@ def load_split(path: str | Path) -> CorpusSplit:
         raise DataError(f"{path}: split file missing field {exc}") from exc
     except TypeError as exc:
         raise DataError(f"{path}: split seed {obj['seed']!r} is not an integer") from exc
-    if not all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids):
-        raise DataError(f"{path}: train, validation and test must be lists of id strings")
+    try:
+        if not all(isinstance(x, list) for x in ids):
+            raise TypeError("not a list")
+        ids = [tuple(map(json_str, x)) for x in ids]
+    except TypeError as exc:
+        raise DataError(f"{path}: train, validation and test must be lists of id strings") from exc
     repeated = [i for i, n in Counter(i for x in ids for i in x).items() if n > 1]
     if repeated:
         raise DataError(f"{path}: split lists document id {repeated[0]!r} more than once")
-    return CorpusSplit(seed, *(tuple(x) for x in ids))
+    return CorpusSplit(seed, *ids)
 
 
 @dataclass

@@ -111,12 +111,11 @@ import math
 import threading
 from dataclasses import asdict, dataclass, field
 from itertools import compress, islice, repeat
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import json_number, read_json_object
+from .corpus import json_int, json_number, json_str, read_json_object, write_file
 from .errors import DataError, TrainingError
 from .features import (
     FEATURE_FINGERPRINT, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_SIDE, PATTERN_SLOT_ROWS,
@@ -144,14 +143,17 @@ class TrainingConfig:
     convergence_tol: float = 1e-6
 
     def validate(self) -> None:
+        # bool is a subclass of int, and True would run as 1
+        for name in ("max_iterations", "lbfgs_memory"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("c1", "c2", "convergence_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise DataError(f"{name} must be a finite number, got {value!r}")
         if self.c1 < 0 or self.c2 < 0:
             raise DataError(f"regularizers must be >= 0 (c1={self.c1}, c2={self.c2})")
-        for name in ("max_iterations", "lbfgs_memory"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -269,8 +271,7 @@ class _TextMemo:
                     tables = np.zeros((len(tables), capacity, N_LABELS))
                     tables[:, :held] = self.tables[:, :held]
                     self.tables = tables
-                attrs = [None, *map(_token_attrs, new)]
-                tables[:, held:filled] = _offset_tables(compiled, attrs)[:, 1:]
+                tables[:, held:filled] = _offset_tables(compiled, list(map(_token_attrs, new)))
                 index.update(zip(new, range(held, filled)))
                 self.chars = chars
             entries = np.fromiter(map(index.__getitem__, texts), dtype=np.intp, count=len(texts))
@@ -358,16 +359,15 @@ _TABLE_CHUNK = 4096  # entries whose rows a column folds at a time
 
 
 def _offset_tables(compiled: CompiledModel, attrs: Sequence) -> np.ndarray:
-    """(planes, len(attrs), L) tables over *attrs*, ``_token_attrs``
-    tuples after a None, as in ``features.padded_layout``: row k of plane
-    p sums, from zero, the weight rows of the keys that entry k gives at
-    offset p - MAX_RADIUS, column by column in ``TEMPLATES`` order, the
-    order its text fragment lists them.  A column folds over the planes
-    its radius reaches, and over _TABLE_CHUNK entries at a time, so its
-    scratch stays that size however many entries there are; the centre's
-    holds no ``space`` weight, as ``0:space`` parses to None.  Row 0,
-    padding, is zero."""
-    values = list(zip(*attrs[1:]))  # column c -> its value for each entry
+    """(planes, len(attrs), L) tables over the ``_token_attrs`` tuples
+    *attrs*: row k of plane p sums, from zero, the weight rows of the keys
+    that entry k gives at offset p - MAX_RADIUS, column by column in
+    ``TEMPLATES`` order, the order its text fragment lists them.  A column
+    folds over the planes its radius reaches, and over _TABLE_CHUNK
+    entries at a time, so its scratch stays that size however many entries
+    there are; the centre's holds no ``space`` weight, as ``0:space``
+    parses to None."""
+    values = list(zip(*attrs))  # column c -> its value for each entry
     tables = np.zeros((len(compiled.weights), len(attrs), N_LABELS))
     for c, (name, radius) in enumerate(TEMPLATES):
         lookup = compiled.categories.get(c)
@@ -378,9 +378,9 @@ def _offset_tables(compiled: CompiledModel, attrs: Sequence) -> np.ndarray:
         numeric = name in NUMERIC_ATTRIBUTES
         if numeric:
             per_unit = planes[:, lookup[None], None, :]
-            column = np.array([0, *values[c]], dtype=np.float64)
+            column = np.array(values[c], dtype=np.float64)
         else:
-            column = np.array([0, *map(lookup.get, values[c], repeat(0))], dtype=np.intp)
+            column = np.array(list(map(lookup.get, values[c], repeat(0))), dtype=np.intp)
         for lo in range(0, len(attrs), _TABLE_CHUNK):
             part = column[lo : lo + _TABLE_CHUNK]
             folded = tables[reach, lo : lo + _TABLE_CHUNK]
@@ -1016,6 +1016,7 @@ def nll_and_gradient(
     or the batch; the L1 term is the optimizer's business and is not
     included here.
     """
+    config.validate()
     if not batch:
         raise DataError("empty batch")
     vocab, encoded = _encode_sequences(batch, known=model.state_weights)
@@ -1141,27 +1142,23 @@ def model_to_json(model: CrfModel) -> str:
 
 
 def save_model(model: CrfModel, path) -> None:
-    """Write :func:`model_to_json` to *path*, encoded before the file is
-    opened: a model UTF-8 cannot encode (a lone surrogate) raises
+    """Write :func:`model_to_json` to *path* through ``corpus.write_file``:
+    a model UTF-8 cannot encode (a lone surrogate) raises
     :class:`DataError` naming the indicator, and an existing file stays."""
-    text = model_to_json(model)
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        bad = text[exc.start]
-        where = next((f"indicator {i!r}" for i in sorted(model.state_weights) if bad in i), "metadata")
-        raise DataError(f"{path}: model {where} holds {bad!r}, which UTF-8 cannot encode") from exc
-    Path(path).write_bytes(data)
+    write_file(path, model_to_json(model), lambda bad: "model " + next(
+        (f"indicator {i!r}" for i in sorted(model.state_weights) if bad in i), "metadata"))
 
 
 def load_model(path) -> CrfModel:
     obj = read_json_object(path, "corrupt model file")
     version = obj.get("version")
-    if version != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"{path}: unsupported model file version {version!r} "
-            f"(expected {MODEL_FORMAT_VERSION})"
-        )
+    try:
+        supported = json_int(version) == MODEL_FORMAT_VERSION
+    except TypeError:  # true and 1.0 equal 1, and no writer ever wrote them
+        supported = False
+    if not supported:
+        raise DataError(f"{path}: unsupported model file version {version!r} "
+                        f"(expected {MODEL_FORMAT_VERSION})")
     if obj.get("labels") != list(LABELS):
         # the one label set training writes and decode_bilou reads
         raise DataError(f"{path}: label set {obj.get('labels')!r} is not {list(LABELS)}")
@@ -1169,9 +1166,8 @@ def load_model(path) -> CrfModel:
         state_weights: dict[str, np.ndarray] = {}
         seen = set()
         for ind, label, w in obj["state_weights"]:
-            if not isinstance(ind, str):  # no feature map could ever emit it
-                raise TypeError(f"indicator {ind!r} is not a string")
-            if (ind, label) in seen:  # model_to_json writes each pair once
+            # no feature map emits a non-string indicator, and model_to_json writes each pair once
+            if (json_str(ind), label) in seen:
                 raise ValueError(f"indicator {ind!r} has two weights for label {label!r}")
             seen.add((ind, label))
             state_weights.setdefault(ind, np.zeros(N_LABELS))[_LABEL_INDEX[label]] = json_number(w)

@@ -93,6 +93,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("data error:")
         assert not out.exists()
 
+    def test_bad_training_knob_is_reported_before_any_input_is_read(self, tmp_path, capsys):
+        assert run("train", "--corpus", tmp_path / "missing.jsonl", "--split", tmp_path / "none.json",
+                   "--out", tmp_path / "m.json", "--c1", "nan") == 2
+        assert "data error: c1 must be a finite number, got nan" in capsys.readouterr().err
+
 
 def _write(path, content):
     path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))

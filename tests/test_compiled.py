@@ -174,7 +174,7 @@ def test_dead_indicators_compile_to_nothing():
                      np.zeros((5, 5)), np.zeros(5), np.zeros(5))
     compiled = compile_model(model)
     texts = texts_of(tokenize("a=b a:b (1) Art. 5.\n"))
-    attrs, _ = features.padded_layout(texts, [len(texts)])
+    attrs = features.padded_layout(texts, [len(texts)])[0][1:]  # the padding entry dropped
     assert not _offset_tables(compiled, attrs).any()
     assert not compiled.pattern.any()
     assert not _unary_matrix(compiled, texts).any()
@@ -185,7 +185,7 @@ def test_offset_tables_scratch_stays_bounded(small_model):
     # the peak is the tables and a fixed scratch, not twice the tables
     compiled = compile_model(small_model)
     texts = texts_of(tokenize(" ".join(f"w{i}" for i in range(50_000))))
-    attrs, _ = features.padded_layout(texts, [len(texts)])
+    attrs = features.padded_layout(texts, [len(texts)])[0][1:]  # the padding entry dropped
     assert len(attrs) > 50_000
     tracemalloc.start()
     try:
@@ -196,8 +196,8 @@ def test_offset_tables_scratch_stays_bounded(small_model):
     assert peak <= 1.25 * tables.nbytes
     # a row depends on its entry alone, chunk edges included
     chunk = crf._TABLE_CHUNK
-    for k in (1, chunk - 1, chunk, chunk + 1, len(attrs) - 1):
-        np.testing.assert_array_equal(_offset_tables(compiled, [None, attrs[k]])[:, 1], tables[:, k])
+    for k in (0, chunk - 1, chunk, chunk + 1, len(attrs) - 1):
+        np.testing.assert_array_equal(_offset_tables(compiled, [attrs[k]])[:, 0], tables[:, k])
 
 
 def bits(U: np.ndarray) -> np.ndarray:
@@ -276,7 +276,7 @@ def test_memo_folds_only_the_texts_it_lacks(small_model, monkeypatch):
         return token_attrs(text)
 
     def counting_tables(compiled, attrs):
-        folded_rows.append(len(attrs) - 1)
+        folded_rows.append(len(attrs))
         return offset_tables(compiled, attrs)
 
     monkeypatch.setattr(crf, "_token_attrs", counting_attrs)

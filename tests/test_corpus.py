@@ -1,7 +1,9 @@
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,6 +280,17 @@ def test_split_file_listing_an_id_twice(tmp_path, train, validation, test, repea
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*'{repeated}' more than once"):
         load_split(path)
+
+
+def test_failed_split_save_leaves_the_existing_file(tmp_path):
+    # a numpy seed is no JSON number: the save fails before the file is opened
+    split = split_corpus(make_corpus(10, seed=1), seed=7)
+    path = tmp_path / "split.json"
+    save_split(split, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="int64"):
+        save_split(replace(split, seed=np.int64(7)), path)
+    assert path.read_bytes() == before
 
 
 def test_split_file_round_trip(tmp_path):

@@ -525,6 +525,20 @@ class TestTrain:
         with pytest.raises(DataError, match=name):
             train(tiny_training_batch(), TrainingConfig(**{name: value}))
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_iterations", 2.5), ("max_iterations", True), ("lbfgs_memory", 10.0),
+        ("lbfgs_memory", True), ("c1", "1"), ("c2", None), ("convergence_tol", True),
+    ])
+    def test_knob_of_the_wrong_type_rejected(self, name, value):
+        # 2.5 would fail inside the optimizer once the corpus is encoded,
+        # True would run as 1, and "1" would fail in math.isfinite
+        with pytest.raises(DataError, match=f"{name} must be"):
+            TrainingConfig(**{name: value}).validate()
+
+    def test_nll_and_gradient_validates_its_config(self):
+        with pytest.raises(DataError, match="regularizers must be >= 0"):
+            nll_and_gradient(zero_model(), tiny_training_batch(), TrainingConfig(c2=-5.0))
+
 
 class TestUnknownLabel:
     # the one label table is spans.LABELS; every entry point that reads
@@ -600,6 +614,14 @@ class TestSerialization:
         hacked = path.read_text().replace('"version": 1', '"version": 99', 1)
         path.write_text(hacked)
         with pytest.raises(DataError, match=r"model\.json: unsupported model file version 99"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_version_other_than_the_integer_1_rejected(self, small_model, tmp_path, version):
+        # both equal 1 in Python, and no writer ever wrote them
+        path = tmp_path / "model.json"
+        path.write_text(model_to_json(small_model).replace('"version": 1', f'"version": {version}', 1))
+        with pytest.raises(DataError, match=rf"model\.json: unsupported model file version {version.title()}"):
             load_model(path)
 
     @staticmethod

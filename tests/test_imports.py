@@ -1,7 +1,8 @@
 """Every module-level import in the package, the tests and the demos is
-read by the module that makes it, and every private module-level function,
-class or assigned name of the package is referenced by the package; no
-linter runs in CI, so these tests are the check."""
+read by the module that makes it, every private module-level function,
+class or assigned name of the package is referenced by the package, and
+the package writes files through ``corpus.write_file`` alone; no linter
+runs in CI, so these tests are the check."""
 
 import ast
 from collections import Counter
@@ -116,3 +117,66 @@ def test_the_check_finds_unreferenced_private_definitions():
 def test_no_unreferenced_private_definitions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def file_writers(source: str) -> list[str]:
+    """The function of *source* that makes each call in it that writes a
+    file (``<module>`` outside every function): ``write_bytes``,
+    ``write_text``, or an ``open`` whose mode holds ``w``, ``a``, ``x`` or
+    ``+``, or is not a string literal.  The mode is the ``mode`` keyword,
+    else the second argument of a plain ``open(...)`` call and the first
+    of a method's, as in ``Path.open``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "open":
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                modes += node.args[isinstance(func, ast.Name):][:1]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                    found.append(where)
+            elif name in ("write_bytes", "write_text"):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_file_writers():
+    source = (
+        "import io\n"
+        "from pathlib import Path\n"
+        "def reads(path):\n"
+        "    with open(path, encoding='utf-8') as fh, Path(path).open('rb') as raw:\n"
+        "        return fh.read(), raw.read(), open(path, mode='r')\n"
+        "def writes(path):\n"
+        "    Path(path).write_bytes(b'')\n"
+        "def appends(path):\n"
+        "    open(path, 'a').close()\n"
+        "def updates(path):\n"
+        "    return io.open(path, mode='r+b')\n"
+        "def creates(path):\n"
+        "    def inner():\n"
+        "        return Path(path).open('x')\n"
+        "    return inner\n"
+        "def dumps(path, mode):\n"
+        "    Path(path).write_text('')\n"
+        "    return open(path, mode)\n"
+        "open('log.txt', 'w')\n"
+    )
+    assert file_writers(source) == [
+        "writes", "appends", "updates", "inner", "dumps", "dumps", "<module>",
+    ]
+
+
+def test_one_function_writes_files():
+    found = [f"{path.stem}.{where}" for path in sorted(PACKAGE.glob("*.py"))
+             for where in file_writers(path.read_text(encoding="utf-8"))]
+    assert found == ["corpus.write_file"]

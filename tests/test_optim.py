@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from legal_sbd.errors import TrainingError
-from legal_sbd.optim import minimize_lbfgs
+from legal_sbd import optim
+from legal_sbd.optim import _two_loop, minimize_lbfgs
 
 
 def quadratic(center):
@@ -95,6 +96,31 @@ def test_evaluations_count_every_objective_call():
     res = minimize_lbfgs(counted, np.array([-1.2, 1.0]), tol=1e-16, max_iterations=500)
     assert res.evaluations == len(calls)
     assert res.evaluations > res.iterations + 1
+
+
+def test_non_finite_direction_falls_back_to_steepest_descent(monkeypatch):
+    # a gradient of 1e160 at the third point makes the slope of the
+    # two-loop direction non-finite: the history is cleared and d = -g
+    history = []  # the optimizer's (s, y) list, as the two-loop is handed it
+
+    def two_loop(grad, pairs):
+        history[:] = [pairs]
+        return _two_loop(grad, pairs)
+
+    calls, huge = [], np.array([1e160, 1e160])
+
+    def fun(x):
+        calls.append((x.copy(), len(history[0]) if history else 0))  # point, pairs held
+        g = huge if len(calls) == 3 else x  # the quadratic 0.5 * |x|^2, then the jump
+        return 10.0 - len(calls), g
+
+    monkeypatch.setattr(optim, "_two_loop", two_loop)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e160 ** 2 overflows
+        res = minimize_lbfgs(fun, np.array([1.0, 2.0]), max_iterations=3)
+    (x2, held_before), (x3, held_after) = calls[2], calls[3]
+    assert held_before == 1 and held_after == 0
+    assert np.array_equal(x3, x2 - huge)  # d = -pg, at step 1
+    assert res.stop_reason == "line_search"
 
 
 def test_deterministic():
