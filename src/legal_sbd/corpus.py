@@ -276,8 +276,11 @@ def split_corpus(docs: list[Document], seed: int) -> CorpusSplit:
     Sampling is stratified per language so every language contributes 20%
     of its documents (round half up) to validation and to test.  The
     partition is a pure function of the document ids, their languages, and
-    the seed.
+    the seed, which must be an ``int`` (not a bool): the only seed that
+    :func:`save_split` writes and :func:`load_split` reads back.
     """
+    if type(seed) is not int:
+        raise DataError(f"split seed {seed!r} is not an integer")
     if len(docs) < 5:
         raise DataError(f"corpus too small to split: {len(docs)} documents (need >= 5)")
     by_language: dict[str, list[str]] = {}

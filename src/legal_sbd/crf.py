@@ -16,10 +16,11 @@ Training evaluates the objective over the whole batch with one forward
 and one backward pass.  The sequences are stably sorted longest first and
 laid out time-major, like a packed sequence: step t holds one row for
 each sequence longer than t, and row i of step t continues row i of step
-t - 1, so each step of the recursion is one array operation over
-contiguous rows.  Nothing is padded, so memory grows with the number of
-tokens, not with the batch size times the longest sequence.  A single
-sequence is the packed case with one row per step.
+t - 1, so each step of every recursion, Viterbi's too, is one array
+operation over contiguous rows, which :func:`_pack` lists once.  Nothing
+is padded, so memory grows with the number of tokens, not with the batch
+size times the longest sequence.  A single sequence is the packed case
+with one row per step.
 
 Feature maps (see :mod:`legal_sbd.features`, which states the grammar of
 their string indicators) are merges of the fragments of
@@ -77,7 +78,7 @@ a text shorter than ``_MIN_CUT`` tokens takes one step per token.  The
 back pointers are taken after the loop from the stored scores, by the
 same sums, so they are the same floating-point values and ties still go
 to the lowest label index.  Every max-plus
-operation over many rows or blocks runs with them as its innermost
+operation, on however few rows or blocks, runs with them as its innermost
 axis, since numpy pays its loop overhead per element of the outer axes,
 which with the 5 labels innermost is per row.  Whether and where a text
 is cut depends on its own length only, and no sum mixes two texts, so a
@@ -471,7 +472,7 @@ def _row_max(V: np.ndarray) -> np.ndarray:
 
 
 def _forward(
-    U: np.ndarray, trans: np.ndarray, start: np.ndarray, batch_sizes: Sequence[int]
+    U: np.ndarray, trans: np.ndarray, start: np.ndarray, packing: _Packing
 ) -> tuple[np.ndarray, ...]:
     """Scaled forward recursion over packed rows (see :func:`_pack`):
     (a, s, P, E, shift).
@@ -481,7 +482,7 @@ def _forward(
     is a[r] times the product of s * exp(shift) over r and the rows before
     it in its sequence; shift[r] is the row's max, start included at a
     first row, plus max trans at a row with a predecessor."""
-    n0 = batch_sizes[0]
+    n0 = packing.batch_sizes[0]
     P = U.copy()
     P[:n0] += start
     shift = _row_max(P)
@@ -492,39 +493,31 @@ def _forward(
     s = np.empty(len(U))
     np.add.reduce(P[:n0], axis=1, out=s[:n0])
     np.divide(P[:n0], s[:n0, None], out=a[:n0])
-    prev, lo = 0, n0
-    for n in batch_sizes[1:]:
-        rows = np.einsum("ri,ij->rj", a[prev : prev + n], E, out=a[lo : lo + n])
+    for before, lo, n in packing.steps:
+        rows = np.einsum("ri,ij->rj", a[before : before + n], E, out=a[lo : lo + n])
         rows *= P[lo : lo + n]
         np.add.reduce(rows, axis=1, out=s[lo : lo + n])
         rows /= s[lo : lo + n, None]
-        prev, lo = lo, lo + n
     shift[n0:] += trans_shift
     return a, s, P, E, shift
 
 
 def _backward(
-    P: np.ndarray, E: np.ndarray, s: np.ndarray, end: np.ndarray, batch_sizes: Sequence[int]
+    P: np.ndarray, E: np.ndarray, s: np.ndarray, end: np.ndarray, packing: _Packing
 ) -> np.ndarray:
     """Scaled backward recursion over packed rows, on the P, E and s of
     :func:`_forward`: b is exp(end - max end) at a sequence's last row, and
     b[r] = E @ (P * b)[next] / s[next] before it, with next the row after r
     in its sequence.  Dividing by the forward pass's scales keeps a[r] @
     b[r] the same on every row of a sequence."""
-    # every row starts as a last row; the loop overwrites the rows that
-    # have a successor
+    # every row starts as a last row; each step, last first, sets the rows before it
     b = np.empty_like(P)
     b[:] = np.exp(end - end.max())
-    scratch = np.empty_like(P[: batch_sizes[0]])
-    hi = len(P)
-    n_next = 0
-    for n in reversed(batch_sizes):
-        lo = hi - n
-        if n_next:
-            after = np.multiply(P[hi : hi + n_next], b[hi : hi + n_next], out=scratch[:n_next])
-            rows = np.einsum("rj,ij->ri", after, E, out=b[lo : lo + n_next])
-            rows /= s[hi : hi + n_next, None]
-        hi, n_next = lo, n
+    scratch = np.empty_like(P[: packing.batch_sizes[0]])
+    for before, lo, n in reversed(packing.steps):
+        after = np.multiply(P[lo : lo + n], b[lo : lo + n], out=scratch[:n])
+        rows = np.einsum("rj,ij->ri", after, E, out=b[before : before + n])
+        rows /= s[lo : lo + n, None]
     return b
 
 
@@ -538,11 +531,11 @@ def _posteriors(
     row: the marginals are a * b, the posterior of label i at row prev[j]
     and k at row n0 + j is a[prev[j], i] * E[i, k] * (P * b / s)[n0 + j, k],
     and log Z sums log z, max end and the log scales."""
-    batch_sizes, seq, _, prev, last = packing
-    n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
+    seq, prev, last = packing.seq, packing.prev, packing.last
+    n0 = packing.batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     with np.errstate(all="ignore"):
-        a, s, P, E, shift = _forward(U, trans, start, batch_sizes)
-        b = _backward(P, E, s, end, batch_sizes)
+        a, s, P, E, shift = _forward(U, trans, start, packing)
+        b = _backward(P, E, s, end, packing)
         # a NaN fails every comparison, so it falls back too
         if a.min() >= _TINY and s.min() >= _TINY and b.min() >= _TINY:
             z = np.einsum("rk,rk->r", a[last], b[last])
@@ -555,8 +548,8 @@ def _posteriors(
             if np.isfinite(m).all() and np.isfinite(e_trans).all():
                 scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
                 return np.log(z) + end.max() + scales, m, e_trans
-    alpha = _log_forward(U, trans, start, batch_sizes)
-    beta = _log_backward(U, trans, end, batch_sizes)
+    alpha = _log_forward(U, trans, start, packing)
+    beta = _log_backward(U, trans, end, packing)
     log_z = _logsumexp(alpha[last] + end)
     m = np.exp(alpha + beta - log_z[seq, None])
     # one (tokens, L, L) array of log posteriors, built in place
@@ -566,42 +559,36 @@ def _posteriors(
 
 
 def _log_forward(
-    U: np.ndarray, trans: np.ndarray, start: np.ndarray, batch_sizes: Sequence[int]
+    U: np.ndarray, trans: np.ndarray, start: np.ndarray, packing: _Packing
 ) -> np.ndarray:
     """Forward recursion in log space, the oracle and fallback of the
     scaled one: alpha[r, k] is the log of the summed exp-scores of the
     paths that end in label k at row r, U[r, k] included.  An exp and a
     log over a (rows, L, L) block per step."""
     alpha = np.empty_like(U)
-    lo = batch_sizes[0]
-    alpha[:lo] = start + U[:lo]
-    prev = 0
-    for n in batch_sizes[1:]:
-        b = alpha[prev : prev + n, :, None] + trans
+    n0 = packing.batch_sizes[0]
+    alpha[:n0] = start + U[:n0]
+    for before, lo, n in packing.steps:
+        b = alpha[before : before + n, :, None] + trans
         m = b.max(axis=1)
         alpha[lo : lo + n] = U[lo : lo + n] + m + np.log(np.exp(b - m[:, None, :]).sum(axis=1))
-        prev, lo = lo, lo + n
     return alpha
 
 
 def _log_backward(
-    U: np.ndarray, trans: np.ndarray, end: np.ndarray, batch_sizes: Sequence[int]
+    U: np.ndarray, trans: np.ndarray, end: np.ndarray, packing: _Packing
 ) -> np.ndarray:
     """Backward recursion in log space, the oracle and fallback of the
     scaled one: beta[r, k] is the log of the summed exp-scores of the
     paths from label k at row r to the end of its sequence, U[r, k]
     excluded; it is ``end`` at a sequence's last row."""
+    # every row starts as a last row; each step, last first, sets the rows before it
     beta = np.empty_like(U)
-    hi = len(U)
-    n_next = 0
-    for n in reversed(batch_sizes):
-        lo = hi - n
-        beta[lo + n_next : hi] = end
-        if n_next:
-            b = trans + (U[hi : hi + n_next] + beta[hi : hi + n_next])[:, None, :]
-            m = b.max(axis=2)
-            beta[lo : lo + n_next] = m + np.log(np.exp(b - m[:, :, None]).sum(axis=2))
-        hi, n_next = lo, n
+    beta[:] = end
+    for before, lo, n in reversed(packing.steps):
+        b = trans + (U[lo : lo + n] + beta[lo : lo + n])[:, None, :]
+        m = b.max(axis=2)
+        beta[before : before + n] = m + np.log(np.exp(b - m[:, :, None]).sum(axis=2))
     return beta
 
 
@@ -653,9 +640,6 @@ _LADDER_SQUARES = 3 * _LADDER * _LADDER
 # a sequence shorter than this is not cut: below it, one step per position
 # measured faster than the blocked scan with its setup
 _MIN_CUT = 40
-# from this many rows on, a max-plus step runs with its rows innermost, where
-# numpy pays its loop overhead per label, not per row; below it that is slower
-_COLUMN_ROWS = 8
 
 
 def _block_lengths(lengths: np.ndarray) -> np.ndarray:
@@ -724,7 +708,8 @@ def viterbi(
     given *lengths* (default: one sequence), as one flat list: of a list of
     feature maps under a model, or of a list of token texts under a
     compiled model.  Ties resolve to the lowest label index at each sequence's final
-    position and at every backtrack step.
+    position and at every backtrack step.  Lengths other than positive integers
+    (``int`` or numpy, not bool) summing to len(features) raise ``ValueError``.
 
     All sequences are decoded together by a blocked max-plus scan (Hassan,
     Särkkä & García-Fernández 2021; Maleki, Musuvathi & Mytkowicz 2014).
@@ -742,25 +727,26 @@ def viterbi(
        on the packed layout of :func:`_pack`, in at most b steps.
 
     So a sequence takes about 2 * b + T / b max-plus steps, about 3 *
-    sqrt(T), instead of T - 1.  Every wide max-plus operation runs
-    with the blocks or rows innermost: the transfer matrices, a packed
-    step of at least ``_COLUMN_ROWS`` rows and the back pointers, which
-    numpy would otherwise loop over 5 labels per row.  The scores
-    themselves stay row-major, one row per position, so a narrow step runs
-    row by row.  The entry vectors are written over the rows they stand
-    for before the back pointers are taken, so the path walked is the
-    argmax path of the scores computed.  They sum the same terms as the
-    position-by-position loop, grouped differently: with integer weights
-    every sum is exact and the labels are the loop's, ties included; with
-    real weights they agree unless two paths score within rounding of each
-    other.  Whether a sequence is cut, and where, depends on its own length
-    only, so a sequence's labels do not depend on the other sequences of
-    the call."""
-    lengths = np.array([len(features)] if lengths is None else lengths, dtype=np.intp)
+    sqrt(T), instead of T - 1.  Steps 2 and 3 iterate the ``steps`` of
+    their :func:`_pack`.  Every max-plus operation has one form, with the
+    blocks or rows innermost, since numpy would otherwise loop over 5
+    labels per row; a packed step of 1-7 rows measured within about 1 us
+    of a row-major one.  The scores stay row-major, one row per position.
+    The entry vectors are written over the rows they stand for before the
+    back pointers are taken, so the path walked is the argmax path of the
+    scores computed.  They sum the same terms as the position-by-position
+    loop, grouped differently: with integer weights every sum is exact
+    and the labels are the loop's, ties included; with real weights they
+    agree unless two paths score within rounding of each other.  Whether
+    a sequence is cut, and where, depends on its own length only, so a
+    sequence's labels do not depend on the other sequences of the call."""
+    given = [len(features)] if lengths is None else lengths
+    # np.array would truncate 2.7 to 2 and read True as 1
+    integers = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in given)
+    lengths = np.array(given if integers else [], dtype=np.intp)
     if not lengths.size or lengths.min() < 1 or lengths.sum() != len(features):
-        raise ValueError(
-            f"sequence lengths {lengths.tolist()} do not split {len(features)} positions"
-        )
+        raise ValueError(f"sequence lengths [{', '.join(map(str, given))}] "
+                         f"do not split {len(features)} positions")
     U = _unary_matrix(model, features, lengths)
     trans = model.transitions
     to = trans[:, :, None]  # to[i, j]: trans[i, j] as a column over rows
@@ -780,21 +766,21 @@ def viterbi(
         K = len(width)
         heads = np.concatenate((heads[blocked][chain.seq] + width * chain.step, heads + skip))
         pieces = np.concatenate((width, lengths - skip))
-    batch_sizes, seq, step, prev, last = _pack(pieces)
+    packing = _pack(pieces)
     # D[r, k]: the best score of a path ending in label k at row r, built in
     # place over the unary scores in packed order
-    D = U[heads[seq] + step]
+    D = U[heads[packing.seq] + packing.step]
     del U
-    n0 = batch_sizes[0]  # the number of pieces; rows n0: have a predecessor
+    n0 = packing.batch_sizes[0]  # the number of pieces; rows n0: have a predecessor
     entry = model.start  # what the first row of a piece adds
     pred = np.full(len(D), -1)  # the row one position earlier, -1 at a start
-    pred[n0:] = prev
+    pred[n0:] = packing.prev
     if K:
         # 1. X[:, :, j]: the transfer matrix of chain row j.  At every step
         # the blocks of one length follow the longer pieces and precede the
         # last pieces of their length, in chain order, so they are
         # contiguous rows; the first c0 blocks open their sequences
-        firsts = np.cumsum(batch_sizes) - batch_sizes
+        firsts = np.cumsum(packing.batch_sizes) - packing.batch_sizes
         c0 = chain.batch_sizes[0]
         X = np.empty((N_LABELS, N_LABELS, K))
         for b in set(width.tolist()):
@@ -806,37 +792,30 @@ def viterbi(
         # loop's own scores
         E = np.empty((N_LABELS, K))
         E[:, :c0] = X[:, 0, :c0]
-        before, lo = 0, c0
-        for n in chain.batch_sizes[1:]:
+        for before, lo, n in chain.steps:
             E[:, lo : lo + n] = (E[:, before : before + n] + X[:, :, lo : lo + n]).max(axis=1)
-            before, lo = lo, lo + n
         del X
         # the block before each piece, as a chain row, or -1
         after = np.full(len(pieces), -1)
         after[c0:K] = chain.prev
         after[K:][blocked] = chain.last
-        after = after[seq[:n0]]
+        after = after[packing.seq[:n0]]
         entering = np.flatnonzero(after >= 0)
         entry = np.empty((n0, N_LABELS))
         entry[:] = model.start
         entry[entering] = (E[:, after[entering]][:, None] + to).max(axis=0).T
-        exits = last[:K]  # the last row of each block
+        exits = packing.last[:K]  # the last row of each block
         pred[entering] = exits[after[entering]]
     # 3. the packed recursion; a first row adds its entry
     D[:n0] += entry
-    before, lo = 0, n0
-    for n in batch_sizes[1:]:
-        if n < _COLUMN_ROWS:
-            D[lo : lo + n] += (D[before : before + n, :, None] + trans).max(axis=1)
-        else:
-            D[lo : lo + n] += (D[before : before + n].T[:, None] + to).max(axis=0).T
-        before, lo = lo, lo + n
+    for before, lo, n in packing.steps:
+        D[lo : lo + n] += (D[before : before + n].T[:, None] + to).max(axis=0).T
     if K:
         D[exits] = E.T
     # back pointers from the stored D: the same sums as in the recursion,
     # so the same maxima.  A start row's pointers read D[-1] and are unused
     back = _back_pointers(D, pred, trans)
-    last = last[K:]  # each sequence's last row
+    last = packing.last[K:]  # each sequence's last row
     best = (D[last] + model.end).argmax(axis=1)
     # walk each sequence back from its last row; row r came from row
     # pred[r] with label back[r, k]
@@ -879,6 +858,9 @@ class _Packing(NamedTuple):
     step: np.ndarray  # packed row -> position in its sequence
     prev: np.ndarray  # row batch_sizes[0] + j -> the row one step earlier
     last: np.ndarray  # caller's sequence index -> row of its last position
+    # per step t >= 1: (first row of step t - 1, first row of step t, rows
+    # of step t), the one step table every packed recursion iterates
+    steps: list[tuple[int, int, int]]
 
 
 def _pack(lengths: np.ndarray) -> _Packing:
@@ -886,7 +868,8 @@ def _pack(lengths: np.ndarray) -> _Packing:
 
     Sequences are stably sorted longest first; step t then holds one row
     for each of the first batch_sizes[t] of them, the ones longer than t,
-    so row i of step t continues row i of step t - 1.
+    so row i of step t continues row i of step t - 1, the slices that
+    ``steps`` lists for each t >= 1, in time order.
     """
     order = np.argsort(-lengths, kind="stable")
     batch_sizes = np.bincount(lengths - 1)[::-1].cumsum()[::-1]
@@ -897,7 +880,8 @@ def _pack(lengths: np.ndarray) -> _Packing:
     prev = firsts[:-1].repeat(batch_sizes[1:]) + within[n0:]
     rank = np.empty_like(order)
     rank[order] = within[:n0]
-    return _Packing(batch_sizes.tolist(), order[within], step, prev, firsts[lengths - 1] + rank)
+    steps = list(zip(firsts[:-1].tolist(), firsts[1:].tolist(), batch_sizes[1:].tolist()))
+    return _Packing(batch_sizes.tolist(), order[within], step, prev, firsts[lengths - 1] + rank, steps)
 
 
 class _Encoded(NamedTuple):
@@ -979,8 +963,8 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     the state gradient ``W.T @ (B.T @ m)``, X's two products taken through
     its factors, the latter on the transposed (CSC) views of B and W."""
     B, W, y, cells, observed_trans, packing = encoded
-    batch_sizes, seq, _, prev, last = packing
-    n0 = batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
+    seq, prev, last = packing.seq, packing.prev, packing.last
+    n0 = packing.batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec)
     U = B @ (W @ state)
     log_z, m, e_trans = _posteriors(U, trans, start, end, packing)

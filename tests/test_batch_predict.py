@@ -131,10 +131,18 @@ def test_packed_viterbi_matches_enumeration(rng):
         assert viterbi(model, flat, lengths) == want
 
 
-@pytest.mark.parametrize("lengths", [[], [0, 3], [2, 2], [4]])
+# the last two are not integers: np.array would read them as [2, 1] and [1, 2]
+@pytest.mark.parametrize("lengths", [[], [0, 3], [2, 2], [4], [2.7, 1.3], [True, 2]])
 def test_lengths_must_split_the_positions(lengths):
     with pytest.raises(ValueError):
         viterbi(random_model(np.random.default_rng(0)), [{"f0": 1.0}] * 3, lengths)
+
+
+@pytest.mark.parametrize("lengths", [[2, 1], np.array([2, 1]), np.array([2, 1], dtype=np.int32)])
+def test_integer_lengths_are_accepted(lengths):
+    model = random_model(np.random.default_rng(0))
+    flat = [{"f0": 1.0}] * 3
+    assert viterbi(model, flat, lengths) == viterbi(model, flat[:2]) + viterbi(model, flat[2:])
 
 
 def test_one_decode_per_call(small_model, monkeypatch):

@@ -186,6 +186,14 @@ def test_split_partition_property_over_seeds():
         assert combined == all_ids
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "7", None, np.int64(8)])
+def test_split_seed_must_be_an_int(seed):
+    # each would give a split whose file load_split rejects, or, for
+    # np.int64, a TypeError from random.Random
+    with pytest.raises(DataError, match="split seed .* is not an integer"):
+        split_corpus(make_corpus(10, seed=1), seed)
+
+
 def test_split_too_small():
     docs = make_corpus(4, seed=1)
     with pytest.raises(DataError, match="too small"):

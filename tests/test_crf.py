@@ -245,13 +245,13 @@ class TestBlockedViterbi:
         assert viterbi(model, flat, lengths) == [label for labels in want for label in labels]
 
     def test_wide_packed_steps_decode_like_the_loop(self, rng):
-        # no sequence is cut, and the early packed steps hold at least
-        # _COLUMN_ROWS rows, so they run with their rows innermost
+        # no sequence is cut, and the early packed steps hold 16 rows or
+        # more, the late ones a few
         for _ in range(3):
             model = random_model(rng, integer=True)
-            lengths = rng.integers(1, crf._MIN_CUT, size=4 * crf._COLUMN_ROWS).tolist()
+            lengths = rng.integers(1, crf._MIN_CUT, size=32).tolist()
             assert max(lengths) < crf._MIN_CUT
-            assert sum(n > 1 for n in lengths) >= 2 * crf._COLUMN_ROWS
+            assert sum(n > 1 for n in lengths) >= 16
             sequences = [random_features(rng, n, integer=True) for n in lengths]
             flat = [fv for seq in sequences for fv in seq]
             want = [label for seq in sequences for label in loop_viterbi(model, seq)]
@@ -768,13 +768,13 @@ def log_space_posteriors(U, trans, start, end, packing):
     transition counts summed row by row."""
     from legal_sbd.crf import _log_backward, _log_forward, _logsumexp
 
-    batch_sizes, seq, _, prev, last = packing
-    alpha = _log_forward(U, trans, start, batch_sizes)
-    beta = _log_backward(U, trans, end, batch_sizes)
-    log_z = _logsumexp(alpha[last] + end)
+    seq = packing.seq
+    alpha = _log_forward(U, trans, start, packing)
+    beta = _log_backward(U, trans, end, packing)
+    log_z = _logsumexp(alpha[packing.last] + end)
     counts = np.zeros((5, 5))
-    for j, r in enumerate(range(batch_sizes[0], len(U))):
-        p = alpha[prev[j], :, None] + trans + (U[r] + beta[r])[None, :]
+    for j, r in enumerate(range(packing.batch_sizes[0], len(U))):
+        p = alpha[packing.prev[j], :, None] + trans + (U[r] + beta[r])[None, :]
         counts += np.exp(p - log_z[seq[r]])
     return log_z, np.exp(alpha + beta - log_z[seq, None]), counts
 
@@ -784,8 +784,8 @@ def row_products(U, trans, start, end, packing):
     divided by a[last] @ b[last] of its sequence as ``_posteriors`` does."""
     from legal_sbd.crf import _backward, _forward
 
-    a, s, P, E, _ = _forward(U, trans, start, packing.batch_sizes)
-    b = _backward(P, E, s, end, packing.batch_sizes)
+    a, s, P, E, _ = _forward(U, trans, start, packing)
+    b = _backward(P, E, s, end, packing)
     z = (a[packing.last] * b[packing.last]).sum(axis=1)
     return (a * b).sum(axis=1) / z[packing.seq]
 
@@ -837,6 +837,23 @@ class TestForwardBackwardAgreement:
             np.testing.assert_allclose(m[rows], alone_m, atol=1e-10)
             summed += alone_trans
         np.testing.assert_allclose(e_trans, summed, atol=1e-10)
+
+    def test_step_table_continues_the_step_before(self, rng):
+        # the invariant every packed recursion relies on: step t >= 1 is
+        # (first row of step t - 1, first row of step t, rows of step t)
+        from legal_sbd.crf import _pack
+
+        batches = [np.array([7]), np.ones(6, dtype=int), np.full(4, 5), np.array([4, 9, 1, 9, 6])]
+        batches += [rng.integers(1, 30, size=int(rng.integers(1, 12))) for _ in range(20)]
+        for lengths in batches:
+            packing = _pack(lengths)
+            n0 = packing.batch_sizes[0]
+            assert len(packing.steps) == lengths.max() - 1
+            covered = []
+            for before, lo, n in packing.steps:
+                covered += range(lo, lo + n)
+                assert packing.prev[lo - n0 : lo - n0 + n].tolist() == list(range(before, before + n))
+            assert covered == list(range(n0, lengths.sum()))
 
     @pytest.mark.parametrize("kind", ["random", "integer", "extreme"])
     def test_expected_transitions_match_enumeration(self, rng, kind):
@@ -915,7 +932,7 @@ class TestScaledRecursion:
         _posteriors(U, trans, start, end, packing)
         assert calls == []
         # exp of the log values underflows to zero long before the end
-        want_alpha = _log_forward(U, trans, start, packing.batch_sizes)
+        want_alpha = _log_forward(U, trans, start, packing)
         assert want_alpha.max(axis=1)[-1] < math.log(np.finfo(float).tiny)
         assert_matches_log_space(U, trans, start, end, packing)
 
@@ -940,7 +957,7 @@ class TestScaledRecursion:
             feats = random_features(rng, length)
             U = _unary_matrix(model, feats)
             packing = _pack(np.array([length]))
-            a, s, *_ = _forward(U, model.transitions, model.start, packing.batch_sizes)
+            a, s, *_ = _forward(U, model.transitions, model.start, packing)
             assert a.min() >= _TINY and s.min() >= _TINY
             log_z, m, e_trans = _posteriors(U, model.transitions, model.start, model.end, packing)
             assert {"_log_forward", "_log_backward"} <= set(calls)

@@ -1,8 +1,8 @@
-"""Every module-level import in the package, the tests and the demos is
-read by the module that makes it, every private module-level function,
-class or assigned name of the package is referenced by the package, and
-the package writes files through ``corpus.write_file`` alone; no linter
-runs in CI, so these tests are the check."""
+"""Every module-level import in the package, the tests, the demos and the
+tools is read by the module that makes it, every private module-level
+function, class or assigned name of the package is referenced by the
+package, and the package writes files through ``corpus.write_file``
+alone; no linter runs in CI, so these tests are the check."""
 
 import ast
 from collections import Counter
@@ -14,7 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "legal_sbd"
 # __init__.py imports names to re-export them, not to read them
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                  *(ROOT / "tools").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

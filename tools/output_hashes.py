@@ -1,0 +1,79 @@
+"""Print hashes of what the benchmark's workloads predict and train.
+
+Run from anywhere, with no options::
+
+    python3 tools/output_hashes.py
+
+It prints one JSON object.  ``setup_model`` holds the ``model_to_json``
+hash of the model the predict workloads score with; then, for each
+workload at its default seed and at 7777 (``<workload>-<seed>``), the
+hashes of its predict documents' labels and spans and, for the training
+workload, of the model trained on its ``train`` documents.  Each hash is
+the first 16 hex digits of a sha256: labels are each document's BILOU
+labels joined by spaces, documents joined by newlines; spans are
+``id\\0start:end,...`` per document, joined by newlines; every document
+is predicted alone.  The inputs come from ``perfbench/workloads.py``, so
+two commits that print the same object predict and train the same bits
+on the benchmark's inputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from legal_sbd import crf, pipeline  # noqa: E402
+from legal_sbd.crf import TrainingConfig  # noqa: E402
+from workloads import (  # noqa: E402
+    DEFAULT_SEEDS,
+    SETUP_MODEL_ITERATIONS,
+    TRAINING,
+    setup_model_corpus,
+    workload_inputs,
+)
+
+OTHER_SEED = 7777  # every workload is hashed at this seed too
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def prediction_hashes(model, docs) -> dict[str, str]:
+    """Hashes of the labels and spans of *docs*, each predicted alone."""
+    labels, spans = [], []
+    for doc in docs:
+        ((_, doc_labels),) = pipeline.predicted_labels(model, [doc.text])
+        labels.append(" ".join(doc_labels))
+        (predicted,) = pipeline.predict_documents(model, [doc])
+        spans.append(doc.id + "\0" + ",".join(f"{s.start}:{s.end}" for s in predicted.spans))
+    return {"labels": digest("\n".join(labels)), "spans": digest("\n".join(spans))}
+
+
+def output_hashes(tiny: bool = False) -> dict[str, dict[str, str]]:
+    """The printed object; *tiny* shrinks every input as ``run.py --tiny``
+    does."""
+    config = TrainingConfig(max_iterations=SETUP_MODEL_ITERATIONS)
+    setup_model = pipeline.train_on_documents(setup_model_corpus(tiny), config)
+    hashes = {"setup_model": {"model_to_json": digest(crf.model_to_json(setup_model))}}
+    for name, default_seed in DEFAULT_SEEDS.items():
+        for seed in (default_seed, OTHER_SEED):
+            inputs = workload_inputs(name, seed, tiny)
+            if name == TRAINING:
+                model = pipeline.train_on_documents(inputs["train"])
+                hashes[f"{name}-{seed}"] = {
+                    **prediction_hashes(model, inputs["predict"]),
+                    "model_to_json": digest(crf.model_to_json(model)),
+                }
+            else:
+                hashes[f"{name}-{seed}"] = prediction_hashes(setup_model, inputs["predict"])
+    return hashes
+
+
+if __name__ == "__main__":
+    print(json.dumps(output_hashes(), indent=1))
