@@ -5,22 +5,24 @@ decoding, and maximum-likelihood training with elastic-net regularization
 (L1 handled by the orthant-wise optimizer, L2 inside the smooth
 objective).  Forward-backward runs in probability space with a scale per
 step (Rabiner 1989), so a sequence thousands of tokens long does not
-underflow and a step needs no exp or log.  The backward pass reuses the
-forward pass's scales, so :func:`_posteriors` reads the marginals, the
-expected transition counts and log Z off the scaled values directly.
+underflow and a step needs no exp or log.  Log Z comes off the forward
+pass alone; the backward pass reuses its scales, so the marginals and
+the expected transition counts come off the scaled values directly.
 Where extreme weights push a scaled value out of the normal doubles, the
 call falls back to the log-space recursions, which are also the oracle
 of the scaled ones.  Viterbi runs in log space (max-plus).
 
 Training evaluates the objective over the whole batch with one forward
-and one backward pass.  The sequences are stably sorted longest first and
-laid out time-major, like a packed sequence: step t holds one row for
-each sequence longer than t, and row i of step t continues row i of step
-t - 1, so each step of every recursion, Viterbi's too, is one array
-operation over contiguous rows, which :func:`_pack` lists once.  Nothing
-is padded, so memory grows with the number of tokens, not with the batch
-size times the longest sequence.  A single sequence is the packed case
-with one row per step.
+pass, and its gradient with one backward pass over the kept forward
+state, which the optimizer asks for only at a point it accepts: a
+rejected line-search trial runs the forward pass alone.  The sequences
+are stably sorted longest first and laid out time-major, like a packed
+sequence: step t holds one row for each sequence longer than t, and row
+i of step t continues row i of step t - 1, so each step of every
+recursion, Viterbi's too, is one array operation over contiguous rows,
+which :func:`_pack` lists once.  Nothing is padded, so memory grows with
+the number of tokens, not with the batch size times the longest
+sequence.  A single sequence is the packed case with one row per step.
 
 Feature maps (see :mod:`legal_sbd.features`, which states the grammar of
 their string indicators) are merges of the fragments of
@@ -468,7 +470,8 @@ def _row_max(V: np.ndarray) -> np.ndarray:
 # call, so no exp or log runs in the time loop.  The products are einsums,
 # never BLAS, whose sums would depend on the thread count.  If a scaled
 # value or a scale is not a normal double, underflow may have lost exact
-# values, and the whole call falls back to the log-space recursions.
+# values, and log Z (:func:`_log_z`) or the marginals (:func:`_marginals`),
+# whichever read it, fall back to the log-space recursions.
 
 
 def _forward(
@@ -521,41 +524,67 @@ def _backward(
     return b
 
 
-def _posteriors(
+def _log_z(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, end: np.ndarray, packing: _Packing
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log Z of each sequence in the caller's order, the marginals of the
-    packed rows, the expected transition counts summed over the batch).
-
-    Once b is divided by z = a[last] @ b[last], a[r] @ b[r] is 1 on every
-    row: the marginals are a * b, the posterior of label i at row prev[j]
-    and k at row n0 + j is a[prev[j], i] * E[i, k] * (P * b / s)[n0 + j, k],
-    and log Z sums log z, max end and the log scales."""
-    seq, prev, last = packing.seq, packing.prev, packing.last
-    n0 = packing.batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
+) -> tuple[np.ndarray, object]:
+    """(log Z of each sequence in the caller's order, the scaled (a, s, P, E,
+    z) or log-space alpha that :func:`_marginals` reads), from the forward
+    pass alone: b is exp(end - max end) at every last row, so z = a[last] @
+    b[last], and log Z sums log z, max end and the log scales."""
+    seq, last = packing.seq, packing.last
+    n0 = packing.batch_sizes[0]  # the number of sequences
     with np.errstate(all="ignore"):
         a, s, P, E, shift = _forward(U, trans, start, packing)
-        b = _backward(P, E, s, end, packing)
+        b_last = np.tile(np.exp(end - end.max()), (n0, 1))
         # a NaN fails every comparison, so it falls back too
-        if a.min() >= _TINY and s.min() >= _TINY and b.min() >= _TINY:
-            z = np.einsum("rk,rk->r", a[last], b[last])
-            b /= z[seq, None]
-            m = a * b
-            after = b[n0:]
-            after *= P[n0:]
-            after /= s[n0:, None]
-            e_trans = E * np.einsum("ta,tb->ab", a[prev], after)
-            if np.isfinite(m).all() and np.isfinite(e_trans).all():
-                scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
-                return np.log(z) + end.max() + scales, m, e_trans
+        if a.min() >= _TINY and s.min() >= _TINY and b_last.min() >= _TINY:
+            z = np.einsum("rk,rk->r", a[last], b_last)
+            scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
+            return np.log(z) + end.max() + scales, (a, s, P, E, z)
     alpha = _log_forward(U, trans, start, packing)
+    return _logsumexp(alpha[last] + end), alpha
+
+
+def _marginals(
+    U: np.ndarray, trans: np.ndarray, start: np.ndarray, end: np.ndarray, packing: _Packing, forward
+) -> tuple[np.ndarray, np.ndarray]:
+    """(the marginals of the packed rows, the expected transition counts
+    summed over the batch), from the *forward* state of :func:`_log_z`.
+    Once b is divided by z, a[r] @ b[r] is 1 on every row: the marginals
+    are a * b, and the posterior of label i at row prev[j] and k at row
+    n0 + j is a[prev[j], i] * E[i, k] * (P * b / s)[n0 + j, k]."""
+    seq, prev, last = packing.seq, packing.prev, packing.last
+    n0 = packing.batch_sizes[0]  # rows n0: have a predecessor
+    if isinstance(forward, tuple):
+        a, s, P, E, z = forward
+        with np.errstate(all="ignore"):
+            b = _backward(P, E, s, end, packing)
+            if b.min() >= _TINY:
+                b /= z[seq, None]
+                m = a * b
+                after = b[n0:]
+                after *= P[n0:]
+                after /= s[n0:, None]
+                e_trans = E * np.einsum("ta,tb->ab", a[prev], after)
+                if np.isfinite(m).all() and np.isfinite(e_trans).all():
+                    return m, e_trans
+        forward = _log_forward(U, trans, start, packing)
+    alpha = forward
     beta = _log_backward(U, trans, end, packing)
     log_z = _logsumexp(alpha[last] + end)
     m = np.exp(alpha + beta - log_z[seq, None])
     # one (tokens, L, L) array of log posteriors, built in place
     p = alpha[prev][:, :, None] + trans
     p += (U + beta)[n0:, None, :] - log_z[seq[n0:], None, None]
-    return log_z, m, np.exp(p, out=p).sum(axis=0)
+    return m, np.exp(p, out=p).sum(axis=0)
+
+
+def _posteriors(
+    U: np.ndarray, trans: np.ndarray, start: np.ndarray, end: np.ndarray, packing: _Packing
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_log_z`'s log Z, then :func:`_marginals`' two arrays."""
+    log_z, forward = _log_z(U, trans, start, end, packing)
+    return (log_z, *_marginals(U, trans, start, end, packing, forward))
 
 
 def _log_forward(
@@ -957,17 +986,19 @@ def _to_model(wvec: np.ndarray, vocab: dict[str, int]) -> CrfModel:
 
 
 def _batch_objective(wvec, encoded: _Encoded, c2):
-    """Regularized NLL and its gradient over a batch encoded by
-    :func:`_encode_sequences`; one forward and one backward pass cover
-    every sequence at once.  The unary scores are ``B @ (W @ state)`` and
-    the state gradient ``W.T @ (B.T @ m)``, X's two products taken through
-    its factors, the latter on the transposed (CSC) views of B and W."""
+    """Regularized NLL over a batch encoded by :func:`_encode_sequences`,
+    from one forward pass over every sequence at once, and a function of
+    no arguments that returns its gradient from the backward pass on the
+    kept forward state; *wvec* must not change before it is called.  The
+    unary scores are ``B @ (W @ state)`` and the state gradient ``W.T @
+    (B.T @ m)``, X's two products taken through its factors, the latter
+    on the transposed (CSC) views of B and W."""
     B, W, y, cells, observed_trans, packing = encoded
     seq, prev, last = packing.seq, packing.prev, packing.last
     n0 = packing.batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec)
     U = B @ (W @ state)
-    log_z, m, e_trans = _posteriors(U, trans, start, end, packing)
+    log_z, forward = _log_z(U, trans, start, end, packing)
     gold = np.take(U, cells)
     gold[:n0] += start[y[:n0]]
     gold[n0:] += trans[y[prev], y[n0:]]
@@ -979,15 +1010,19 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
             f"non-finite objective at sequence {bad[0]} "
             f"(weight norm {math.sqrt(dot(wvec, wvec)):.3e})"
         )
-    np.put(m, cells, np.take(m, cells) - 1.0)  # now expected minus observed counts
-    grad = 2.0 * c2 * wvec
-    g_state, g_trans, g_start, g_end = _unpack(grad)
-    g_state += W.T @ (B.T @ m)
-    g_trans += e_trans - observed_trans
-    g_start += m[:n0].sum(axis=0)
-    g_end += m[last].sum(axis=0)
-    nll = float(contributions.sum()) + c2 * dot(wvec, wvec)
-    return nll, grad
+
+    def gradient():
+        m, e_trans = _marginals(U, trans, start, end, packing, forward)
+        np.put(m, cells, np.take(m, cells) - 1.0)  # now expected minus observed counts
+        grad = 2.0 * c2 * wvec
+        g_state, g_trans, g_start, g_end = _unpack(grad)
+        g_state += W.T @ (B.T @ m)
+        g_trans += e_trans - observed_trans
+        g_start += m[:n0].sum(axis=0)
+        g_end += m[last].sum(axis=0)
+        return grad
+
+    return float(contributions.sum()) + c2 * dot(wvec, wvec), gradient
 
 
 def nll_and_gradient(
@@ -1011,8 +1046,8 @@ def nll_and_gradient(
     trans[:] = model.transitions
     start[:] = model.start
     end[:] = model.end
-    value, grad = _batch_objective(wvec, encoded, config.c2)
-    return value, _to_model(grad, vocab)
+    value, gradient = _batch_objective(wvec, encoded, config.c2)
+    return value, _to_model(gradient(), vocab)
 
 
 def train(
@@ -1055,6 +1090,10 @@ def train(
         memory=config.lbfgs_memory,
         tol=config.convergence_tol,
         callback=log_progress,
+    )
+    logger.info(
+        "training stopped (%s) after %d iterations: %d evaluations, %d gradients",
+        result.stop_reason, result.iterations, result.evaluations, result.gradients,
     )
     model = _to_model(result.x, vocab)
     model.state_weights = {ind: row for ind, row in model.state_weights.items() if row.any()}

@@ -1,12 +1,17 @@
 """Limited-memory quasi-Newton minimization with optional L1 penalty.
 
 Minimizes ``F(x) = f(x) + l1 * ||x||_1`` where *f* is smooth and supplied
-as a function returning ``(value, gradient)``.  With ``l1 == 0`` this is
-plain L-BFGS with an Armijo backtracking line search.  With ``l1 > 0`` it
-is the orthant-wise variant (OWL-QN): the L1 term enters through a
-pseudo-gradient, search directions are constrained to the orthant of the
-steepest-descent direction, and line-search iterates are projected back
-onto that orthant, which is what produces exactly-zero coordinates.
+as a function returning its value and a function of no arguments that
+returns its gradient there.  The line search needs values alone (Nocedal
+& Wright 2006, Alg. 3.1), so a gradient is taken only at the start and at
+a trial that passes the Armijo test: for the CRF objective, a rejected
+trial runs the forward pass alone.  With ``l1 == 0`` this is plain L-BFGS
+with an Armijo backtracking line search.  With ``l1 > 0`` it is the
+orthant-wise variant (OWL-QN; Andrew & Gao 2007): the L1 term enters
+through a pseudo-gradient, search directions are constrained to the
+orthant of the steepest-descent direction, and line-search iterates are
+projected back onto that orthant, which is what produces exactly-zero
+coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import numpy as np
 
 from .errors import TrainingError
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# x -> (f(x), a function of no arguments that returns the gradient at x)
+Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 50
@@ -34,6 +40,7 @@ class MinimizeResult:
     converged: bool
     stop_reason: str
     evaluations: int  # calls of the objective, the line searches' included
+    gradients: int  # gradients taken: the start's and each trial's that passed the Armijo test
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -99,8 +106,9 @@ def minimize_lbfgs(
     if l1 < 0:
         raise ValueError(f"l1 must be >= 0, got {l1}")
     x = np.array(x0, dtype=np.float64, copy=True)
-    f, g = fun(x)
-    evaluations = 1
+    f, gradient = fun(x)
+    g = gradient()
+    evaluations = gradients = 1
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise TrainingError(f"objective is non-finite at the initial point (f={f})")
     big_f = f + l1 * np.abs(x).sum() if l1 > 0 else f
@@ -136,16 +144,16 @@ def minimize_lbfgs(
             if dg >= 0:
                 step *= 0.5
                 continue
-            f_new, g_new = fun(x_new)
+            gradient = None  # frees the last point's kept state before fun keeps another
+            f_new, gradient = fun(x_new)
             evaluations += 1
             big_f_new = f_new + l1 * np.abs(x_new).sum() if l1 > 0 else f_new
-            if (
-                np.isfinite(big_f_new)
-                and np.all(np.isfinite(g_new))
-                and big_f_new <= big_f + _ARMIJO_C * dg
-            ):
-                accepted = True
-                break
+            if np.isfinite(big_f_new) and big_f_new <= big_f + _ARMIJO_C * dg:
+                g_new = gradient()
+                gradients += 1
+                if np.all(np.isfinite(g_new)):
+                    accepted = True
+                    break
             step *= 0.5
         if not accepted:
             stop_reason = "line_search"
@@ -175,4 +183,5 @@ def minimize_lbfgs(
         converged=converged,
         stop_reason=stop_reason,
         evaluations=evaluations,
+        gradients=gradients,
     )

@@ -903,7 +903,55 @@ def log_space_calls(monkeypatch):
     return calls
 
 
+def single_pass_log_z(U, trans, start, end, packing):
+    """(log Z as one forward and one backward pass give it, whether it came
+    off the scaled passes): log z with z = a[last] @ b[last] and b from
+    ``_backward``, or the log-space value where a, s or b leaves the normal
+    doubles."""
+    from legal_sbd.crf import _TINY, _backward, _forward, _log_forward, _logsumexp
+
+    seq, last, n0 = packing.seq, packing.last, packing.batch_sizes[0]
+    with np.errstate(all="ignore"):
+        a, s, P, E, shift = _forward(U, trans, start, packing)
+        b = _backward(P, E, s, end, packing)
+        if a.min() >= _TINY and s.min() >= _TINY and b.min() >= _TINY:
+            z = np.einsum("rk,rk->r", a[last], b[last])
+            scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
+            return np.log(z) + end.max() + scales, True
+    return _logsumexp(_log_forward(U, trans, start, packing)[last] + end), False
+
+
 class TestScaledRecursion:
+    def test_value_alone_is_the_single_pass_log_z_bit_for_bit(self, rng):
+        from legal_sbd.crf import _log_z, _pack, _unary_matrix
+
+        cases = []  # (U, trans, start, end, packing, whether the scaled passes give log Z)
+        for _ in range(30):
+            lengths = rng.integers(1, 40, size=int(rng.integers(1, 9)))
+            scale = float(rng.uniform(0.2, 3.0))
+            U = rng.normal(size=(int(lengths.sum()), 5)) * scale
+            trans, start, end = (rng.normal(size=shape) * scale for shape in ((5, 5), 5, 5))
+            cases.append((U, trans, start, end, _pack(lengths), True))
+        U = rng.normal(size=(5000, 5)) - 3.0  # underflows in log space, not scaled
+        cases.append((U, rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=5),
+                      _pack(np.array([5000])), True))
+        past_end = random_model(rng)
+        past_end.end[1] = past_end.end.max() - 1000.0
+        extreme = extreme_model(rng)
+        for length in (1, 2, 4):
+            for model, feats in (
+                (past_end, random_features(rng, length)),
+                (extreme, [{**fv, "wide": 1.0} for fv in random_features(rng, length, 3)]),
+            ):
+                U = _unary_matrix(model, feats)
+                weights = (model.transitions, model.start, model.end)
+                cases.append((U, *weights, _pack(np.array([length])), False))
+        for U, trans, start, end, packing, scaled in cases:
+            want, on_scaled = single_pass_log_z(U, trans, start, end, packing)
+            assert on_scaled == scaled
+            got, _ = _log_z(U, trans, start, end, packing)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_matches_log_space_recursion(self, rng, monkeypatch):
         from legal_sbd.crf import _pack, _posteriors
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from legal_sbd.optim import _two_loop, minimize_lbfgs
 def quadratic(center):
     def fun(x):
         d = x - center
-        return 0.5 * float(d @ d), d
+        return 0.5 * float(d @ d), lambda: d
 
     return fun
 
@@ -42,7 +44,7 @@ def test_l1_produces_exact_zeros_on_random_problems(rng):
         lam = 0.8
 
         def fun(x):
-            return 0.5 * float(x @ hessian @ x) - float(linear @ x), hessian @ x - linear
+            return 0.5 * float(x @ hessian @ x) - float(linear @ x), lambda: hessian @ x - linear
 
         res = minimize_lbfgs(fun, np.zeros(dim), l1=lam, tol=1e-15, max_iterations=500)
 
@@ -61,7 +63,7 @@ def rosen(x):
         [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
          200.0 * (x[1] - x[0] ** 2)]
     )
-    return f, g
+    return f, lambda: g
 
 
 def test_rosenbrock():
@@ -98,6 +100,65 @@ def test_evaluations_count_every_objective_call():
     assert res.evaluations > res.iterations + 1
 
 
+@pytest.mark.parametrize("l1", [0.0, 0.5])
+def test_gradient_taken_only_at_the_start_and_at_accepted_points(l1):
+    values, gradients, accepted = [], [], []
+
+    def fun(x):
+        values.append(x.copy())
+        f, gradient = rosen(x)
+
+        def counted():
+            gradients.append(x.copy())
+            return gradient()
+
+        return f, counted
+
+    res = minimize_lbfgs(
+        fun, np.array([-1.2, 1.0]), l1=l1, tol=1e-16, max_iterations=500,
+        callback=lambda it, big_f: accepted.append(big_f),
+    )
+    assert res.gradients == len(gradients) == res.iterations + 1
+    assert res.evaluations == len(values) > len(gradients)  # no rejected trial took one
+    # after the start's, each gradient is taken at the point its iteration accepted
+    assert [rosen(x)[0] + l1 * np.abs(x).sum() for x in gradients[1:]] == accepted
+    assert np.array_equal(gradients[-1], res.x)
+
+
+def test_trial_with_a_non_finite_gradient_is_rejected_and_the_step_halved():
+    # the first trial passes the Armijo test, but its gradient is NaN
+    points = []
+
+    def fun(x):
+        points.append(x.copy())
+        g = np.full_like(x, np.nan) if len(points) == 2 else x
+        return 0.5 * float(x @ x), lambda: g
+
+    x0 = np.array([1.0, 2.0])
+    res = minimize_lbfgs(fun, x0, max_iterations=1)
+    step, d = 1.0 / math.sqrt(5.0), -x0  # steepest descent, at most a unit step
+    assert np.array_equal(points[1], x0 + step * d)
+    assert np.array_equal(points[2], x0 + (step / 2) * d)
+    assert (res.iterations, res.evaluations, res.gradients) == (1, 3, 3)
+    assert np.array_equal(res.x, points[2])
+
+
+@pytest.mark.parametrize("fun, x0, l1, tol, max_iterations, want_x, want_evaluations", [
+    (rosen, [-1.2, 1.0], 0.0, 1e-16, 500, ["0x1.0000000000000p+0", "0x1.0000000000000p+0"], 57),
+    (rosen, [-1.2, 1.0], 0.5, 1e-16, 500, ["0x1.fff27f6463176p-2", "0x1.fac59790dacdbp-3"], 1520),
+    (quadratic(np.array([3.0, -2.0, 0.5, 7.0, -0.2])), [0.0] * 5, 1.0, 1e-14, 300,
+     ["0x1.fffffffffffffp+0", "-0x1.fffffffffffffp-1", "0x0.0p+0", "0x1.8000000000001p+2",
+      "0x0.0p+0"], 3),
+], ids=["rosenbrock", "rosenbrock-l1", "lasso"])
+def test_iterates_and_evaluations_are_pinned(
+    fun, x0, l1, tol, max_iterations, want_x, want_evaluations
+):
+    # taking the gradient apart from the value must not move a bit of the path
+    res = minimize_lbfgs(fun, np.array(x0), l1=l1, tol=tol, max_iterations=max_iterations)
+    assert [v.hex() for v in res.x.tolist()] == want_x
+    assert res.evaluations == want_evaluations
+
+
 def test_non_finite_direction_falls_back_to_steepest_descent(monkeypatch):
     # a gradient of 1e160 at the third point makes the slope of the
     # two-loop direction non-finite: the history is cleared and d = -g
@@ -112,7 +173,7 @@ def test_non_finite_direction_falls_back_to_steepest_descent(monkeypatch):
     def fun(x):
         calls.append((x.copy(), len(history[0]) if history else 0))  # point, pairs held
         g = huge if len(calls) == 3 else x  # the quadratic 0.5 * |x|^2, then the jump
-        return 10.0 - len(calls), g
+        return 10.0 - len(calls), lambda: g
 
     monkeypatch.setattr(optim, "_two_loop", two_loop)
     with np.errstate(over="ignore", invalid="ignore"):  # 1e160 ** 2 overflows
@@ -133,7 +194,7 @@ def test_deterministic():
 
 def test_non_finite_start_aborts():
     def bad(x):
-        return float("nan"), x
+        return float("nan"), lambda: x
 
     with pytest.raises(TrainingError, match="non-finite"):
         minimize_lbfgs(bad, np.zeros(2))
@@ -148,7 +209,7 @@ def test_line_search_stops_on_a_gradient_that_points_uphill():
     # every step along minus the reported gradient raises the objective,
     # so no backtrack meets the Armijo condition
     def fun(x):
-        return 0.5 * float(x @ x), -x
+        return 0.5 * float(x @ x), lambda: -x
 
     x0 = np.array([1.0, -2.0])
     res = minimize_lbfgs(fun, x0)
@@ -163,7 +224,7 @@ def test_step_lost_to_rounding_is_never_evaluated(l1):
     # backtrack moves (dg == 0) and the search halves the step without
     # calling the objective
     def fun(x):
-        return float(x.sum()), np.ones_like(x)
+        return float(x.sum()), lambda: np.ones_like(x)
 
     x0 = np.array([1e17, -1e17])
     res = minimize_lbfgs(fun, x0, l1=l1)

@@ -6,6 +6,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -16,9 +18,18 @@ def load_tool(name):
     return module
 
 
-def test_output_hashes_cover_every_workload_at_both_seeds():
-    tool = load_tool("output_hashes")
-    hashes = tool.output_hashes(tiny=True)
+@pytest.fixture(scope="module")
+def tool():
+    return load_tool("output_hashes")
+
+
+@pytest.fixture(scope="module")
+def tiny_hashes(tool):
+    return tool.output_hashes(tiny=True)
+
+
+def test_output_hashes_cover_every_workload_at_both_seeds(tool, tiny_hashes):
+    hashes = tiny_hashes
     workloads = [f"{name}-{seed}" for name, default in tool.DEFAULT_SEEDS.items()
                  for seed in (default, tool.OTHER_SEED)]
     assert list(hashes) == ["setup_model", *workloads]
@@ -29,3 +40,23 @@ def test_output_hashes_cover_every_workload_at_both_seeds():
     values = [value for entry in hashes.values() for value in entry.values()]
     assert all(re.fullmatch(r"[0-9a-f]{16}", value) for value in values)
     assert json.loads(json.dumps(hashes)) == hashes
+
+
+def test_check_passes_on_its_own_output_and_names_an_altered_hash(
+    tool, tiny_hashes, monkeypatch, capsys, tmp_path
+):
+    monkeypatch.setattr(tool, "output_hashes", lambda: tiny_hashes)
+    assert tool.main([]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    bench = tmp_path / "BENCH_0.json"
+    bench.write_text(json.dumps({"hashes": {"parent": {}, "change": printed}}), encoding="utf-8")
+    assert tool.main(["--check", str(bench)]) == 0
+    assert capsys.readouterr().err == ""
+
+    altered = json.loads(json.dumps(printed))
+    key = next(iter(altered))
+    kind = next(iter(altered[key]))
+    altered[key][kind] = "0" * 16
+    bench.write_text(json.dumps({"hashes": {"change": altered}}), encoding="utf-8")
+    assert tool.main(["--check", str(bench)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"differs from {bench}: {key}.{kind}"]

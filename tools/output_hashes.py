@@ -1,8 +1,9 @@
 """Print hashes of what the benchmark's workloads predict and train.
 
-Run from anywhere, with no options::
+Run from anywhere::
 
     python3 tools/output_hashes.py
+    python3 tools/output_hashes.py --check BENCH_34.json
 
 It prints one JSON object.  ``setup_model`` holds the ``model_to_json``
 hash of the model the predict workloads score with; then, for each
@@ -15,6 +16,11 @@ labels joined by spaces, documents joined by newlines; spans are
 is predicted alone.  The inputs come from ``perfbench/workloads.py``, so
 two commits that print the same object predict and train the same bits
 on the benchmark's inputs.
+
+With ``--check FILE`` it then compares the object with the
+``hashes.change`` object of a committed ``BENCH_*.json``, names on
+stderr each key whose hash differs or that only one side holds, and
+exits with status 1 if any does (2 if FILE holds no such object).
 """
 
 from __future__ import annotations
@@ -75,5 +81,34 @@ def output_hashes(tiny: bool = False) -> dict[str, dict[str, str]]:
     return hashes
 
 
+def differing_keys(hashes: dict, recorded: dict) -> list[str]:
+    """The ``<entry>.<kind>`` keys whose hash differs between *hashes* and
+    *recorded*, or that only one of them holds."""
+    def flat(side: dict) -> dict[str, str]:
+        return {f"{entry}.{kind}": value for entry, kinds in side.items() for kind, value in kinds.items()}
+
+    got, want = flat(hashes), flat(recorded)
+    return sorted(key for key in got.keys() | want.keys() if got.get(key) != want.get(key))
+
+
+def main(argv: list[str]) -> int:
+    if argv and (len(argv) != 2 or argv[0] != "--check"):
+        print("usage: output_hashes.py [--check BENCH_<n>.json]", file=sys.stderr)
+        return 2
+    hashes = output_hashes()
+    print(json.dumps(hashes, indent=1))
+    if not argv:
+        return 0
+    try:
+        recorded = json.loads(Path(argv[1]).read_text(encoding="utf-8"))["hashes"]["change"]
+    except KeyError:
+        print(f"{argv[1]} holds no hashes.change object", file=sys.stderr)
+        return 2
+    differing = differing_keys(hashes, recorded)
+    for key in differing:
+        print(f"differs from {argv[1]}: {key}", file=sys.stderr)
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
-    print(json.dumps(output_hashes(), indent=1))
+    sys.exit(main(sys.argv[1:]))
