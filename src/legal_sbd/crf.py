@@ -19,8 +19,8 @@ rejected line-search trial runs the forward pass alone.  The sequences
 are stably sorted longest first and laid out time-major, like a packed
 sequence: step t holds one row for each sequence longer than t, and row
 i of step t continues row i of step t - 1, so each step of every
-recursion, Viterbi's too, is one array operation over contiguous rows,
-which :func:`_pack` lists once.  Nothing is padded, so memory grows with
+training recursion is one array operation over contiguous rows, which
+:func:`_pack` lists once.  Nothing is padded, so memory grows with
 the number of tokens, not with the batch size times the longest
 sequence.  A single sequence is the packed case with one row per step.
 
@@ -73,18 +73,18 @@ rows between texts are scored too and then dropped, which measured
 faster than gathering the token rows alone, and the token rows then add
 their patterns, coded by ``features.pattern_codes`` as training codes
 them, in one more gather.  :func:`viterbi` then decodes every text at
-once on the packed layout, with max-plus steps only.  A text of T tokens is cut into
-blocks of about sqrt(T / 3) tokens from its own first token and decoded
-by a blocked scan, in about 3 * sqrt(T) steps instead of one per token;
-a text shorter than ``_MIN_CUT`` tokens takes one step per token.  The
-back pointers are taken after the loop from the stored scores, by the
-same sums, so they are the same floating-point values and ties still go
-to the lowest label index.  Every max-plus
-operation, on however few rows or blocks, runs with them as its innermost
-axis, since numpy pays its loop overhead per element of the outer axes,
-which with the 5 labels innermost is per row.  Whether and where a text
-is cut depends on its own length only, and no sum mixes two texts, so a
-text's labels do not depend on the other texts of the run.
+once, with max-plus steps only.  A text of T tokens is cut into blocks of
+about sqrt(T / 3) tokens from its own first token and decoded by a
+blocked scan, in about 3 * sqrt(T) steps instead of one per token; a
+text shorter than ``_MIN_CUT`` tokens is one block.  The texts cut into
+blocks of one length share a zero-padded grid, and so do the one-block
+texts, and every max-plus operation runs over a grid's blocks, with them
+innermost, since numpy pays its loop overhead per element of the outer
+axes.  The back pointers are taken after the scan from the stored
+scores, by the same sums, so ties still go to the lowest label index.
+Whether and where a text is cut depends on its own length only, and no
+sum mixes two texts, so a text's labels do not depend on the other
+texts of the run.
 
 Training encodes the same indicators without merging a map per
 position.  Its indicator matrix X, one row per position and one column
@@ -112,6 +112,7 @@ import json
 import logging
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import compress, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -259,8 +260,10 @@ class _TextMemo:
         texts the memo lacks folded in first."""
         with self.lock:
             index = self.index
-            new = [text for text in dict.fromkeys(texts) if text not in index]
-            if new:
+            # 0 is the padding row, which no text maps to
+            entries = np.fromiter(map(index.get, texts, repeat(0)), dtype=np.intp, count=len(texts))
+            if not entries.all():
+                new = [text for text in dict.fromkeys(texts) if text not in index]
                 chars = self.chars + sum(map(len, new))
                 if len(index) + len(new) > _MEMO_TEXTS or chars > _MEMO_CHARS:
                     index = self.index = {}
@@ -277,7 +280,7 @@ class _TextMemo:
                 tables[:, held:filled] = _offset_tables(compiled, list(map(_token_attrs, new)))
                 index.update(zip(new, range(held, filled)))
                 self.chars = chars
-            entries = np.fromiter(map(index.__getitem__, texts), dtype=np.intp, count=len(texts))
+                entries = np.fromiter(map(index.__getitem__, texts), dtype=np.intp, count=len(texts))
             return self.tables, entries
 
 
@@ -661,7 +664,7 @@ def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
     return _sequence_posteriors(model, features)[1]
 
 
-_BACK_CHUNK = 4096  # packed rows, or blocks of phase 1, that a step takes at a time
+_BACK_CHUNK = 4096  # rows of back pointers, or blocks of phase 1, that a step takes at a time
 # the lengths a sequence's blocks can have, 1, 2, 3, 4, 6, 8, 12, 16, ...:
 # each at most 1.5 times the one before, so one call meets few of them
 _LADDER = np.array(sorted({1 << k for k in range(31)} | {3 << k for k in range(30)}))
@@ -669,6 +672,9 @@ _LADDER_SQUARES = 3 * _LADDER * _LADDER
 # a sequence shorter than this is not cut: below it, one step per position
 # measured faster than the blocked scan with its setup
 _MIN_CUT = 40
+# viterbi starts a new grid at a sequence of at most half the rows of the
+# grid's first if that spares the rest of its group this many padding rows
+_CUT_ROWS = 4096
 
 
 def _block_lengths(lengths: np.ndarray) -> np.ndarray:
@@ -676,58 +682,89 @@ def _block_lengths(lengths: np.ndarray) -> np.ndarray:
     is cut into, from its own length T alone: T itself, one piece, below
     ``_MIN_CUT``, else the least value b of ``_LADDER`` with 3 * b * b >= T.
     A transfer step works on L times the scores of a chain step, so blocks
-    near sqrt(T / 3), shorter than sqrt(T), measured fastest."""
+    near sqrt(T / 3), shorter than sqrt(T), measured fastest.  The cut
+    sequences of one block length share a grid of :func:`viterbi`, so these
+    lengths also decide how many grids a call decodes."""
     cut = _LADDER[np.searchsorted(_LADDER_SQUARES, lengths)]
     return np.where(lengths < _MIN_CUT, lengths, cut)
 
 
-def _back_pointers(D: np.ndarray, prev: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """back[r, j]: the lowest label i with the max of D[prev[r], i] +
+def _back_pointers(before: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """back[r, j]: the lowest label i with the max of before[r, i] +
     trans[i, j], as argmax would pick it, taken _BACK_CHUNK rows at a time
     on transposed views, so each operation runs over the rows of one
     destination label."""
-    back = np.zeros((len(prev), N_LABELS), dtype=np.uint8)
+    back = np.zeros((len(before), N_LABELS), dtype=np.uint8)
     to = trans[:, :, None]  # to[i, j]: trans[i, j] as a column over rows
-    for lo in range(0, len(prev), _BACK_CHUNK):
-        before = D[prev[lo : lo + _BACK_CHUNK]].T
-        arg = back[lo : lo + before.shape[1]].T
-        best = before[0] + to[0]
+    for lo in range(0, len(before), _BACK_CHUNK):
+        rows = before[lo : lo + _BACK_CHUNK].T
+        arg = back[lo : lo + rows.shape[1]].T
+        best = rows[0] + to[0]
         term = np.empty_like(best)
         for i in range(1, N_LABELS):
-            np.add(before[i], to[i], out=term)
+            np.add(rows[i], to[i], out=term)
             np.copyto(arg, i, where=term > best)  # a tie keeps the lower label
             np.maximum(best, term, out=best)
     return back
 
 
-def _transfer(
-    X: np.ndarray, rows: np.ndarray, D: np.ndarray, tops: Sequence[int], opening: int, model
-) -> None:
-    """Set X[:, :, rows], (L, L, n), to the max-plus transfer matrices of
-    n blocks of len(tops) positions, blocks innermost, whose scores at step
-    t are the rows ``D[tops[t] : tops[t] + n]``: X[k, i, j] is the best
-    score from label i at the position before block j to label k at its
-    last position.  The first *opening* blocks open their sequences, so
-    they start from the model's start scores, whatever i.  The blocks run
-    _BACK_CHUNK at a time through one scratch, so its size is bounded."""
-    n = len(rows)
-    step = model.transitions[:, :, None, None]  # [m, k]
+def _chain(G: np.ndarray, model) -> np.ndarray:
+    """Phases 1 and 2 of :func:`viterbi` on a grid G of sequences of more
+    than one block: E[j, :, s], the best scores at the last position of
+    block j < B - 1 of sequence s.  Where block j + 1 is padding, E is
+    finite and unused."""
+    S, B, b = G.shape[:3]
+    to = model.transitions[:, :, None, None]  # [m, k]: trans[m, k] over (L, blocks)
+    # 1. X[:, :, s * B + j]: the transfer matrix of block (s, j), for every
+    # block of the flat block axis, padding included; a block j = 0 opens
+    # its sequence.  Blocks run _BACK_CHUNK at a time through one scratch
+    blocks = G.reshape(S * B, b, N_LABELS)
+    n = len(blocks)
     chunk = min(n, _BACK_CHUNK)
-    Z = np.empty((N_LABELS, N_LABELS, chunk))
     sums = np.empty((N_LABELS, N_LABELS, N_LABELS, chunk))  # [m, k, i, j]
-    first, *rest = tops
+    X = np.empty((N_LABELS, N_LABELS, n))
     for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        Y, scratch = Z[:, :, : hi - lo], sums[..., : hi - lo]
-        cut = min(max(opening - lo, 0), hi - lo)
-        Y[:, :, :cut] = model.start[:, None, None]
-        Y[:, :, cut:] = model.transitions.T[:, :, None]
-        Y += D[first + lo : first + hi].T[:, None]
-        for top in rest:
-            np.add(Y[:, None], step, out=scratch)
-            np.max(scratch, axis=0, out=Y)
-            Y += D[top + lo : top + hi].T[:, None]
-        X[:, :, rows[lo:hi]] = Y
+        Y, scratch = X[:, :, lo : lo + chunk], sums[..., : min(chunk, n - lo)]
+        first, *rest = blocks[lo : lo + chunk].transpose(1, 2, 0)[:, :, None]
+        Y[:] = model.transitions.T[:, :, None]
+        Y[:, :, -lo % B :: B] = model.start[:, None, None]
+        Y += first
+        for unary in rest:
+            np.add(Y[:, None], to, out=scratch)
+            np.maximum.reduce(scratch, axis=0, out=Y)
+            Y += unary
+    # 2. the chain, one block index at a time over every sequence; a first
+    # block's matrix rows are all the same, the loop's own scores
+    X = X.reshape(N_LABELS, N_LABELS, S, B).transpose(3, 0, 1, 2)  # X[j]: (L, L, S)
+    E = np.empty((B - 1, N_LABELS, S))
+    E[0] = X[0, :, 0]
+    sums = np.empty((N_LABELS, N_LABELS, S))
+    for before, matrices, exits in zip(E, X[1:], E[1:]):
+        np.add(before, matrices, out=sums)
+        np.maximum.reduce(sums, axis=1, out=exits)
+    return E
+
+
+def _decode_grid(G: np.ndarray, pieces: np.ndarray, model) -> None:
+    """Decode in place a grid G of :func:`viterbi`, (sequences, blocks, b,
+    L) unary scores, sequence s holding its pieces[s] blocks from its first
+    position on and zeros after its last: G[s, j, t] becomes the best
+    score of a path ending at position t of block j, but the last row of
+    each block before its sequence's last holds the chain's E."""
+    B, b = G.shape[1:3]
+    cols = G.transpose(2, 3, 0, 1)  # cols[t][k, s, j]: label k at position t of block (s, j)
+    to = model.transitions[:, :, None, None]  # [i, j]: trans[i, j] over (sequences, blocks)
+    if B > 1:
+        E = _chain(G, model)
+        entry = np.maximum.reduce(E[:, :, None] + model.transitions[:, :, None], axis=1)
+        cols[0, :, :, 1:] += entry.transpose(1, 2, 0)
+    cols[0, :, :, 0] += model.start[:, None]
+    # 3. every block's recursion from its entry vector
+    for t in range(1, b):
+        cols[t] += np.maximum.reduce(cols[t - 1][:, None] + to, axis=0)
+    if B > 1:
+        inner = np.arange(B - 1) < pieces[:, None] - 1
+        np.copyto(G[:, :-1, -1], E.transpose(2, 0, 1), where=inner[:, :, None])
 
 
 def viterbi(
@@ -740,35 +777,36 @@ def viterbi(
     position and at every backtrack step.  Lengths other than positive integers
     (``int`` or numpy, not bool) summing to len(features) raise ``ValueError``.
 
-    All sequences are decoded together by a blocked max-plus scan (Hassan,
-    Särkkä & García-Fernández 2021; Maleki, Musuvathi & Mytkowicz 2014).
-    A sequence of T positions is cut, from its own first position, into
-    blocks of b positions and a last piece of at most b, with b from
-    :func:`_block_lengths`: near sqrt(T / 3), and all of T, one piece, for
-    a short sequence.  Then:
+    All sequences are decoded by a blocked max-plus scan (Hassan, Särkkä &
+    García-Fernández 2021; Maleki, Musuvathi & Mytkowicz 2014).  A
+    sequence of T positions is cut, from its own first position, into
+    blocks of b positions, the last one of at most b, with b from
+    :func:`_block_lengths`: near sqrt(T / 3), and T, one block, for a short
+    sequence.  The sequences of more than one block of one length b share
+    a grid, (sequences, blocks, b, L), longest first, and the one-block
+    sequences one as wide as the longest of them, cut as ``_CUT_ROWS``
+    says.  One scatter copies each sequence's unary scores into its grid
+    from its first row on, zeros padding its end.  Then, per grid
+    (:func:`_decode_grid`):
 
-    1. the max-plus transfer matrix of every block but each sequence's
-       last piece, in b - 1 steps over an (L, L, blocks) array, once per
-       block length of the call;
-    2. each block's entry vector, the best scores at the last position of
-       the block before it, one small step per block;
-    3. every piece's recursion from its entry vector, all pieces at once
-       on the packed layout of :func:`_pack`, in at most b steps.
+    1. the max-plus transfer matrix of every block, in b - 1 steps;
+    2. each block's entry vector, from the best scores at the last
+       position of the block before it, one small step per block index;
+    3. every block's recursion from its entry vector, in b - 1 steps.
 
     So a sequence takes about 2 * b + T / b max-plus steps, about 3 *
-    sqrt(T), instead of T - 1.  Steps 2 and 3 iterate the ``steps`` of
-    their :func:`_pack`.  Every max-plus operation has one form, with the
-    blocks or rows innermost, since numpy would otherwise loop over 5
-    labels per row; a packed step of 1-7 rows measured within about 1 us
-    of a row-major one.  The scores stay row-major, one row per position.
-    The entry vectors are written over the rows they stand for before the
-    back pointers are taken, so the path walked is the argmax path of the
-    scores computed.  They sum the same terms as the position-by-position
-    loop, grouped differently: with integer weights every sum is exact
-    and the labels are the loop's, ties included; with real weights they
-    agree unless two paths score within rounding of each other.  Whether
-    a sequence is cut, and where, depends on its own length only, so a
-    sequence's labels do not depend on the other sequences of the call."""
+    sqrt(T), instead of T - 1, each over (L, sequences, blocks) views,
+    numpy's inner loop running over the blocks, not over 5 labels.  A
+    position's predecessor is the row before it.  The chain's scores are
+    written over the rows they stand for before the back pointers are
+    taken from the stored scores by the same sums, so the path walked is
+    the argmax path of the scores computed.  They sum the loop's terms
+    grouped differently: with integer weights every sum is exact and the
+    labels are the loop's, ties included; with real weights they agree
+    unless two paths score within rounding of each other.  Where a
+    sequence is cut depends on its own length only, and neither its
+    padding nor its grid mates enter a sum of its own positions, so its
+    labels do not depend on the other sequences of the call."""
     given = [len(features)] if lengths is None else lengths
     # np.array would truncate 2.7 to 2 and read True as 1
     integers = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in given)
@@ -777,87 +815,43 @@ def viterbi(
         raise ValueError(f"sequence lengths [{', '.join(map(str, given))}] "
                          f"do not split {len(features)} positions")
     U = _unary_matrix(model, features, lengths)
-    trans = model.transitions
-    to = trans[:, :, None]  # to[i, j]: trans[i, j] as a column over rows
-    ends = np.cumsum(lengths)
-    # each sequence is decoded as pieces (heads: their first positions): its
-    # blocks before the last, which get a transfer matrix, then for each
-    # sequence in order its last piece
     block = _block_lengths(lengths)
-    inner = (lengths - 1) // block  # blocks before the last piece
-    heads, pieces, K = ends - lengths, lengths, 0
-    blocked = inner > 0
-    if blocked.any():
-        skip = block * inner  # the last piece's offset
-        chain = _pack(inner[blocked])
-        # block-major: chain row j is block step[j] of blocked sequence seq[j]
-        width = block[blocked][chain.seq]
-        K = len(width)
-        heads = np.concatenate((heads[blocked][chain.seq] + width * chain.step, heads + skip))
-        pieces = np.concatenate((width, lengths - skip))
-    packing = _pack(pieces)
-    # D[r, k]: the best score of a path ending in label k at row r, built in
-    # place over the unary scores in packed order
-    D = U[heads[packing.seq] + packing.step]
+    pieces = (lengths - 1) // block + 1
+    key = np.where(pieces > 1, block, 0)  # the group: its block length, 0 if one block
+    order = np.lexsort((-lengths, key))
+    keys = key[order].tolist()
+    grids = []  # [first row, sequences, blocks, b, first sorted sequence]
+    firsts = []  # each sorted sequence's first row
+    rows = 0
+    for i, (k, B, T) in enumerate(zip(keys, pieces[order].tolist(), lengths[order].tolist())):
+        h = B * (k or T)  # its rows in a grid of its own
+        if not grids or k != keys[i - 1] or (
+            2 * h <= height and (height - h) * (bisect_right(keys, k) - i) >= _CUT_ROWS
+        ):
+            height = h
+            grids.append([rows, 0, B, k or T, i])
+        grids[-1][1] += 1
+        firsts.append(rows)
+        rows += height
+    starts = np.empty_like(lengths)
+    starts[order] = firsts
+    ends = lengths.cumsum()
+    D = np.zeros((rows, N_LABELS))
+    D[(starts - ends + lengths).repeat(lengths) + np.arange(len(U))] = U
     del U
-    n0 = packing.batch_sizes[0]  # the number of pieces; rows n0: have a predecessor
-    entry = model.start  # what the first row of a piece adds
-    pred = np.full(len(D), -1)  # the row one position earlier, -1 at a start
-    pred[n0:] = packing.prev
-    if K:
-        # 1. X[:, :, j]: the transfer matrix of chain row j.  At every step
-        # the blocks of one length follow the longer pieces and precede the
-        # last pieces of their length, in chain order, so they are
-        # contiguous rows; the first c0 blocks open their sequences
-        firsts = np.cumsum(packing.batch_sizes) - packing.batch_sizes
-        c0 = chain.batch_sizes[0]
-        X = np.empty((N_LABELS, N_LABELS, K))
-        for b in set(width.tolist()):
-            rows = np.flatnonzero(width == b)
-            tops = (firsts[:b] + np.count_nonzero(pieces > b)).tolist()
-            _transfer(X, rows, D, tops, int(np.searchsorted(rows, c0)), model)
-        # 2. E[:, j]: the best scores at block j's last position, blocks
-        # innermost; a first block's matrix rows are all the same, the
-        # loop's own scores
-        E = np.empty((N_LABELS, K))
-        E[:, :c0] = X[:, 0, :c0]
-        for before, lo, n in chain.steps:
-            E[:, lo : lo + n] = (E[:, before : before + n] + X[:, :, lo : lo + n]).max(axis=1)
-        del X
-        # the block before each piece, as a chain row, or -1
-        after = np.full(len(pieces), -1)
-        after[c0:K] = chain.prev
-        after[K:][blocked] = chain.last
-        after = after[packing.seq[:n0]]
-        entering = np.flatnonzero(after >= 0)
-        entry = np.empty((n0, N_LABELS))
-        entry[:] = model.start
-        entry[entering] = (E[:, after[entering]][:, None] + to).max(axis=0).T
-        exits = packing.last[:K]  # the last row of each block
-        pred[entering] = exits[after[entering]]
-    # 3. the packed recursion; a first row adds its entry
-    D[:n0] += entry
-    for before, lo, n in packing.steps:
-        D[lo : lo + n] += (D[before : before + n].T[:, None] + to).max(axis=0).T
-    if K:
-        D[exits] = E.T
-    # back pointers from the stored D: the same sums as in the recursion,
-    # so the same maxima.  A start row's pointers read D[-1] and are unused
-    back = _back_pointers(D, pred, trans)
-    last = packing.last[K:]  # each sequence's last row
+    for first, S, B, b, i in grids:
+        G = D[first : first + S * B * b].reshape(S, B, b, N_LABELS)
+        _decode_grid(G, pieces[order[i : i + S]], model)
+    # back[r, k]: the label at row r on the best path to label k at row r + 1
+    back = memoryview(_back_pointers(D[:-1], model.transitions).reshape(-1))
+    last = starts + lengths - 1
     best = (D[last] + model.end).argmax(axis=1)
-    # walk each sequence back from its last row; row r came from row
-    # pred[r] with label back[r, k]
-    back_flat, pred_of = memoryview(back.reshape(-1)), memoryview(pred)
-    labels = [""] * len(D)
-    for r, k, pos in zip(last.tolist(), best.tolist(), ends.tolist()):
-        pos -= 1
-        labels[pos] = LABELS[k]
-        p = pred_of[r]
-        while p >= 0:
-            k = back_flat[r * N_LABELS + k]
-            r, p = p, pred_of[p]
-            pos -= 1
+    labels = [""] * len(features)
+    for i, k, end, n in zip((last * N_LABELS).tolist(), best.tolist(), ends.tolist(), lengths.tolist()):
+        labels[end - 1] = LABELS[k]
+        for pos in range(end - 2, end - n - 1, -1):
+            i -= N_LABELS
+            k = back[i + k]
             labels[pos] = LABELS[k]
     return labels
 

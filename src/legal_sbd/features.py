@@ -331,10 +331,15 @@ def pattern_codes(lengths: Sequence[int]) -> np.ndarray:
     with *before* and *after* the steps to the position's sequence start
     and end, each capped at ``MAX_RADIUS + 1``."""
     n = np.asarray(lengths, dtype=np.intp)
-    step = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-    before = np.minimum(step, MAX_RADIUS + 1)
-    after = np.minimum(np.repeat(n, n) - 1 - step, MAX_RADIUS + 1)
-    return before * PATTERN_SIDE + after
+    ends = n.cumsum()
+    at = np.arange(n.sum())
+    before = at - (ends - n).repeat(n)
+    after = (ends - 1).repeat(n) - at
+    np.minimum(before, MAX_RADIUS + 1, out=before)
+    np.minimum(after, MAX_RADIUS + 1, out=after)
+    before *= PATTERN_SIDE
+    before += after
+    return before
 
 
 def factored_features(sequences: Sequence[Sequence[dict]]) -> tuple[list[dict], np.ndarray]:

@@ -217,8 +217,8 @@ class TestBlockedViterbi:
 
     def test_long_sequence_labels_do_not_depend_on_batch_mates(self, rng):
         # real weights: the scan's rounding must be the sequence's own.
-        # Uncut sequences and the pieces of sequences of six block lengths
-        # share the packed layout
+        # Uncut sequences share a grid, and so do the cut sequences of each
+        # of six block lengths
         model = random_model(rng)
         cut = crf._MIN_CUT
         lengths = [3, 2000, cut - 1, 1, cut, cut + 1, 108, 109, 700, 193, 40]
@@ -229,13 +229,10 @@ class TestBlockedViterbi:
         alone = [label for seq in sequences for label in viterbi(model, seq)]
         assert viterbi(model, flat, lengths) == alone
 
-    def test_lengths_at_block_edges(self, rng):
-        # either side of the cut and of every change of block length up to
-        # 3 * 24**2, and of a change in the number of blocks
-        lengths = [crf._MIN_CUT - 1, crf._MIN_CUT, crf._MIN_CUT + 1]
-        for b in (4, 6, 8, 12, 16, 24):
-            lengths += [3 * b * b, 3 * b * b + 1, 5 * b + 1, 5 * b + 2]
-        lengths = sorted(n for n in set(lengths) if n >= crf._MIN_CUT - 1)
+    @staticmethod
+    def decode_like_the_loop(rng, lengths):
+        # integer weights: each sequence alone, and all of them in one call,
+        # get the loop's labels
         model = random_model(rng, integer=True)
         sequences = [random_features(rng, n, integer=True) for n in lengths]
         want = [loop_viterbi(model, seq) for seq in sequences]
@@ -244,9 +241,95 @@ class TestBlockedViterbi:
         flat = [fv for seq in sequences for fv in seq]
         assert viterbi(model, flat, lengths) == [label for labels in want for label in labels]
 
+    def test_lengths_at_block_edges(self, rng):
+        # either side of the cut and of every change of block length up to
+        # 3 * 24**2, and of a change in the number of blocks
+        lengths = [crf._MIN_CUT - 1, crf._MIN_CUT, crf._MIN_CUT + 1]
+        for b in (4, 6, 8, 12, 16, 24):
+            lengths += [3 * b * b, 3 * b * b + 1, 5 * b + 1, 5 * b + 2]
+        self.decode_like_the_loop(rng, sorted(n for n in set(lengths) if n >= crf._MIN_CUT - 1))
+
+    # block length b -> the least and the greatest n whose n * b is cut
+    # into blocks of b
+    SPANS = {4: (10, 12), 6: (9, 18), 8: (14, 24), 12: (17, 36)}
+    # lengths, then _BACK_CHUNK and _CUT_ROWS, None for the module's own
+    GRIDS = {
+        "block multiples": (
+            [n * b + d for b, ns in SPANS.items() for n in ns for d in (-1, 0, 1)], None, None
+        ),
+        # a one-block grid beside a cut one
+        "uncut beside cut": ([crf._MIN_CUT - 1, crf._MIN_CUT], None, None),
+        "equal lengths": ([57, 30, 57, 1, 57, 30, 1, 130, 130], None, None),
+        # one grid of blocks of 8, 14, 19 and 24 of them, beside a one-block grid
+        "block counts differ": ([150, 109, 192, 20], None, None),
+        # transfer matrices 5 blocks at a time, so chunks start inside and
+        # between sequences
+        "chunked transfer": ([193, 41, 57, 44, 109, 40, 300], 5, None),
+        # a new grid wherever a sequence has at most half the rows of its
+        # grid's first
+        "cut grids": ([*range(1, crf._MIN_CUT), 108, 54, 50, 109, 192], None, 1),
+    }
+
+    @pytest.mark.parametrize("case", GRIDS)
+    def test_grids_decode_like_the_loop(self, rng, monkeypatch, case):
+        lengths, chunk, cut_rows = self.GRIDS[case]
+        if chunk:
+            monkeypatch.setattr(crf, "_BACK_CHUNK", chunk)
+        if cut_rows:
+            monkeypatch.setattr(crf, "_CUT_ROWS", cut_rows)
+        self.decode_like_the_loop(rng, lengths)
+
+    @pytest.mark.parametrize(
+        "lengths, b, chunk",
+        [
+            ([48, 44, 40], 4, None),  # 12, 11 and 10 blocks; 40 ends on a full block
+            ([108, 60, 54, 50], 6, 5),  # 18, 10, 9 and 9 blocks, 5 at a time
+            ([39, 39, 20, 1], 39, None),  # one block each
+        ],
+    )
+    def test_grid_rows_are_the_loop_scores(self, rng, monkeypatch, lengths, b, chunk):
+        # with integer weights, every row of a sequence's decoded grid is the
+        # loop's best score per label, the chain's exit rows included; with
+        # real weights, its rows are the bits it gets in a grid of its own
+        if chunk:
+            monkeypatch.setattr(crf, "_BACK_CHUNK", chunk)
+        pieces = (np.array(lengths) - 1) // b + 1
+
+        def decoded(model, unary):
+            G = np.zeros((len(unary), pieces[0], b, len(LABELS)))
+            for rows, U in zip(G.reshape(len(unary), -1, len(LABELS)), unary):
+                rows[: len(U)] = U
+            crf._decode_grid(G, pieces[: len(unary)], model)
+            return [rows[: len(U)] for rows, U in zip(G.reshape(len(unary), -1, len(LABELS)), unary)]
+
+        model = random_model(rng, integer=True)
+        unary = [rng.integers(-2, 3, size=(n, len(LABELS))).astype(float) for n in lengths]
+        for got, U in zip(decoded(model, unary), unary):
+            best = model.start + U[0]
+            np.testing.assert_array_equal(got[0], best)
+            for row, u in zip(got[1:], U[1:]):
+                best = (best[:, None] + model.transitions).max(axis=0) + u
+                np.testing.assert_array_equal(row, best)
+        model = random_model(rng)
+        unary = [rng.normal(size=(n, len(LABELS))) for n in lengths]
+        for s, got in enumerate(decoded(model, unary)):
+            pieces_alone = pieces[s : s + 1]
+            G = np.zeros((1, pieces_alone[0], b, len(LABELS)))
+            G.reshape(-1, len(LABELS))[: lengths[s]] = unary[s]
+            crf._decode_grid(G, pieces_alone, model)
+            assert G.reshape(-1, len(LABELS))[: lengths[s]].tobytes() == got.tobytes()
+
+    def test_grid_cases_hold_their_layouts(self):
+        for b, (least, greatest) in self.SPANS.items():
+            multiples = b * np.array([least - 1, least, greatest, greatest + 1])
+            assert (crf._block_lengths(multiples) == b).tolist() == [False, True, True, False]
+        counts = np.array(self.GRIDS["block counts differ"][0][:3])
+        assert set(crf._block_lengths(counts).tolist()) == {8}
+        assert sorted(((counts - 1) // 8 + 1).tolist()) == [14, 19, 24]
+
     def test_wide_packed_steps_decode_like_the_loop(self, rng):
-        # no sequence is cut, and the early packed steps hold 16 rows or
-        # more, the late ones a few
+        # no sequence is cut, so all share one grid, 16 or more of them
+        # longer than one position
         for _ in range(3):
             model = random_model(rng, integer=True)
             lengths = rng.integers(1, crf._MIN_CUT, size=32).tolist()
@@ -304,7 +387,7 @@ class TestBlockedViterbi:
         sums = D[prev][:, :, None] + trans
         if rows > 1:  # ties everywhere: a quarter of the maxima or more are shared
             assert ((sums == sums.max(axis=1, keepdims=True)).sum(axis=1) > 1).mean() > 0.25
-        back = crf._back_pointers(D, prev, trans)
+        back = crf._back_pointers(D[prev], trans)
         assert back.dtype == np.uint8
         # np.argmax picks the first maximum, the lowest label
         np.testing.assert_array_equal(back, np.argmax(sums, axis=1))

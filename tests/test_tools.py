@@ -60,3 +60,22 @@ def test_check_passes_on_its_own_output_and_names_an_altered_hash(
     bench.write_text(json.dumps({"hashes": {"change": altered}}), encoding="utf-8")
     assert tool.main(["--check", str(bench)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"differs from {bench}: {key}.{kind}"]
+
+
+def test_labels_that_depend_on_batch_mates_fail_the_run(tool, monkeypatch, capsys):
+    # a decoder that changes a label whenever a call holds more than one text
+    decode, hashes = tool.pipeline.viterbi, tool.output_hashes
+
+    def meddling(model, features, lengths):
+        labels = decode(model, features, lengths)
+        if len(lengths) > 1:
+            labels[0] = "O" if labels[0] != "O" else "B"
+        return labels
+
+    monkeypatch.setattr(tool.pipeline, "viterbi", meddling)
+    monkeypatch.setattr(tool, "output_hashes", lambda: hashes(tiny=True))
+    assert tool.main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    workload = f"predict_short_docs-{tool.DEFAULT_SEEDS['predict_short_docs']}"
+    assert captured.err.splitlines() == [f"batched labels differ from lone labels: {workload}"]

@@ -17,6 +17,10 @@ is predicted alone.  The inputs come from ``perfbench/workloads.py``, so
 two commits that print the same object predict and train the same bits
 on the benchmark's inputs.
 
+Each workload's documents are also predicted all in one call.  If any
+document's labels differ from its labels alone, the script names the
+workload on stderr and exits with status 1, printing no object.
+
 With ``--check FILE`` it then compares the object with the
 ``hashes.change`` object of a committed ``BENCH_*.json``, names on
 stderr each key whose hash differs or that only one side holds, and
@@ -50,34 +54,45 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def prediction_hashes(model, docs) -> dict[str, str]:
-    """Hashes of the labels and spans of *docs*, each predicted alone."""
+class BatchMismatch(Exception):
+    """A workload whose documents, predicted in one call, get labels other
+    than their own alone; the message is the workload's key."""
+
+
+def prediction_hashes(model, docs, key: str) -> dict[str, str]:
+    """Hashes of the labels and spans of *docs*, each predicted alone;
+    raises ``BatchMismatch(key)`` if predicting them all in one call
+    changes a label."""
     labels, spans = [], []
     for doc in docs:
         ((_, doc_labels),) = pipeline.predicted_labels(model, [doc.text])
         labels.append(" ".join(doc_labels))
         (predicted,) = pipeline.predict_documents(model, [doc])
         spans.append(doc.id + "\0" + ",".join(f"{s.start}:{s.end}" for s in predicted.spans))
+    together = pipeline.predicted_labels(model, [doc.text for doc in docs])
+    if [" ".join(doc_labels) for _, doc_labels in together] != labels:
+        raise BatchMismatch(key)
     return {"labels": digest("\n".join(labels)), "spans": digest("\n".join(spans))}
 
 
 def output_hashes(tiny: bool = False) -> dict[str, dict[str, str]]:
     """The printed object; *tiny* shrinks every input as ``run.py --tiny``
-    does."""
+    does.  Raises ``BatchMismatch`` at the first workload whose batched
+    labels differ from its lone ones."""
     config = TrainingConfig(max_iterations=SETUP_MODEL_ITERATIONS)
     setup_model = pipeline.train_on_documents(setup_model_corpus(tiny), config)
     hashes = {"setup_model": {"model_to_json": digest(crf.model_to_json(setup_model))}}
     for name, default_seed in DEFAULT_SEEDS.items():
         for seed in (default_seed, OTHER_SEED):
-            inputs = workload_inputs(name, seed, tiny)
+            inputs, key = workload_inputs(name, seed, tiny), f"{name}-{seed}"
             if name == TRAINING:
                 model = pipeline.train_on_documents(inputs["train"])
-                hashes[f"{name}-{seed}"] = {
-                    **prediction_hashes(model, inputs["predict"]),
+                hashes[key] = {
+                    **prediction_hashes(model, inputs["predict"], key),
                     "model_to_json": digest(crf.model_to_json(model)),
                 }
             else:
-                hashes[f"{name}-{seed}"] = prediction_hashes(setup_model, inputs["predict"])
+                hashes[key] = prediction_hashes(setup_model, inputs["predict"], key)
     return hashes
 
 
@@ -95,7 +110,11 @@ def main(argv: list[str]) -> int:
     if argv and (len(argv) != 2 or argv[0] != "--check"):
         print("usage: output_hashes.py [--check BENCH_<n>.json]", file=sys.stderr)
         return 2
-    hashes = output_hashes()
+    try:
+        hashes = output_hashes()
+    except BatchMismatch as mismatch:
+        print(f"batched labels differ from lone labels: {mismatch}", file=sys.stderr)
+        return 1
     print(json.dumps(hashes, indent=1))
     if not argv:
         return 0
