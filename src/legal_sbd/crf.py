@@ -40,10 +40,10 @@ weight array over (window offset, value of its column), plane p holding
 offset p - MAX_RADIUS, or, if a position pattern gives it, looked up by
 its string in ``features.PATTERN_SLOTS`` for the table of patterns.  The
 parse of the model compiled last is reused by the next prediction run
-while the model's state weights are the same keys in the same order
-with byte-equal rows, so a run on an unchanged model parses nothing and
-a changed model is parsed anew.  No feature map or indicator string is
-built.  Per offset d, a call folds one table over its distinct token
+while the model's state weights are the very mapping it parsed, which
+is read-only (new weights are a new mapping), so a run on an unchanged
+model parses nothing and a changed model is parsed anew.  No feature
+map or indicator string is built.  Per offset d, a call folds one table over its distinct token
 texts (:func:`_offset_tables`): a text's row sums, from zero, the weight
 rows of the keys it gives at d, column by column in
 ``features.TEMPLATES`` order, which is the order every fragment, the
@@ -115,7 +115,8 @@ import threading
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import compress, islice, repeat
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,13 +173,27 @@ class LabeledSequence:
 
 @dataclass
 class CrfModel:
-    """Weights over the labels of ``spans.LABELS``, in that order."""
+    """Weights over the labels of ``spans.LABELS``, in that order.  A mapping
+    assigned to ``state_weights`` is copied into one read-only (n, L) matrix
+    and stored as a new read-only mapping whose rows are views of it."""
 
-    state_weights: dict[str, np.ndarray]  # indicator -> per-label weight row
+    state_weights: Mapping[str, np.ndarray]  # indicator -> per-label weight row
     transitions: np.ndarray  # dense (L, L), row = from, column = to
     start: np.ndarray  # (L,)
     end: np.ndarray  # (L,)
     metadata: dict = field(default_factory=dict)
+
+    def __setattr__(self, name, value):
+        if name == "state_weights":
+            rows = np.array(list(value.values()), dtype=np.float64).reshape(len(value), N_LABELS)
+            rows.flags.writeable = False
+            super().__setattr__("_state_matrix", rows)
+            value = MappingProxyType(dict(zip(value, rows)))
+        super().__setattr__(name, value)
+
+    def __reduce__(self):  # a mappingproxy is neither pickled nor deep-copied
+        fields = dict(self.state_weights), self.transitions, self.start, self.end, self.metadata
+        return type(self), fields
 
 
 _ENCODE_CHUNK = 512  # rows whose hits are gathered in Python lists at a time
@@ -308,10 +323,10 @@ class CompiledModel(NamedTuple):
     memo: _TextMemo  # the parse's table rows of the texts scored so far
 
 
-# (keys, row bytes, categories, weights, pattern, memo) of the model
-# parsed last.  It is replaced by one assignment and read once into a
-# local, so concurrent callers each see one model's whole parse; a new
-# parse comes with an empty memo.
+# (state weights, categories, weights, pattern, memo) of the model parsed
+# last, whose state weights it holds, so no other object takes their id.  It
+# is replaced by one assignment and read once into a local, so concurrent
+# callers each see one model's whole parse; a new parse has an empty memo.
 _last_parse: tuple | None = None
 
 
@@ -321,28 +336,26 @@ def compile_model(model: CrfModel) -> CompiledModel:
 
     The result shares *model*'s transitions, start and end arrays and is
     never stored on it.  The parse of the model compiled last is kept and
-    reused while the state weights are the same content: the same keys in
-    the same order, and rows equal byte for byte (``tobytes``, so ``-0.0``
-    differs from ``0.0`` and a NaN equals its own bits), so a model
-    changed between calls compiles its new weights, and a parse made anew
-    starts an empty ``memo`` (:class:`_TextMemo`).  Its ``weights`` and
+    reused while ``model.state_weights`` is the mapping it parsed, without
+    reading a row: state weights are read-only, and new ones are a new
+    mapping (see :class:`CrfModel`), so a model changed between calls
+    compiles its new weights, and a parse made anew starts an empty ``memo``
+    (:class:`_TextMemo`).  Its ``weights`` and
     ``pattern`` are read-only.  Indicators the feature set cannot emit,
     such as ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``, score
     zero on the reference path and are dropped.  A pattern's row sums the
     slot rows of ``features.PATTERN_SLOT_ROWS`` from zero, ``bias`` and
     then ``PATTERN_KEYS``, in the order its fragment lists its keys."""
     global _last_parse
-    keys = list(model.state_weights)
-    # the empty array makes a model without state weights concatenate, as floats
-    rows = np.concatenate([*model.state_weights.values(), np.empty(0)]).reshape(len(keys), N_LABELS)
-    content = rows.tobytes()
+    state = model.state_weights
     last = _last_parse
-    if last is not None and last[0] == keys and last[1] == content:
-        return CompiledModel(model.transitions, model.start, model.end, *last[2:])
+    if last is not None and last[0] is state:
+        return CompiledModel(model.transitions, model.start, model.end, *last[1:])
+    rows = model._state_matrix
     slots = np.zeros((len(PATTERN_SLOTS) + 1, N_LABELS))  # slot 0: a key the pattern lacks
     categories: dict[int, dict[object, int]] = {}
     planes, ids, picked = [], [], []  # the plane, id and row of each text weight
-    for k, ind in compress(enumerate(keys), rows.any(axis=1).tolist()):
+    for k, ind in compress(enumerate(state), rows.any(axis=1).tolist()):
         parsed = parse_indicator(ind)
         if parsed is not None:
             d, c, value = parsed
@@ -357,8 +370,8 @@ def compile_model(model: CrfModel) -> CompiledModel:
     for term in np.take(slots, PATTERN_SLOT_ROWS, axis=0):
         pattern += term
     weights.flags.writeable = pattern.flags.writeable = False
-    _last_parse = (keys, content, categories, weights, pattern, _TextMemo())
-    return CompiledModel(model.transitions, model.start, model.end, *_last_parse[2:])
+    _last_parse = (state, categories, weights, pattern, _TextMemo())
+    return CompiledModel(model.transitions, model.start, model.end, *_last_parse[1:])
 
 
 _TABLE_CHUNK = 4096  # entries whose rows a column folds at a time
@@ -450,9 +463,8 @@ def _unary_matrix(
     if isinstance(model, CompiledModel):
         return _token_unary(model, features, [len(features)] if lengths is None else lengths)
     index = {ind: k for k, ind in enumerate(model.state_weights)}
-    weights = np.array(list(model.state_weights.values()), dtype=np.float64)
     B, W = _factored(*factored_features([features]), index)
-    return B @ (W @ weights.reshape(len(index), N_LABELS))
+    return B @ (W @ model._state_matrix)
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -972,7 +984,7 @@ def _to_model(wvec: np.ndarray, vocab: dict[str, int]) -> CrfModel:
     """A copy of *wvec* as a model, one state row per *vocab* entry."""
     state, trans, start, end = _unpack(wvec)
     return CrfModel(
-        state_weights={ind: state[k].copy() for ind, k in vocab.items()},
+        state_weights=dict(zip(vocab, state)),  # vocab numbers its keys in order
         transitions=trans.copy(),
         start=start.copy(),
         end=end.copy(),
@@ -1035,8 +1047,7 @@ def nll_and_gradient(
     vocab, encoded = _encode_sequences(batch, known=model.state_weights)
     wvec = np.zeros(_n_params(len(vocab)))
     state, trans, start, end = _unpack(wvec)
-    for ind, row in model.state_weights.items():
-        state[vocab[ind]] = row
+    state[[vocab[ind] for ind in model.state_weights]] = model._state_matrix
     trans[:] = model.transitions
     start[:] = model.start
     end[:] = model.end
@@ -1180,14 +1191,16 @@ def load_model(path) -> CrfModel:
         # the one label set training writes and decode_bilou reads
         raise DataError(f"{path}: label set {obj.get('labels')!r} is not {list(LABELS)}")
     try:
-        state_weights: dict[str, np.ndarray] = {}
-        seen = set()
+        index: dict[str, int] = {}  # indicator -> its row
+        cells: dict[int, float] = {}  # flat (row, label) cell -> weight
         for ind, label, w in obj["state_weights"]:
             # no feature map emits a non-string indicator, and model_to_json writes each pair once
-            if (json_str(ind), label) in seen:
+            cell = index.setdefault(json_str(ind), len(index)) * N_LABELS + _LABEL_INDEX[label]
+            if cell in cells:
                 raise ValueError(f"indicator {ind!r} has two weights for label {label!r}")
-            seen.add((ind, label))
-            state_weights.setdefault(ind, np.zeros(N_LABELS))[_LABEL_INDEX[label]] = json_number(w)
+            cells[cell] = json_number(w)
+        state = np.zeros((len(index), N_LABELS))
+        state.flat[list(cells)] = list(cells.values())
         transitions = np.array([[json_number(w) for w in row] for row in obj["transitions"]])
         start, end = (np.array([json_number(w) for w in obj[k]]) for k in ("start", "end"))
         metadata = obj.get("metadata", {})
@@ -1200,11 +1213,10 @@ def load_model(path) -> CrfModel:
         raise DataError(f"{path}: feature fingerprint {trained_on!r} is not {FEATURE_FINGERPRINT!r}")
     if transitions.shape != (N_LABELS, N_LABELS) or start.shape != (N_LABELS,) or end.shape != (N_LABELS,):
         raise DataError(f"{path}: model weight shapes do not match its label set")
-    weights = [transitions, start, end, *state_weights.values()]
-    if not all(np.all(np.isfinite(w)) for w in weights):
+    if not all(np.all(np.isfinite(w)) for w in (transitions, start, end, state)):
         raise DataError(f"{path}: model has non-finite weights")
     return CrfModel(
-        state_weights=state_weights,
+        state_weights=dict(zip(index, state)),
         transitions=transitions,
         start=start,
         end=end,

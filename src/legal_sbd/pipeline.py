@@ -134,9 +134,10 @@ def _predicted_columns(model: CrfModel, texts: list[str]) -> list[tuple[TokenCol
 
     The model is compiled once per call and scores token texts directly;
     no feature maps are built.  A call on a model whose state weights are
-    byte for byte those of the model compiled last reuses that parse (see
-    :func:`~legal_sbd.crf.compile_model`), and a changed model is parsed
-    anew, so it predicts with its new weights.  A parse keeps each token
+    the very read-only mapping of the model compiled last reuses that
+    parse (see :func:`~legal_sbd.crf.compile_model`); new state weights
+    are a new mapping, so a changed model is parsed anew and predicts
+    with its new weights.  A parse keeps each token
     text's rows of the offset tables across calls in a bounded memo
     (:class:`~legal_sbd.crf._TextMemo`), so the first call on a newly
     parsed model folds all of its texts and later calls only texts new to

@@ -177,10 +177,12 @@ def finite_difference_gradient(model: CrfModel, batch, config: TrainingConfig, h
     for ind in model.state_weights:
         row = np.zeros(len(LABELS))
         for k in range(len(LABELS)):
-            up = copy.deepcopy(model)
-            up.state_weights[ind][k] += h
-            down = copy.deepcopy(model)
-            down.state_weights[ind][k] -= h
+            up, down = copy.deepcopy(model), copy.deepcopy(model)
+            up_row, down_row = model.state_weights[ind].copy(), model.state_weights[ind].copy()
+            up_row[k] += h
+            down_row[k] -= h
+            up.state_weights = {**up.state_weights, ind: up_row}
+            down.state_weights = {**down.state_weights, ind: down_row}
             row[k] = (value_at(up) - value_at(down)) / (2 * h)
         state[ind] = row
     arrays = {}

@@ -9,8 +9,10 @@ state)`` over the same sequences the scores it must equal bit for bit."""
 import copy
 import functools
 import importlib.util
+import pickle
 import threading
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -220,7 +222,7 @@ def test_memo_never_changes_a_score(text, other, data):
     texts = texts_of(tokens)
     model, rival = random_model(data, tokens), random_model(data, tokenize(other) or tokens)
     # a key no token gives, so the rival's parse is never the model's
-    rival.state_weights["+1:lowercase=two words"] = np.ones(len(LABELS))
+    rival.state_weights = {**rival.state_weights, "+1:lowercase=two words": np.ones(len(LABELS))}
     reference = bits(_unary_matrix(model, sequence_features(tokens)))
     labels = viterbi(model, sequence_features(tokens))
 
@@ -353,8 +355,7 @@ def test_threads_predict_as_serially(small_model, monkeypatch):
     # each in its own order, and each gets the serial predictions; a small
     # cap makes the shared memos reset while they run
     rival = copy.deepcopy(small_model)
-    for row in rival.state_weights.values():
-        row *= -0.5
+    rival.state_weights = {ind: row * -0.5 for ind, row in rival.state_weights.items()}
     rival.transitions = rival.transitions[::-1].copy()
     docs = make_corpus(12, seed=2718)
     jobs = [(small_model if i % 2 else rival, doc) for i, doc in enumerate(docs)]
@@ -478,24 +479,38 @@ def assert_compiles_as_reference(model, tokens):
     assert viterbi(compiled, texts) == viterbi(model, reference)
 
 
+def writeable(model):
+    """A copy of *model*'s state weights whose rows can be written;
+    assigning it to a model stores a read-only copy of it."""
+    return {ind: row.copy() for ind, row in model.state_weights.items()}
+
+
 def edit_row(model):
-    model.state_weights[fired(model, REUSE_TEXT)[0][0]] += 0.75
+    weights = writeable(model)
+    weights[fired(model, REUSE_TEXT)[0][0]] += 0.75
+    model.state_weights = weights
     return model
 
 
 def add_key(model):
-    model.state_weights[fired(model, REUSE_TEXT)[1][0]] = np.linspace(-2.0, 2.0, len(LABELS))
+    weights = writeable(model)
+    weights[fired(model, REUSE_TEXT)[1][0]] = np.linspace(-2.0, 2.0, len(LABELS))
+    model.state_weights = weights
     return model
 
 
 def remove_key(model):
-    del model.state_weights[fired(model, REUSE_TEXT)[0][0]]
+    weights = writeable(model)
+    del weights[fired(model, REUSE_TEXT)[0][0]]
+    model.state_weights = weights
     return model
 
 
 def reorder_keys(model):
-    first = next(iter(model.state_weights))
-    model.state_weights[first] = model.state_weights.pop(first)
+    weights = writeable(model)
+    first = next(iter(weights))
+    weights[first] = weights.pop(first)
+    model.state_weights = weights
     return model
 
 
@@ -510,15 +525,20 @@ def edit_end(model):
 
 
 def zero_to_negative_zero(model):
-    row = model.state_weights[fired(model, REUSE_TEXT)[0][0]]
+    weights = writeable(model)
+    row = weights[fired(model, REUSE_TEXT)[0][0]]
     row[0] = 0.0
+    model.state_weights = weights
     assert_compiles_as_reference(model, tokenize(REUSE_TEXT))
     row[0] = -0.0
+    model.state_weights = weights
     return model
 
 
 def nan_row(model):
-    model.state_weights[fired(model, REUSE_TEXT)[0][0]][:] = np.nan
+    weights = writeable(model)
+    weights[fired(model, REUSE_TEXT)[0][0]][:] = np.nan
+    model.state_weights = weights
     return model
 
 
@@ -556,7 +576,8 @@ def test_unchanged_model_is_parsed_once(small_model, monkeypatch):
     parsed.clear()
     assert pipeline.predict_documents(model, docs) == first
     assert parsed == []
-    # rows are compared by their bytes: -0.0 is not 0.0, and a NaN is itself
+    # every edit assigns new state weights, which are parsed anew, even where
+    # their bytes barely differ: -0.0 after 0.0, or a NaN row after another
     for edit in (edit_row, zero_to_negative_zero, nan_row):
         edit(model)
         parsed.clear()
@@ -565,6 +586,71 @@ def test_unchanged_model_is_parsed_once(small_model, monkeypatch):
         parsed.clear()
         pipeline.predict_documents(model, docs)
         assert parsed == []
+
+
+def one_sequence_gradient(model, _):
+    batch = [LabeledSequence([{"bias": 1.0, "0:lowercase=a": 1.0}], ["U"])]
+    return crf.nll_and_gradient(model, batch, TrainingConfig(c1=0.0))[1]
+
+
+def saved_and_loaded(model, tmp_path):
+    crf.save_model(model, tmp_path / "model.json")
+    return crf.load_model(tmp_path / "model.json")
+
+
+def trained(model, _):
+    seq = LabeledSequence([{"bias": 1.0, "0:lowercase=a": 1.0}] * 3, ["B", "I", "L"])
+    return crf.train([seq], TrainingConfig(c1=0.0, max_iterations=3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda model, _: CrfModel(writeable(model), model.transitions, model.start, model.end),
+    lambda model, _: replace(model),
+    lambda model, _: copy.deepcopy(model),
+    lambda model, _: pickle.loads(pickle.dumps(model)),
+    saved_and_loaded, one_sequence_gradient, trained,
+], ids=["constructor", "replace", "deepcopy", "pickle", "load_model", "gradient", "train"])
+def test_every_way_to_make_a_model_freezes_its_state_weights(small_model, tmp_path, make):
+    model = make(small_model, tmp_path)
+    assert model.state_weights is not small_model.state_weights
+    ind, row = next((ind, row) for ind, row in model.state_weights.items() if row.any())
+    before = row.copy()
+    with pytest.raises(ValueError):
+        row[0] = 1.0
+    with pytest.raises(ValueError):
+        row += 1.0
+    with pytest.raises(TypeError):
+        model.state_weights[ind] = np.ones(len(LABELS))
+    assert np.array_equal(model.state_weights[ind], before)
+
+
+def test_a_deep_copy_is_parsed_as_its_own(small_model, monkeypatch):
+    monkeypatch.setattr(crf, "_last_parse", None)
+    original = compile_model(small_model)
+    twin = copy.deepcopy(small_model)
+    copied = compile_model(twin)
+    assert copied.weights is not original.weights  # parsed anew, to the same weights
+    assert np.array_equal(copied.weights, original.weights)
+    assert compile_model(twin).weights is copied.weights  # and then reused
+    with pytest.raises(ValueError):
+        next(iter(twin.state_weights.values()))[:] = 0.0
+    assert_compiles_as_reference(twin, tokenize(REUSE_TEXT))
+
+
+def test_a_reassigned_mapping_predicts_with_its_new_weights(small_model):
+    model = copy.deepcopy(small_model)
+    tokens = tokenize(REUSE_TEXT)
+    before = viterbi(compile_model(model), texts_of(tokens))
+    weights = {ind: -row for ind, row in model.state_weights.items()}
+    model.state_weights = weights
+    assert_compiles_as_reference(model, tokens)
+    after = viterbi(compile_model(model), texts_of(tokens))
+    assert after != before
+    # the model holds a copy: editing the assigned mapping changes nothing
+    for row in weights.values():
+        row[:] = 0.0
+    assert viterbi(compile_model(model), texts_of(tokens)) == after
+    assert_compiles_as_reference(model, tokens)
 
 
 def test_compiled_weights_are_read_only(small_model, monkeypatch):

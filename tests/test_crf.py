@@ -76,8 +76,9 @@ class TestScore:
 
     def test_single_position_bias_only(self):
         model = zero_model()
-        model.state_weights["bias"] = np.zeros(5)
-        model.state_weights["bias"][LABELS.index("U")] = 2.0
+        bias = np.zeros(5)
+        bias[LABELS.index("U")] = 2.0
+        model.state_weights = {**model.state_weights, "bias": bias}
         assert score(model, [{"bias": 1.0}], ["U"]) == pytest.approx(2.0)
 
     def test_matches_term_enumeration(self, rng):
@@ -91,7 +92,7 @@ class TestScore:
 
     def test_unknown_indicators_score_zero(self):
         model = zero_model()
-        model.state_weights["known"] = np.ones(5)
+        model.state_weights = {**model.state_weights, "known": np.ones(5)}
         got = score(model, [{"known": 1.0, "unknown": 9.0}], ["B"])
         assert got == pytest.approx(1.0)
 
@@ -145,7 +146,7 @@ class TestLogPartition:
         sample = [[LABELS[int(rng.integers(5))] for _ in feats] for _ in range(8)]
         base_scores = [score(model, feats, labels) for labels in sample]
         shifted = copy.deepcopy(model)
-        shifted.state_weights["position_marker"] = np.full(5, 2.5)
+        shifted.state_weights = {**shifted.state_weights, "position_marker": np.full(5, 2.5)}
         assert log_partition(shifted, feats) == pytest.approx(base_lz + 2.5, rel=1e-12)
         assert viterbi(shifted, feats) == base_path
         for labels, base in zip(sample, base_scores):
@@ -415,7 +416,7 @@ class TestNllAndGradient:
         # zero weights, one length-1 sequence, gold U, only bias active:
         # expected count 1/5 everywhere, observed 1 at U
         model = zero_model()
-        model.state_weights["bias"] = np.zeros(5)
+        model.state_weights = {**model.state_weights, "bias": np.zeros(5)}
         batch = [LabeledSequence([{"bias": 1.0}], ["U"])]
         value, grad = nll_and_gradient(model, batch, TrainingConfig(c1=0.0, c2=0.0))
         assert value == pytest.approx(math.log(5))
@@ -968,7 +969,7 @@ def extreme_model(rng):
     model = random_model(rng, n_indicators=3)
     model.transitions = np.full((5, 5), -1e3)
     model.transitions[3, 4] = 1e3
-    model.state_weights["wide"] = np.array([0.0, 5.0, -3.0, -1200.0, -1200.0])
+    model.state_weights = {**model.state_weights, "wide": np.array([0.0, 5.0, -3.0, -1200.0, -1200.0])}
     return model
 
 
@@ -1134,7 +1135,7 @@ class TestScaledRecursion:
 class TestNonFiniteAbort:
     def test_non_finite_objective_names_sequence(self):
         model = zero_model()
-        model.state_weights["bias"] = np.full(5, np.inf)
+        model.state_weights = {**model.state_weights, "bias": np.full(5, np.inf)}
         batch = [LabeledSequence([{"bias": 1.0}], ["U"])]
         from legal_sbd.errors import TrainingError
 
@@ -1146,8 +1147,7 @@ class TestNonFiniteAbort:
         # sequence 2 is the longest, so it is packed first; the error must
         # still name it by its position in the caller's batch
         model = zero_model()
-        model.state_weights["bias"] = np.zeros(5)
-        model.state_weights["boom"] = np.full(5, np.inf)
+        model.state_weights = {**model.state_weights, "bias": np.zeros(5), "boom": np.full(5, np.inf)}
         plain = {"bias": 1.0}
         batch = [
             LabeledSequence([plain, plain], ["B", "L"]),
