@@ -40,12 +40,12 @@ weight array over (window offset, value of its column), plane p holding
 offset p - MAX_RADIUS, or, if a position pattern gives it, looked up by
 its string in ``features.PATTERN_SLOTS`` for the table of patterns.  The
 parse of the model compiled last is reused by the next prediction run
-while the model's state weights are the very mapping it parsed, which
-is read-only (new weights are a new mapping), so a run on an unchanged
-model parses nothing and a changed model is parsed anew.  No feature
-map or indicator string is built.  Per offset d, a call folds one table over its distinct token
-texts (:func:`_offset_tables`): a text's row sums, from zero, the weight
-rows of the keys it gives at d, column by column in
+while the model's state weights are the read-only mapping it parsed (new
+weights are a new mapping), so a run on an unchanged model parses
+nothing and a changed model is parsed anew.  No feature map or indicator
+string is built.  Per offset d, a call folds one table over its distinct
+token texts (:func:`_offset_tables`): a text's row sums, from zero, the
+weight rows of the keys it gives at d, column by column in
 ``features.TEMPLATES`` order, which is the order every fragment, the
 centre's included, lists its keys, as ``W @ state`` sums that
 fragment's row.  The parse keeps these rows across calls in its memo,
@@ -191,7 +191,7 @@ class CrfModel:
             value = MappingProxyType(dict(zip(value, rows)))
         super().__setattr__(name, value)
 
-    def __reduce__(self):  # a mappingproxy is neither pickled nor deep-copied
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
         fields = dict(self.state_weights), self.transitions, self.start, self.end, self.metadata
         return type(self), fields
 
@@ -340,12 +340,12 @@ def compile_model(model: CrfModel) -> CompiledModel:
     reading a row: state weights are read-only, and new ones are a new
     mapping (see :class:`CrfModel`), so a model changed between calls
     compiles its new weights, and a parse made anew starts an empty ``memo``
-    (:class:`_TextMemo`).  Its ``weights`` and
-    ``pattern`` are read-only.  Indicators the feature set cannot emit,
-    such as ``0:space=true``, ``0:length=5`` or ``-3:EOS=true``, score
-    zero on the reference path and are dropped.  A pattern's row sums the
-    slot rows of ``features.PATTERN_SLOT_ROWS`` from zero, ``bias`` and
-    then ``PATTERN_KEYS``, in the order its fragment lists its keys."""
+    (:class:`_TextMemo`).  Its ``weights`` and ``pattern`` are read-only.
+    Indicators the feature set cannot emit, such as ``0:space=true``,
+    ``0:length=5`` or ``-3:EOS=true``, score zero on the reference path and
+    are dropped.  A pattern's row sums the slot rows of
+    ``features.PATTERN_SLOT_ROWS`` from zero, ``bias`` and then
+    ``PATTERN_KEYS``, in the order its fragment lists its keys."""
     global _last_parse
     state = model.state_weights
     last = _last_parse
