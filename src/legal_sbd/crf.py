@@ -20,7 +20,10 @@ are stably sorted longest first and laid out time-major, like a packed
 sequence: step t holds one row for each sequence longer than t, and row
 i of step t continues row i of step t - 1, so each step of every
 training recursion is one array operation over contiguous rows, which
-:func:`_pack` lists once.  Nothing is padded, so memory grows with
+:func:`_pack` lists once.  It also builds, once per batch, the plan of
+the scaled passes (:class:`_Plan`): their buffers and each step's views
+of them, so an evaluation allocates no pass buffer and a step slices
+nothing.  Nothing is padded, so memory grows with
 the number of tokens, not with the batch size times the longest
 sequence.  A single sequence is the packed case with one row per step.
 
@@ -119,6 +122,11 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+try:  # the compiled function np.einsum wraps, imported as numpy's einsumfunc does
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
 
 from .corpus import json_int, json_number, json_str, read_json_object, write_file
 from .errors import DataError, TrainingError
@@ -483,40 +491,51 @@ def _row_max(V: np.ndarray) -> np.ndarray:
 # both passes (Rabiner 1989, sec. V.A; Sutton & McCallum 2012, sec. 4.3).
 # P = exp(U - row max) and E = exp(trans - max trans) are taken once per
 # call, so no exp or log runs in the time loop.  The products are einsums,
-# never BLAS, whose sums would depend on the thread count.  If a scaled
-# value or a scale is not a normal double, underflow may have lost exact
-# values, and log Z (:func:`_log_z`) or the marginals (:func:`_marginals`),
-# whichever read it, fall back to the log-space recursions.
+# never BLAS, whose sums would depend on the thread count.  The step loops
+# call ``c_einsum``, the compiled function that np.einsum wraps, directly:
+# it runs the same kernel, so the bits are the same, without the wrapper's
+# dispatch, which costs about as much as a product of at most a few dozen
+# rows by 5 labels.  (np.matmul is faster still, but sums in another order
+# and gives other bits.)  Each step only iterates the views that the
+# packing's plan (:class:`_Plan`) built once per batch, and its ufuncs
+# write through positional ``out``.  If a scaled value or a scale is not a
+# normal double, underflow may have lost exact values, and log Z
+# (:func:`_log_z`) or the marginals (:func:`_marginals`), whichever read
+# it, fall back to the log-space recursions.
 
 
 def _forward(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, packing: _Packing
 ) -> tuple[np.ndarray, ...]:
     """Scaled forward recursion over packed rows (see :func:`_pack`):
-    (a, s, P, E, shift).
+    (a, s, P, E, shift), with a, s and P the buffers of the packing's plan,
+    which the next forward pass on it overwrites.
 
     A step is a row-by-E product, a product with P, a row sum s and a
     divide by it, so a[r] sums to 1.  exp of :func:`_log_forward` at row r
     is a[r] times the product of s * exp(shift) over r and the rows before
     it in its sequence; shift[r] is the row's max, start included at a
     first row, plus max trans at a row with a predecessor."""
-    n0 = packing.batch_sizes[0]
-    P = U.copy()
-    P[:n0] += start
+    plan = packing.plan
+    plan.generation += 1
+    a, s, P = plan.a, plan.s, plan.P
+    P0, s0, s0_col, a0 = plan.first
+    np.copyto(P, U)
+    P0 += start
     shift = _row_max(P)
-    np.exp(P - shift[:, None], out=P)
+    np.subtract(P, shift[:, None], P)
+    np.exp(P, P)
     trans_shift = trans.max()
     E = np.exp(trans - trans_shift)
-    a = np.empty_like(U)
-    s = np.empty(len(U))
-    np.add.reduce(P[:n0], axis=1, out=s[:n0])
-    np.divide(P[:n0], s[:n0, None], out=a[:n0])
-    for before, lo, n in packing.steps:
-        rows = np.einsum("ri,ij->rj", a[before : before + n], E, out=a[lo : lo + n])
-        rows *= P[lo : lo + n]
-        np.add.reduce(rows, axis=1, out=s[lo : lo + n])
-        rows /= s[lo : lo + n, None]
-    shift[n0:] += trans_shift
+    add_rows, multiply, divide = np.add.reduce, np.multiply, np.divide
+    add_rows(P0, 1, None, s0)
+    divide(P0, s0_col, a0)
+    for before, rows, P_rows, s_rows, s_col in plan.forward:
+        c_einsum("ri,ij->rj", before, E, out=rows)
+        multiply(rows, P_rows, rows)
+        add_rows(rows, 1, None, s_rows)
+        divide(rows, s_col, rows)
+    shift[packing.batch_sizes[0] :] += trans_shift
     return a, s, P, E, shift
 
 
@@ -524,18 +543,22 @@ def _backward(
     P: np.ndarray, E: np.ndarray, s: np.ndarray, end: np.ndarray, packing: _Packing
 ) -> np.ndarray:
     """Scaled backward recursion over packed rows, on the P, E and s of
-    :func:`_forward`: b is exp(end - max end) at a sequence's last row, and
-    b[r] = E @ (P * b)[next] / s[next] before it, with next the row after r
-    in its sequence.  Dividing by the forward pass's scales keeps a[r] @
-    b[r] the same on every row of a sequence."""
+    :func:`_forward` on the same packing: b is exp(end - max end) at a
+    sequence's last row, and b[r] = E @ (P * b)[next] / s[next] before it,
+    with next the row after r in its sequence.  Dividing by the forward
+    pass's scales keeps a[r] @ b[r] the same on every row of a sequence.
+    b is the plan's buffer, which the next backward pass overwrites."""
+    plan = packing.plan
+    if P is not plan.P or s is not plan.s:
+        raise ValueError("P and s must be the buffers of the packing's forward pass")
     # every row starts as a last row; each step, last first, sets the rows before it
-    b = np.empty_like(P)
-    b[:] = np.exp(end - end.max())
-    scratch = np.empty_like(P[: packing.batch_sizes[0]])
-    for before, lo, n in reversed(packing.steps):
-        after = np.multiply(P[lo : lo + n], b[lo : lo + n], out=scratch[:n])
-        rows = np.einsum("rj,ij->ri", after, E, out=b[before : before + n])
-        rows /= s[lo : lo + n, None]
+    b = plan.b
+    b[...] = np.exp(end - end.max())
+    multiply, divide = np.multiply, np.divide
+    for P_rows, rows, after, before, s_col in plan.backward:
+        multiply(P_rows, rows, after)
+        c_einsum("rj,ij->ri", after, E, out=before)
+        divide(before, s_col, before)
     return b
 
 
@@ -887,6 +910,36 @@ def _collect_vocabulary(
     return {ind: k for k, ind in enumerate(sorted(vocab))}
 
 
+class _Plan:
+    """The buffers of the scaled passes over one packing, allocated once,
+    and the views each step of :func:`_forward` and :func:`_backward` reads
+    and writes, so a pass slices nothing.  ``first`` holds the first step's
+    (P, s, s as a column, a) rows; ``forward`` holds per step t >= 1, in
+    time order, (a at step t - 1, a, P, s and s as a column at step t), and
+    ``backward``, last step first, (P, b and the scratch rows at step t, b
+    at step t - 1, s as a column at step t).  ``generation`` counts the
+    forward passes, so that a kept forward state can tell it was
+    overwritten."""
+
+    __slots__ = ("a", "s", "P", "b", "first", "forward", "backward", "generation")
+
+    def __init__(self, rows: int, n0: int, steps: list[tuple[int, int, int]]):
+        self.a, self.P, self.b = (np.empty((rows, N_LABELS)) for _ in range(3))
+        self.s = np.empty(rows)
+        a, s, P, b = self.a, self.s, self.P, self.b
+        s_col = s[:, None]
+        self.first = (P[:n0], s[:n0], s_col[:n0], a[:n0])
+        scratch = np.empty((n0, N_LABELS))
+        self.forward, self.backward = [], []
+        for before, lo, n in steps:
+            here, there = slice(lo, lo + n), slice(before, before + n)
+            P_rows, s_rows = P[here], s_col[here]
+            self.forward.append((a[there], a[here], P_rows, s[here], s_rows))
+            self.backward.append((P_rows, b[here], scratch[:n], b[there], s_rows))
+        self.backward.reverse()
+        self.generation = 0
+
+
 class _Packing(NamedTuple):
     batch_sizes: list[int]  # rows per time step
     seq: np.ndarray  # packed row -> caller's sequence index
@@ -896,10 +949,12 @@ class _Packing(NamedTuple):
     # per step t >= 1: (first row of step t - 1, first row of step t, rows
     # of step t), the one step table every packed recursion iterates
     steps: list[tuple[int, int, int]]
+    plan: _Plan  # the scaled passes' buffers and per-step views
 
 
 def _pack(lengths: np.ndarray) -> _Packing:
-    """Time-major packed layout of sequences of the given lengths.
+    """Time-major packed layout of sequences of the given lengths, with
+    the plan of its scaled passes.
 
     Sequences are stably sorted longest first; step t then holds one row
     for each of the first batch_sizes[t] of them, the ones longer than t,
@@ -916,7 +971,10 @@ def _pack(lengths: np.ndarray) -> _Packing:
     rank = np.empty_like(order)
     rank[order] = within[:n0]
     steps = list(zip(firsts[:-1].tolist(), firsts[1:].tolist(), batch_sizes[1:].tolist()))
-    return _Packing(batch_sizes.tolist(), order[within], step, prev, firsts[lengths - 1] + rank, steps)
+    return _Packing(
+        batch_sizes.tolist(), order[within], step, prev, firsts[lengths - 1] + rank, steps,
+        _Plan(len(step), batch_sizes[0], steps),
+    )
 
 
 class _Encoded(NamedTuple):
@@ -952,8 +1010,8 @@ def _encode_sequences(
         except KeyError as exc:
             raise DataError(f"sequence {s}: unknown label {exc}") from exc
     lengths = np.array([len(seq.labels) for seq in batch])
-    packing = _pack(lengths)
     fragments, parts = factored_features([seq.features for seq in batch])
+    packing = _pack(lengths)  # its buffers come after the encoder's temporaries are freed
     vocab = _collect_vocabulary(fragments, known)
     # the row of each packed row in batch order, where parts lists them
     rows = (np.cumsum(lengths) - lengths)[packing.seq] + packing.step
@@ -996,6 +1054,9 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     from one forward pass over every sequence at once, and a function of
     no arguments that returns its gradient from the backward pass on the
     kept forward state; *wvec* must not change before it is called.  The
+    forward state lives in the buffers of the batch's packing, so a batch
+    is evaluated one point at a time: once the batch is evaluated again,
+    the earlier point's gradient function raises ``RuntimeError``.  The
     unary scores are ``B @ (W @ state)`` and the state gradient ``W.T @
     (B.T @ m)``, X's two products taken through its factors, the latter
     on the transposed (CSC) views of B and W."""
@@ -1005,6 +1066,7 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     state, trans, start, end = _unpack(wvec)
     U = B @ (W @ state)
     log_z, forward = _log_z(U, trans, start, end, packing)
+    generation = packing.plan.generation
     gold = np.take(U, cells)
     gold[:n0] += start[y[:n0]]
     gold[n0:] += trans[y[prev], y[n0:]]
@@ -1018,6 +1080,8 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
         )
 
     def gradient():
+        if packing.plan.generation != generation:
+            raise RuntimeError("the batch was evaluated again, over this point's forward state")
         m, e_trans = _marginals(U, trans, start, end, packing, forward)
         np.put(m, cells, np.take(m, cells) - 1.0)  # now expected minus observed counts
         grad = 2.0 * c2 * wvec

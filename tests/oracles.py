@@ -234,6 +234,46 @@ def brute_transition_marginals(model: CrfModel, features) -> np.ndarray:
     return out
 
 
+def loop_forward(U, trans, start, packing):
+    """``crf._forward`` as a loop that slices each step's rows out of
+    arrays of its own: (a, s, P, E, shift), the same sums in the same
+    order, which the packing's precomputed step views must reproduce bit
+    for bit."""
+    from legal_sbd.crf import _row_max
+
+    n0 = packing.batch_sizes[0]
+    P = U.copy()
+    P[:n0] += start
+    shift = _row_max(P)
+    np.exp(P - shift[:, None], out=P)
+    trans_shift = trans.max()
+    E = np.exp(trans - trans_shift)
+    a = np.empty_like(U)
+    s = np.empty(len(U))
+    np.add.reduce(P[:n0], axis=1, out=s[:n0])
+    np.divide(P[:n0], s[:n0, None], out=a[:n0])
+    for before, lo, n in packing.steps:
+        rows = np.einsum("ri,ij->rj", a[before : before + n], E, out=a[lo : lo + n])
+        rows *= P[lo : lo + n]
+        np.add.reduce(rows, axis=1, out=s[lo : lo + n])
+        rows /= s[lo : lo + n, None]
+    shift[n0:] += trans_shift
+    return a, s, P, E, shift
+
+
+def loop_backward(P, E, s, end, packing):
+    """``crf._backward`` as a loop over slices of arrays of its own, the
+    reference of the packing's backward step views."""
+    b = np.empty_like(P)
+    b[:] = np.exp(end - end.max())
+    scratch = np.empty_like(P[: packing.batch_sizes[0]])
+    for before, lo, n in reversed(packing.steps):
+        after = np.multiply(P[lo : lo + n], b[lo : lo + n], out=scratch[:n])
+        rows = np.einsum("rj,ij->ri", after, E, out=b[before : before + n])
+        rows /= s[lo : lo + n, None]
+    return b
+
+
 def loop_token_columns(text: str) -> TokenColumns:
     """The token columns of *text* by the regular expression the
     tokenizer's boundary rule replaced: the matches of ``w[wm]*|n+|s+|.``

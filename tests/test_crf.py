@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -37,6 +38,8 @@ from oracles import (
     brute_transition_marginals,
     brute_viterbi,
     finite_difference_gradient,
+    loop_backward,
+    loop_forward,
     loop_viterbi,
     random_batch,
     random_features,
@@ -1130,6 +1133,101 @@ class TestScaledRecursion:
         for name in ("transitions", "start", "end"):
             got, want = getattr(grad, name), fd_arrays[name]
             assert (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max() <= 1e-6
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def train_acceptance_lengths() -> np.ndarray:
+    """The sequence lengths of the benchmark's training workload at its
+    default seed: 50 documents, one training sequence each."""
+    from legal_sbd.pipeline import label_document
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    name = workloads.TRAINING
+    docs = workloads.workload_inputs(name, workloads.DEFAULT_SEEDS[name])["train"]
+    return np.array([len(label_document(doc).labels) for doc in docs])
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+class TestStepPlan:
+    """The buffers and per-step views that ``crf._pack`` builds once per
+    batch must run the passes of the step loops they replaced
+    (``oracles.loop_forward`` and ``loop_backward``) bit for bit."""
+
+    def test_passes_match_the_step_loops_bit_for_bit(self, rng):
+        from legal_sbd.crf import _backward, _forward, _pack
+
+        cases = [  # (lengths, shift of U: -3 underflows a long sequence in log space)
+            (np.full(6, 17), 0.0),
+            (np.ones(7, dtype=int), 0.0),
+            (np.array([1, 30, 1, 30, 1]), 0.0),
+            (np.array([40]), 0.0),
+            (np.array([1]), 0.0),
+            (np.array([5000]), -3.0),
+            (train_acceptance_lengths(), 0.0),
+        ]
+        cases += [(rng.integers(1, 40, size=int(rng.integers(1, 12))), 0.0) for _ in range(10)]
+        for lengths, offset in cases:
+            packing = _pack(lengths)
+            # two evaluations on one packing: the second must not see the first
+            for _ in range(2):
+                scale = float(rng.uniform(0.2, 3.0))
+                U = rng.normal(size=(int(lengths.sum()), 5)) * scale + offset
+                trans, start, end = (rng.normal(size=shape) * scale for shape in ((5, 5), 5, 5))
+                want = loop_forward(U, trans, start, packing)
+                want_b = loop_backward(want[2], want[3], want[1], end, packing)
+                got = _forward(U, trans, start, packing)
+                got_b = _backward(got[2], got[3], got[1], end, packing)
+                for name, g, w in zip(("a", "s", "P", "E", "shift", "b"), (*got, got_b), (*want, want_b)):
+                    assert np.array_equal(bits(g), bits(w)), (lengths.tolist()[:8], name)
+
+    def test_backward_refuses_arrays_other_than_the_plans(self, rng):
+        from legal_sbd.crf import _backward, _forward, _pack
+
+        packing = _pack(np.array([3, 5]))
+        U = rng.normal(size=(8, 5))
+        a, s, P, E, _ = _forward(U, rng.normal(size=(5, 5)), rng.normal(size=5), packing)
+        with pytest.raises(ValueError, match="buffers"):
+            _backward(P.copy(), E, s, rng.normal(size=5), packing)
+
+    def test_a_gradient_raises_once_its_batch_is_evaluated_again(self, rng):
+        from legal_sbd.crf import _batch_objective, _encode_sequences, _n_params, _to_model
+
+        config = TrainingConfig()
+        batch = random_batch(rng, max_sequences=4, max_length=6)
+        vocab, encoded = _encode_sequences(batch)
+        first, second = (rng.normal(size=_n_params(len(vocab))) * 0.5 for _ in range(2))
+        _, first_gradient = _batch_objective(first, encoded, config.c2)
+        value, second_gradient = _batch_objective(second, encoded, config.c2)
+        with pytest.raises(RuntimeError, match="evaluated again"):
+            first_gradient()
+        want_value, want = nll_and_gradient(_to_model(second, vocab), batch, config)
+        got = _to_model(second_gradient(), vocab)
+        assert value == want_value
+        assert list(got.state_weights) == list(want.state_weights)
+        for name in ("transitions", "start", "end"):
+            assert np.array_equal(bits(getattr(got, name)), bits(getattr(want, name)))
+        assert np.array_equal(bits(got._state_matrix), bits(want._state_matrix))
+
+    @pytest.mark.parametrize("subscripts", ["ri,ij->rj", "rj,ij->ri"])
+    def test_compiled_einsum_gives_np_einsum_bits(self, rng, subscripts):
+        # the step loops call the function np.einsum wraps; with numpy < 2
+        # it comes from the fallback import
+        for _ in range(300):
+            rows = int(rng.integers(1, 80))
+            x = np.exp(rng.normal(size=(rows + 3, 5)) * rng.uniform(0.1, 5.0))[2 : rows + 2]
+            E = np.exp(rng.normal(size=(5, 5)) * rng.uniform(0.1, 5.0))
+            got = np.empty((rows + 1, 5))[1:]
+            crf.c_einsum(subscripts, x, E, out=got)
+            want = np.einsum(subscripts, x, E)
+            assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(crf.c_einsum(subscripts, x, E)), bits(want))
 
 
 class TestNonFiniteAbort:
