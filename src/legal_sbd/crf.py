@@ -598,12 +598,13 @@ def _marginals(
         with np.errstate(all="ignore"):
             b = _backward(P, E, s, end, packing)
             if b.min() >= _TINY:
-                b /= z[seq, None]
+                b /= np.take(z, seq)[:, None]
                 m = a * b
                 after = b[n0:]
                 after *= P[n0:]
                 after /= s[n0:, None]
-                e_trans = E * np.einsum("ta,tb->ab", a[prev], after)
+                # np.take gathers rows several times faster than a[prev]
+                e_trans = E * np.einsum("ta,tb->ab", np.take(a, prev, 0), after)
                 if np.isfinite(m).all() and np.isfinite(e_trans).all():
                     return m, e_trans
         forward = _log_forward(U, trans, start, packing)
@@ -924,9 +925,9 @@ class _Plan:
     __slots__ = ("a", "s", "P", "b", "first", "forward", "backward", "generation")
 
     def __init__(self, rows: int, n0: int, steps: list[tuple[int, int, int]]):
-        self.a, self.P, self.b = (np.empty((rows, N_LABELS)) for _ in range(3))
-        self.s = np.empty(rows)
-        a, s, P, b = self.a, self.s, self.P, self.b
+        a, P, b = (np.empty((rows, N_LABELS)) for _ in range(3))
+        s = np.empty(rows)
+        self.a, self.s, self.P, self.b = a, s, P, b
         s_col = s[:, None]
         self.first = (P[:n0], s[:n0], s_col[:n0], a[:n0])
         scratch = np.empty((n0, N_LABELS))
@@ -985,6 +986,7 @@ class _Encoded(NamedTuple):
     W: object  # CSR (fragments, indicators): each fragment's indicator values
     y: np.ndarray  # row -> gold label index
     cells: np.ndarray  # row -> index of its gold cell in a flattened (rows, L) array
+    pairs: np.ndarray  # row batch_sizes[0] + j -> index of its gold pair in a flattened (L, L) array
     observed_trans: np.ndarray  # (L, L) counts of the gold label pairs
     packing: _Packing
 
@@ -1020,7 +1022,7 @@ def _encode_sequences(
     cells = np.arange(len(y)) * N_LABELS + y
     pairs = y[packing.prev] * N_LABELS + y[packing.batch_sizes[0] :]
     observed_trans = np.bincount(pairs, minlength=N_LABELS * N_LABELS).reshape(N_LABELS, N_LABELS)
-    return vocab, _Encoded(B, W, y, cells, observed_trans, packing)
+    return vocab, _Encoded(B, W, y, cells, pairs, observed_trans, packing)
 
 
 def _n_params(n_features: int) -> int:
@@ -1060,8 +1062,8 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     unary scores are ``B @ (W @ state)`` and the state gradient ``W.T @
     (B.T @ m)``, X's two products taken through its factors, the latter
     on the transposed (CSC) views of B and W."""
-    B, W, y, cells, observed_trans, packing = encoded
-    seq, prev, last = packing.seq, packing.prev, packing.last
+    B, W, y, cells, pairs, observed_trans, packing = encoded
+    seq, last = packing.seq, packing.last
     n0 = packing.batch_sizes[0]  # the number of sequences; rows n0: have a predecessor
     state, trans, start, end = _unpack(wvec)
     U = B @ (W @ state)
@@ -1069,7 +1071,7 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     generation = packing.plan.generation
     gold = np.take(U, cells)
     gold[:n0] += start[y[:n0]]
-    gold[n0:] += trans[y[prev], y[n0:]]
+    gold[n0:] += np.take(trans, pairs)
     gold[last] += end[y[last]]
     contributions = log_z - np.bincount(seq, weights=gold, minlength=n0)
     bad = np.flatnonzero(~np.isfinite(contributions))
