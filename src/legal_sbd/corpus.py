@@ -71,6 +71,8 @@ class CorpusSplit:
 def validate_document(doc: Document) -> None:
     """Raise :class:`DataError` if *doc* violates a corpus invariant."""
     where = f"document {doc.id!r}"
+    if not all(type(v) is str for v in (doc.id, doc.language, doc.doc_type, doc.text)):
+        raise DataError(f"{where}: id, language, type and text must be strings")
     if not doc.id:
         raise DataError("document with empty id")
     if not doc.text:
@@ -86,6 +88,8 @@ def validate_document(doc: Document) -> None:
     n = len(doc.text)
     prev_end = 0
     for span in doc.spans:
+        if not (type(span.start) is type(span.end) is int and type(span.label) is str):
+            raise DataError(f"{where}: span {tuple(span)!r} is not (int, int, str)")
         if not (0 <= span.start < span.end <= n):
             raise DataError(
                 f"{where}: span out of range ({span.start}, {span.end}) for text of length {n}"
@@ -246,11 +250,24 @@ def document_to_json(doc: Document) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
+def _unique(ids: Iterable[str], where: str) -> None:
+    """:class:`DataError` ``"{where} lists document id ... more than once"``
+    if one of *ids* repeats."""
+    repeated = [i for i, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise DataError(f"{where} lists document id {repeated[0]!r} more than once")
+
+
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    """Write *docs* to *path* as JSONL through :func:`write_file`: a
-    document UTF-8 cannot encode (a lone surrogate) raises
-    :class:`DataError` naming it, and an existing file stays."""
+    """Write *docs* to *path* as JSONL through :func:`write_file`, after
+    the checks :func:`load_corpus` applies: a document that breaks a rule
+    of :func:`validate_document`, an id listed twice, or a document UTF-8
+    cannot encode (a lone surrogate) raises :class:`DataError` naming it,
+    before the file is opened, so an existing file stays."""
     docs = list(docs)
+    for doc in docs:
+        validate_document(doc)
+    _unique((doc.id for doc in docs), f"{path}: corpus")
     lines = [document_to_json(doc) + "\n" for doc in docs]
     write_file(path, "".join(lines), lambda bad: next(
         f"document {doc.id!r}" for doc, line in zip(docs, lines) if bad in line))
@@ -308,7 +325,27 @@ def split_corpus(docs: list[Document], seed: int) -> CorpusSplit:
     )
 
 
+def _checked_split(seed, lists, path: str | Path) -> CorpusSplit:
+    """The split of *seed* and the (train, validation, test) *lists* under
+    the rules of a split file: :class:`DataError` naming *path* if the seed
+    is not an ``int`` (nor a bool), an id is not a string, or an id is
+    listed twice."""
+    if type(seed) is not int:
+        raise DataError(f"{path}: split seed {seed!r} is not an integer")
+    try:
+        ids = [tuple(map(json_str, x)) for x in lists]
+    except TypeError as exc:
+        raise DataError(f"{path}: train, validation and test must be lists of id strings") from exc
+    _unique((i for x in ids for i in x), f"{path}: split")
+    return CorpusSplit(seed, *ids)
+
+
 def save_split(split: CorpusSplit, path: str | Path) -> None:
+    """Write *split* to *path* as JSON through :func:`write_file`, after
+    the checks :func:`load_split` applies: a seed, an id or a repeated id
+    it would reject raises :class:`DataError` naming the split before the
+    file is opened, so an existing file stays."""
+    split = _checked_split(split.seed, (split.train, split.validation, split.test), path)
     obj = {
         "seed": split.seed,
         "train": list(split.train),
@@ -322,22 +359,12 @@ def save_split(split: CorpusSplit, path: str | Path) -> None:
 def load_split(path: str | Path) -> CorpusSplit:
     obj = read_json_object(path, "malformed split file")
     try:
-        seed = json_int(obj.get("seed", 0))
-        ids = [obj["train"], obj["validation"], obj["test"]]
+        lists = [obj["train"], obj["validation"], obj["test"]]
     except KeyError as exc:
         raise DataError(f"{path}: split file missing field {exc}") from exc
-    except TypeError as exc:
-        raise DataError(f"{path}: split seed {obj['seed']!r} is not an integer") from exc
-    try:
-        if not all(isinstance(x, list) for x in ids):
-            raise TypeError("not a list")
-        ids = [tuple(map(json_str, x)) for x in ids]
-    except TypeError as exc:
-        raise DataError(f"{path}: train, validation and test must be lists of id strings") from exc
-    repeated = [i for i, n in Counter(i for x in ids for i in x).items() if n > 1]
-    if repeated:
-        raise DataError(f"{path}: split lists document id {repeated[0]!r} more than once")
-    return CorpusSplit(seed, *ids)
+    if not all(isinstance(x, list) for x in lists):
+        raise DataError(f"{path}: train, validation and test must be lists of id strings")
+    return _checked_split(obj.get("seed", 0), lists, path)
 
 
 @dataclass

@@ -20,12 +20,13 @@ are stably sorted longest first and laid out time-major, like a packed
 sequence: step t holds one row for each sequence longer than t, and row
 i of step t continues row i of step t - 1, so each step of every
 training recursion is one array operation over contiguous rows, which
-:func:`_pack` lists once.  It also builds, once per batch, the plan of
-the scaled passes (:class:`_Plan`): their buffers and each step's views
-of them, so an evaluation allocates no pass buffer and a step slices
-nothing.  Nothing is padded, so memory grows with
-the number of tokens, not with the batch size times the longest
-sequence.  A single sequence is the packed case with one row per step.
+:func:`_pack` lists once.  The packing (:class:`_Packing`) also holds
+the state of the scaled passes, allocated once per batch: the buffers
+the passes fill in place and each step's views of them, so an evaluation
+allocates no pass buffer and a step slices nothing.  Nothing is padded,
+so memory grows with the number of tokens, not with the batch size times
+the longest sequence.  A single sequence is the packed case with one row
+per step; :func:`log_partition` runs the forward pass alone on it.
 
 Feature maps (see :mod:`legal_sbd.features`, which states the grammar of
 their string indicators) are merges of the fragments of
@@ -496,9 +497,10 @@ def _row_max(V: np.ndarray) -> np.ndarray:
 # it runs the same kernel, so the bits are the same, without the wrapper's
 # dispatch, which costs about as much as a product of at most a few dozen
 # rows by 5 labels.  (np.matmul is faster still, but sums in another order
-# and gives other bits.)  Each step only iterates the views that the
-# packing's plan (:class:`_Plan`) built once per batch, and its ufuncs
-# write through positional ``out``.  If a scaled value or a scale is not a
+# and gives other bits.)  Each step only iterates the views of the
+# packing's buffers (:class:`_Packing`), built once per batch, and its
+# ufuncs write through positional ``out``; a pass fills the buffers in
+# place and returns none of them.  If a scaled value or a scale is not a
 # normal double, underflow may have lost exact values, and log Z
 # (:func:`_log_z`) or the marginals (:func:`_marginals`), whichever read
 # it, fall back to the log-space recursions.
@@ -506,20 +508,19 @@ def _row_max(V: np.ndarray) -> np.ndarray:
 
 def _forward(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, packing: _Packing
-) -> tuple[np.ndarray, ...]:
-    """Scaled forward recursion over packed rows (see :func:`_pack`):
-    (a, s, P, E, shift), with a, s and P the buffers of the packing's plan,
-    which the next forward pass on it overwrites.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled forward recursion over packed rows (see :func:`_pack`) into
+    the packing's a, s and P, which the next forward pass on it
+    overwrites: returns (E, shift).
 
     A step is a row-by-E product, a product with P, a row sum s and a
     divide by it, so a[r] sums to 1.  exp of :func:`_log_forward` at row r
     is a[r] times the product of s * exp(shift) over r and the rows before
     it in its sequence; shift[r] is the row's max, start included at a
     first row, plus max trans at a row with a predecessor."""
-    plan = packing.plan
-    plan.generation += 1
-    a, s, P = plan.a, plan.s, plan.P
-    P0, s0, s0_col, a0 = plan.first
+    packing.generation += 1
+    P = packing.P
+    P0, s0, s0_col, a0 = packing.first
     np.copyto(P, U)
     P0 += start
     shift = _row_max(P)
@@ -530,55 +531,50 @@ def _forward(
     add_rows, multiply, divide = np.add.reduce, np.multiply, np.divide
     add_rows(P0, 1, None, s0)
     divide(P0, s0_col, a0)
-    for before, rows, P_rows, s_rows, s_col in plan.forward:
+    for before, rows, P_rows, s_rows, s_col in packing.forward:
         c_einsum("ri,ij->rj", before, E, out=rows)
         multiply(rows, P_rows, rows)
         add_rows(rows, 1, None, s_rows)
         divide(rows, s_col, rows)
     shift[packing.batch_sizes[0] :] += trans_shift
-    return a, s, P, E, shift
+    return E, shift
 
 
-def _backward(
-    P: np.ndarray, E: np.ndarray, s: np.ndarray, end: np.ndarray, packing: _Packing
-) -> np.ndarray:
-    """Scaled backward recursion over packed rows, on the P, E and s of
-    :func:`_forward` on the same packing: b is exp(end - max end) at a
-    sequence's last row, and b[r] = E @ (P * b)[next] / s[next] before it,
-    with next the row after r in its sequence.  Dividing by the forward
-    pass's scales keeps a[r] @ b[r] the same on every row of a sequence.
-    b is the plan's buffer, which the next backward pass overwrites."""
-    plan = packing.plan
-    if P is not plan.P or s is not plan.s:
-        raise ValueError("P and s must be the buffers of the packing's forward pass")
+def _backward(E: np.ndarray, end: np.ndarray, packing: _Packing) -> None:
+    """Scaled backward recursion over packed rows into the packing's b,
+    which the next backward pass on it overwrites, from the P and s that
+    :func:`_forward` left in the packing and its E: b is exp(end - max
+    end) at a sequence's last row, and b[r] = E @ (P * b)[next] / s[next]
+    before it, with next the row after r in its sequence.  Dividing by the
+    forward pass's scales keeps a[r] @ b[r] the same on every row of a
+    sequence."""
     # every row starts as a last row; each step, last first, sets the rows before it
-    b = plan.b
-    b[...] = np.exp(end - end.max())
+    packing.b[...] = np.exp(end - end.max())
     multiply, divide = np.multiply, np.divide
-    for P_rows, rows, after, before, s_col in plan.backward:
+    for P_rows, rows, after, before, s_col in packing.backward:
         multiply(P_rows, rows, after)
         c_einsum("rj,ij->ri", after, E, out=before)
         divide(before, s_col, before)
-    return b
 
 
 def _log_z(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, end: np.ndarray, packing: _Packing
 ) -> tuple[np.ndarray, object]:
-    """(log Z of each sequence in the caller's order, the scaled (a, s, P, E,
-    z) or log-space alpha that :func:`_marginals` reads), from the forward
-    pass alone: b is exp(end - max end) at every last row, so z = a[last] @
-    b[last], and log Z sums log z, max end and the log scales."""
-    seq, last = packing.seq, packing.last
+    """(log Z of each sequence in the caller's order, the scaled (E, z) or
+    log-space alpha that :func:`_marginals` reads with the packing), from
+    the forward pass alone: b is exp(end - max end) at every last row, so
+    z = a[last] @ b[last], and log Z sums log z, max end and the log
+    scales."""
+    seq, last, a, s = packing.seq, packing.last, packing.a, packing.s
     n0 = packing.batch_sizes[0]  # the number of sequences
     with np.errstate(all="ignore"):
-        a, s, P, E, shift = _forward(U, trans, start, packing)
+        E, shift = _forward(U, trans, start, packing)
         b_last = np.tile(np.exp(end - end.max()), (n0, 1))
         # a NaN fails every comparison, so it falls back too
         if a.min() >= _TINY and s.min() >= _TINY and b_last.min() >= _TINY:
             z = np.einsum("rk,rk->r", a[last], b_last)
             scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
-            return np.log(z) + end.max() + scales, (a, s, P, E, z)
+            return np.log(z) + end.max() + scales, (E, z)
     alpha = _log_forward(U, trans, start, packing)
     return _logsumexp(alpha[last] + end), alpha
 
@@ -587,16 +583,18 @@ def _marginals(
     U: np.ndarray, trans: np.ndarray, start: np.ndarray, end: np.ndarray, packing: _Packing, forward
 ) -> tuple[np.ndarray, np.ndarray]:
     """(the marginals of the packed rows, the expected transition counts
-    summed over the batch), from the *forward* state of :func:`_log_z`.
-    Once b is divided by z, a[r] @ b[r] is 1 on every row: the marginals
-    are a * b, and the posterior of label i at row prev[j] and k at row
-    n0 + j is a[prev[j], i] * E[i, k] * (P * b / s)[n0 + j, k]."""
+    summed over the batch), from the *forward* state of :func:`_log_z` and
+    the a, s and P its forward pass left in the packing.  Once b is
+    divided by z, a[r] @ b[r] is 1 on every row: the marginals are a * b,
+    and the posterior of label i at row prev[j] and k at row n0 + j is
+    a[prev[j], i] * E[i, k] * (P * b / s)[n0 + j, k]."""
     seq, prev, last = packing.seq, packing.prev, packing.last
     n0 = packing.batch_sizes[0]  # rows n0: have a predecessor
     if isinstance(forward, tuple):
-        a, s, P, E, z = forward
+        E, z = forward
+        a, s, P, b = packing.a, packing.s, packing.P, packing.b
         with np.errstate(all="ignore"):
-            b = _backward(P, E, s, end, packing)
+            _backward(E, end, packing)
             if b.min() >= _TINY:
                 b /= np.take(z, seq)[:, None]
                 m = a * b
@@ -681,23 +679,20 @@ def score(model: CrfModel, features: Sequence[dict], labels: Sequence[str]) -> f
     return s + float(model.transitions[y[:-1], y[1:]].sum())
 
 
-def _sequence_posteriors(model: CrfModel, features: Sequence[dict]):
-    """:func:`_posteriors` of one sequence, a packed batch of one whose
-    rows are in position order."""
-    U = _unary_matrix(model, features)
-    return _posteriors(U, model.transitions, model.start, model.end, _pack(np.array([len(U)])))
-
-
 def log_partition(model: CrfModel, features: Sequence[dict]) -> float:
-    """Log of the summed exp-scores of all label sequences."""
-    return float(_sequence_posteriors(model, features)[0][0])
+    """Log of the summed exp-scores of all label sequences: :func:`_log_z`
+    on a packed batch of one, the forward pass alone."""
+    U = _unary_matrix(model, features)
+    return float(_log_z(U, model.transitions, model.start, model.end, _pack(np.array([len(U)])))[0][0])
 
 
 def marginals(model: CrfModel, features: Sequence[dict]) -> np.ndarray:
-    """Posterior label probabilities per position, shape (T, L).
+    """Posterior label probabilities per position, shape (T, L): the rows
+    of a packed batch of one are in position order.
 
     No CLI command uses it; it serves the public API and the oracle tests."""
-    return _sequence_posteriors(model, features)[1]
+    U = _unary_matrix(model, features)
+    return _posteriors(U, model.transitions, model.start, model.end, _pack(np.array([len(U)])))[1]
 
 
 _BACK_CHUNK = 4096  # rows of back pointers, or blocks of phase 1, that a step takes at a time
@@ -911,22 +906,33 @@ def _collect_vocabulary(
     return {ind: k for k, ind in enumerate(sorted(vocab))}
 
 
-class _Plan:
-    """The buffers of the scaled passes over one packing, allocated once,
-    and the views each step of :func:`_forward` and :func:`_backward` reads
-    and writes, so a pass slices nothing.  ``first`` holds the first step's
-    (P, s, s as a column, a) rows; ``forward`` holds per step t >= 1, in
-    time order, (a at step t - 1, a, P, s and s as a column at step t), and
-    ``backward``, last step first, (P, b and the scratch rows at step t, b
-    at step t - 1, s as a column at step t).  ``generation`` counts the
-    forward passes, so that a kept forward state can tell it was
+class _Packing:
+    """A batch packed by :func:`_pack`, and the state of its scaled passes:
+    the buffers a, s, P and b, allocated once, which :func:`_forward` and
+    :func:`_backward` fill in place, and the views of them each step of
+    theirs reads and writes, so a pass slices nothing.  ``first`` holds the
+    first step's (P, s, s as a column, a) rows; ``forward`` holds per step
+    t >= 1, in time order, (a at step t - 1, a, P, s and s as a column at
+    step t), and ``backward``, last step first, (P, b and the scratch rows
+    at step t, b at step t - 1, s as a column at step t).  ``generation``
+    counts the forward passes, so that a kept forward state can tell it was
     overwritten."""
 
-    __slots__ = ("a", "s", "P", "b", "first", "forward", "backward", "generation")
+    __slots__ = ("batch_sizes", "seq", "step", "prev", "last", "steps",
+                 "a", "s", "P", "b", "first", "forward", "backward", "generation")
 
-    def __init__(self, rows: int, n0: int, steps: list[tuple[int, int, int]]):
-        a, P, b = (np.empty((rows, N_LABELS)) for _ in range(3))
-        s = np.empty(rows)
+    def __init__(self, batch_sizes, seq, step, prev, last, steps):
+        self.batch_sizes = batch_sizes  # rows per time step
+        self.seq = seq  # packed row -> caller's sequence index
+        self.step = step  # packed row -> position in its sequence
+        self.prev = prev  # row batch_sizes[0] + j -> the row one step earlier
+        self.last = last  # caller's sequence index -> row of its last position
+        # per step t >= 1: (first row of step t - 1, first row of step t, rows
+        # of step t), the one step table every packed recursion iterates
+        self.steps = steps
+        n0 = batch_sizes[0]
+        a, P, b = (np.empty((len(seq), N_LABELS)) for _ in range(3))
+        s = np.empty(len(seq))
         self.a, self.s, self.P, self.b = a, s, P, b
         s_col = s[:, None]
         self.first = (P[:n0], s[:n0], s_col[:n0], a[:n0])
@@ -941,21 +947,9 @@ class _Plan:
         self.generation = 0
 
 
-class _Packing(NamedTuple):
-    batch_sizes: list[int]  # rows per time step
-    seq: np.ndarray  # packed row -> caller's sequence index
-    step: np.ndarray  # packed row -> position in its sequence
-    prev: np.ndarray  # row batch_sizes[0] + j -> the row one step earlier
-    last: np.ndarray  # caller's sequence index -> row of its last position
-    # per step t >= 1: (first row of step t - 1, first row of step t, rows
-    # of step t), the one step table every packed recursion iterates
-    steps: list[tuple[int, int, int]]
-    plan: _Plan  # the scaled passes' buffers and per-step views
-
-
 def _pack(lengths: np.ndarray) -> _Packing:
     """Time-major packed layout of sequences of the given lengths, with
-    the plan of its scaled passes.
+    the buffers and step views of its scaled passes.
 
     Sequences are stably sorted longest first; step t then holds one row
     for each of the first batch_sizes[t] of them, the ones longer than t,
@@ -973,8 +967,7 @@ def _pack(lengths: np.ndarray) -> _Packing:
     rank[order] = within[:n0]
     steps = list(zip(firsts[:-1].tolist(), firsts[1:].tolist(), batch_sizes[1:].tolist()))
     return _Packing(
-        batch_sizes.tolist(), order[within], step, prev, firsts[lengths - 1] + rank, steps,
-        _Plan(len(step), batch_sizes[0], steps),
+        batch_sizes.tolist(), order[within], step, prev, firsts[lengths - 1] + rank, steps
     )
 
 
@@ -1068,7 +1061,7 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
     state, trans, start, end = _unpack(wvec)
     U = B @ (W @ state)
     log_z, forward = _log_z(U, trans, start, end, packing)
-    generation = packing.plan.generation
+    generation = packing.generation
     gold = np.take(U, cells)
     gold[:n0] += start[y[:n0]]
     gold[n0:] += np.take(trans, pairs)
@@ -1082,7 +1075,7 @@ def _batch_objective(wvec, encoded: _Encoded, c2):
         )
 
     def gradient():
-        if packing.plan.generation != generation:
+        if packing.generation != generation:
             raise RuntimeError("the batch was evaluated again, over this point's forward state")
         m, e_trans = _marginals(U, trans, start, end, packing, forward)
         np.put(m, cells, np.take(m, cells) - 1.0)  # now expected minus observed counts

@@ -36,14 +36,20 @@ def label_document(doc: Document) -> LabeledSequence:
     )
 
 
+def _check_limit(name: str, value) -> None:
+    # bool is a subclass of int, and True would cut as 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def chunk_token_indices(texts, labels: list[str], max_length: int) -> list[tuple[int, int]]:
-    """Half-open ranges of at most ~*max_length* of the token *texts*.
+    """Half-open ranges of at most ~*max_length* of the token *texts*;
+    *max_length* must be an ``int`` (not a bool) of at least 1.
 
     Cuts happen only after an O-labeled text that ``isspace()``, so no
     sentence is ever severed; a run without such a cut may exceed the limit.
     """
-    if max_length < 1:
-        raise DataError(f"max_length must be >= 1, got {max_length}")
+    _check_limit("max_length", max_length)
     ranges = []
     begin = 0
     last_cut = -1  # token index after which a cut is safe
@@ -101,16 +107,16 @@ def train_on_documents(
     """Train a CRF on gold documents.
 
     By default each document is one training sequence; with
-    *max_sequence_length* set, very long documents are split at
-    sentence-external whitespace first, and the model's metadata records
-    the limit.
+    *max_sequence_length* set, an ``int`` (not a bool) of at least 1, very
+    long documents are split at sentence-external whitespace first, and
+    the model's metadata records the limit.
     """
     if not docs:
         raise DataError("empty training set")
     config = config or TrainingConfig()
     config.validate()  # this check and the next run before any document is tokenized
-    if max_sequence_length is not None and max_sequence_length < 1:
-        raise DataError(f"max_sequence_length must be >= 1, got {max_sequence_length}")
+    if max_sequence_length is not None:
+        _check_limit("max_sequence_length", max_sequence_length)
     sequences: list[LabeledSequence] = []
     for doc in docs:
         if max_sequence_length is None:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legal_sbd.corpus import (
+    CorpusSplit,
     Document,
     SentenceSpan,
     StatsRow,
@@ -142,6 +143,39 @@ def test_failed_save_leaves_the_existing_file(tmp_path):
     bad = Document("bad-doc", "fr", "judgment", "Un\ud800.", (SentenceSpan(0, 3),))
     with pytest.raises(DataError, match=r"c\.jsonl: document 'bad-doc' holds '\\ud800'"):
         save_corpus([*docs[:2], bad, docs[2]], path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Document("bad-doc", "fr", "law", ""), "'bad-doc': empty text"),
+    (Document("bad-doc", "fr", "decree", "A."), "'bad-doc': unknown type 'decree'"),
+    (Document("bad-doc", "FR", "law", "A."), "'bad-doc': language 'FR' is not a two-letter"),
+    (Document("bad-doc", "fr", "law", "A. B.", (SentenceSpan(0, 4), SentenceSpan(3, 5))),
+     r"'bad-doc': overlapping or unsorted span at \(3, 5\)"),
+    (Document(7, "fr", "law", "A."), "7: id, language, type and text must be strings"),
+    (Document("bad-doc", "fr", "law", "A.", (SentenceSpan(0, np.int64(2)),)),
+     re.escape(f"'bad-doc': span {(0, np.int64(2), 'Sentence')!r} is not (int, int, str)")),
+], ids=["empty text", "unknown type", "upper-case language", "overlapping spans",
+        "id not a string", "numpy offset"])
+def test_save_rejects_what_load_rejects_and_leaves_the_file(tmp_path, bad, message):
+    docs = make_corpus(3, seed=5)
+    path = tmp_path / "c.jsonl"
+    save_corpus(docs, path)
+    before = path.read_bytes()
+    with pytest.raises(DataError, match=message):
+        save_corpus([*docs[:2], bad, docs[2]], path)
+    assert path.read_bytes() == before
+
+
+def test_save_rejects_an_id_listed_twice_and_leaves_the_file(tmp_path):
+    docs = make_corpus(3, seed=5)
+    path = tmp_path / "c.jsonl"
+    save_corpus(docs, path)
+    before = path.read_bytes()
+    twin = replace(docs[2], id=docs[0].id)
+    message = re.escape(f"{path}: corpus lists document id {docs[0].id!r} more than once")
+    with pytest.raises(DataError, match=message):
+        save_corpus([*docs, twin], path)
     assert path.read_bytes() == before
 
 
@@ -296,8 +330,25 @@ def test_failed_split_save_leaves_the_existing_file(tmp_path):
     path = tmp_path / "split.json"
     save_split(split, path)
     before = path.read_bytes()
-    with pytest.raises(TypeError, match="int64"):
+    with pytest.raises(DataError, match="int64"):
         save_split(replace(split, seed=np.int64(7)), path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": True}, "split seed True is not an integer"),
+    ({"seed": 2.0}, "split seed 2.0 is not an integer"),
+    ({"seed": "7"}, "split seed '7' is not an integer"),
+    ({"train": ("a", 3)}, "train, validation and test must be lists of id strings"),
+    ({"test": ("a",)}, "split lists document id 'a' more than once"),
+], ids=["bool seed", "float seed", "string seed", "id not a string", "id listed twice"])
+def test_split_save_rejects_what_load_rejects_and_leaves_the_file(tmp_path, change, message):
+    split = CorpusSplit(7, ("a", "b"), ("c",), ("d",))
+    path = tmp_path / "split.json"
+    save_split(split, path)
+    before = path.read_bytes()
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        save_split(replace(split, **change), path)
     assert path.read_bytes() == before
 
 

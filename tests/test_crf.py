@@ -871,8 +871,9 @@ def row_products(U, trans, start, end, packing):
     divided by a[last] @ b[last] of its sequence as ``_posteriors`` does."""
     from legal_sbd.crf import _backward, _forward
 
-    a, s, P, E, _ = _forward(U, trans, start, packing)
-    b = _backward(P, E, s, end, packing)
+    E, _ = _forward(U, trans, start, packing)
+    _backward(E, end, packing)
+    a, b = packing.a, packing.b
     z = (a[packing.last] * b[packing.last]).sum(axis=1)
     return (a * b).sum(axis=1) / z[packing.seq]
 
@@ -976,18 +977,23 @@ def extreme_model(rng):
     return model
 
 
-def log_space_calls(monkeypatch):
-    """Count the calls of the log-space recursions from here on."""
+def counted_calls(monkeypatch, names):
+    """Count the calls of the ``crf`` functions *names* from here on."""
     from legal_sbd import crf
 
     calls = []
-    for name in ("_log_forward", "_log_backward"):
+    for name in names:
         def counted(*args, _name=name, _fn=getattr(crf, name)):
             calls.append(_name)
             return _fn(*args)
 
         monkeypatch.setattr(crf, name, counted)
     return calls
+
+
+def log_space_calls(monkeypatch):
+    """Count the calls of the log-space recursions from here on."""
+    return counted_calls(monkeypatch, ("_log_forward", "_log_backward"))
 
 
 def single_pass_log_z(U, trans, start, end, packing):
@@ -999,8 +1005,9 @@ def single_pass_log_z(U, trans, start, end, packing):
 
     seq, last, n0 = packing.seq, packing.last, packing.batch_sizes[0]
     with np.errstate(all="ignore"):
-        a, s, P, E, shift = _forward(U, trans, start, packing)
-        b = _backward(P, E, s, end, packing)
+        E, shift = _forward(U, trans, start, packing)
+        _backward(E, end, packing)
+        a, s, b = packing.a, packing.s, packing.b
         if a.min() >= _TINY and s.min() >= _TINY and b.min() >= _TINY:
             z = np.einsum("rk,rk->r", a[last], b[last])
             scales = np.bincount(seq, weights=np.log(s) + shift, minlength=n0)
@@ -1008,36 +1015,73 @@ def single_pass_log_z(U, trans, start, end, packing):
     return _logsumexp(_log_forward(U, trans, start, packing)[last] + end), False
 
 
+def unary_model(U, trans, start, end):
+    """(a model, plain feature maps) whose unary scores are U: position t
+    holds the indicator "t<t>" alone, at 1.0, whose weight row is U[t]."""
+    feats = [{f"t{t}": 1.0} for t in range(len(U))]
+    return CrfModel({f"t{t}": row for t, row in enumerate(U)}, trans, start, end), feats
+
+
+def log_z_cases(rng):
+    """(U, trans, start, end, packing, whether the scaled passes give log Z,
+    and for a single sequence the (model, feature maps) it scores, else
+    None): random scaled batches, the 5,000-token sequence that underflows
+    in log space, and single sequences whose end weights leave the doubles
+    or whose weights are extreme, which fall back."""
+    from legal_sbd.crf import _pack, _unary_matrix
+
+    cases = []
+    for _ in range(30):
+        lengths = rng.integers(1, 40, size=int(rng.integers(1, 9)))
+        scale = float(rng.uniform(0.2, 3.0))
+        U = rng.normal(size=(int(lengths.sum()), 5)) * scale
+        trans, start, end = (rng.normal(size=shape) * scale for shape in ((5, 5), 5, 5))
+        single = unary_model(U, trans, start, end) if len(lengths) == 1 else None
+        cases.append((U, trans, start, end, _pack(lengths), True, single))
+    U = rng.normal(size=(5000, 5)) - 3.0  # underflows in log space, not scaled
+    weights = (rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=5))
+    cases.append((U, *weights, _pack(np.array([5000])), True, unary_model(U, *weights)))
+    past_end = random_model(rng)
+    past_end.end[1] = past_end.end.max() - 1000.0
+    extreme = extreme_model(rng)
+    for length in (1, 2, 4):
+        for model, feats in (
+            (past_end, random_features(rng, length)),
+            (extreme, [{**fv, "wide": 1.0} for fv in random_features(rng, length, 3)]),
+        ):
+            U = _unary_matrix(model, feats)
+            weights = (model.transitions, model.start, model.end)
+            cases.append((U, *weights, _pack(np.array([length])), False, (model, feats)))
+    return cases
+
+
 class TestScaledRecursion:
     def test_value_alone_is_the_single_pass_log_z_bit_for_bit(self, rng):
-        from legal_sbd.crf import _log_z, _pack, _unary_matrix
+        from legal_sbd.crf import _log_z
 
-        cases = []  # (U, trans, start, end, packing, whether the scaled passes give log Z)
-        for _ in range(30):
-            lengths = rng.integers(1, 40, size=int(rng.integers(1, 9)))
-            scale = float(rng.uniform(0.2, 3.0))
-            U = rng.normal(size=(int(lengths.sum()), 5)) * scale
-            trans, start, end = (rng.normal(size=shape) * scale for shape in ((5, 5), 5, 5))
-            cases.append((U, trans, start, end, _pack(lengths), True))
-        U = rng.normal(size=(5000, 5)) - 3.0  # underflows in log space, not scaled
-        cases.append((U, rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=5),
-                      _pack(np.array([5000])), True))
-        past_end = random_model(rng)
-        past_end.end[1] = past_end.end.max() - 1000.0
-        extreme = extreme_model(rng)
-        for length in (1, 2, 4):
-            for model, feats in (
-                (past_end, random_features(rng, length)),
-                (extreme, [{**fv, "wide": 1.0} for fv in random_features(rng, length, 3)]),
-            ):
-                U = _unary_matrix(model, feats)
-                weights = (model.transitions, model.start, model.end)
-                cases.append((U, *weights, _pack(np.array([length])), False))
-        for U, trans, start, end, packing, scaled in cases:
+        for U, trans, start, end, packing, scaled, _ in log_z_cases(rng):
             want, on_scaled = single_pass_log_z(U, trans, start, end, packing)
             assert on_scaled == scaled
             got, _ = _log_z(U, trans, start, end, packing)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_log_partition_is_the_posteriors_log_z_from_the_forward_pass(self, rng, monkeypatch):
+        # log_partition runs _log_z alone: the bits of _posteriors' log Z,
+        # and on the scaled path one forward pass and no backward pass
+        from legal_sbd.crf import _posteriors, _unary_matrix
+
+        singles = [case for case in log_z_cases(rng) if case[-1] is not None]
+        assert sum(case[5] for case in singles) >= 2 and not all(case[5] for case in singles)
+        calls = counted_calls(monkeypatch, ("_forward", "_backward"))
+        for U, trans, start, end, packing, scaled, (model, feats) in singles:
+            assert np.array_equal(bits(_unary_matrix(model, feats)), bits(U))
+            want = _posteriors(U, trans, start, end, packing)[0][0]
+            calls.clear()
+            got = log_partition(model, feats)
+            assert np.array_equal(bits(np.float64(got)), bits(want))
+            assert "_backward" not in calls
+            if scaled:
+                assert calls == ["_forward"]
 
     def test_matches_log_space_recursion(self, rng, monkeypatch):
         from legal_sbd.crf import _pack, _posteriors
@@ -1092,8 +1136,8 @@ class TestScaledRecursion:
             feats = random_features(rng, length)
             U = _unary_matrix(model, feats)
             packing = _pack(np.array([length]))
-            a, s, *_ = _forward(U, model.transitions, model.start, packing)
-            assert a.min() >= _TINY and s.min() >= _TINY
+            _forward(U, model.transitions, model.start, packing)
+            assert packing.a.min() >= _TINY and packing.s.min() >= _TINY
             log_z, m, e_trans = _posteriors(U, model.transitions, model.start, model.end, packing)
             assert {"_log_forward", "_log_backward"} <= set(calls)
             calls.clear()
@@ -1182,19 +1226,11 @@ class TestStepPlan:
                 trans, start, end = (rng.normal(size=shape) * scale for shape in ((5, 5), 5, 5))
                 want = loop_forward(U, trans, start, packing)
                 want_b = loop_backward(want[2], want[3], want[1], end, packing)
-                got = _forward(U, trans, start, packing)
-                got_b = _backward(got[2], got[3], got[1], end, packing)
-                for name, g, w in zip(("a", "s", "P", "E", "shift", "b"), (*got, got_b), (*want, want_b)):
+                E, shift = _forward(U, trans, start, packing)
+                _backward(E, end, packing)
+                got = (packing.a, packing.s, packing.P, E, shift, packing.b)
+                for name, g, w in zip(("a", "s", "P", "E", "shift", "b"), got, (*want, want_b)):
                     assert np.array_equal(bits(g), bits(w)), (lengths.tolist()[:8], name)
-
-    def test_backward_refuses_arrays_other_than_the_plans(self, rng):
-        from legal_sbd.crf import _backward, _forward, _pack
-
-        packing = _pack(np.array([3, 5]))
-        U = rng.normal(size=(8, 5))
-        a, s, P, E, _ = _forward(U, rng.normal(size=(5, 5)), rng.normal(size=5), packing)
-        with pytest.raises(ValueError, match="buffers"):
-            _backward(P.copy(), E, s, rng.normal(size=5), packing)
 
     def test_a_gradient_raises_once_its_batch_is_evaluated_again(self, rng):
         from legal_sbd.crf import _batch_objective, _encode_sequences, _n_params, _to_model

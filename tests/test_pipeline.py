@@ -1,6 +1,8 @@
 import json
+import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,14 @@ def test_chunk_limit_validation():
         chunk_token_indices(texts, ["O"] * len(texts), 0)
 
 
+@pytest.mark.parametrize("max_length", [True, 2.5, np.int64(30), "7"])
+def test_chunk_limit_must_be_an_int(max_length):
+    # True would cut as if the limit were 1
+    texts = ["A", ".", " ", "B", "."]
+    with pytest.raises(DataError, match=re.escape(f"max_length must be an integer >= 1, got {max_length!r}")):
+        chunk_token_indices(texts, ["B", "L", "O", "B", "L"], max_length)
+
+
 def test_training_with_chunking_still_learns():
     docs = make_corpus(20, seed=65)
     model = train_on_documents(
@@ -157,6 +167,18 @@ def test_bad_chunk_length_fails_before_any_document_is_labeled(
     labeling_calls, max_sequence_length
 ):
     with pytest.raises(DataError, match="max_sequence_length"):
+        train_on_documents(make_corpus(5, seed=70), max_sequence_length=max_sequence_length)
+    assert labeling_calls == []
+
+
+@pytest.mark.parametrize("max_sequence_length", [True, 2.5, np.int64(30), "7"])
+def test_chunk_length_that_is_no_int_fails_before_any_document_is_labeled(
+    labeling_calls, max_sequence_length
+):
+    # True would train with a limit of 1, 2.5 and np.int64 be written to
+    # the model file as 2.5 and 30.0, and "7" fail with a bare TypeError
+    message = re.escape(f"max_sequence_length must be an integer >= 1, got {max_sequence_length!r}")
+    with pytest.raises(DataError, match=message):
         train_on_documents(make_corpus(5, seed=70), max_sequence_length=max_sequence_length)
     assert labeling_calls == []
 
