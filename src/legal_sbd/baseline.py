@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress, count
 
-from .corpus import SentenceSpan
+from .corpus import SentenceSpan, check_int
 from .errors import DataError
 from .spans import _decode_columns
 from .tokenizer import NUMBER, OTHER, SPACE_CODES, WORD, _token_columns, token_kind
@@ -39,9 +39,16 @@ _BLANK_LINE = re.compile("l(?=l)")  # a newline token (class code l) before anot
 
 @dataclass(frozen=True)
 class RuleConfig:
+    """Rule knobs, checked when made: a terminator, and ``min_sentence_chars >= 0``."""
+
     terminators: frozenset[str] = frozenset({".", "!", "?"})
     colon_newline_rule: bool = True
     min_sentence_chars: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.terminators:
+            raise DataError("rule config needs at least one terminator")
+        check_int("min_sentence_chars", self.min_sentence_chars, 0)
 
 
 DEFAULT_RULES = RuleConfig()
@@ -72,8 +79,6 @@ def _cuts(texts: list[str], codes: str, config: RuleConfig):
 
 def rule_split(text: str, config: RuleConfig = DEFAULT_RULES) -> list[SentenceSpan]:
     """Split *text* into sorted, disjoint, whitespace-trimmed sentence spans."""
-    if not config.terminators:
-        raise DataError("rule config needs at least one terminator")
     columns = _token_columns(text)
     n = len(columns.texts)
     labels = ["I"] * n

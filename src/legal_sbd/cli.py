@@ -350,7 +350,7 @@ def _cmd_stats(resolved: dict[str, Any]) -> int:
 
 
 def _cmd_histogram(resolved: dict[str, Any]) -> int:
-    docs = load_corpus(resolved["corpus"])
+    docs = (doc for path in [resolved["corpus"]] for doc in load_corpus(path))  # read after the checks
     hists = corpus_mod.length_histogram(docs, resolved["bin_size"], resolved["cutoff"])
     for hist in hists:
         logger.info(
@@ -366,7 +366,6 @@ def _cmd_train(resolved: dict[str, Any]) -> int:
     config = TrainingConfig(c1=resolved["c1"], c2=resolved["c2"],
                             max_iterations=resolved["max_iterations"],
                             lbfgs_memory=resolved["lbfgs_memory"], convergence_tol=resolved["tol"])
-    config.validate()  # before any input file is read, as the languages are
     docs = load_corpus(resolved["corpus"])
     split = load_split(resolved["split"])
     known = {doc.id for doc in docs}
@@ -458,8 +457,7 @@ def _cmd_eval(resolved: dict[str, Any]) -> int:
 
 
 def _cmd_bench(resolved: dict[str, Any]) -> int:
-    if resolved["repeat"] < 1:
-        raise DataError(f"--repeat must be >= 1, got {resolved['repeat']}")
+    corpus_mod.check_int("--repeat", resolved["repeat"], 1)
     model = load_model(resolved["model"])
     docs = load_corpus(resolved["corpus"])
     timings, alone = [], []  # the whole corpus in one call; each document in its own

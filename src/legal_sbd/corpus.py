@@ -115,6 +115,14 @@ def json_int(value) -> int:
     return value
 
 
+def check_int(name: str, value, least: int | None = None) -> None:
+    """:class:`DataError` naming *name* unless *value* is an ``int`` (by :func:`json_int`'s
+    rule: no bool, no numpy integer) of at least *least*; the package's one integer check."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DataError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def json_str(value) -> str:
     """*value* if JSON read it as a string; ``TypeError`` otherwise."""
     if type(value) is not str:
@@ -293,11 +301,11 @@ def split_corpus(docs: list[Document], seed: int) -> CorpusSplit:
     Sampling is stratified per language so every language contributes 20%
     of its documents (round half up) to validation and to test.  The
     partition is a pure function of the document ids, their languages, and
-    the seed, which must be an ``int`` (not a bool): the only seed that
-    :func:`save_split` writes and :func:`load_split` reads back.
+    the seed, an ``int`` (:func:`check_int`): the only seed that :func:`save_split`
+    writes and :func:`load_split` reads back.  An id listed twice is a :class:`DataError`.
     """
-    if type(seed) is not int:
-        raise DataError(f"split seed {seed!r} is not an integer")
+    check_int("split seed", seed)
+    _unique((doc.id for doc in docs), "corpus")
     if len(docs) < 5:
         raise DataError(f"corpus too small to split: {len(docs)} documents (need >= 5)")
     by_language: dict[str, list[str]] = {}
@@ -328,10 +336,9 @@ def split_corpus(docs: list[Document], seed: int) -> CorpusSplit:
 def _checked_split(seed, lists, path: str | Path) -> CorpusSplit:
     """The split of *seed* and the (train, validation, test) *lists* under
     the rules of a split file: :class:`DataError` naming *path* if the seed
-    is not an ``int`` (nor a bool), an id is not a string, or an id is
-    listed twice."""
-    if type(seed) is not int:
-        raise DataError(f"{path}: split seed {seed!r} is not an integer")
+    is not an ``int`` (:func:`check_int`), an id is not a string, or an id
+    is listed twice."""
+    check_int(f"{path}: split seed", seed)
     try:
         ids = [tuple(map(json_str, x)) for x in lists]
     except TypeError as exc:
@@ -357,14 +364,15 @@ def save_split(split: CorpusSplit, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> CorpusSplit:
+    """The split in file *path*; :class:`DataError` if a field is missing or breaks a rule."""
     obj = read_json_object(path, "malformed split file")
     try:
-        lists = [obj["train"], obj["validation"], obj["test"]]
+        seed, lists = obj["seed"], [obj["train"], obj["validation"], obj["test"]]
     except KeyError as exc:
         raise DataError(f"{path}: split file missing field {exc}") from exc
     if not all(isinstance(x, list) for x in lists):
         raise DataError(f"{path}: train, validation and test must be lists of id strings")
-    return _checked_split(obj.get("seed", 0), lists, path)
+    return _checked_split(seed, lists, path)
 
 
 @dataclass
@@ -447,12 +455,12 @@ def length_histogram(
     """Sentence-length distribution in non-whitespace tokens per doc type.
 
     Lengths are bucketed into [1..bin_size], [bin_size+1..2*bin_size], ...
-    and normalized within each document type.  Sentences longer than
-    *cutoff* are excluded from the bins; their count is reported in
-    ``excluded``.
+    and normalized within each document type.  Sentences longer than *cutoff*
+    are excluded from the bins; their count is reported in ``excluded``.
+    :func:`check_int` checks ``bin_size >= 1`` and ``cutoff >= 0`` first.
     """
-    if bin_size < 1:
-        raise DataError(f"bin_size must be >= 1, got {bin_size}")
+    check_int("bin_size", bin_size, 1)
+    check_int("cutoff", cutoff, 0)
     counts: dict[str, dict[int, int]] = {}
     excluded: dict[str, int] = {}
     for doc in docs:

@@ -129,7 +129,7 @@ try:  # the compiled function np.einsum wraps, imported as numpy's einsumfunc do
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
 
-from .corpus import json_int, json_number, json_str, read_json_object, write_file
+from .corpus import check_int, json_int, json_number, json_str, read_json_object, write_file
 from .errors import DataError, TrainingError
 from .features import (
     FEATURE_FINGERPRINT, MAX_RADIUS, NUMERIC_ATTRIBUTES, PATTERN_SIDE, PATTERN_SLOT_ROWS,
@@ -148,20 +148,19 @@ _LABEL_INDEX = {label: k for k, label in enumerate(LABELS)}
 N_LABELS = len(LABELS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
+    """Training knobs, checked when made or replaced (see ``__post_init__``), then frozen."""
+
     c1: float = 1.0  # L1 coefficient
     c2: float = 0.001  # L2 coefficient
     max_iterations: int = 100
     lbfgs_memory: int = 10
     convergence_tol: float = 1e-6
 
-    def validate(self) -> None:
-        # bool is a subclass of int, and True would run as 1
+    def __post_init__(self) -> None:
         for name in ("max_iterations", "lbfgs_memory"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+            check_int(name, getattr(self, name), 1)
         for name in ("c1", "c2", "convergence_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -1100,7 +1099,6 @@ def nll_and_gradient(
     or the batch; the L1 term is the optimizer's business and is not
     included here.
     """
-    config.validate()
     if not batch:
         raise DataError("empty batch")
     vocab, encoded = _encode_sequences(batch, known=model.state_weights)
@@ -1128,7 +1126,6 @@ def train(
     never observed in training still carry a (possibly zero) weight.
     """
     config = config or TrainingConfig()
-    config.validate()
     if not sequences:
         raise DataError("no training sequences")
     vocab, encoded = _encode_sequences(sequences)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import chain
 
-from .corpus import Document, SentenceSpan, corpus_fingerprint
+from .corpus import Document, SentenceSpan, check_int, corpus_fingerprint
 from .crf import CrfModel, LabeledSequence, TrainingConfig, compile_model, train, viterbi
 from .errors import DataError
 from .features import FEATURE_FINGERPRINT, sequence_features
@@ -36,20 +36,13 @@ def label_document(doc: Document) -> LabeledSequence:
     )
 
 
-def _check_limit(name: str, value) -> None:
-    # bool is a subclass of int, and True would cut as 1
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise DataError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def chunk_token_indices(texts, labels: list[str], max_length: int) -> list[tuple[int, int]]:
-    """Half-open ranges of at most ~*max_length* of the token *texts*;
-    *max_length* must be an ``int`` (not a bool) of at least 1.
+    """Half-open ranges of at most ~*max_length* (an ``int >= 1``) of the token *texts*.
 
     Cuts happen only after an O-labeled text that ``isspace()``, so no
     sentence is ever severed; a run without such a cut may exceed the limit.
     """
-    _check_limit("max_length", max_length)
+    check_int("max_length", max_length, 1)
     ranges = []
     begin = 0
     last_cut = -1  # token index after which a cut is safe
@@ -106,17 +99,14 @@ def train_on_documents(
 ) -> CrfModel:
     """Train a CRF on gold documents.
 
-    By default each document is one training sequence; with
-    *max_sequence_length* set, an ``int`` (not a bool) of at least 1, very
-    long documents are split at sentence-external whitespace first, and
-    the model's metadata records the limit.
+    By default each document is one training sequence; with *max_sequence_length*
+    set, an ``int >= 1`` checked before any document is tokenized, very long documents
+    are split at sentence-external whitespace first, and the metadata records the limit.
     """
     if not docs:
         raise DataError("empty training set")
-    config = config or TrainingConfig()
-    config.validate()  # this check and the next run before any document is tokenized
     if max_sequence_length is not None:
-        _check_limit("max_sequence_length", max_sequence_length)
+        check_int("max_sequence_length", max_sequence_length, 1)
     sequences: list[LabeledSequence] = []
     for doc in docs:
         if max_sequence_length is None:

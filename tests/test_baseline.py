@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from legal_sbd.baseline import RuleConfig, rule_split
@@ -130,6 +132,18 @@ def test_custom_terminators():
 def test_empty_terminators_rejected():
     with pytest.raises(DataError):
         rule_split("x", RuleConfig(terminators=frozenset()))
+
+
+def test_empty_terminators_fail_when_the_config_is_made():
+    with pytest.raises(DataError, match="^rule config needs at least one terminator$"):
+        RuleConfig(terminators=frozenset())
+
+
+@pytest.mark.parametrize("value", [True, 2.5, np.int64(5), "7", None, -1])
+def test_min_sentence_chars_must_be_an_int_of_at_least_0(value):
+    message = f"min_sentence_chars must be an integer >= 0, got {value!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        RuleConfig(min_sentence_chars=value)
 
 
 from hypothesis import example, given, settings

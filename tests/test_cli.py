@@ -325,7 +325,17 @@ class TestHistogramCommand:
 
     def test_zero_bin_size_is_data_error(self, corpus_path, capsys):
         assert run("histogram", "--corpus", corpus_path, "--bin-size", "0") == 2
-        assert "bin_size must be >= 1" in capsys.readouterr().err
+        assert "bin_size must be an integer >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--bin-size", "0", "bin_size must be an integer >= 1, got 0"),
+        ("--cutoff", "-1", "cutoff must be an integer >= 0, got -1"),
+    ])
+    def test_bad_argument_fails_before_the_corpus_is_read(self, flag, value, message,
+                                                          tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert run("histogram", "--corpus", missing, flag, value) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTrainPredictEval:
@@ -519,6 +529,16 @@ class TestBaselineCommand:
         assert len(docs) == 10
         assert all(doc.spans for doc in docs)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-sentence-chars", "-1", "min_sentence_chars must be an integer >= 0, got -1"),
+        ("--terminators", "", "rule config needs at least one terminator"),
+    ])
+    def test_bad_rule_fails_before_the_input_is_read(self, flag, value, message,
+                                                     tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert run("baseline", "--in", missing, flag, value) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestInputReadByContent:
     """``--in`` is a corpus when its first non-blank character is ``{``,
@@ -609,7 +629,7 @@ class TestBenchCommand:
         # checked before the model or the corpus is read: neither exists
         missing = tmp_path / "missing.json"
         assert run("bench", "--model", missing, "--corpus", missing, "--repeat", repeat) == 2
-        assert "--repeat must be >= 1" in capsys.readouterr().err
+        assert f"--repeat must be an integer >= 1, got {repeat}" in capsys.readouterr().err
 
     def test_empty_corpus_no_division_by_zero(self, model_path, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

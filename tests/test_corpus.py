@@ -224,8 +224,18 @@ def test_split_partition_property_over_seeds():
 def test_split_seed_must_be_an_int(seed):
     # each would give a split whose file load_split rejects, or, for
     # np.int64, a TypeError from random.Random
-    with pytest.raises(DataError, match="split seed .* is not an integer"):
+    with pytest.raises(DataError, match=re.escape(f"split seed must be an integer, got {seed!r}")):
         split_corpus(make_corpus(10, seed=1), seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_split_refuses_a_document_listed_twice(seed):
+    # unrefused, seed 0 put the repeated document in train and in
+    # validation, seed 3 in validation and in test
+    docs = make_corpus(10, seed=3)
+    message = f"corpus lists document id {docs[0].id!r} more than once"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        split_corpus(docs + [docs[0]], seed)
 
 
 def test_split_too_small():
@@ -301,7 +311,7 @@ def test_split_too_small_for_validation_and_test():
         split_corpus(docs, seed=0)
 
 
-@pytest.mark.parametrize("field", ["train", "validation", "test"])
+@pytest.mark.parametrize("field", ["train", "validation", "test", "seed"])
 def test_split_file_missing_field(tmp_path, field):
     obj = {"seed": 1, "train": ["a"], "validation": ["b"], "test": ["c"]}
     del obj[field]
@@ -336,9 +346,9 @@ def test_failed_split_save_leaves_the_existing_file(tmp_path):
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"seed": True}, "split seed True is not an integer"),
-    ({"seed": 2.0}, "split seed 2.0 is not an integer"),
-    ({"seed": "7"}, "split seed '7' is not an integer"),
+    ({"seed": True}, "split seed must be an integer, got True"),
+    ({"seed": 2.0}, "split seed must be an integer, got 2.0"),
+    ({"seed": "7"}, "split seed must be an integer, got '7'"),
     ({"train": ("a", 3)}, "train, validation and test must be lists of id strings"),
     ({"test": ("a",)}, "split lists document id 'a' more than once"),
 ], ids=["bool seed", "float seed", "string seed", "id not a string", "id listed twice"])
@@ -455,3 +465,27 @@ def test_fingerprint_covers_text_and_spans():
     c = Document("d", "fr", "judgment", "Un. Deux.", (SentenceSpan(0, 2), SentenceSpan(4, 9)))
     assert len({corpus_fingerprint([a]), corpus_fingerprint([b]), corpus_fingerprint([c])}) == 3
     assert corpus_fingerprint([a]) == corpus_fingerprint([a])
+
+
+# what the one integer rule refuses: a bool, a float, a numpy integer, a
+# string and None, each before a document is read
+NOT_INTS = [True, 2.5, np.int64(5), "7", None]
+
+
+def unread_documents():
+    raise AssertionError("a document was read")
+    yield
+
+
+@pytest.mark.parametrize("bin_size", NOT_INTS + [0])
+def test_histogram_bin_size_must_be_an_int_of_at_least_1(bin_size):
+    message = f"bin_size must be an integer >= 1, got {bin_size!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        length_histogram(unread_documents(), bin_size=bin_size)
+
+
+@pytest.mark.parametrize("cutoff", NOT_INTS + [-1])
+def test_histogram_cutoff_must_be_an_int_of_at_least_0(cutoff):
+    message = f"cutoff must be an integer >= 0, got {cutoff!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        length_histogram(unread_documents(), cutoff=cutoff)

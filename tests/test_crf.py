@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -615,12 +615,20 @@ class TestTrain:
     @pytest.mark.parametrize("name, value", [
         ("max_iterations", 2.5), ("max_iterations", True), ("lbfgs_memory", 10.0),
         ("lbfgs_memory", True), ("c1", "1"), ("c2", None), ("convergence_tol", True),
+        ("max_iterations", np.int64(5)),
     ])
     def test_knob_of_the_wrong_type_rejected(self, name, value):
         # 2.5 would fail inside the optimizer once the corpus is encoded,
         # True would run as 1, and "1" would fail in math.isfinite
         with pytest.raises(DataError, match=f"{name} must be"):
-            TrainingConfig(**{name: value}).validate()
+            TrainingConfig(**{name: value})
+
+    def test_config_is_frozen_and_checked_again_when_replaced(self):
+        config = TrainingConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.max_iterations = 0
+        with pytest.raises(DataError, match="^max_iterations must be an integer >= 1, got 0$"):
+            replace(config, max_iterations=0)
 
     def test_nll_and_gradient_validates_its_config(self):
         with pytest.raises(DataError, match="regularizers must be >= 0"):
